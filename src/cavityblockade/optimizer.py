@@ -2,15 +2,25 @@
 
 The two-photon amplitude vanishes exactly when
 
-    E^2 J^2 e^{-2 i theta} + E J Omega e^{-i theta} (M + N + delta_e)
-        + Omega^2 (J^2 + N delta_e) = 0
+    a z^2 + b z + c = 0,    z = e^{-i theta},
+    a = E^2 J^2,  b = E Omega J (M + N + delta_e),  c = Omega^2 (J^2 + N delta_e)
 
 with E the microwave amplitude and Omega the cavity drive; this is the
-numerator of the closed-form c2g after clearing denominators.  Because the
-expression mixes e^{-i theta} and e^{+i theta} (through the real J^2), it
-is not holomorphic and is solved as two real equations in (J, theta), plus
-the single-excitation resonance delta_c = G + J^2/delta_e when the cavity
-detuning is free.
+numerator of the closed-form c2g after clearing denominators.  When the
+cavity detuning is free it is set to the single-excitation resonance
+delta_c = G + J^2/delta_e, so a, b and c stay polynomials in J.
+
+A real root needs |z| = 1, and a root on the unit circle is shared with the
+conjugate-reciprocal quadratic conj(c) z^2 + conj(b) z + conj(a).  The real
+J of every root are therefore real zeros of the resultant of the two,
+
+    (|a|^2 - |c|^2)^2 - |a conj(b) - b conj(c)|^2,
+
+an even real polynomial in J: degree 10 for a joint solve and 8 for a fixed
+cavity detuning, so a quintic or quartic in J^2.  Its zeros come from
+companion-matrix eigenvalues, and the shared root
+z = (|a|^2 - |c|^2) / (conj(c) b - a conj(b)) gives theta.  The solve is
+exact and complete: every real root, with no start points or search.
 """
 
 from __future__ import annotations
@@ -18,22 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import steady_state
-from .params import Direction, SystemParams, wrap_angle
+from .params import Direction, SystemParams
 
-#: Multi-start grid; every (J, theta) pair is tried.
-DEFAULT_J_STARTS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
-DEFAULT_THETA_STARTS = (0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi)
-
-MAX_NEWTON_ITERS = 60
 C2G_RESIDUAL_TOL = 1e-10
-_ROOT_MERGE_TOL = 1e-6
-_DET_FLOOR = 1e-300
 
 
 class NoRealSolution(ValueError):
@@ -50,7 +52,7 @@ class NotNonreciprocal(UserWarning):
 
 @dataclass(frozen=True)
 class OptimalPoint:
-    """A converged zero of the two-photon amplitude.
+    """An exact zero of the two-photon amplitude.
 
     ``residual`` is the achieved |c2g| at the root; ``delta_c_opt`` equals
     G + J^2/delta_e for a joint solve and echoes the fixed detuning
@@ -94,168 +96,148 @@ def _consts(params: SystemParams) -> dict[str, float]:
     }
 
 
-def _residual(j, theta, delta_c, c) -> np.ndarray:
-    """Complex cancellation polynomial, broadcast over the inputs."""
-    half_loss = 0.5j * c["kappa"]
-    m = delta_c - half_loss - c["g_shift"]
-    n = delta_c - half_loss + c["delta_e"]
-    ph = np.exp(-1j * np.asarray(theta))
-    e, omega = c["e"], c["omega"]
-    return (
-        e**2 * j**2 * ph**2
-        + e * omega * j * ph * (m + n + c["delta_e"])
-        + omega**2 * (j**2 + n * c["delta_e"])
+def _canonical(j, z):
+    """(J, theta) for the root (J, z = e^{-i theta}), taking of the equivalent
+    pair (J, z) and (-J, -z) the one with theta closest to 0 (positive theta
+    on an exact tie)."""
+    flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag > 0.0))
+    return np.where(flip, -j, j), -np.angle(np.where(flip, -z, z))
+
+
+def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise product of polynomials with ascending coefficients."""
+    out = np.zeros(
+        p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,), dtype=np.result_type(p, q)
     )
+    for k in range(p.shape[-1]):
+        out[..., k : k + q.shape[-1]] += p[..., k, None] * q
+    return out
 
 
-def _residual_scale(j, c) -> np.ndarray:
-    e, omega = c["e"], c["omega"]
-    j2 = np.asarray(j) ** 2
-    return (
-        e**2 * j2
-        + e * omega * np.abs(j) * (2.0 + abs(c["delta_e"]))
-        + omega**2 * (j2 + abs(c["delta_e"]) + 1.0)
-        + 1e-300
-    )
+def _positive_zeros(coef: np.ndarray) -> np.ndarray:
+    """Positive real zeros of real polynomials, one per row of ascending
+    coefficients (K, n), NaN-padded to shape (K, n - 1).
 
-
-def _delta_c_of(x: np.ndarray, c, fix_delta_c: bool, delta_c_fixed: float):
-    """Cavity detuning as a function of the unknowns.
-
-    A joint solve substitutes the single-excitation resonance
-    delta_c = G + J^2/delta_e, so the constraint holds by construction and
-    the Newton iteration stays two-dimensional either way.
+    The eigenvalues of each companion matrix are polished by Newton steps on
+    the polynomial itself.
     """
-    if fix_delta_c:
-        return delta_c_fixed
-    return c["g_shift"] + x[..., 0] ** 2 / c["delta_e"]
-
-
-def _jacobian(j, theta, c, fix_delta_c: bool, delta_c_fixed: float) -> np.ndarray:
-    """Real 2x2 Jacobian of (Re r, Im r) with respect to (J, theta)."""
-    j = np.asarray(j, dtype=float)
-    delta_c = (
-        delta_c_fixed if fix_delta_c else c["g_shift"] + j**2 / c["delta_e"]
+    coef = coef / np.max(np.abs(coef), axis=-1, keepdims=True)
+    rows, n = coef.shape
+    zeros = np.full((rows, n - 1), np.nan, dtype=complex)
+    # An exactly vanishing leading coefficient lowers a row's degree.
+    degree = n - 1 - np.argmax(coef[:, ::-1] != 0.0, axis=-1)
+    for d in np.unique(degree[degree > 0]):
+        sel = degree == d
+        companion = np.zeros((int(sel.sum()), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] = -coef[sel, :d] / coef[sel, d, None]
+        zeros[sel, :d] = np.linalg.eigvals(companion)
+    # One of each conjugate pair: a tangent real zero splits into a pair with
+    # imaginary parts of order sqrt(eps).
+    near_real = (zeros.imag >= 0.0) & (
+        np.abs(zeros.imag) <= 1e-6 * np.maximum(1.0, np.abs(zeros.real))
     )
-    half_loss = 0.5j * c["kappa"]
-    m = delta_c - half_loss - c["g_shift"]
-    n = delta_c - half_loss + c["delta_e"]
-    ph = np.exp(-1j * np.asarray(theta))
-    e, omega, de = c["e"], c["omega"], c["delta_e"]
-
-    dr_dj = 2.0 * e**2 * j * ph**2 + e * omega * ph * (m + n + de) + 2.0 * omega**2 * j
-    if not fix_delta_c:
-        # Chain rule through delta_c(J); dr/d(delta_c) = 2 E Omega J ph + Omega^2 de.
-        dr_dj = dr_dj + (2.0 * e * omega * j * ph + omega**2 * de) * (2.0 * j / de)
-    dr_dth = -2j * e**2 * j**2 * ph**2 - 1j * e * omega * j * ph * (m + n + de)
-
-    shape = np.broadcast(j, theta).shape
-    jac = np.empty(shape + (2, 2), dtype=float)
-    jac[..., 0, 0] = np.broadcast_to(np.asarray(dr_dj).real, shape)
-    jac[..., 1, 0] = np.broadcast_to(np.asarray(dr_dj).imag, shape)
-    jac[..., 0, 1] = np.broadcast_to(np.asarray(dr_dth).real, shape)
-    jac[..., 1, 1] = np.broadcast_to(np.asarray(dr_dth).imag, shape)
-    return jac
+    s = np.where(near_real, zeros.real, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(4):
+            val = np.zeros_like(s)
+            slope = np.zeros_like(s)
+            for k in range(n - 1, -1, -1):
+                slope = slope * s + val
+                val = val * s + coef[:, k, None]
+            step = val / slope
+            s = np.where(np.isfinite(step), s - step, s)
+    return np.where(s > 0.0, s, np.nan)
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stacked 2x2 systems by adjugate, flagging singular ones."""
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    ok = np.abs(det) > _DET_FLOOR
-    safe = np.where(ok, det, 1.0)
-    x = np.empty_like(b)
-    x[..., 0] = (b[..., 0] * a[..., 1, 1] - b[..., 1] * a[..., 0, 1]) / safe
-    x[..., 1] = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / safe
-    return x, ok
+def _cancellation_roots(
+    e, omega, g_shift, delta_e, kappa, delta_c, fix_delta_c: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every canonical real cancellation root of each column.
 
-
-def _residual_vector(
-    x: np.ndarray, c, fix_delta_c: bool, delta_c_fixed: float
-) -> np.ndarray:
-    r = _residual(
-        x[..., 0], x[..., 1], _delta_c_of(x, c, fix_delta_c, delta_c_fixed), c
-    )
-    return np.stack([r.real, r.imag], axis=-1)
-
-
-def _newton(
-    x0: np.ndarray, c, fix_delta_c: bool, delta_c_fixed: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton iteration on a stack of (J, theta) start points.
-
-    Returns the final points and a convergence mask.  Damping halves the
-    step until the residual norm stops growing (at most six halvings); a
-    start whose line search cannot improve simply stalls and is reported
-    unconverged.
+    Takes 1-D arrays of the system constants (``delta_c`` is read only when
+    ``fix_delta_c``) and returns (J, theta, delta_c_opt, |c2g|), each of
+    shape (K, 15).  A row lists its column's roots in selection order
+    (smallest |J| first, then theta closest to 0, positive theta first) and
+    is NaN after the last one.  Columns with the microwave drive off, or with
+    delta_e = 0 on a joint solve, have no roots.
     """
-    x = x0.astype(float).copy()
-    res = _residual_vector(x, c, fix_delta_c, delta_c_fixed)
-    norm = np.linalg.norm(res, axis=-1)
-    for _ in range(MAX_NEWTON_ITERS):
-        jac = _jacobian(x[..., 0], x[..., 1], c, fix_delta_c, delta_c_fixed)
-        step, ok = _solve_stack(jac, -res)
-        step = np.where(ok[..., None], step, 0.0)
-        alpha = np.ones(x.shape[:-1])
-        best_x, best_norm = x, norm
-        improved = np.zeros(x.shape[:-1], dtype=bool)
-        for _ in range(7):
-            trial = x + alpha[..., None] * step
-            tres = _residual_vector(trial, c, fix_delta_c, delta_c_fixed)
-            tnorm = np.linalg.norm(tres, axis=-1)
-            with np.errstate(invalid="ignore"):
-                better = np.isfinite(tnorm) & (tnorm < best_norm)
-            take = better & ~improved
-            best_x = np.where(take[..., None], trial, best_x)
-            best_norm = np.where(take, tnorm, best_norm)
-            improved |= better
-            alpha = np.where(improved, alpha, alpha / 2.0)
-        x, norm = best_x, best_norm
-        res = _residual_vector(x, c, fix_delta_c, delta_c_fixed)
-        norm = np.linalg.norm(res, axis=-1)
-        scale = _residual_scale(x[..., 0], c)
-        if bool(np.all(norm <= 1e-11 * scale)):
-            break
-    scale = _residual_scale(x[..., 0], c)
-    converged = np.isfinite(norm) & (norm <= 1e-11 * scale)
-    return x, converged
-
-
-def _canonical(j: float, theta: float) -> tuple[float, float]:
-    """Pick, of the equivalent pair (J, theta) and (-J, theta+pi), the
-    representative with theta closest to 0 (positive theta on an exact tie)."""
-    theta = wrap_angle(theta)
-    alt_theta = wrap_angle(theta + math.pi)
-    candidates = [(j, theta), (-j, alt_theta)]
-    candidates.sort(key=lambda jt: (abs(jt[1]), 0.0 if jt[1] >= 0.0 else 1.0))
-    return candidates[0]
-
-
-def _c2g_magnitude(params: SystemParams, j, theta, delta_c) -> float:
-    c = _consts(params)
-    half_loss = 0.5j * c["kappa"]
-    m = delta_c - half_loss - c["g_shift"]
-    n = delta_c - half_loss + c["delta_e"]
-    amps, valid = steady_state.amplitude_arrays(
-        c["omega"], m, n, c["delta_e"], j, theta, c["e"]
+    e, omega, g_shift, delta_e, kappa, delta_c = (
+        np.asarray(v, dtype=float)[:, None]
+        for v in (e, omega, g_shift, delta_e, kappa, delta_c)
     )
-    if not bool(np.all(valid)):
-        return math.inf
-    return float(np.abs(amps[..., 3]))
+    half_loss = 0.5j * kappa
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # delta_c = d0 + q s with s = J^2; then a = alpha s, b = J beta(s) and
+        # c = gamma(s), with beta and gamma linear in s.
+        q = np.zeros_like(delta_e) if fix_delta_c else 1.0 / delta_e
+        d0 = delta_c if fix_delta_c else g_shift
+        n0 = d0 - half_loss + delta_e
+        alpha = e**2
+        beta = e * omega * np.concatenate([2.0 * n0 - g_shift, 2.0 * q + 0j], axis=1)
+        gamma = omega**2 * np.concatenate(
+            [n0 * delta_e, 1.0 + q * delta_e + 0j], axis=1
+        )
+        alpha_s = np.concatenate([np.zeros_like(alpha), alpha], axis=1)
+        # The resultant in s: |a conj(b) - b conj(c)|^2 carries a factor s
+        # because a and c are even in J and b is odd.
+        d = _poly_mul(alpha_s, alpha_s) - _poly_mul(gamma, gamma.conj()).real
+        u = _poly_mul(alpha_s, beta.conj()) - _poly_mul(beta, gamma.conj())
+        resultant = np.zeros((e.shape[0], 6))
+        resultant[:, :5] = _poly_mul(d, d)
+        resultant[:, 1:] -= _poly_mul(u, u.conj()).real
+    solvable = (e[:, 0] != 0.0) & np.all(np.isfinite(resultant), axis=1)
+    s = np.full((e.shape[0], 5), np.nan)
+    s[solvable] = _positive_zeros(resultant[solvable])
+
+    j = np.sqrt(s)
+    a = alpha * s
+    b = j * (beta[:, :1] + beta[:, 1:] * s)
+    c = gamma[:, :1] + gamma[:, 1:] * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shared = (a * a - np.abs(c) ** 2) / (c.conj() * b - a * b.conj())
+        disc = np.sqrt(b * b - 4.0 * a * c)
+        pair = ((-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a))
+
+        def on_circle(z):
+            return np.abs(np.abs(z) - 1.0) <= 1e-6
+
+        # The shared-root formula is 0/0 where the quadratic equals its
+        # conjugate reciprocal (both roots on the circle, or a double root):
+        # then its own roots are tested directly.
+        use_shared = on_circle(shared)
+        z = np.stack(
+            [np.where(use_shared, shared, np.nan)]
+            + [np.where(~use_shared & on_circle(p), p, np.nan) for p in pair],
+            axis=-1,
+        ).reshape(e.shape[0], -1)
+        jj, theta = _canonical(np.repeat(j, 3, axis=1), z)
+        dc = (
+            np.broadcast_to(delta_c, jj.shape)
+            if fix_delta_c
+            else g_shift + jj**2 / delta_e
+        )
+        m = dc - half_loss - g_shift
+        n = dc - half_loss + delta_e
+        amps, valid = steady_state.amplitude_arrays(omega, m, n, delta_e, jj, theta, e)
+        residual = np.abs(amps[..., 3])
+        root = valid & (residual < C2G_RESIDUAL_TOL)
+    order = np.lexsort((theta < 0.0, np.abs(theta), np.where(root, np.abs(jj), np.inf)))
+    root = np.take_along_axis(root, order, axis=1)
+    return tuple(
+        np.where(root, np.take_along_axis(x, order, axis=1), np.nan)
+        for x in (jj, theta, dc, residual)
+    )
 
 
-def find_roots(
-    params: SystemParams,
-    fix_delta_c: bool = False,
-    *,
-    j_starts: Sequence[float] = DEFAULT_J_STARTS,
-    theta_starts: Sequence[float] = DEFAULT_THETA_STARTS,
-) -> list[OptimalPoint]:
-    """All distinct cancellation roots found from the multi-start grid.
+def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalPoint]:
+    """Every real cancellation root.
 
-    Roots are canonicalized (theta in (-pi, pi], the (J, theta) sign
-    ambiguity resolved toward theta closest to 0), merged when closer than
-    1e-6, and sorted by the selection rule: smallest |J| first, ties broken
-    by theta closest to zero.
+    With ``fix_delta_c`` the cavity detuning stays at ``params.delta_c``;
+    otherwise it follows each root as delta_c = G + J^2/delta_e.  Roots are
+    canonical (theta in [-pi/2, pi/2], the equivalent (-J, theta + pi) folded
+    onto it) and sorted by the selection rule: smallest |J| first, ties
+    broken by theta closest to zero.
     """
     if params.e_eg == 0.0:
         raise NoRealSolution(
@@ -269,61 +251,34 @@ def find_roots(
             "for delta_e = 0"
         )
     c = _consts(params)
-
-    starts = [(j0, th0) for j0 in j_starts for th0 in theta_starts]
-    x0 = np.array(starts, dtype=float)
-    x, converged = _newton(x0, c, fix_delta_c, params.delta_c)
-
-    roots: list[OptimalPoint] = []
-    for row, ok in zip(x, converged):
-        if not ok:
-            continue
-        j_val, theta_val = _canonical(float(row[0]), float(row[1]))
-        # The sign flip preserves J^2, so the joint detuning is unchanged.
-        dc = (
-            params.delta_c
-            if fix_delta_c
-            else c["g_shift"] + j_val**2 / c["delta_e"]
-        )
-        residual = _c2g_magnitude(params, j_val, theta_val, dc)
-        if not (residual < C2G_RESIDUAL_TOL):
-            continue
-        if any(
-            abs(r.J - j_val) < _ROOT_MERGE_TOL
-            and abs(r.theta - theta_val) < _ROOT_MERGE_TOL
-            and abs(r.delta_c_opt - dc) < _ROOT_MERGE_TOL
-            for r in roots
-        ):
-            continue
-        roots.append(
-            OptimalPoint(
-                J=j_val,
-                theta=theta_val,
-                delta_c_opt=dc,
-                residual=residual,
-                direction=params.direction,
-            )
-        )
-    roots.sort(
-        key=lambda r: (
-            abs(r.J),
-            abs(r.theta),
-            0.0 if r.theta >= 0.0 else 1.0,
-            r.delta_c_opt,
+    j, theta, dc, residual = (
+        row[0]
+        for row in _cancellation_roots(
+            [c["e"]], [c["omega"]], [c["g_shift"]], [c["delta_e"]], [c["kappa"]],
+            [params.delta_c], fix_delta_c,
         )
     )
-    return roots
+    return [
+        OptimalPoint(
+            J=float(j[i]),
+            theta=float(theta[i]),
+            delta_c_opt=float(dc[i]),
+            residual=float(residual[i]),
+            direction=params.direction,
+        )
+        for i in np.flatnonzero(np.isfinite(j))
+    ]
 
 
 def solve_optimal(params: SystemParams, fix_delta_c: bool = False) -> OptimalPoint:
     """The selected cancellation root (smallest |J|, then theta nearest 0).
 
-    Use :func:`find_roots` for the full list of converged roots.
+    Use :func:`find_roots` for the full list of roots.
     """
     roots = find_roots(params, fix_delta_c)
     if not roots:
         raise NoRealSolution(
-            "no multi-start Newton run converged to a real cancellation root"
+            "the cancellation condition has no real root (J, theta) here"
         )
     return roots[0]
 
@@ -337,92 +292,27 @@ def solve_optimal_arrays(
     *,
     fix_delta_c: bool = False,
     delta_c=0.0,
-    j_starts: Sequence[float] = DEFAULT_J_STARTS,
-    theta_starts: Sequence[float] = DEFAULT_THETA_STARTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column-wise cancellation roots over arrays of system constants.
+    """Column-wise selected cancellation roots over arrays of system constants.
 
-    Broadcasts every constant to a common shape, runs the multi-start
-    Newton on all columns at once, and applies the same canonicalization
-    and selection rule as :func:`find_roots`.  Returns (J, theta,
-    delta_c_opt, ok); columns without a real solution (microwave off,
-    delta_e = 0 on a joint solve, or no converged start) have ok = False
-    and NaN entries.
+    Broadcasts every constant to a common shape, solves every column exactly
+    at once, and applies the selection rule of :func:`solve_optimal`.
+    Returns (J, theta, delta_c_opt, ok); columns without a real root
+    (microwave off, delta_e = 0 on a joint solve, or none exists) have
+    ok = False and NaN entries.
     """
-    e, omega, g_shift, delta_e, kappa, delta_c = np.broadcast_arrays(
+    consts = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa, delta_c))
     )
-    shape = e.shape
-    flat = lambda a: a.reshape(-1)
-    c = {
-        "e": flat(e),
-        "omega": flat(omega),
-        "g_shift": flat(g_shift),
-        "delta_e": flat(delta_e),
-        "kappa": flat(kappa),
-    }
-    dc_fixed = flat(delta_c)
-    k = c["e"].size
-
-    solvable = c["e"] != 0.0
-    if not fix_delta_c:
-        solvable &= c["delta_e"] != 0.0
-    starts = [(j0, th0) for j0 in j_starts for th0 in theta_starts]
-    x0 = np.array(starts, dtype=float)[:, None, :] * np.ones((1, k, 1))
-    # Unsolvable columns (delta_e = 0 on a joint solve) divide by zero inside
-    # the iteration; they are masked below, so silence numpy for the batch.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x, converged = _newton(x0, c, fix_delta_c, dc_fixed)
-    converged &= solvable[None, :]
-
-    # |c2g| = |r| / (sqrt(2) |d1 d2|): the cancellation polynomial is the
-    # numerator of the closed-form two-photon amplitude.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dc_all = (
-            dc_fixed if fix_delta_c else c["g_shift"] + x[..., 0] ** 2 / c["delta_e"]
-        )
-        r = _residual(x[..., 0], x[..., 1], dc_all, c)
-        half_loss = 0.5j * c["kappa"]
-        m = dc_all - half_loss - c["g_shift"]
-        n = dc_all - half_loss + c["delta_e"]
-        d1 = x[..., 0] ** 2 - m * c["delta_e"]
-        d2 = x[..., 0] ** 2 - m * n
-        c2g_mag = np.abs(r) / (math.sqrt(2.0) * np.abs(d1) * np.abs(d2))
-    converged &= np.isfinite(c2g_mag) & (c2g_mag < C2G_RESIDUAL_TOL)
-
-    j_out = np.full(k, np.nan)
-    theta_out = np.full(k, np.nan)
-    dc_out = np.full(k, np.nan)
-    ok = np.zeros(k, dtype=bool)
-    for col in range(k):
-        roots: list[tuple[float, float, float]] = []
-        for s in range(x.shape[0]):
-            if not converged[s, col]:
-                continue
-            j_val, theta_val = _canonical(float(x[s, col, 0]), float(x[s, col, 1]))
-            dc = (
-                float(dc_fixed[col])
-                if fix_delta_c
-                else float(c["g_shift"][col] + j_val**2 / c["delta_e"][col])
-            )
-            if any(
-                abs(r0 - j_val) < _ROOT_MERGE_TOL
-                and abs(t0 - theta_val) < _ROOT_MERGE_TOL
-                and abs(d0 - dc) < _ROOT_MERGE_TOL
-                for r0, t0, d0 in roots
-            ):
-                continue
-            roots.append((j_val, theta_val, dc))
-        if not roots:
-            continue
-        roots.sort(key=lambda r0: (abs(r0[0]), abs(r0[1]), 0.0 if r0[1] >= 0.0 else 1.0, r0[2]))
-        j_out[col], theta_out[col], dc_out[col] = roots[0]
-        ok[col] = True
+    shape = consts[0].shape
+    j, theta, dc, _ = _cancellation_roots(
+        *(v.reshape(-1) for v in consts), fix_delta_c
+    )
     return (
-        j_out.reshape(shape),
-        theta_out.reshape(shape),
-        dc_out.reshape(shape),
-        ok.reshape(shape),
+        j[:, 0].reshape(shape),
+        theta[:, 0].reshape(shape),
+        dc[:, 0].reshape(shape),
+        np.isfinite(j[:, 0]).reshape(shape),
     )
 
 
@@ -468,51 +358,27 @@ def nonreciprocal_point(
 ) -> tuple[float, float, NonreciprocityReport]:
     """Working point (J, theta) for one-way blockade at a target detuning.
 
-    Scans the (J, theta) plane at the target cavity detuning, restricts to
-    the region where the reverse direction is bunched (g2 > 1) when that
-    region exists, seeds a Newton polish of the forward cancellation root
-    from the best grid point, and falls back to a direct simplex
-    minimization of forward g2 if the polish fails.  Warns NotNonreciprocal
-    when the final point does not separate the two directions.
+    Of the exact forward cancellation roots at the target cavity detuning
+    with |J| <= ``j_limit``, returns the one with the largest backward g2.
+    Only when no root lies in that window does it scan the (J, theta) plane
+    (``resolution`` points a side), restrict to the region where the
+    backward direction is bunched (g2 > 1) when that region exists, and run
+    a simplex minimization of forward g2 from the best grid point.  Warns
+    NotNonreciprocal when the final point does not separate the two
+    directions.
     """
     at_target = replace(params, delta_c=float(target_delta_c))
-    scan = scan_j_theta(
-        at_target, (-j_limit, j_limit), (-math.pi, math.pi), resolution
-    )
-    fwd = scan.g2[Direction.FORWARD]
-    bwd = scan.g2[Direction.BACKWARD]
-    ok = scan.valid[Direction.FORWARD] & scan.valid[Direction.BACKWARD]
-    ok &= np.isfinite(fwd) & np.isfinite(bwd)
-    if not bool(np.any(ok)):
-        raise NoRealSolution("the (J, theta) scan produced no valid points")
-    bunched = ok & (bwd > 1.0)
-    candidates = bunched if bool(np.any(bunched)) else ok
-    masked = np.where(candidates, fwd, np.inf)
-    i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    j_seed, theta_seed = float(scan.j_values[i]), float(scan.theta_values[k])
-
-    j_best, theta_best = j_seed, theta_seed
     forward = replace(at_target, direction=Direction.FORWARD)
     try:
-        roots = find_roots(
-            forward, fix_delta_c=True, j_starts=(j_seed,), theta_starts=(theta_seed,)
-        )
-    except (NoRealSolution, DegenerateDetuning):
+        roots = find_roots(forward, fix_delta_c=True)
+    except NoRealSolution:
         roots = []
-    if roots:
-        j_best, theta_best = roots[0].J, roots[0].theta
+    in_window = [r for r in roots if abs(r.J) <= j_limit]
+    if in_window:
+        best = max(in_window, key=lambda r: _backward_g2(at_target, r.J, r.theta))
+        j_best, theta_best = best.J, best.theta
     else:
-        def objective(x):
-            val = _forward_g2(at_target, x[0], x[1])
-            return math.log10(val) if val > 0.0 else -300.0
-
-        sol = minimize(
-            objective,
-            x0=np.array([j_seed, theta_seed]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        j_best, theta_best = _canonical(float(sol.x[0]), float(sol.x[1]))
+        j_best, theta_best = _minimize_forward_g2(at_target, j_limit, resolution)
 
     g2_f = _forward_g2(at_target, j_best, theta_best)
     g2_b = _backward_g2(at_target, j_best, theta_best)
@@ -535,6 +401,40 @@ def nonreciprocal_point(
         contrast=contrast,
     )
     return j_best, theta_best, report
+
+
+def _minimize_forward_g2(
+    at_target: SystemParams, j_limit: float, resolution: int
+) -> tuple[float, float]:
+    """Simplex minimum of forward g2, seeded from a (J, theta) scan."""
+    from scipy.optimize import minimize
+
+    scan = scan_j_theta(
+        at_target, (-j_limit, j_limit), (-math.pi, math.pi), resolution
+    )
+    fwd = scan.g2[Direction.FORWARD]
+    bwd = scan.g2[Direction.BACKWARD]
+    ok = scan.valid[Direction.FORWARD] & scan.valid[Direction.BACKWARD]
+    ok &= np.isfinite(fwd) & np.isfinite(bwd)
+    if not bool(np.any(ok)):
+        raise NoRealSolution("the (J, theta) scan produced no valid points")
+    bunched = ok & (bwd > 1.0)
+    candidates = bunched if bool(np.any(bunched)) else ok
+    masked = np.where(candidates, fwd, np.inf)
+    i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
+
+    def objective(x):
+        val = _forward_g2(at_target, x[0], x[1])
+        return math.log10(val) if val > 0.0 else -300.0
+
+    sol = minimize(
+        objective,
+        x0=np.array([scan.j_values[i], scan.theta_values[k]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+    )
+    j, theta = _canonical(sol.x[0], np.exp(-1j * sol.x[1]))
+    return float(j), float(theta)
 
 
 def _direction_g2(params: SystemParams, direction: Direction, j, theta) -> float:
@@ -560,8 +460,6 @@ def _backward_g2(params: SystemParams, j, theta) -> float:
 
 
 __all__ = [
-    "DEFAULT_J_STARTS",
-    "DEFAULT_THETA_STARTS",
     "DegenerateDetuning",
     "JThetaScan",
     "NonreciprocityReport",

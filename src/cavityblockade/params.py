@@ -15,9 +15,11 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
-from scipy.constants import hbar
 
 TAU = 2.0 * math.pi
+
+#: Reduced Planck constant in J s; h = 6.62607015e-34 J s is exact in SI.
+hbar = 6.62607015e-34 / TAU
 
 # Validity guard rails for the adiabatic elimination and the weak-driving
 # truncation.  Violations warn (RegimeWarning) but never abort: the

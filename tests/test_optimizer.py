@@ -74,17 +74,6 @@ class TestJointSolve:
         assert abs(j_grid[i] - point.J) <= j_grid[1] - j_grid[0]
         assert abs(th_grid[k] - point.theta) <= th_grid[1] - th_grid[0]
 
-    def test_start_order_does_not_change_selection(self):
-        base = P.reference_params()
-        ref = optimizer.solve_optimal(base)
-        shuffled = optimizer.find_roots(
-            base,
-            j_starts=(-4.0, 2.0, 0.5, -1.0, 4.0, -0.5, 1.0, -2.0),
-            theta_starts=(math.pi, -0.5 * math.pi, 0.0, 0.5 * math.pi),
-        )[0]
-        assert shuffled.J == pytest.approx(ref.J, abs=1e-12)
-        assert shuffled.theta == pytest.approx(ref.theta, abs=1e-12)
-
     def test_deterministic_across_calls(self):
         base = P.reference_params()
         a = optimizer.solve_optimal(base)
@@ -138,8 +127,16 @@ class TestFixedDetuning:
             P.reference_params(), delta_c=0.0, direction=P.Direction.BACKWARD
         )
         assert optimizer.find_roots(at_zero, fix_delta_c=True) == []
-        with pytest.raises(optimizer.NoRealSolution, match="no multi-start"):
+        with pytest.raises(optimizer.NoRealSolution, match="no real root"):
             optimizer.solve_optimal(at_zero, fix_delta_c=True)
+
+    def test_both_roots_at_detuned_target(self):
+        p = dataclasses.replace(P.reference_params(), delta_c=2.5)
+        roots = optimizer.find_roots(p, fix_delta_c=True)
+        assert [r.J for r in roots] == pytest.approx([0.25275, -3.9640], abs=1e-4)
+        assert roots[1].theta == pytest.approx(1.16615, abs=1e-5)
+        for r in roots:
+            assert abs(cancellation_polynomial(p, r.J, r.theta, 2.5)) < 1e-13
 
     def test_fixed_solve_echoes_target(self):
         p = dataclasses.replace(P.reference_params(), delta_c=2.5)
@@ -194,6 +191,105 @@ class TestArraySolve:
             )
             assert j[idx] == pytest.approx(scalar.J, abs=1e-9)
             assert theta[idx] == pytest.approx(scalar.theta, abs=1e-9)
+
+    def test_backward_detuning_grid_solved_on_every_column(self):
+        base = dataclasses.replace(
+            P.reference_params(), direction=P.Direction.BACKWARD
+        )
+        delta_es = np.linspace(-3.0, 3.0, 601)
+        omega = math.sqrt(base.kappa_in) * base.b_in
+        j, theta, dc, ok = optimizer.solve_optimal_arrays(
+            base.e_eg, omega, base.g**2 / base.delta_p, delta_es, base.kappa
+        )
+        assert ok.tolist() == (delta_es != 0.0).tolist()
+        assert j[-1] == pytest.approx(-8.0482, abs=1e-4)
+        assert theta[-1] == pytest.approx(-0.011313, abs=1e-6)
+        at_three = dataclasses.replace(base, delta_e=3.0)
+        assert abs(cancellation_polynomial(at_three, j[-1], theta[-1], dc[-1])) < 1e-12
+
+
+def _draw(rng):
+    """A parameter set around the reference point, with a cavity detuning
+    for the fixed solve."""
+    k1 = rng.uniform(0.1, 0.6)
+    return dataclasses.replace(
+        P.reference_params(),
+        kappa1=k1,
+        kappa2=2.0 - k1,
+        g=rng.uniform(8.0, 12.0),
+        delta_e=rng.uniform(-1.0, -0.2),
+        e_eg=rng.uniform(0.005, 0.02),
+        b_in=rng.uniform(0.01, 0.03),
+        delta_c=rng.uniform(-1.0, 3.0),
+    )
+
+
+def unit_circle_crossings(params, fix_delta_c, j_max=5.0, points=20000):
+    """|J| at which a root z of the cancellation quadratic crosses |z| = 1.
+
+    Independent of the solver: the quadratic formula on a dense J grid
+    (which skips J = 0), with sign changes of |z| - 1 for the smaller and
+    the larger root modulus.
+    """
+    j = np.linspace(-j_max, j_max, points)
+    e = params.e_eg
+    omega = math.sqrt(params.kappa_in) * params.b_in
+    g_shift = params.g**2 / params.delta_p
+    delta_c = (
+        params.delta_c if fix_delta_c else g_shift + j**2 / params.delta_e
+    )
+    m = delta_c - g_shift - 0.5j * params.kappa
+    n = delta_c + params.delta_e - 0.5j * params.kappa
+    a = e**2 * j**2
+    b = e * omega * j * (m + n + params.delta_e)
+    c = omega**2 * (j**2 + n * params.delta_e)
+    disc = np.sqrt(b * b - 4.0 * a * c)
+    mods = np.sort(np.abs([(-b + disc) / (2 * a), (-b - disc) / (2 * a)]), axis=0)
+    out = []
+    for mod in mods:
+        flips = np.flatnonzero(np.diff(np.sign(mod - 1.0)) != 0)
+        out += [(abs(j[i]), abs(j[i + 1])) for i in flips if j[i] > 0.0]
+    return sorted(out)
+
+
+class TestCompleteness:
+    def test_every_unit_circle_crossing_is_a_root(self):
+        draws = [_draw(np.random.default_rng(seed)) for seed in range(20)]
+        for fix_delta_c in (False, True):
+            j, theta, dc, ok = optimizer.solve_optimal_arrays(
+                np.array([p.e_eg for p in draws]),
+                np.array([math.sqrt(p.kappa_in) * p.b_in for p in draws]),
+                np.array([p.g**2 / p.delta_p for p in draws]),
+                np.array([p.delta_e for p in draws]),
+                np.array([p.kappa for p in draws]),
+                fix_delta_c=fix_delta_c,
+                delta_c=np.array([p.delta_c for p in draws]),
+            )
+            for idx, p in enumerate(draws):
+                crossings = unit_circle_crossings(p, fix_delta_c)
+                roots = optimizer.find_roots(p, fix_delta_c)
+                in_window = [r for r in roots if abs(r.J) <= 5.0]
+                assert len(in_window) == len(crossings), (p, crossings, roots)
+                for lo, hi in crossings:
+                    assert any(lo <= abs(r.J) <= hi for r in in_window), (p, lo, hi)
+                assert all(r.residual < 1e-10 for r in roots)
+                # the array path selects the scalar path's first root
+                assert bool(ok[idx]) == bool(roots)
+                if roots:
+                    assert j[idx] == pytest.approx(roots[0].J, abs=1e-9)
+                    assert theta[idx] == pytest.approx(roots[0].theta, abs=1e-9)
+                    assert dc[idx] == pytest.approx(roots[0].delta_c_opt, abs=1e-9)
+
+    def test_equal_drives_lower_the_resultant_degree(self):
+        # E = Omega cancels the J^8 term of the fixed-detuning resultant.
+        p = dataclasses.replace(
+            P.reference_params(), kappa1=1.0, kappa2=1.0, b_in=0.01, e_eg=0.01
+        )
+        crossings = unit_circle_crossings(p, fix_delta_c=True)
+        roots = optimizer.find_roots(p, fix_delta_c=True)
+        assert len(roots) == len(crossings) >= 1
+        for (lo, hi), r in zip(crossings, roots):
+            assert lo <= abs(r.J) <= hi
 
 
 class TestScan:
@@ -273,6 +369,35 @@ class TestNonreciprocalPoint:
         assert report.g2_forward < 1e-1
         assert report.g2_backward > 1.0
         assert report.contrast > 2.0
+
+    def test_picks_window_root_with_largest_backward_g2(self):
+        p = dataclasses.replace(
+            P.reference_params(),
+            kappa1=0.282,
+            kappa2=1.718,
+            g=11.53,
+            delta_e=-0.834,
+            e_eg=0.0134,
+            b_in=0.0256,
+        )
+        j, theta, report = optimizer.nonreciprocal_point(p, 2.5)
+        assert j == pytest.approx(0.47279, abs=1e-5)
+        assert theta == pytest.approx(-0.035647, abs=1e-6)
+        assert math.isfinite(report.g2_forward)
+        assert math.isfinite(report.g2_backward)
+        at_target = dataclasses.replace(p, delta_c=2.5)
+        window = [
+            r for r in optimizer.find_roots(at_target, fix_delta_c=True)
+            if abs(r.J) <= 5.0
+        ]
+        backward = dataclasses.replace(at_target, direction=P.Direction.BACKWARD)
+        assert report.g2_backward == pytest.approx(
+            max(
+                steady_state.steady_stats(backward, j=r.J, theta=r.theta).g2
+                for r in window
+            ),
+            rel=1e-12,
+        )
 
     def test_symmetric_cavity_warns_and_has_no_contrast(self):
         p = dataclasses.replace(P.reference_params(), kappa1=1.0, kappa2=1.0)

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,22 @@ class TestConfigText:
 def test_effective_phase_helper():
     p = P.SystemParams(phi_p=0.2, phi_he=1.5, phi_eg=-0.3)
     assert P.effective_phase(p) == pytest.approx(P.wrap_angle(0.2 - 1.5 + 0.3))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy adds several hundred milliseconds to start-up and is needed only by the
+    # simplex fallback of optimizer.nonreciprocal_point.
+    src = str(Path(P.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cavityblockade; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
