@@ -8,6 +8,14 @@ slowest explicit phase period after the cavity transient has decayed.
 Cavity loss enters as -i kappa/2 per photon; spontaneous emission of |h>
 is excluded, consistent with the large-detuning regime where |h> is
 barely populated.
+
+When the upper-leg drive is Raman resonant, delta_he + delta_eg = delta_p
+(the default of ``SystemParams``), both phases are undone by one frame
+change: H(t) = U(t) H(0) U(t)^dagger with U(t) = e^{i delta_p t} on every
+|h> state and 1 elsewhere.  The RK4 step from t_k = k dt is then
+U(t_k) R0 U(t_k)^dagger, with R0 the step from t = 0, so y_k =
+U(t_k)^dagger x_k obeys the constant recurrence y_{k+1} = Q y_k with
+Q = U(dt)^dagger R0, and ``FullModel.run`` advances by powers of Q.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import steady_state
+from .dynamics import step_powers
 from .params import (
     TAU,
     Direction,
@@ -36,6 +44,10 @@ DETUNING_RECONSTRUCTION_TOL = 1e-12
 
 MAX_N_MAX = 4
 VALIDATE_REGIME_MIN = 5.0
+
+#: Steps per block in ``FullModel.run``: generator matrices assembled at
+#: once on the stepping path, precomputed powers of Q on the frame path.
+_BLOCK_STEPS = 4096
 
 
 class NotConverged(RuntimeError):
@@ -163,6 +175,9 @@ class FullModel:
     The matrix splits into a static part (detunings, decay, cavity drive,
     microwave) plus two rotating blocks whose phases are the only time
     dependence; ``hamiltonian`` reassembles the sum at any t.
+    ``raman_resonant`` records whether delta_he + delta_eg equals delta_p
+    to the frequency round-off that ``FullModelParams.from_system_params``
+    accepts; then H(t) = U(t) H(0) U(t)^dagger (see the module docstring).
     """
 
     def __init__(self, params: FullModelParams) -> None:
@@ -207,6 +222,18 @@ class FullModel:
         self._cavity = cavity_block
         self._atom = atom_block
         self.delta2 = params.delta_he + params.delta_eg
+        scale = max(
+            abs(params.omega_c),
+            abs(params.omega_e),
+            abs(params.omega_h),
+            abs(params.omega_p),
+            abs(params.omega_he),
+            abs(params.omega_eg),
+            1.0,
+        )
+        self.raman_resonant = (
+            abs(self.delta2 - params.delta_p) <= DETUNING_RECONSTRUCTION_TOL * scale
+        )
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """Non-Hermitian H(t) including the -i kappa/2 photon decay."""
@@ -247,9 +274,14 @@ class FullModel:
         """Fixed-step RK4 integration from |0, g>.
 
         Returns (final_state, collect_times, collected_states); collection
-        starts at ``collect_from`` (None collects nothing).  Generator
-        matrices are pre-assembled on the half-step grid in windows, which
-        keeps the sequential update loop cheap.
+        starts at ``collect_from`` (None collects nothing) and never
+        includes step 0.  When ``raman_resonant``, the run follows the
+        constant frame recurrence y_{k+1} = Q y_k: it jumps to the first
+        collected step with one matrix power, advances through the
+        collected steps in blocks of precomputed powers of Q, and rotates
+        back by U(t_k).  Otherwise generator matrices are pre-assembled on
+        the half-step grid in blocks and the steps run one by one.  Both
+        raise ArithmeticError once the state is no longer finite.
         """
         if dt <= 0.0 or t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
@@ -265,50 +297,79 @@ class FullModel:
         n_steps = int(round(t_end / dt))
         first_collect = n_steps + 1
         if collect_from is not None:
-            first_collect = max(0, int(math.ceil(collect_from / dt)))
-        collected: list[np.ndarray] = []
-        collect_times: list[float] = []
-
-        window = 4096
-        half = dt / 2.0
-        sixth = dt / 6.0
-        for start in range(0, n_steps, window):
-            stop = min(start + window, n_steps)
-            times = start * dt + half * np.arange(2 * (stop - start) + 1)
-            gen = self._matrices_at(times)
-            for k in range(stop - start):
-                a0 = gen[2 * k]
-                a1 = gen[2 * k + 1]
-                a2 = gen[2 * k + 2]
-                k1 = a0 @ state
-                k2 = a1 @ (state + half * k1)
-                k3 = a1 @ (state + half * k2)
-                k4 = a2 @ (state + dt * k3)
-                state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                step_index = start + k + 1
-                if step_index >= first_collect:
-                    collected.append(state)
-                    collect_times.append(step_index * dt)
-            if not np.all(np.isfinite(state)):
-                raise ArithmeticError(
-                    f"full-model state became non-finite near t = {stop * dt:.3f}"
-                )
+            first_collect = max(1, int(math.ceil(collect_from / dt)))
+        integrate = self._run_frame if self.raman_resonant else self._run_steps
+        final, collected = integrate(state, n_steps, dt, first_collect)
+        times = dt * np.arange(first_collect, n_steps + 1)
         states = (
-            np.array(collected)
+            np.concatenate(collected)
             if collected
             else np.zeros((0, dim), dtype=complex)
         )
-        return state, np.array(collect_times), states
+        return final, times, states
+
+    def _run_steps(
+        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        collected = []
+        half = dt / 2.0
+        for start in range(0, n_steps, _BLOCK_STEPS):
+            stop = min(start + _BLOCK_STEPS, n_steps)
+            times = start * dt + half * np.arange(2 * (stop - start) + 1)
+            gen = self._matrices_at(times)
+            for k in range(stop - start):
+                state = _rk4_step(gen[2 * k : 2 * k + 3], state, dt)
+                if start + k + 1 >= first_collect:
+                    collected.append(state[None])
+            _check_finite(state, stop * dt)
+        return state, collected
+
+    def _run_frame(
+        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        # U(t) = exp(rate * t) elementwise: e^{i delta_p t} on |h> states.
+        in_h = np.tile(np.array(LEVELS) == "h", self.params.n_max + 1)
+        rate = np.where(in_h, 1j * self.params.delta_p, 0.0)
+        r0 = _rk4_step(
+            self._matrices_at(np.array([0.0, dt / 2.0, dt])),
+            np.eye(self.params.dim, dtype=complex),
+            dt,
+        )
+        q = np.exp(-rate * dt)[:, None] * r0
+        jump = min(first_collect, n_steps + 1) - 1
+        y = np.linalg.matrix_power(q, jump) @ state
+        _check_finite(y, jump * dt)
+        collected = []
+        if jump < n_steps:
+            powers = step_powers(q, min(_BLOCK_STEPS, n_steps - jump))
+            for start in range(jump, n_steps, len(powers)):
+                stop = min(start + len(powers), n_steps)
+                ys = powers[: stop - start] @ y
+                y = ys[-1]
+                _check_finite(y, stop * dt)
+                times = dt * np.arange(start + 1, stop + 1)
+                collected.append(np.exp(np.outer(times, rate)) * ys)
+            return collected[-1][-1], collected
+        return np.exp(rate * (n_steps * dt)) * y, collected
 
 
-@lru_cache(maxsize=8)
-def _cached_model(params: FullModelParams) -> FullModel:
-    return FullModel(params)
+def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = A(t) x from generators A at t,
+    t + dt/2 and t + dt; ``x`` may be a vector or a matrix of columns."""
+    a0, a1, a2 = gen
+    half = dt / 2.0
+    k1 = a0 @ x
+    k2 = a1 @ (x + half * k1)
+    k3 = a1 @ (x + half * k2)
+    k4 = a2 @ (x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def full_rhs(state: np.ndarray, t: float, params: FullModelParams) -> np.ndarray:
-    """Time derivative of the amplitude vector under the full model."""
-    return _cached_model(params).rhs(state, t)
+def _check_finite(state: np.ndarray, t: float) -> None:
+    if not np.all(np.isfinite(state)):
+        raise ArithmeticError(
+            f"full-model state became non-finite near t = {t:.3f}"
+        )
 
 
 def photon_occupations(states: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
@@ -444,7 +505,6 @@ __all__ = [
     "NotConverged",
     "ValidationReport",
     "averaging_period",
-    "full_rhs",
     "photon_occupations",
     "state_index",
     "validate_effective",

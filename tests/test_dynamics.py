@@ -58,6 +58,32 @@ def random_state(rng):
     return dynamics.AmplitudeState.from_vector(vec)
 
 
+def plain_evolve(initial, eff, e_eg, cfg):
+    """Reference: ``state = step @ state`` one step at a time, with the
+    per-step finite check and steady test of ``evolve``.
+
+    Returns (states, outcome, k) with outcome "steady", "nonfinite" or
+    "t_max" and k the step it ended on.
+    """
+    step = dynamics.rk4_propagator(
+        dynamics.generator_from_effective(eff, e_eg, cfg.hold_c0g), cfg.dt
+    )
+    n_steps = math.ceil(cfg.t_max / cfg.dt - 1e-12)
+    w = cfg.window_steps
+    states = [initial.as_vector()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            state = step @ states[-1]
+            states.append(state)
+            if not np.all(np.isfinite(state.view(float))):
+                return np.array(states), "nonfinite", k
+            if k >= w:
+                ratio = np.abs(state - states[k - w]) / (np.abs(state) + 1e-12)
+                if np.max(ratio) < cfg.ss_tol:
+                    return np.array(states), "steady", k
+    return np.array(states), "t_max", n_steps
+
+
 def blockade_point():
     base = P.reference_params()
     point = optimizer.solve_optimal(base)
@@ -256,6 +282,61 @@ class TestEvolve:
         cfg = dynamics.IntegratorConfig(dt=1.0, t_max=100.0, ss_window=1.0)
         with pytest.raises(dynamics.NonFiniteState, match="reduce dt"):
             dynamics.evolve(dynamics.vacuum_state(), eff, 0.01, cfg)
+
+    @pytest.mark.parametrize("hold", [True, False])
+    def test_matches_plain_iteration(self, hold):
+        # 2050 steps: six whole 300-step windows and a partial one.
+        rng = np.random.default_rng(11)
+        eff = make_eff(0.85, -0.5, 1.0, 0.27, -0.4, omega=0.05)
+        initial = random_state(rng)
+        cfg = dynamics.IntegratorConfig(
+            dt=1e-2, t_max=20.5, ss_window=3.0, ss_tol=NEVER_STEADY, hold_c0g=hold
+        )
+        want, outcome, _ = plain_evolve(initial, eff, 0.03, cfg)
+        traj = dynamics.evolve(initial, eff, 0.03, cfg)
+        assert outcome == "t_max" and not traj.steady
+        assert traj.amplitudes.shape == want.shape == (2051, 5)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(traj.amplitudes - want)) <= 1e-13 * scale
+
+    def test_stops_on_the_plain_iteration_step(self):
+        eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.05)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=1.0, ss_tol=1e-6)
+        want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
+        assert outcome == "steady"
+        # Not marginal: the test fails clearly one step earlier and passes
+        # clearly at k, so rounding cannot move the stop step.
+        w = cfg.window_steps
+        ratios = [
+            np.max(np.abs(want[j] - want[j - w]) / (np.abs(want[j]) + 1e-12))
+            for j in (k - 1, k)
+        ]
+        assert ratios[0] > cfg.ss_tol * (1 + 1e-6) and ratios[1] < cfg.ss_tol * (1 - 1e-6)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
+        assert traj.steady
+        assert len(traj) == k + 1
+        assert traj.times[-1] == pytest.approx(k * cfg.dt, abs=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.3])
+    def test_unstable_step_raises_on_the_plain_iteration_step(self, dt):
+        # A 200-unit window holds more steps than it takes to overflow, so
+        # the step powers overflow inside the first window.
+        eff = make_eff(50.0, -0.5, 1.0, 0.3, 0.0, omega=0.01)
+        cfg = dynamics.IntegratorConfig(dt=dt, t_max=2000.0, ss_window=200.0)
+        _, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 1e-9, cfg)
+        assert outcome == "nonfinite"
+        with pytest.raises(dynamics.NonFiniteState, match=f"t = {k * dt:.6g};"):
+            dynamics.evolve(dynamics.vacuum_state(), eff, 1e-9, cfg)
+
+    def test_step_powers(self):
+        rng = np.random.default_rng(2)
+        step = np.eye(5) + 0.1 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        for n in (1, 2, 7, 64):
+            powers = dynamics.step_powers(step, n)
+            assert powers.shape == (n, 5, 5)
+            for j in range(n):
+                want = np.linalg.matrix_power(step, j + 1)
+                assert np.allclose(powers[j], want, rtol=1e-12, atol=1e-12)
 
     def test_steady_rk4_matches_evolve(self):
         p = P.reference_params()

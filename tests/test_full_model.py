@@ -63,6 +63,49 @@ def assemble_hamiltonian(p: fm.FullModelParams, t: float) -> np.ndarray:
     return h
 
 
+def reference_run(p, t_end, dt, initial=None, collect_from=None):
+    """Per-step RK4 on the independently assembled H(t), with the
+    collection rule of FullModel.run (step 0 is never collected)."""
+    n_steps = int(round(t_end / dt))
+    first = n_steps + 1
+    if collect_from is not None:
+        first = max(1, math.ceil(collect_from / dt))
+    if initial is None:
+        x = np.zeros(p.dim, dtype=complex)
+        x[0] = 1.0
+    else:
+        x = np.array(initial, dtype=complex)
+    times, states = [], []
+    for k in range(n_steps):
+        a0, a1, a2 = (
+            -1j * assemble_hamiltonian(p, k * dt + c) for c in (0.0, dt / 2.0, dt)
+        )
+        k1 = a0 @ x
+        k2 = a1 @ (x + dt / 2.0 * k1)
+        k3 = a1 @ (x + dt / 2.0 * k2)
+        k4 = a2 @ (x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k + 1 >= first:
+            times.append((k + 1) * dt)
+            states.append(x)
+    return x, np.array(times), np.array(states).reshape(-1, p.dim)
+
+
+def random_resonant_params(rng, n_max):
+    base = dataclasses.replace(
+        P.reference_params(),
+        delta_c=rng.uniform(-3, 3),
+        delta_e=rng.uniform(-2, 2),
+        e_he=rng.uniform(0, 5),
+        e_eg=rng.uniform(0, 0.5),
+        b_in=rng.uniform(0.05, 0.5),
+        phi_p=rng.uniform(-3, 3),
+        phi_he=rng.uniform(-3, 3),
+        phi_eg=rng.uniform(-3, 3),
+    )
+    return fm.FullModelParams.from_system_params(base, n_max=n_max)
+
+
 class TestModelStructure:
     def test_pure_decay_rates(self):
         p = bare_params(omega_c=1000.0, omega_eg=50.0)
@@ -143,12 +186,6 @@ class TestModelStructure:
         assert bare_params(n_max=1).dim == 6
         assert bare_params(n_max=4).dim == 15
 
-    def test_full_rhs_wrapper(self):
-        p = bare_params(g=2.0, e_he=1.0, b_in=0.01)
-        state = np.arange(p.dim, dtype=complex)
-        direct = fm.FullModel(p).rhs(state, 0.7)
-        assert np.array_equal(fm.full_rhs(state, 0.7, p), direct)
-
 
 class TestRun:
     def test_norm_never_grows(self):
@@ -188,6 +225,48 @@ class TestRun:
             model.run(1.0, 0.0)
         with pytest.raises(ValueError, match="shape"):
             model.run(1.0, 0.1, initial=np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("explicit_initial", [False, True])
+    def test_run_matches_per_step_rk4(self, n_max, explicit_initial, monkeypatch):
+        # Short blocks so 600 steps span several, the last one partial.
+        monkeypatch.setattr(fm, "_BLOCK_STEPS", 64)
+        rng = np.random.default_rng(40 + n_max)
+        resonant = random_resonant_params(rng, n_max)
+        detuned = bare_params(g=10.0, e_he=1.5, e_eg=0.2, b_in=0.3, n_max=n_max)
+        initial = None
+        if explicit_initial:
+            initial = rng.normal(size=resonant.dim) + 1j * rng.normal(size=resonant.dim)
+            initial /= np.linalg.norm(initial)
+        t_end, dt = 0.6, 1e-3
+        for p, frame in ((resonant, True), (detuned, False)):
+            model = fm.FullModel(p)
+            assert model.raman_resonant is frame
+            want_final, want_times, want_states = reference_run(
+                p, t_end, dt, initial, collect_from=0.0
+            )
+            scale = float(np.max(np.abs(want_states)))
+            for collect_from, first in ((None, 601), (0.0, 1), (0.2505, 251)):
+                final, times, states = model.run(
+                    t_end, dt, initial=initial, collect_from=collect_from
+                )
+                assert np.array_equal(times, want_times[first - 1 :])
+                assert states.shape == (601 - first, p.dim)
+                assert np.max(np.abs(final - want_final)) <= 1e-12 * scale
+                if len(states):
+                    assert np.max(np.abs(states - want_states[first - 1 :])) <= 1e-12 * scale
+                    assert np.array_equal(states[-1], final)
+
+    @pytest.mark.parametrize("collect_from", [None, 0.0, 50.0])
+    def test_unstable_step_raises(self, collect_from):
+        resonant = fm.FullModelParams.from_system_params(P.reference_params())
+        detuned = bare_params(g=10.0, e_he=1.5, b_in=0.3)
+        for p, frame in ((resonant, True), (detuned, False)):
+            model = fm.FullModel(p)
+            assert model.raman_resonant is frame
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ArithmeticError, match="non-finite"):
+                    model.run(100.0, 0.5, collect_from=collect_from)
 
     def test_photon_occupations_normalized(self):
         rng = np.random.default_rng(3)
