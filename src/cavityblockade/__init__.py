@@ -8,117 +8,86 @@ linewidth kappa unless stated otherwise.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    AmplitudeState,
-    IntegratorConfig,
-    NonFiniteState,
-    Trajectory,
-    evolve,
-    steady_rk4,
-    vacuum_state,
-)
-from .figures import FIGURE_NAMES, UnknownFigure, figure
-from .full_model import (
-    FullModel,
-    FullModelParams,
-    NotConverged,
-    ValidationReport,
-    validate_effective,
-)
-from .optimizer import (
-    DegenerateDetuning,
-    JThetaScan,
-    NonreciprocityReport,
-    NoRealSolution,
-    NotNonreciprocal,
-    OptimalPoint,
-    find_roots,
-    nonreciprocal_point,
-    scan_j_theta,
-    solve_optimal,
-)
-from .params import (
-    ConfigError,
-    Direction,
-    EffectiveParams,
-    RegimeWarning,
-    SystemParams,
-    amplitude_from_power,
-    derive_effective,
-    implied_e_he,
-    load_config,
-    mirror_swap,
-    parse_config,
-    reference_params,
-    wrap_angle,
-)
-from .spectrum import EnergyPair, anharmonicity, eigenenergies
-from .steady_state import (
-    PhotonStats,
-    SingularDenominator,
-    analytic_amplitudes,
-    g2_of_detuning,
-    photon_stats,
-    steady_stats,
-)
-from .sweeps import (
-    SweepAxis,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-    write_sweep_csv,
-)
+#: Public name -> the submodule that defines it.  ``import cavityblockade``
+#: loads none of the submodules: each is imported the first time one of its
+#: names, or the submodule itself, is looked up on the package (PEP 562), so
+#: a CLI verb loads only the code it runs.
+_EXPORTS = {
+    "AmplitudeState": "dynamics",
+    "ConfigError": "params",
+    "DegenerateDetuning": "optimizer",
+    "Direction": "params",
+    "EffectiveParams": "params",
+    "EnergyPair": "spectrum",
+    "FIGURE_NAMES": "figures",
+    "FullModel": "full_model",
+    "FullModelParams": "full_model",
+    "IntegratorConfig": "dynamics",
+    "JThetaScan": "optimizer",
+    "NonFiniteState": "dynamics",
+    "NonreciprocityReport": "optimizer",
+    "NoRealSolution": "optimizer",
+    "NotConverged": "full_model",
+    "NotNonreciprocal": "optimizer",
+    "OptimalPoint": "optimizer",
+    "PhotonStats": "steady_state",
+    "RegimeWarning": "params",
+    "SingularDenominator": "steady_state",
+    "SweepAxis": "sweeps",
+    "SweepResult": "sweeps",
+    "SweepSpec": "sweeps",
+    "SystemParams": "params",
+    "Trajectory": "dynamics",
+    "UnknownFigure": "figures",
+    "ValidationReport": "full_model",
+    "amplitude_from_power": "params",
+    "analytic_amplitudes": "steady_state",
+    "anharmonicity": "spectrum",
+    "derive_effective": "params",
+    "eigenenergies": "spectrum",
+    "evolve": "dynamics",
+    "figure": "figures",
+    "find_roots": "optimizer",
+    "g2_of_detuning": "steady_state",
+    "implied_e_he": "params",
+    "load_config": "params",
+    "mirror_swap": "params",
+    "nonreciprocal_point": "optimizer",
+    "parse_config": "params",
+    "photon_stats": "steady_state",
+    "reference_params": "params",
+    "run_sweep": "sweeps",
+    "scan_j_theta": "optimizer",
+    "solve_optimal": "optimizer",
+    "steady_rk4": "dynamics",
+    "steady_stats": "steady_state",
+    "vacuum_state": "dynamics",
+    "wrap_angle": "params",
+    "write_sweep_csv": "sweeps",
+    "validate_effective": "full_model",
+}
 
-__all__ = [
-    "AmplitudeState",
-    "ConfigError",
-    "DegenerateDetuning",
-    "Direction",
-    "EffectiveParams",
-    "EnergyPair",
-    "FIGURE_NAMES",
-    "FullModel",
-    "FullModelParams",
-    "IntegratorConfig",
-    "JThetaScan",
-    "NonFiniteState",
-    "NonreciprocityReport",
-    "NoRealSolution",
-    "NotConverged",
-    "NotNonreciprocal",
-    "OptimalPoint",
-    "PhotonStats",
-    "RegimeWarning",
-    "SingularDenominator",
-    "SweepAxis",
-    "SweepResult",
-    "SweepSpec",
-    "SystemParams",
-    "Trajectory",
-    "UnknownFigure",
-    "ValidationReport",
-    "amplitude_from_power",
-    "analytic_amplitudes",
-    "anharmonicity",
-    "derive_effective",
-    "eigenenergies",
-    "evolve",
-    "figure",
-    "find_roots",
-    "g2_of_detuning",
-    "implied_e_he",
-    "load_config",
-    "mirror_swap",
-    "nonreciprocal_point",
-    "parse_config",
-    "photon_stats",
-    "reference_params",
-    "run_sweep",
-    "scan_j_theta",
-    "solve_optimal",
-    "steady_rk4",
-    "steady_stats",
-    "vacuum_state",
-    "wrap_angle",
-    "write_sweep_csv",
-]
+#: ``validate_effective`` resolves on the package but is left out of
+#: ``from cavityblockade import *``.
+__all__ = [name for name in _EXPORTS if name != "validate_effective"]
+
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "svgplot"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # __import__ binds the submodule on the package and, unlike
+        # importlib.import_module, is timed by ``python -X importtime``.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(__getattr__(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)

@@ -17,11 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import figures, optimizer, steady_state, sweeps
-from .dynamics import NonFiniteState
-from .full_model import NotConverged, validate_effective
-from .optimizer import DegenerateDetuning, NoRealSolution
 from .params import (
+    FIGURE_NAMES,
     ConfigError,
     Direction,
     SystemParams,
@@ -30,17 +27,7 @@ from .params import (
     params_from_mapping,
     reference_params,
 )
-from .steady_state import SingularDenominator
-
-NUMERICAL_ERRORS = (
-    DegenerateDetuning,
-    NoRealSolution,
-    NonFiniteState,
-    NotConverged,
-    SingularDenominator,
-    ZeroDivisionError,
-    FloatingPointError,
-)
+from .steady_state import OBSERVABLES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +75,9 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
     return params_from_mapping(overrides, base=base)
 
 
-def _parse_axis(text: str) -> sweeps.SweepAxis:
+def _parse_axis(text: str):
+    from .sweeps import SweepAxis
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ConfigError(
@@ -96,7 +85,7 @@ def _parse_axis(text: str) -> sweeps.SweepAxis:
         )
     name, lo, hi, n = parts
     try:
-        return sweeps.SweepAxis(name, float(lo), float(hi), int(n))
+        return SweepAxis(name, float(lo), float(hi), int(n))
     except ValueError as exc:
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
@@ -117,6 +106,8 @@ def _jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_g2(args: argparse.Namespace) -> int:
+    from . import steady_state
+
     params = _params_from_args(args)
     stats = steady_state.steady_stats(params, j=args.J, theta=args.theta)
     _print_kv(
@@ -134,6 +125,8 @@ def _cmd_g2(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import sweeps
+
     params = _params_from_args(args)
     overrides: dict[str, float] = {}
     if args.J is not None:
@@ -158,6 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from . import optimizer, steady_state
+
     params = _params_from_args(args)
     point = optimizer.solve_optimal(params, fix_delta_c=args.fix_delta_c)
     at_optimum = dataclasses.replace(params, delta_c=point.delta_c_opt)
@@ -176,6 +171,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_nonreciprocal(args: argparse.Namespace) -> int:
+    from . import optimizer
+
     params = _params_from_args(args)
     j, theta, report = optimizer.nonreciprocal_point(params, args.target_delta_c)
     _print_kv(
@@ -192,6 +189,8 @@ def _cmd_nonreciprocal(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_full(args: argparse.Namespace) -> int:
+    from .full_model import validate_effective
+
     params = _params_from_args(args)
     report = validate_effective(
         params, tolerance=args.tolerance, n_max=args.n_max, dt=args.dt
@@ -201,6 +200,8 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from . import figures
+
     for name in figures.figure(args.name, args.out, jobs=_jobs(args)):
         print(Path(args.out) / name)
     return 0
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--directions", default="both", help="forward, backward, or both"
     )
-    p.add_argument("--observable", default="g2", choices=sweeps.OBSERVABLES)
+    p.add_argument("--observable", default="g2", choices=OBSERVABLES)
     p.add_argument(
         "--optimal-j-theta",
         action="store_true",
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate_full)
 
     p = sub.add_parser("figure", help="regenerate a named figure preset")
-    p.add_argument("name", help="figure name, e.g. one of: " + ", ".join(figures.FIGURE_NAMES))
+    p.add_argument("name", help="figure name, e.g. one of: " + ", ".join(FIGURE_NAMES))
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, help="worker count (default: all cores)")
     p.set_defaults(func=_cmd_figure)
@@ -280,15 +281,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """Exceptions reported as a numerical failure (exit code 2).
+
+    An ``except`` clause evaluates its expression only when an exception
+    reaches it, so a verb that succeeds never imports these modules just to
+    name their exceptions.
+    """
+    from .dynamics import NonFiniteState
+    from .full_model import NotConverged
+    from .optimizer import DegenerateDetuning, NoRealSolution
+    from .steady_state import SingularDenominator
+
+    return (
+        DegenerateDetuning,
+        NoRealSolution,
+        NonFiniteState,
+        NotConverged,
+        SingularDenominator,
+        ZeroDivisionError,
+        FloatingPointError,
+    )
+
+
+def _request_errors() -> tuple[type[Exception], ...]:
+    """Exceptions reported as a malformed request (exit code 1)."""
+    from .figures import UnknownFigure
+
+    return (ValueError, UnknownFigure)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, figures.UnknownFigure) as exc:
+    except _request_errors() as exc:
         # ConfigError and parameter-validation ValueErrors both mean the
         # request was malformed; solver exceptions are ValueErrors too but
         # the numerical clause above claims them first.

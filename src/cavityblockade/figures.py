@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import optimizer, svgplot, sweeps
-from .params import Direction, SystemParams, reference_params
+from .params import FIGURE_NAMES, Direction, SystemParams, reference_params
 
 
 class UnknownFigure(KeyError):
@@ -25,12 +25,6 @@ GRID_2D = 201
 
 _G2_LABEL = "g2(0)"
 _DC_LABEL = "delta_c / kappa"
-
-
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        return ""
-    return repr(float(x))
 
 
 def _write(path: Path, text: str) -> str:
@@ -48,9 +42,8 @@ def _kv_block(items: list[tuple[str, object]]) -> str:
 
 
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    cells = [[sweeps._fmt(v) for v in column.tolist()] for column in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     return _write(path, "\n".join(lines) + "\n")
 
 
@@ -382,23 +375,10 @@ def fig6d(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
     return _nonreciprocal_figure(out, base, jobs, "fig6d", 2.5)
 
 
+# Each preset is built by the function of its name above.
 _BUILDERS: dict[str, Callable[[Path, SystemParams, int | None], list[str]]] = {
-    "fig2a": fig2a,
-    "fig2b": fig2b,
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig3c": fig3c,
-    "fig3d": fig3d,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig5c": fig5c,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig6c": fig6c,
-    "fig6d": fig6d,
+    name: globals()[name] for name in FIGURE_NAMES
 }
-
-FIGURE_NAMES = tuple(_BUILDERS)
 
 
 def figure(

@@ -126,7 +126,10 @@ def _positive_zeros(coef: np.ndarray) -> np.ndarray:
     zeros = np.full((rows, n - 1), np.nan, dtype=complex)
     # An exactly vanishing leading coefficient lowers a row's degree.
     degree = n - 1 - np.argmax(coef[:, ::-1] != 0.0, axis=-1)
-    for d in np.unique(degree[degree > 0]):
+    # Grouped with plain Python, not np.unique: in numpy 2.4 np.unique calls
+    # np.ma.is_masked, whose first use imports numpy.ma (15-19 ms), a large
+    # share of a one-shot CLI process.
+    for d in sorted(set(degree[degree > 0].tolist())):
         sel = degree == d
         companion = np.zeros((int(sel.sum()), d, d))
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0

@@ -376,6 +376,27 @@ def reference_params(direction: Direction = Direction.FORWARD) -> SystemParams:
     )
 
 
+#: Names of the figure presets over the reference working point; each is
+#: built by the function of the same name in :mod:`cavityblockade.figures`.
+#: Listed here so the command-line parser can name them without loading the
+#: figure code.
+FIGURE_NAMES = (
+    "fig2a",
+    "fig2b",
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "fig3d",
+    "fig5a",
+    "fig5b",
+    "fig5c",
+    "fig6a",
+    "fig6b",
+    "fig6c",
+    "fig6d",
+)
+
+
 def effective_phase(params: SystemParams) -> float:
     """The gauge-invariant drive phase phi_p - phi_he - phi_eg in (-pi, pi]."""
     return wrap_angle(params.phi_p - params.phi_he - params.phi_eg)
@@ -385,6 +406,7 @@ __all__ = [
     "ConfigError",
     "Direction",
     "EffectiveParams",
+    "FIGURE_NAMES",
     "RegimeWarning",
     "SystemParams",
     "amplitude_from_power",

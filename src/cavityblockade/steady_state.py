@@ -222,7 +222,12 @@ def g2_of_detuning(
     return out
 
 
+#: The statistics of :func:`stats_arrays` a sweep can map, in the order the
+#: command line lists them.
+OBSERVABLES = ("g2", "n_paper", "n_full", "p1", "p2")
+
 __all__ = [
+    "OBSERVABLES",
     "PhotonStats",
     "SingularDenominator",
     "amplitude_arrays",

@@ -38,7 +38,7 @@ FIELD_NAMES = tuple(
 )
 AXIS_NAMES = FIELD_NAMES + ("J", "theta")
 
-OBSERVABLES = ("g2", "n_paper", "n_full", "p1", "p2")
+OBSERVABLES = steady_state.OBSERVABLES
 
 STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
 
@@ -379,9 +379,20 @@ def run_sweep(
 
 
 def _fmt(x: float) -> str:
+    """One CSV cell: the shortest round-trip repr of a finite value, else empty."""
     if not math.isfinite(x):
         return ""
     return repr(float(x))
+
+
+def _cells(values: np.ndarray, ok: np.ndarray) -> list[str]:
+    """CSV cells of one row or column, empty wherever ``ok`` is False.
+
+    ``tolist`` hands ``_fmt`` Python floats instead of numpy scalars; it is
+    applied to one row or column at a time so a large grid is never held as
+    Python objects all at once.
+    """
+    return [_fmt(v) if good else "" for v, good in zip(values.tolist(), ok.tolist())]
 
 
 def _preamble(result: SweepResult) -> list[str]:
@@ -413,15 +424,13 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
         lines = _preamble(result)
         header = [result.spec.axis1.name, "direction"] + list(STAT_COLUMNS) + ["valid"]
         lines.append(",".join(header))
+        axis = [_fmt(x) for x in result.values1.tolist()]
         for direction in result.spec.directions:
-            stats = result.stats[direction]
             ok = result.valid[direction]
-            for i, x in enumerate(result.values1):
-                cells = [_fmt(x), direction.value]
-                for name in STAT_COLUMNS:
-                    cells.append(_fmt(stats[name][i]) if ok[i] else "")
-                cells.append("true" if ok[i] else "false")
-                lines.append(",".join(cells))
+            columns = [_cells(result.stats[direction][name], ok) for name in STAT_COLUMNS]
+            flags = ["true" if good else "false" for good in ok.tolist()]
+            for x, *stats, flag in zip(axis, *columns, flags):
+                lines.append(",".join([x, direction.value, *stats, flag]))
         path.write_text("\n".join(lines) + "\n")
         return [path.name]
 
@@ -433,11 +442,7 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
         grid = result.observable_grid(direction)
         ok = result.valid[direction]
         for i in range(result.spec.axis1.count):
-            row = [
-                _fmt(grid[i, k]) if ok[i, k] else ""
-                for k in range(result.spec.axis2.count)
-            ]
-            lines.append(",".join(row))
+            lines.append(",".join(_cells(grid[i], ok[i])))
         target.write_text("\n".join(lines) + "\n")
         written.append(target.name)
     return written

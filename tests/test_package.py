@@ -1,0 +1,131 @@
+"""The package namespace: lazy exports and what each CLI verb imports."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cavityblockade
+
+SRC = str(Path(cavityblockade.__file__).resolve().parents[1])
+
+SUBMODULES = (
+    "cli",
+    "dynamics",
+    "figures",
+    "full_model",
+    "optimizer",
+    "params",
+    "spectrum",
+    "steady_state",
+    "svgplot",
+    "sweeps",
+)
+
+
+def run_python(code: str, *args: str, cwd=None) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs one verb as ``python -m cavityblockade`` does, then prints the loaded
+# package submodules and whether numpy.ma was imported.
+VERB_CHILD = """
+import json, sys
+from cavityblockade.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cavityblockade."))
+print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
+"""
+
+BASE = ["cli", "dynamics", "params", "steady_state"]
+
+
+VERBS = {
+    "g2": (["g2"], BASE),
+    "optimize": (["optimize"], BASE + ["optimizer"]),
+    "optimize-fixed": (["optimize", "--fix-delta-c", "--delta-c", "2.5"], BASE + ["optimizer"]),
+    "nonreciprocal": (["nonreciprocal"], BASE + ["optimizer"]),
+    "validate-full": (["validate-full"], BASE + ["full_model"]),
+    "sweep": (
+        ["sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", "--jobs", "1"],
+        BASE + ["optimizer", "sweeps"],
+    ),
+    "figure": (
+        ["figure", "fig2a", "--jobs", "1"],
+        BASE + ["figures", "optimizer", "svgplot", "sweeps"],
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
+    argv, modules = VERBS[verb]
+    out = run_python(VERB_CHILD, *argv, cwd=tmp_path).strip().splitlines()[-1]
+    code, loaded, numpy_ma = json.loads(out)
+    assert code == 0
+    assert loaded == sorted(modules)
+    # np.unique imports numpy.ma on first use in numpy 2.4.
+    assert not numpy_ma
+
+
+def test_bare_import_loads_no_submodule():
+    out = run_python(
+        "import sys, cavityblockade; "
+        "print(sorted(m for m in sys.modules if m.startswith('cavityblockade.')))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_submodules_and_star_import_after_bare_import():
+    out = run_python(
+        "import json, cavityblockade as cb\n"
+        f"mods = [getattr(cb, name).__name__ for name in {SUBMODULES!r}]\n"
+        "ns = {}\n"
+        "exec('from cavityblockade import *', ns)\n"
+        "print(json.dumps([mods, sorted(k for k in ns if k != '__builtins__')]))\n"
+    )
+    mods, star = json.loads(out)
+    assert mods == [f"cavityblockade.{name}" for name in SUBMODULES]
+    assert star == sorted(cavityblockade.__all__)
+
+
+def test_exports_are_the_defining_modules_objects():
+    owners = {name: [] for name in cavityblockade.__all__}
+    for short in SUBMODULES:
+        module = importlib.import_module(f"cavityblockade.{short}")
+        for name in getattr(module, "__all__", ()):
+            if name in owners:
+                owners[name].append(module)
+    for name, modules in owners.items():
+        assert modules, f"{name} is exported by no submodule"
+        for module in modules:
+            assert getattr(cavityblockade, name) is getattr(module, name), name
+    from cavityblockade.full_model import validate_effective
+
+    assert cavityblockade.validate_effective is validate_effective
+    assert "validate_effective" not in cavityblockade.__all__
+
+
+def test_dir_lists_every_export():
+    listed = dir(cavityblockade)
+    assert set(cavityblockade.__all__) <= set(listed)
+    assert set(SUBMODULES) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cavityblockade.no_such_name

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -318,6 +319,60 @@ class TestSweepCsv:
             )
             assert np.array_equal(parsed, expected, equal_nan=True)
 
+    @staticmethod
+    def old_cell(x, good) -> str:
+        # The per-cell rule the writer has always followed.
+        return repr(float(x)) if good and math.isfinite(x) else ""
+
+    SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0])
+
+    def test_one_dimensional_cells_match_the_per_cell_rule(self, tmp_path):
+        spec = sweeps.SweepSpec(axis1=sweeps.SweepAxis("delta_c", -1.0, 1.0, 8))
+        result = sweeps.run_sweep(spec, reference_params())
+        ok = np.array([True, True, True, True, True, True, False, True])
+        stats = {
+            d: {name: np.roll(self.SPECIAL, k) for k, name in enumerate(sweeps.STAT_COLUMNS)}
+            for d in spec.directions
+        }
+        special = dataclasses.replace(
+            result,
+            values1=self.SPECIAL[::-1].copy(),
+            stats=stats,
+            valid={d: np.roll(ok, i) for i, d in enumerate(spec.directions)},
+        )
+        sweeps.write_sweep_csv(special, tmp_path / "special.csv")
+        expected = []
+        for d in spec.directions:
+            ok_d = special.valid[d]
+            for i, x in enumerate(special.values1):
+                cells = [self.old_cell(x, True), d.value]
+                cells += [self.old_cell(stats[d][n][i], ok_d[i]) for n in sweeps.STAT_COLUMNS]
+                cells.append("true" if ok_d[i] else "false")
+                expected.append(",".join(cells))
+        assert (tmp_path / "special.csv").read_text().splitlines()[4:] == expected
+
+    def test_two_dimensional_cells_match_the_per_cell_rule(self, tmp_path):
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("J", -2.0, 2.0, 3),
+            axis2=sweeps.SweepAxis("theta", -3.0, 3.0, 8),
+            overrides={"delta_c": 0.0},
+        )
+        result = sweeps.run_sweep(spec, reference_params())
+        grid = np.stack([np.roll(self.SPECIAL, k) for k in range(3)])
+        ok = np.ones(grid.shape, dtype=bool)
+        ok[1, 6] = ok[2, 0] = False
+        special = dataclasses.replace(
+            result,
+            stats={d: {**result.stats[d], "g2": grid} for d in spec.directions},
+            valid={d: ok for d in spec.directions},
+        )
+        names = sweeps.write_sweep_csv(special, tmp_path / "special.csv")
+        expected = [
+            ",".join(self.old_cell(grid[i, k], ok[i, k]) for k in range(8)) for i in range(3)
+        ]
+        for name in names:
+            assert (tmp_path / name).read_text().splitlines()[5:] == expected
+
     def test_parallel_csv_bytes_identical(self, tmp_path):
         base = reference_params()
         spec = sweeps.SweepSpec(
@@ -590,10 +645,12 @@ class TestCliInProcess:
 
 class TestCliSubprocess:
     def run(self, *args: str):
+        src = str(Path(cli.__file__).resolve().parents[1])
         return subprocess.run(
             [sys.executable, "-m", "cavityblockade", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
 
     def test_help_exits_cleanly(self):
