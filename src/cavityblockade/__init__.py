@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 #: names, or the submodule itself, is looked up on the package (PEP 562), so
 #: a CLI verb loads only the code it runs.
 _EXPORTS = {
-    "AmplitudeState": "dynamics",
+    "AmplitudeState": "steady_state",
     "ConfigError": "params",
     "DegenerateDetuning": "optimizer",
     "Direction": "params",
@@ -48,7 +48,6 @@ _EXPORTS = {
     "evolve": "dynamics",
     "figure": "figures",
     "find_roots": "optimizer",
-    "g2_of_detuning": "steady_state",
     "implied_e_he": "params",
     "load_config": "params",
     "mirror_swap": "params",
@@ -62,14 +61,12 @@ _EXPORTS = {
     "steady_rk4": "dynamics",
     "steady_stats": "steady_state",
     "vacuum_state": "dynamics",
+    "validate_effective": "full_model",
     "wrap_angle": "params",
     "write_sweep_csv": "sweeps",
-    "validate_effective": "full_model",
 }
 
-#: ``validate_effective`` resolves on the package but is left out of
-#: ``from cavityblockade import *``.
-__all__ = [name for name in _EXPORTS if name != "validate_effective"]
+__all__ = list(_EXPORTS)
 
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "svgplot"}
 

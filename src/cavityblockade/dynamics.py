@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .params import EffectiveParams
+from .steady_state import AmplitudeState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,31 +37,6 @@ _NORM_EPS = 1e-12
 
 class NonFiniteState(ArithmeticError):
     """An amplitude became NaN or infinite during integration."""
-
-
-@dataclass
-class AmplitudeState:
-    """Five complex amplitudes of the truncated weak-driving basis at time t."""
-
-    c0g: complex
-    c1g: complex
-    c0e: complex
-    c2g: complex
-    c1e: complex
-    t: float = 0.0
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.c0g, self.c1g, self.c0e, self.c2g, self.c1e], dtype=complex
-        )
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, t: float = 0.0) -> "AmplitudeState":
-        c0g, c1g, c0e, c2g, c1e = (complex(v) for v in vec)
-        return cls(c0g=c0g, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=float(t))
-
-    def norm_squared(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.as_vector()))
 
 
 def vacuum_state() -> AmplitudeState:
@@ -100,49 +76,6 @@ class IntegratorConfig:
     @property
     def window_steps(self) -> int:
         return max(1, round(self.ss_window / self.dt))
-
-
-def rhs(
-    state: AmplitudeState,
-    eff: EffectiveParams,
-    e_eg: float,
-    hold_c0g: bool = True,
-) -> AmplitudeState:
-    """Time derivative of the amplitudes under the effective Hamiltonian.
-
-    Cavity dissipation enters through the imaginary parts of eff.M and
-    eff.N, so no separate decay term appears here.
-    """
-    omega = eff.omega
-    j_minus = eff.J * complex(math.cos(eff.theta), -math.sin(eff.theta))
-    j_plus = j_minus.conjugate()
-
-    d_c1g = -1j * (
-        omega * state.c0g
-        + eff.M * state.c1g
-        + SQRT2 * omega * state.c2g
-        - j_minus * state.c0e
-        + e_eg * state.c1e
-    )
-    d_c2g = -1j * (
-        SQRT2 * omega * state.c1g + 2.0 * eff.M * state.c2g - SQRT2 * j_minus * state.c1e
-    )
-    d_c0e = -1j * (
-        e_eg * state.c0g
-        - j_plus * state.c1g
-        + eff.delta_e * state.c0e
-        + omega * state.c1e
-    )
-    d_c1e = -1j * (
-        e_eg * state.c1g
-        - SQRT2 * j_plus * state.c2g
-        + omega * state.c0e
-        + eff.N * state.c1e
-    )
-    d_c0g = 0.0 if hold_c0g else -1j * (omega * state.c1g + e_eg * state.c0e)
-    return AmplitudeState(
-        c0g=d_c0g, c1g=d_c1g, c0e=d_c0e, c2g=d_c2g, c1e=d_c1e, t=state.t
-    )
 
 
 def generator(
@@ -398,7 +331,6 @@ __all__ = [
     "evolve",
     "generator",
     "generator_from_effective",
-    "rhs",
     "rk4_propagator",
     "steady_rk4",
     "step_powers",

@@ -42,8 +42,7 @@ def _kv_block(items: list[tuple[str, object]]) -> str:
 
 
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
-    cells = [[sweeps._fmt(v) for v in column.tolist()] for column in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    lines = [",".join(header), *sweeps._csv_rows(np.column_stack(columns), True)]
     return _write(path, "\n".join(lines) + "\n")
 
 

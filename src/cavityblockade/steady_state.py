@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import AmplitudeState
-from .params import Direction, EffectiveParams, SystemParams, derive_effective
+from .params import EffectiveParams, SystemParams, derive_effective
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +37,36 @@ class SingularDenominator(ValueError):
         )
 
 
+@dataclass
+class AmplitudeState:
+    """Five complex amplitudes of the truncated weak-driving basis at time t.
+
+    The components are ordered (c0g, c1g, c0e, c2g, c1e): |0,g>, |1,g>,
+    |0,e>, |2,g> and |1,e>.  The closed form below builds one with t = inf;
+    the RK4 integrator in ``dynamics`` records one per step.
+    """
+
+    c0g: complex
+    c1g: complex
+    c0e: complex
+    c2g: complex
+    c1e: complex
+    t: float = 0.0
+
+    def as_vector(self) -> np.ndarray:
+        return np.array(
+            [self.c0g, self.c1g, self.c0e, self.c2g, self.c1e], dtype=complex
+        )
+
+    @classmethod
+    def from_vector(cls, vec: np.ndarray, t: float = 0.0) -> "AmplitudeState":
+        c0g, c1g, c0e, c2g, c1e = (complex(v) for v in vec)
+        return cls(c0g=c0g, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=float(t))
+
+    def norm_squared(self) -> float:
+        return float(sum(abs(c) ** 2 for c in self.as_vector()))
+
+
 @dataclass(frozen=True)
 class PhotonStats:
     """Occupation probabilities and the equal-time two-photon correlation.
@@ -57,20 +85,11 @@ class PhotonStats:
     norm: float
 
 
-def amplitude_arrays(
-    omega,
-    m,
-    n,
-    delta_e,
-    j,
-    theta,
-    e_eg,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steady amplitudes for broadcastable parameter arrays.
+def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
+    """The four excited amplitudes (c1g, c0e, c2g, c1e) and ``valid``.
 
-    Returns ``(c, valid)`` where c has shape (*S, 5) ordered as
-    dynamics.BASIS_LABELS and valid flags points whose denominators are
-    safely away from zero.  Invalid points carry NaN amplitudes.
+    Invalid points carry the finite values of a unit denominator, not NaN;
+    the callers mask them.
     """
     omega, m, n, delta_e, j, theta, e_eg = np.broadcast_arrays(
         np.asarray(omega, dtype=float),
@@ -100,7 +119,25 @@ def amplitude_arrays(
         c1e = (
             (e_eg * m + omega * j * phase_plus) * c1g + omega * m * c0e
         ) / safe2
+    return c1g, c0e, c2g, c1e, valid
 
+
+def amplitude_arrays(
+    omega,
+    m,
+    n,
+    delta_e,
+    j,
+    theta,
+    e_eg,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steady amplitudes for broadcastable parameter arrays.
+
+    Returns ``(c, valid)`` where c has shape (*S, 5) ordered as
+    :class:`AmplitudeState` and valid flags points whose denominators are
+    safely away from zero.  Invalid points carry NaN amplitudes.
+    """
+    c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
     c = np.stack(
         [np.ones_like(c1g), c1g, c0e, c2g, c1e],
         axis=-1,
@@ -130,6 +167,41 @@ def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
         "n_full": p[..., 1] + p[..., 4] + 2.0 * p[..., 3],
         "norm": norm,
     }
+
+
+def _stats_from_parameters(
+    omega, m, n, delta_e, j, theta, e_eg
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``stats_arrays(amplitude_arrays(...)[0])`` and ``valid`` in one pass.
+
+    No (*S, 5) stack is built.  Every statistic is computed by the same
+    operations in the same order as the two-step path, the norm summed left
+    to right from c0g = 1 as ``sum(axis=-1)`` does over five terms, so the
+    results are bit-identical; invalid points are NaN in every statistic.
+    """
+    c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    p1g = np.abs(c1g) ** 2
+    p2g = np.abs(c2g) ** 2
+    p1e = np.abs(c1e) ** 2
+    norm = 1.0 + p1g + np.abs(c0e) ** 2 + p2g + p1e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = (p1g + p1e) / norm
+        p2 = p2g / norm
+        occupation = p1 + 2.0 * p2
+        g2 = np.where(
+            occupation >= G2_OCCUPATION_FLOOR,
+            2.0 * p2 / occupation**2,
+            np.nan,
+        )
+    stats = {
+        "p1": p1,
+        "p2": p2,
+        "g2": g2,
+        "n_paper": p1g,
+        "n_full": p1g + p1e + 2.0 * p2g,
+        "norm": norm,
+    }
+    return {name: np.where(valid, v, np.nan) for name, v in stats.items()}, valid
 
 
 def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
@@ -186,53 +258,17 @@ def steady_stats(
     return photon_stats(analytic_amplitudes(eff, params.e_eg))
 
 
-def g2_of_detuning(
-    params: SystemParams,
-    delta_c_values: Sequence[float] | np.ndarray,
-) -> Mapping[Direction, list[tuple[float, PhotonStats | None]]]:
-    """Steady statistics along a cavity-detuning grid for both directions.
-
-    Singular points are reported as None entries instead of aborting the
-    sweep.
-    """
-    out: dict[Direction, list[tuple[float, PhotonStats | None]]] = {}
-    for direction in Direction:
-        kappa_in = params.kappa1 if direction is Direction.FORWARD else params.kappa2
-        omega = math.sqrt(kappa_in) * params.b_in
-        rows: list[tuple[float, PhotonStats | None]] = []
-        base_eff = derive_effective(params)
-        for dc in np.asarray(delta_c_values, dtype=float):
-            m = dc - 0.5j * params.kappa - base_eff.G
-            n = dc - 0.5j * params.kappa + params.delta_e
-            eff = EffectiveParams(
-                delta_e=params.delta_e,
-                G=base_eff.G,
-                J=base_eff.J,
-                theta=base_eff.theta,
-                omega=omega,
-                M=m,
-                N=n,
-            )
-            try:
-                stats = photon_stats(analytic_amplitudes(eff, params.e_eg))
-            except SingularDenominator:
-                stats = None
-            rows.append((float(dc), stats))
-        out[direction] = rows
-    return out
-
-
 #: The statistics of :func:`stats_arrays` a sweep can map, in the order the
 #: command line lists them.
 OBSERVABLES = ("g2", "n_paper", "n_full", "p1", "p2")
 
 __all__ = [
     "OBSERVABLES",
+    "AmplitudeState",
     "PhotonStats",
     "SingularDenominator",
     "amplitude_arrays",
     "analytic_amplitudes",
-    "g2_of_detuning",
     "photon_stats",
     "stats_arrays",
     "steady_stats",

@@ -13,9 +13,8 @@ import dataclasses
 import hashlib
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -41,6 +40,11 @@ AXIS_NAMES = FIELD_NAMES + ("J", "theta")
 OBSERVABLES = steady_state.OBSERVABLES
 
 STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
+
+#: Grid points per evaluation chunk: whole rows of the first axis, at
+#: least one row, at most about this many points.  It bounds the
+#: temporaries of a large sweep to a few megabytes each.
+_CHUNK_POINTS = 1 << 16
 
 
 def effective_arrays(
@@ -294,14 +298,16 @@ def _evaluate_direction(
 
     consts = effective_arrays(params, grid)
     full_shape = spec.shape
+    # The chunks below cover every row, so every cell is written.
+    stat_out = {name: np.empty(full_shape) for name in STAT_COLUMNS + ("norm",)}
+    valid = np.empty(full_shape, dtype=bool)
 
-    def evaluate(rows: slice) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    def evaluate(rows: slice) -> None:
         def cut(a: np.ndarray) -> np.ndarray:
-            a = np.broadcast_to(a, full_shape)
-            return a[rows]
+            return np.broadcast_to(a, full_shape)[rows]
 
         with np.errstate(invalid="ignore"):
-            amps, ok = steady_state.amplitude_arrays(
+            stats, ok = steady_state._stats_from_parameters(
                 cut(consts["omega"]),
                 cut(consts["m"]),
                 cut(consts["n"]),
@@ -310,31 +316,24 @@ def _evaluate_direction(
                 cut(consts["theta"]),
                 cut(consts["e_eg"]),
             )
-            stats = steady_state.stats_arrays(amps)
-        return stats, ok
-
-    n_rows = spec.axis1.count
-    workers = max(1, jobs or 1)
-    if workers == 1 or n_rows < 4:
-        chunks = [slice(0, n_rows)]
-    else:
-        per = math.ceil(n_rows / workers)
-        chunks = [slice(i, min(i + per, n_rows)) for i in range(0, n_rows, per)]
-
-    stat_out = {
-        name: np.full(full_shape, np.nan)
-        for name in STAT_COLUMNS + ("norm",)
-    }
-    valid = np.zeros(full_shape, dtype=bool)
-    if len(chunks) == 1:
-        results = [evaluate(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
-    for rows, (stats, ok) in zip(chunks, results):
+        # Chunks cover disjoint rows, so threads never write the same cell.
         for name in stat_out:
             stat_out[name][rows] = stats[name]
         valid[rows] = ok
+
+    n_rows = spec.axis1.count
+    per = max(1, _CHUNK_POINTS // math.prod(full_shape[1:]))
+    chunks = [slice(i, min(i + per, n_rows)) for i in range(0, n_rows, per)]
+    workers = min(jobs or 1, len(chunks))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Reading every result re-raises an exception from a worker.
+            list(pool.map(evaluate, chunks))
+    else:
+        for rows in chunks:
+            evaluate(rows)
     if solver_ok is not None:
         valid &= solver_ok
 
@@ -348,8 +347,11 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the analytic steady state over the requested grid.
 
-    Work is split into row chunks when ``jobs`` > 1 and reassembled in
-    index order, so parallel and serial runs produce identical arrays.
+    The grid is evaluated in chunks of whole rows, about 2**16 points
+    each.  ``jobs`` is an upper bound on worker threads: a grid of one chunk
+    runs on the calling thread, a larger one on ``min(jobs, chunks)``
+    threads.  Every point is computed independently, so the arrays are
+    identical whatever the chunking and the thread count.
     """
     stats: dict[Direction, dict[str, np.ndarray]] = {}
     valid: dict[Direction, np.ndarray] = {}
@@ -385,14 +387,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _cells(values: np.ndarray, ok: np.ndarray) -> list[str]:
-    """CSV cells of one row or column, empty wherever ``ok`` is False.
+def _csv_rows(table: np.ndarray, ok) -> Iterator[str]:
+    """One CSV line per row of a 2-D float table, by the ``_fmt`` cell rule.
 
-    ``tolist`` hands ``_fmt`` Python floats instead of numpy scalars; it is
-    applied to one row or column at a time so a large grid is never held as
-    Python objects all at once.
+    ``ok`` broadcasts against the table; cells where it is False are empty.
+    A row whose cells are all valid and finite is formatted by one C-level
+    list repr: each float's repr is the one ``_fmt`` writes, and none
+    contains ", ".  Any other row goes cell by cell.  Rows are formatted one
+    at a time, so a large grid is never held as Python objects all at once.
     """
-    return [_fmt(v) if good else "" for v, good in zip(values.tolist(), ok.tolist())]
+    ok = np.broadcast_to(ok, table.shape)
+    clean = (ok & np.isfinite(table)).all(axis=1)
+    for row, good, fast in zip(table, ok, clean.tolist()):
+        # tolist hands repr and _fmt Python floats, not numpy scalars.
+        cells = row.tolist()
+        if fast:
+            yield repr(cells)[1:-1].replace(", ", ",")
+        else:
+            yield ",".join([_fmt(v) if g else "" for v, g in zip(cells, good.tolist())])
 
 
 def _preamble(result: SweepResult) -> list[str]:
@@ -427,10 +439,11 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
         axis = [_fmt(x) for x in result.values1.tolist()]
         for direction in result.spec.directions:
             ok = result.valid[direction]
-            columns = [_cells(result.stats[direction][name], ok) for name in STAT_COLUMNS]
+            table = np.column_stack([result.stats[direction][name] for name in STAT_COLUMNS])
+            stats = _csv_rows(table, ok[:, None])
             flags = ["true" if good else "false" for good in ok.tolist()]
-            for x, *stats, flag in zip(axis, *columns, flags):
-                lines.append(",".join([x, direction.value, *stats, flag]))
+            for x, row, flag in zip(axis, stats, flags):
+                lines.append(f"{x},{direction.value},{row},{flag}")
         path.write_text("\n".join(lines) + "\n")
         return [path.name]
 
@@ -439,11 +452,10 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
         target = path.with_name(f"{path.stem}_{direction.value}{path.suffix}")
         lines = _preamble(result)
         lines.append(f"# observable = {result.spec.observable}")
-        grid = result.observable_grid(direction)
-        ok = result.valid[direction]
-        for i in range(result.spec.axis1.count):
-            lines.append(",".join(_cells(grid[i], ok[i])))
-        target.write_text("\n".join(lines) + "\n")
+        with target.open("w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            for line in _csv_rows(result.observable_grid(direction), result.valid[direction]):
+                fh.write(line + "\n")
         written.append(target.name)
     return written
 

@@ -91,18 +91,25 @@ def blockade_point():
     return base, point, working
 
 
+def rhs(state, eff, e_eg, hold_c0g=True):
+    """dC/dt of an amplitude state: the generator applied to its vector."""
+    return dynamics.generator_from_effective(eff, e_eg, hold_c0g) @ state.as_vector()
+
+
 class TestRhs:
+    """The right-hand side of the amplitude equations, from ``generator``."""
+
     def test_vacuum_is_fixed_point_without_drives(self):
         eff = make_eff(0.3, -0.5, 1.0, 0.27, 0.4, omega=0.0)
-        d = dynamics.rhs(dynamics.vacuum_state(), eff, e_eg=0.0)
-        assert d.as_vector().tolist() == [0.0] * 5
+        d = rhs(dynamics.vacuum_state(), eff, e_eg=0.0)
+        assert d.tolist() == [0.0] * 5
 
     def test_first_order_seeding_from_vacuum(self):
         eff = make_eff(0.3, -0.5, 1.0, 0.27, 0.4, omega=0.008)
-        d = dynamics.rhs(dynamics.vacuum_state(), eff, e_eg=0.01)
-        assert d.c1g == -1j * 0.008
-        assert d.c0e == -1j * 0.01
-        assert d.c2g == 0.0 and d.c1e == 0.0 and d.c0g == 0.0
+        d_c0g, d_c1g, d_c0e, d_c2g, d_c1e = rhs(dynamics.vacuum_state(), eff, e_eg=0.01)
+        assert d_c1g == -1j * 0.008
+        assert d_c0e == -1j * 0.01
+        assert d_c2g == 0.0 and d_c1e == 0.0 and d_c0g == 0.0
 
     @pytest.mark.parametrize("hold", [True, False])
     def test_matches_independent_dense_matrix(self, hold):
@@ -112,29 +119,47 @@ class TestRhs:
             om, e_eg = rng.uniform(0.0, 0.5, size=2)
             eff = make_eff(dc, de, G, J, th, omega=om)
             state = random_state(rng)
-            got = dynamics.rhs(state, eff, e_eg, hold_c0g=hold).as_vector()
+            got = rhs(state, eff, e_eg, hold_c0g=hold)
             want = dense_generator(eff, e_eg, hold) @ state.as_vector()
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_matches_generator_matrix(self):
+        # One batched generator over a stack of parameter sets gives, set by
+        # set, the matrix of the scalar call.
         rng = np.random.default_rng(3)
-        eff = make_eff(1.1, -0.4, 0.9, -0.8, 2.1, omega=0.03)
-        state = random_state(rng)
+        effs = [
+            make_eff(*rng.uniform(-3.0, 3.0, size=5), omega=rng.uniform(0.0, 0.1))
+            for _ in range(6)
+        ]
+        states = np.array([random_state(rng).as_vector() for _ in effs])
         for hold in (True, False):
-            a = dynamics.generator_from_effective(eff, 0.02, hold)
-            got = dynamics.rhs(state, eff, 0.02, hold_c0g=hold).as_vector()
-            assert np.allclose(got, a @ state.as_vector(), rtol=0.0, atol=1e-14)
+            stacked = dynamics.generator(
+                [e.omega for e in effs],
+                [e.M for e in effs],
+                [e.N for e in effs],
+                [e.delta_e for e in effs],
+                [e.J for e in effs],
+                [e.theta for e in effs],
+                0.02,
+                hold,
+            )
+            assert stacked.shape == (len(effs), 5, 5)
+            for k, eff in enumerate(effs):
+                a = dynamics.generator_from_effective(eff, 0.02, hold)
+                assert np.array_equal(stacked[k], a)
+                got = rhs(dynamics.AmplitudeState.from_vector(states[k]), eff, 0.02, hold)
+                assert np.allclose(got, a @ states[k], rtol=0.0, atol=1e-14)
 
     def test_hold_flag_controls_ground_backaction(self):
         eff = make_eff(0.5, -0.5, 0.0, 0.3, 0.0, omega=0.01)
         state = dynamics.AmplitudeState(
             c0g=1.0, c1g=0.2j, c0e=0.1, c2g=0.0, c1e=0.0
         )
-        held = dynamics.rhs(state, eff, 0.02, hold_c0g=True)
-        free = dynamics.rhs(state, eff, 0.02, hold_c0g=False)
-        assert held.c0g == 0.0
-        assert free.c0g == -1j * (0.01 * 0.2j + 0.02 * 0.1)
-        assert held.c1g == free.c1g
+        held = rhs(state, eff, 0.02, hold_c0g=True)
+        free = rhs(state, eff, 0.02, hold_c0g=False)
+        assert held[0] == 0.0
+        assert free[0] == -1j * (0.01 * 0.2j + 0.02 * 0.1)
+        assert np.array_equal(held[1:], free[1:])
 
     def test_sign_flip_symmetry(self):
         # (J, theta) and (-J, theta + pi) give the same coupling J e^{-i theta}.
@@ -142,8 +167,8 @@ class TestRhs:
         state = random_state(rng)
         a = make_eff(0.7, -0.5, 1.0, 1.3, 0.4, omega=0.02)
         b = make_eff(0.7, -0.5, 1.0, -1.3, 0.4 + math.pi, omega=0.02)
-        da = dynamics.rhs(state, a, 0.01).as_vector()
-        db = dynamics.rhs(state, b, 0.01).as_vector()
+        da = rhs(state, a, 0.01)
+        db = rhs(state, b, 0.01)
         assert np.allclose(da, db, rtol=1e-12, atol=1e-13)
 
 

@@ -42,16 +42,16 @@ def run_python(code: str, *args: str, cwd=None) -> str:
 
 
 # Runs one verb as ``python -m cavityblockade`` does, then prints the loaded
-# package submodules and whether numpy.ma was imported.
+# package submodules and whether numpy.ma and concurrent.futures were imported.
 VERB_CHILD = """
 import json, sys
 from cavityblockade.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cavityblockade."))
-print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
+print(json.dumps([code, loaded, "numpy.ma" in sys.modules, "concurrent.futures" in sys.modules]))
 """
 
-BASE = ["cli", "dynamics", "params", "steady_state"]
+BASE = ["cli", "params", "steady_state"]
 
 
 VERBS = {
@@ -59,13 +59,13 @@ VERBS = {
     "optimize": (["optimize"], BASE + ["optimizer"]),
     "optimize-fixed": (["optimize", "--fix-delta-c", "--delta-c", "2.5"], BASE + ["optimizer"]),
     "nonreciprocal": (["nonreciprocal"], BASE + ["optimizer"]),
-    "validate-full": (["validate-full"], BASE + ["full_model"]),
+    "validate-full": (["validate-full"], BASE + ["dynamics", "full_model"]),
     "sweep": (
-        ["sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", "--jobs", "1"],
+        ["sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", "--jobs", "2"],
         BASE + ["optimizer", "sweeps"],
     ),
     "figure": (
-        ["figure", "fig2a", "--jobs", "1"],
+        ["figure", "fig2a", "--jobs", "2"],
         BASE + ["figures", "optimizer", "svgplot", "sweeps"],
     ),
 }
@@ -75,11 +75,15 @@ VERBS = {
 def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     argv, modules = VERBS[verb]
     out = run_python(VERB_CHILD, *argv, cwd=tmp_path).strip().splitlines()[-1]
-    code, loaded, numpy_ma = json.loads(out)
+    code, loaded, numpy_ma, futures = json.loads(out)
     assert code == 0
+    # Only validate-full integrates in time, so only it loads dynamics.
     assert loaded == sorted(modules)
     # np.unique imports numpy.ma on first use in numpy 2.4.
     assert not numpy_ma
+    # A grid of one evaluation chunk runs on the calling thread, whatever
+    # --jobs allows, so no verb here imports the thread pool.
+    assert not futures
 
 
 def test_bare_import_loads_no_submodule():
@@ -117,7 +121,10 @@ def test_exports_are_the_defining_modules_objects():
     from cavityblockade.full_model import validate_effective
 
     assert cavityblockade.validate_effective is validate_effective
-    assert "validate_effective" not in cavityblockade.__all__
+    assert "validate_effective" in cavityblockade.__all__
+    from cavityblockade.dynamics import AmplitudeState
+
+    assert cavityblockade.AmplitudeState is AmplitudeState
 
 
 def test_dir_lists_every_export():

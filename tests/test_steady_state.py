@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityblockade import dynamics, optimizer, steady_state
+from cavityblockade import dynamics, optimizer, steady_state, sweeps
 from cavityblockade import params as P
 
 SQRT2 = math.sqrt(2.0)
@@ -47,14 +47,14 @@ class TestEmptyCavity:
 
 class TestPhotonStats:
     def test_zero_state(self):
-        state = dynamics.AmplitudeState(0.0, 0.0, 0.0, 0.0, 0.0)
+        state = steady_state.AmplitudeState(0.0, 0.0, 0.0, 0.0, 0.0)
         stats = steady_state.photon_stats(state)
         assert stats.p1 == 0.0 and stats.p2 == 0.0
         assert math.isnan(stats.g2)
         assert stats.norm == 0.0
 
     def test_no_two_photon_amplitude_means_zero_g2(self):
-        state = dynamics.AmplitudeState(1.0, 0.1, 0.02, 0.0, 0.01)
+        state = steady_state.AmplitudeState(1.0, 0.1, 0.02, 0.0, 0.01)
         assert steady_state.photon_stats(state).g2 == 0.0
 
     def test_occupation_example(self):
@@ -62,7 +62,7 @@ class TestPhotonStats:
         c1g = math.sqrt(0.01)
         c2g = math.sqrt(5e-5)
         c0g = math.sqrt(1.0 - 0.01 - 5e-5)
-        state = dynamics.AmplitudeState(c0g, c1g, 0.0, c2g, 0.0)
+        state = steady_state.AmplitudeState(c0g, c1g, 0.0, c2g, 0.0)
         stats = steady_state.photon_stats(state)
         assert stats.p1 == pytest.approx(0.01, rel=1e-12)
         assert stats.p2 == pytest.approx(5e-5, rel=1e-12)
@@ -70,7 +70,7 @@ class TestPhotonStats:
         assert stats.g2 == pytest.approx(0.9803, abs=1e-4)
 
     def test_number_conventions(self):
-        state = dynamics.AmplitudeState(1.0, 0.2, 0.05, 0.03, 0.04)
+        state = steady_state.AmplitudeState(1.0, 0.2, 0.05, 0.03, 0.04)
         stats = steady_state.photon_stats(state)
         assert stats.n_cavity_paper == pytest.approx(0.2**2, rel=1e-12)
         assert stats.n_cavity_full == pytest.approx(
@@ -78,17 +78,17 @@ class TestPhotonStats:
         )
 
     def test_ray_scale_invariance(self):
-        state = dynamics.AmplitudeState(1.0, 0.1 + 0.05j, 0.02j, 0.004, 0.003j)
+        state = steady_state.AmplitudeState(1.0, 0.1 + 0.05j, 0.02j, 0.004, 0.003j)
         ref = steady_state.photon_stats(state)
         for lam in (2.0, 0.5, 1e6, 1e-6, 2.0j, -3.0 + 1.0j):
-            scaled = dynamics.AmplitudeState.from_vector(lam * state.as_vector())
+            scaled = steady_state.AmplitudeState.from_vector(lam * state.as_vector())
             got = steady_state.photon_stats(scaled)
             assert got.g2 == pytest.approx(ref.g2, rel=1e-12)
             assert got.p1 == pytest.approx(ref.p1, rel=1e-12)
             assert got.p2 == pytest.approx(ref.p2, rel=1e-12)
 
     def test_rejects_non_finite(self):
-        state = dynamics.AmplitudeState(1.0, math.nan, 0.0, 0.0, 0.0)
+        state = steady_state.AmplitudeState(1.0, math.nan, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
             steady_state.photon_stats(state)
 
@@ -144,8 +144,8 @@ class TestBlockadePoint:
                 p, j=rng.uniform(-3.0, 3.0), theta=rng.uniform(-math.pi, math.pi)
             )
             state = steady_state.analytic_amplitudes(eff, p.e_eg)
-            deriv = dynamics.rhs(state, eff, p.e_eg)
-            residual = float(np.max(np.abs(deriv.as_vector())))
+            deriv = dynamics.generator_from_effective(eff, p.e_eg) @ state.as_vector()
+            residual = float(np.max(np.abs(deriv)))
             bound = 10.0 * (max(eff.omega, p.e_eg) / p.kappa) ** 3
             assert residual <= bound
 
@@ -228,30 +228,35 @@ class TestSingularities:
         assert np.all(np.isfinite(c[1].view(float)))
 
 
+def detuning_sweep(params, lo, hi, count):
+    """Both directions along a delta_c grid, by the sweep's array path."""
+    spec = sweeps.SweepSpec(axis1=sweeps.SweepAxis("delta_c", lo, hi, count))
+    return sweeps.run_sweep(spec, params)
+
+
 class TestDetuningSweep:
     def test_symmetric_cavity_directions_agree(self):
         p = dataclasses.replace(
             P.reference_params(), kappa1=1.0, kappa2=1.0, e_he=2.0
         )
-        out = steady_state.g2_of_detuning(p, [-1.0, 0.0, 1.0])
-        fwd = out[P.Direction.FORWARD]
-        bwd = out[P.Direction.BACKWARD]
-        assert len(fwd) == len(bwd) == 3
-        for (dc_f, sf), (dc_b, sb) in zip(fwd, bwd):
-            assert dc_f == dc_b
-            assert sf == sb
+        out = detuning_sweep(p, -1.0, 1.0, 3)
+        fwd = P.Direction.FORWARD
+        bwd = P.Direction.BACKWARD
+        assert out.valid[fwd].tolist() == out.valid[bwd].tolist() == [True] * 3
+        for name, values in out.stats[fwd].items():
+            assert np.array_equal(values, out.stats[bwd][name]), name
 
     def test_forward_dip_location_on_grid(self):
         base, point, working = blockade_point()
         encoded = dataclasses.replace(
             base, e_he=P.implied_e_he(point.J, base), phi_p=point.theta
         )
-        grid = np.linspace(-4.0, 2.0, 601)
-        rows = steady_state.g2_of_detuning(encoded, grid)[P.Direction.FORWARD]
-        g2 = np.array([s.g2 if s is not None else np.nan for _, s in rows])
-        n_paper = np.array(
-            [s.n_cavity_paper if s is not None else np.nan for _, s in rows]
-        )
+        out = detuning_sweep(encoded, -4.0, 2.0, 601)
+        fwd = P.Direction.FORWARD
+        ok = out.valid[fwd]
+        g2 = np.where(ok, out.stats[fwd]["g2"], np.nan)
+        n_paper = np.where(ok, out.stats[fwd]["n_paper"], np.nan)
+        grid = out.values1
         step = grid[1] - grid[0]
         dc_min = grid[int(np.nanargmin(g2))]
         dc_max = grid[int(np.nanargmax(n_paper))]
@@ -259,13 +264,87 @@ class TestDetuningSweep:
         assert abs(dc_max - point.delta_c_opt) <= step + 1e-12
 
     def test_degenerate_atom_is_reported_none(self):
+        # J = 0 and delta_e = 0 make J^2 - M delta_e vanish at every
+        # detuning: the array path flags each point invalid with NaN
+        # statistics where the scalar path raises.
         p = dataclasses.replace(P.reference_params(), delta_e=0.0, e_he=0.0)
-        out = steady_state.g2_of_detuning(p, [0.0, 0.5])
-        for rows in out.values():
-            assert all(stats is None for _, stats in rows)
+        out = detuning_sweep(p, 0.0, 0.5, 2)
+        for direction in out.spec.directions:
+            assert not out.valid[direction].any()
+            for values in out.stats[direction].values():
+                assert np.isnan(values).all()
+            for dc in out.values1:
+                point = dataclasses.replace(p, delta_c=float(dc), direction=direction)
+                with pytest.raises(steady_state.SingularDenominator):
+                    steady_state.steady_stats(point)
 
     def test_preserves_grid_order(self):
-        p = P.reference_params()
-        grid = [0.3, -0.2, 1.7]
-        rows = steady_state.g2_of_detuning(p, grid)[P.Direction.BACKWARD]
-        assert [dc for dc, _ in rows] == grid
+        # Entry i of every statistic belongs to grid value i, with J and
+        # theta derived from the parameters rather than overridden.
+        p = dataclasses.replace(P.reference_params(), direction=P.Direction.BACKWARD)
+        out = detuning_sweep(p, -0.2, 1.7, 3)
+        grid = out.stats[P.Direction.BACKWARD]
+        for i, dc in enumerate(out.values1):
+            stats = steady_state.steady_stats(dataclasses.replace(p, delta_c=float(dc)))
+            assert grid["g2"][i] == pytest.approx(stats.g2, rel=1e-12)
+            assert grid["p1"][i] == pytest.approx(stats.p1, rel=1e-12)
+
+
+def fused_case(seed, shape=(40, 50)):
+    """Seeded parameter grids with singular, sub-floor and NaN points."""
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.0, 0.05, shape)
+    m = rng.uniform(-3.0, 3.0, shape) - 1j * rng.uniform(0.2, 2.0, shape)
+    n = rng.uniform(-3.0, 3.0, shape) + 1j * m.imag
+    delta_e = rng.uniform(-3.0, 3.0, shape)
+    j = rng.uniform(-3.0, 3.0, shape)
+    theta = rng.uniform(-math.pi, math.pi, shape)
+    e_eg = rng.uniform(0.0, 0.02, shape)
+    flat = [a.reshape(-1) for a in (omega, m, n, delta_e, j, theta, e_eg)]
+    omega, m, n, delta_e, j, theta, e_eg = flat
+    pick = rng.permutation(omega.size)
+    # |J^2 - M delta_e| <= SINGULAR_TOL, the boundary value included.
+    s1 = pick[:30]
+    j[s1] = 0.0
+    delta_e[s1] = rng.uniform(-1.0, 1.0, s1.size) * steady_state.SINGULAR_TOL / 3.0
+    j[pick[30]], m[pick[30]], delta_e[pick[30]] = 0.0, 1.0, -steady_state.SINGULAR_TOL
+    # |J^2 - M N| <= SINGULAR_TOL, reachable with a real M.
+    s2 = pick[31:50]
+    m[s2] = rng.uniform(0.5, 2.0, s2.size)
+    n[s2] = j[s2] ** 2 / m[s2]
+    # Occupation below G2_OCCUPATION_FLOOR: no drive, or a vanishing one.
+    omega[pick[50:70]] = 0.0
+    e_eg[pick[50:70]] = 0.0
+    omega[pick[70:90]] = 1e-20
+    e_eg[pick[70:90]] = 0.0
+    # Non-finite inputs in every argument.
+    bad = pick[90:160].reshape(7, 10)
+    for values, rows in zip((omega, m, n, delta_e, j, theta, e_eg), bad):
+        values[rows[:5]] = math.nan
+        values[rows[5:]] = math.inf
+    return [a.reshape(shape) for a in (omega, m, n, delta_e, j, theta, e_eg)]
+
+
+class TestFusedEvaluator:
+    """The sweep's one-pass evaluator against the two-step public path."""
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_bit_identical_to_stats_of_amplitudes(self, seed):
+        args = fused_case(seed)
+        with np.errstate(all="ignore"):
+            c, valid = steady_state.amplitude_arrays(*args)
+            want = steady_state.stats_arrays(c)
+            got, got_valid = steady_state._stats_from_parameters(*args)
+        assert got_valid.tolist() == valid.tolist()
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            # Bits, NaN payloads and signed zeros included.
+            assert got[name].tobytes() == want[name].tobytes(), name
+        # The grid really holds each kind of point.
+        assert 40 <= (~valid).sum() < valid.size
+        finite = valid & np.isfinite(want["norm"])
+        assert np.isnan(want["g2"][finite]).any()
+        assert (want["g2"][finite] >= 0.0).any()
+        for name in want:
+            assert np.isnan(got[name][~valid]).all(), name

@@ -240,6 +240,59 @@ class TestRunSweep:
                     equal_nan=True,
                 )
 
+    def test_chunked_grid_matches_one_evaluation(self):
+        base = reference_params()
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("J", -3.0, 3.0, 301),
+            axis2=sweeps.SweepAxis("theta", -3.2, 3.2, 301),
+            overrides={"delta_c": 0.0},
+        )
+        # 301 x 301 points span two chunks, the second a partial one.
+        assert 301 * 301 > sweeps._CHUNK_POINTS > 301
+        serial = sweeps.run_sweep(spec, base, jobs=1)
+        threaded = sweeps.run_sweep(spec, base, jobs=2)
+        for direction in spec.directions:
+            grid = {
+                "J": serial.values1[:, None],
+                "theta": serial.values2[None, :],
+                "delta_c": np.asarray(0.0),
+            }
+            consts = sweeps.effective_arrays(
+                dataclasses.replace(base, direction=direction), grid
+            )
+            whole, ok = steady_state._stats_from_parameters(
+                *(
+                    np.broadcast_to(consts[key], spec.shape)
+                    for key in ("omega", "m", "n", "delta_e", "j", "theta", "e_eg")
+                )
+            )
+            for result in (serial, threaded):
+                assert result.valid[direction].tolist() == ok.tolist()
+                for name, values in whole.items():
+                    assert result.stats[direction][name].tobytes() == values.tobytes()
+
+    def test_threads_fill_every_row(self):
+        # One row per chunk, more threads than cores and a short switch
+        # interval: every row must still land in its own place.
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("J", -2.0, 2.0, 6),
+            axis2=sweeps.SweepAxis("theta", -3.0, 3.0, 40000),
+            overrides={"delta_c": 0.0},
+            directions=(Direction.FORWARD,),
+        )
+        assert sweeps._CHUNK_POINTS // 40000 == 1
+        serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sweeps.run_sweep(spec, reference_params(), jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        d = Direction.FORWARD
+        assert threaded.valid[d].tolist() == serial.valid[d].tolist()
+        for name, values in serial.stats[d].items():
+            assert threaded.stats[d][name].tobytes() == values.tobytes(), name
+
     def test_observable_grid_accessor(self):
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("delta_c", -1.0, 1.0, 3),
@@ -372,6 +425,43 @@ class TestSweepCsv:
         ]
         for name in names:
             assert (tmp_path / name).read_text().splitlines()[5:] == expected
+
+    CLEAN = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, -2.5e-17, 7.0, -1e-300])
+
+    def test_clean_rows_match_the_per_cell_rule(self, tmp_path):
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("J", -2.0, 2.0, 4),
+            axis2=sweeps.SweepAxis("theta", -3.0, 3.0, 8),
+            overrides={"delta_c": 0.0},
+        )
+        result = sweeps.run_sweep(spec, reference_params())
+        # Rows 0 and 2 are valid and finite throughout; row 1 has one invalid
+        # cell and row 3 one NaN.
+        grid = np.stack([np.roll(self.CLEAN, k) for k in range(4)])
+        grid[3, 5] = math.nan
+        ok = np.ones(grid.shape, dtype=bool)
+        ok[1, 2] = False
+        special = dataclasses.replace(
+            result,
+            stats={d: {**result.stats[d], "g2": grid} for d in spec.directions},
+            valid={d: ok for d in spec.directions},
+        )
+        names = sweeps.write_sweep_csv(special, tmp_path / "clean.csv")
+        expected = [
+            ",".join(self.old_cell(grid[i, k], ok[i, k]) for k in range(8)) for i in range(4)
+        ]
+        for name in names:
+            assert (tmp_path / name).read_text().splitlines()[5:] == expected
+
+    def test_table_cells_match_the_per_cell_rule(self, tmp_path):
+        columns = [np.roll(self.SPECIAL, k) for k in range(3)]
+        columns += [np.roll(self.CLEAN, k) for k in range(2)]
+        figures._table_csv(tmp_path / "table.csv", list("abcde"), columns)
+        expected = ["a,b,c,d,e"] + [
+            ",".join(self.old_cell(column[i], True) for column in columns)
+            for i in range(len(self.SPECIAL))
+        ]
+        assert (tmp_path / "table.csv").read_text().splitlines() == expected
 
     def test_parallel_csv_bytes_identical(self, tmp_path):
         base = reference_params()
