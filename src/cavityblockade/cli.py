@@ -15,12 +15,14 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .params import (
     FIGURE_NAMES,
     ConfigError,
     Direction,
+    RegimeWarning,
     SystemParams,
     _FLOAT_FIELDS,
     parse_config,
@@ -328,5 +330,33 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+_standard_format = warnings.formatwarning
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A RegimeWarning as one ``RegimeWarning: <message>`` line.
+
+    It reports on the request, not on a line of the library, so a program's
+    stderr does not move with edits to the package.  Other warnings keep
+    the standard format.
+    """
+    if issubclass(category, RegimeWarning):
+        return f"{category.__name__}: {message}\n"
+    return _standard_format(message, category, filename, lineno, line)
+
+
+def run() -> int:
+    """Entry point of the program: ``python -m cavityblockade`` and the
+    installed ``cavityblockade`` script.
+
+    Runs :func:`main` on the command line with RegimeWarnings printed by
+    :func:`_format_warning`.  In-process callers use :func:`main`, which
+    leaves the warnings machinery as it finds it; both emit the same
+    warnings.
+    """
+    warnings.formatwarning = _format_warning
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

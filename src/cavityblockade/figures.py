@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import optimizer, svgplot, sweeps
+from . import svgplot, sweeps
 from .params import FIGURE_NAMES, Direction, SystemParams, reference_params
 
 
@@ -204,6 +204,8 @@ def _microwave_pair(
     The microwave-off system has no exact cancellation point, so both curves
     share the drive-on optimum; only e_eg changes.
     """
+    from . import optimizer
+
     point = optimizer.solve_optimal(base)
     axis = sweeps.SweepAxis("delta_c", -1.0, 2.0, GRID_1D)
     curves = []
@@ -339,6 +341,8 @@ def fig6b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
 def _nonreciprocal_figure(
     out: Path, base: SystemParams, jobs: int | None, name: str, target: float
 ) -> list[str]:
+    from . import optimizer
+
     j, theta, report = optimizer.nonreciprocal_point(base, target)
     res = _direction_sweep(
         base,

@@ -24,6 +24,9 @@ SINGULAR_TOL = 1e-10
 #: Below this total photonic occupation g2 is reported as undefined (NaN).
 G2_OCCUPATION_FLOOR = 1e-30
 
+#: The statistics of :func:`stats_arrays`, in its order.
+_STAT_NAMES = ("p1", "p2", "g2", "n_paper", "n_full", "norm")
+
 
 class SingularDenominator(ValueError):
     """A steady-state denominator is too close to zero to invert."""
@@ -88,17 +91,26 @@ class PhotonStats:
 def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     """The four excited amplitudes (c1g, c0e, c2g, c1e) and ``valid``.
 
+    The inputs are not broadcast up front: each term is computed on the
+    shape its own inputs span (the phase only where theta varies, the
+    denominators only where J, M, N and delta_e do), so a 2-D grid whose
+    axes enter separately pays full-grid work only where they meet.  Every
+    operation is the one a full-grid evaluation would do, in the same
+    order, so the values are bit-identical.  The returned arrays are
+    broadcast (read-only views) to the common shape of the inputs.
+
     Invalid points carry the finite values of a unit denominator, not NaN;
     the callers mask them.
     """
-    omega, m, n, delta_e, j, theta, e_eg = np.broadcast_arrays(
-        np.asarray(omega, dtype=float),
-        np.asarray(m, dtype=complex),
-        np.asarray(n, dtype=complex),
-        np.asarray(delta_e, dtype=float),
-        np.asarray(j, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(e_eg, dtype=float),
+    omega = np.asarray(omega, dtype=float)
+    m = np.asarray(m, dtype=complex)
+    n = np.asarray(n, dtype=complex)
+    delta_e = np.asarray(delta_e, dtype=float)
+    j = np.asarray(j, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    e_eg = np.asarray(e_eg, dtype=float)
+    shape = np.broadcast_shapes(
+        omega.shape, m.shape, n.shape, delta_e.shape, j.shape, theta.shape, e_eg.shape
     )
     phase_minus = np.exp(-1j * theta)
     phase_plus = np.conj(phase_minus)
@@ -119,7 +131,7 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
         c1e = (
             (e_eg * m + omega * j * phase_plus) * c1g + omega * m * c0e
         ) / safe2
-    return c1g, c0e, c2g, c1e, valid
+    return tuple(np.broadcast_to(a, shape) for a in (c1g, c0e, c2g, c1e, valid))
 
 
 def amplitude_arrays(
@@ -170,7 +182,7 @@ def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _stats_from_parameters(
-    omega, m, n, delta_e, j, theta, e_eg
+    omega, m, n, delta_e, j, theta, e_eg, out: dict[str, np.ndarray] | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """``stats_arrays(amplitude_arrays(...)[0])`` and ``valid`` in one pass.
 
@@ -178,8 +190,15 @@ def _stats_from_parameters(
     operations in the same order as the two-step path, the norm summed left
     to right from c0g = 1 as ``sum(axis=-1)`` does over five terms, so the
     results are bit-identical; invalid points are NaN in every statistic.
+
+    ``out`` maps each statistic to a float array the inputs broadcast to,
+    such as the rows of a sweep grid; the statistics are written straight
+    into it, and invalid points are masked there.  Without it, arrays of
+    the inputs' common shape are allocated.
     """
     c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    if out is None:
+        out = {name: np.empty(valid.shape) for name in _STAT_NAMES}
     p1g = np.abs(c1g) ** 2
     p2g = np.abs(c2g) ** 2
     p1e = np.abs(c1e) ** 2
@@ -188,20 +207,18 @@ def _stats_from_parameters(
         p1 = (p1g + p1e) / norm
         p2 = p2g / norm
         occupation = p1 + 2.0 * p2
-        g2 = np.where(
-            occupation >= G2_OCCUPATION_FLOOR,
-            2.0 * p2 / occupation**2,
-            np.nan,
-        )
-    stats = {
-        "p1": p1,
-        "p2": p2,
-        "g2": g2,
-        "n_paper": p1g,
-        "n_full": p1g + p1e + 2.0 * p2g,
-        "norm": norm,
-    }
-    return {name: np.where(valid, v, np.nan) for name, v in stats.items()}, valid
+        np.copyto(out["g2"], 2.0 * p2 / occupation**2)
+    np.copyto(out["g2"], np.nan, where=~(occupation >= G2_OCCUPATION_FLOOR))
+    np.copyto(out["p1"], p1)
+    np.copyto(out["p2"], p2)
+    np.copyto(out["n_paper"], p1g)
+    np.copyto(out["n_full"], p1g + p1e + 2.0 * p2g)
+    np.copyto(out["norm"], norm)
+    if not valid.all():
+        invalid = ~valid
+        for name in _STAT_NAMES:
+            np.copyto(out[name], np.nan, where=invalid)
+    return out, valid
 
 
 def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:

@@ -34,6 +34,9 @@ _RAMP = (
 )
 _MISSING_RGB = (224, 224, 224)
 
+#: Pixels per band of a heatmap raster: whole image rows, at least one.
+_BAND_PIXELS = 1 << 12
+
 
 def _fmt(x: float) -> str:
     return "%.6g" % x
@@ -75,7 +78,11 @@ def _esc(text: str) -> str:
 
 @dataclass
 class Axes:
-    """Maps data coordinates into the fixed plot rectangle."""
+    """Maps data coordinates into the fixed plot rectangle.
+
+    Both maps take a float or a 1-D array; an array is mapped element by
+    element with the same arithmetic.
+    """
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -89,7 +96,13 @@ class Axes:
     def y_pix(self, y: float) -> float:
         y0, y1 = self.y_range
         if self.log_y:
-            f = (math.log10(y) - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
+            # math.log10 on each value: numpy's log10 differs from it in the
+            # last bit for some inputs, which could move a printed digit.
+            if isinstance(y, np.ndarray):
+                log_y = np.array([math.log10(v) for v in y.tolist()])
+            else:
+                log_y = math.log10(y)
+            f = (log_y - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
         else:
             f = (y - y0) / (y1 - y0)
         return HEIGHT - MARGIN_BOTTOM - f * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
@@ -157,28 +170,24 @@ def _line_elements(
     y0, y1 = ax.y_range
     keep &= (y >= min(y0, y1)) & (y <= max(y0, y1))
     dash = ' stroke-dasharray="6 4"' if dashed else ""
+    idx = np.flatnonzero(keep)
+    # Pixel coordinates of every drawn point, interleaved x, y.
+    xy = np.column_stack([ax.x_pix(x[idx]), ax.y_pix(y[idx])]).ravel().tolist()
+    breaks = (np.flatnonzero(np.diff(idx) > 1) + 1).tolist()
     parts: list[str] = []
-    start = None
-    for i in range(len(x) + 1):
-        inside = i < len(x) and keep[i]
-        if inside and start is None:
-            start = i
-        elif not inside and start is not None:
-            if i - start == 1:
-                xp, yp = ax.x_pix(x[start]), ax.y_pix(y[start])
-                parts.append(
-                    f'<circle cx="{_fmt(xp)}" cy="{_fmt(yp)}" r="2" fill="{color}"/>'
-                )
-            else:
-                pts = " ".join(
-                    f"{_fmt(ax.x_pix(x[k]))},{_fmt(ax.y_pix(y[k]))}"
-                    for k in range(start, i)
-                )
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                    f'stroke-width="1.6"{dash}/>'
-                )
-            start = None
+    for start, stop in zip([0] + breaks, breaks + [idx.size]):
+        if stop - start == 1:
+            parts.append(
+                f'<circle cx="{_fmt(xy[2 * start])}" cy="{_fmt(xy[2 * start + 1])}" '
+                f'r="2" fill="{color}"/>'
+            )
+        elif stop > start:
+            # One C-level format per run, by the _fmt rule.
+            pts = " ".join(["%.6g,%.6g"] * (stop - start)) % tuple(xy[2 * start : 2 * stop])
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.6"{dash}/>'
+            )
     return parts
 
 
@@ -327,9 +336,15 @@ class Heatmap:
 
         # Transpose to image orientation: rows are y (axis2), top row = max y.
         img_vals = field_vals.T[::-1]
-        frac = (img_vals - v_lo) / (v_hi - v_lo)
-        rgb = _ramp_rgb(np.nan_to_num(frac))
-        rgb[~np.isfinite(img_vals)] = _MISSING_RGB
+        h, w = img_vals.shape
+        rgb = np.empty((h, w, 3), dtype=np.uint8)
+        band = max(1, _BAND_PIXELS // w)
+        for top in range(0, h, band):
+            vals = img_vals[top : top + band]
+            frac = (vals - v_lo) / (v_hi - v_lo)
+            rows = rgb[top : top + band]
+            rows[...] = _ramp_rgb(np.nan_to_num(frac))
+            rows[~np.isfinite(vals)] = _MISSING_RGB
         png = base64.b64encode(_png_bytes(rgb)).decode("ascii")
 
         x = np.asarray(self.x, float)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import __version__
-from . import optimizer, steady_state
+from . import steady_state
 from .params import (
     DETUNING_RATIO_MIN,
     WEAK_DRIVE_MAX,
@@ -41,10 +41,14 @@ OBSERVABLES = steady_state.OBSERVABLES
 
 STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
 
-#: Grid points per evaluation chunk: whole rows of the first axis, at
+#: Grid points per evaluation block: whole rows of the first axis, at
 #: least one row, at most about this many points.  It bounds the
-#: temporaries of a large sweep to a few megabytes each.
-_CHUNK_POINTS = 1 << 16
+#: temporaries of any sweep to a few hundred kilobytes.
+_CHUNK_POINTS = 1 << 12
+
+#: Only a grid of more points than this is spread over worker threads;
+#: a smaller one (every figure preset) runs on the calling thread.
+_POOL_POINTS = 1 << 16
 
 
 def effective_arrays(
@@ -91,8 +95,18 @@ def effective_arrays(
 
     if "J" in arrays:
         j = arrays["J"]
+        # The upper-leg drive that realizes J, as derive_effective infers
+        # it; none where g = 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_he_used = np.where(g > 0.0, np.abs(j) * np.abs(delta_p) / g, 0.0)
     else:
         j = g * e_he / delta_p
+        e_he_used = e_he
+    if params.delta_he is not None:
+        delta_he = np.asarray(params.delta_he)
+    else:
+        # SystemParams.delta_he_effective: the Raman-resonant detuning.
+        delta_he = delta_p - (delta_e + e_he**2 / delta_p)
     if "theta" in arrays:
         theta = arrays["theta"]
     else:
@@ -120,17 +134,25 @@ def effective_arrays(
         "delta_c": delta_c,
         "e": e_eg,
     }
-    _warn_regimes(g, delta_p, omega, e_eg, kappa)
+    _warn_regimes(g, delta_p, omega, e_eg, kappa, e_he_used, delta_he)
     return out
 
 
-def _warn_regimes(g, delta_p, omega, e_eg, kappa) -> None:
-    """One aggregate RegimeWarning per violated condition, not per point."""
+def _warn_regimes(g, delta_p, omega, e_eg, kappa, e_he, delta_he) -> None:
+    """One aggregate RegimeWarning per violated condition, not per point.
+
+    The conditions are those ``params.derive_effective`` checks at one
+    point; ``e_he`` is the upper-leg drive each point uses (0 where it has
+    none) and ``delta_he`` its detuning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near_he = (e_he != 0.0) & (np.abs(delta_he / e_he) <= DETUNING_RATIO_MIN)
     checks = [
         (
             np.any((g > 0) & (np.abs(delta_p / np.maximum(g, 1e-300)) <= DETUNING_RATIO_MIN)),
             "grid points violate |delta_p/g| > 10",
         ),
+        (np.any(near_he), "grid points violate |delta_he/e_he| > 10"),
         (
             np.any(omega / kappa >= WEAK_DRIVE_MAX),
             "grid points violate the weak cavity drive condition Omega/kappa < 0.1",
@@ -258,7 +280,10 @@ def _solve_optimal_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint-optimal (J, theta) per grid point, solved over the reduced
     grid of parameters the optimum actually depends on (delta_c drops
-    out of a joint solve)."""
+    out of a joint solve).  The arrays keep the shape of that reduced
+    grid; they broadcast against the sweep grid."""
+    from . import optimizer
+
     solver_grid = {k: v for k, v in grid.items() if k != "delta_c"}
     consts = effective_arrays(params, solver_grid)
     j, theta, dc_opt, ok = optimizer.solve_optimal_arrays(
@@ -269,13 +294,7 @@ def _solve_optimal_grid(
         consts["kappa"],
         fix_delta_c=False,
     )
-    target = spec.shape
-    return (
-        np.broadcast_to(j, target),
-        np.broadcast_to(theta, target),
-        np.broadcast_to(dc_opt, target),
-        np.broadcast_to(ok, target),
-    )
+    return j, theta, dc_opt, ok
 
 
 def _evaluate_direction(
@@ -298,33 +317,30 @@ def _evaluate_direction(
 
     consts = effective_arrays(params, grid)
     full_shape = spec.shape
-    # The chunks below cover every row, so every cell is written.
-    stat_out = {name: np.empty(full_shape) for name in STAT_COLUMNS + ("norm",)}
+    # The blocks below cover every row, so every cell is written.
+    stat_out = {name: np.empty(full_shape) for name in steady_state._STAT_NAMES}
     valid = np.empty(full_shape, dtype=bool)
+    inputs = [consts[key] for key in ("omega", "m", "n", "delta_e", "j", "theta", "e_eg")]
 
     def evaluate(rows: slice) -> None:
-        def cut(a: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(a, full_shape)[rows]
-
+        # Only an array that varies along the first axis is cut; the others
+        # broadcast against the block as they are.
+        cut = [
+            a[rows] if a.ndim == len(full_shape) and a.shape[0] > 1 else a
+            for a in inputs
+        ]
         with np.errstate(invalid="ignore"):
-            stats, ok = steady_state._stats_from_parameters(
-                cut(consts["omega"]),
-                cut(consts["m"]),
-                cut(consts["n"]),
-                cut(consts["delta_e"]),
-                cut(consts["j"]),
-                cut(consts["theta"]),
-                cut(consts["e_eg"]),
+            # Blocks cover disjoint rows, so threads never write the same cell.
+            _, ok = steady_state._stats_from_parameters(
+                *cut, out={name: whole[rows] for name, whole in stat_out.items()}
             )
-        # Chunks cover disjoint rows, so threads never write the same cell.
-        for name in stat_out:
-            stat_out[name][rows] = stats[name]
         valid[rows] = ok
 
     n_rows = spec.axis1.count
-    per = max(1, _CHUNK_POINTS // math.prod(full_shape[1:]))
+    points = math.prod(full_shape)
+    per = max(1, _CHUNK_POINTS // (points // n_rows))
     chunks = [slice(i, min(i + per, n_rows)) for i in range(0, n_rows, per)]
-    workers = min(jobs or 1, len(chunks))
+    workers = min(jobs or 1, len(chunks)) if points > _POOL_POINTS else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -339,6 +355,8 @@ def _evaluate_direction(
 
     j_used = np.broadcast_to(consts["j"], full_shape)
     theta_used = np.broadcast_to(consts["theta"], full_shape)
+    if dc_opt is not None:
+        dc_opt = np.broadcast_to(dc_opt, full_shape)
     return stat_out, valid, np.array(j_used), np.array(theta_used), dc_opt
 
 
@@ -347,11 +365,13 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the analytic steady state over the requested grid.
 
-    The grid is evaluated in chunks of whole rows, about 2**16 points
-    each.  ``jobs`` is an upper bound on worker threads: a grid of one chunk
-    runs on the calling thread, a larger one on ``min(jobs, chunks)``
-    threads.  Every point is computed independently, so the arrays are
-    identical whatever the chunking and the thread count.
+    The grid is evaluated in blocks of whole rows, about 2**12 points each,
+    written straight into the result arrays, so the memory a sweep needs
+    beyond its result is bounded by the block, not the grid.  ``jobs`` is
+    an upper bound on worker threads: a grid of at most 2**16 points runs
+    on the calling thread, a larger one on ``min(jobs, blocks)`` threads.
+    Every point is computed independently, so the arrays are identical
+    whatever the blocking and the thread count.
     """
     stats: dict[Direction, dict[str, np.ndarray]] = {}
     valid: dict[Direction, np.ndarray] = {}

@@ -68,6 +68,15 @@ VERBS = {
         ["figure", "fig2a", "--jobs", "2"],
         BASE + ["figures", "optimizer", "svgplot", "sweeps"],
     ),
+    # Only the presets and sweeps that solve for (J, theta) load the optimizer.
+    "figure-fig6a": (
+        ["figure", "fig6a", "--jobs", "2"],
+        BASE + ["figures", "svgplot", "sweeps"],
+    ),
+    "sweep-fixed-j": (
+        ["sweep", "--axis1", "delta_c,-4,4,41", "--J", "0.5", "--jobs", "2"],
+        BASE + ["sweeps"],
+    ),
 }
 
 
@@ -81,7 +90,7 @@ def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     assert loaded == sorted(modules)
     # np.unique imports numpy.ma on first use in numpy 2.4.
     assert not numpy_ma
-    # A grid of one evaluation chunk runs on the calling thread, whatever
+    # A grid of at most 2**16 points runs on the calling thread, whatever
     # --jobs allows, so no verb here imports the thread pool.
     assert not futures
 

@@ -348,3 +348,158 @@ class TestFusedEvaluator:
         assert (want["g2"][finite] >= 0.0).any()
         for name in want:
             assert np.isnan(got[name][~valid]).all(), name
+
+
+def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
+    """The evaluator as it was before it stopped broadcasting up front:
+    every input expanded to the full grid first, then the same operations,
+    and each statistic masked by one ``np.where``."""
+    omega, m, n, delta_e, j, theta, e_eg = np.broadcast_arrays(
+        np.asarray(omega, dtype=float),
+        np.asarray(m, dtype=complex),
+        np.asarray(n, dtype=complex),
+        np.asarray(delta_e, dtype=float),
+        np.asarray(j, dtype=float),
+        np.asarray(theta, dtype=float),
+        np.asarray(e_eg, dtype=float),
+    )
+    phase_minus = np.exp(-1j * theta)
+    phase_plus = np.conj(phase_minus)
+    d1 = j**2 - m * delta_e
+    d2 = j**2 - m * n
+    valid = (np.abs(d1) > steady_state.SINGULAR_TOL) & (
+        np.abs(d2) > steady_state.SINGULAR_TOL
+    )
+    safe1 = np.where(valid, d1, 1.0)
+    safe2 = np.where(valid, d2, 1.0)
+    c1g = (e_eg * j * phase_minus + omega * delta_e) / safe1
+    c0e = (e_eg * m + omega * j * phase_plus) / safe1
+    c2g = (
+        (e_eg * j * phase_minus + omega * n) * c1g + omega * j * phase_minus * c0e
+    ) / (SQRT2 * safe2)
+    c1e = ((e_eg * m + omega * j * phase_plus) * c1g + omega * m * c0e) / safe2
+    p1g = np.abs(c1g) ** 2
+    p2g = np.abs(c2g) ** 2
+    p1e = np.abs(c1e) ** 2
+    norm = 1.0 + p1g + np.abs(c0e) ** 2 + p2g + p1e
+    p1 = (p1g + p1e) / norm
+    p2 = p2g / norm
+    occupation = p1 + 2.0 * p2
+    g2 = np.where(
+        occupation >= steady_state.G2_OCCUPATION_FLOOR,
+        2.0 * p2 / occupation**2,
+        np.nan,
+    )
+    stats = {
+        "p1": p1,
+        "p2": p2,
+        "g2": g2,
+        "n_paper": p1g,
+        "n_full": p1g + p1e + 2.0 * p2g,
+        "norm": norm,
+    }
+    return {k: np.where(valid, v, np.nan) for k, v in stats.items()}, valid, d1, d2
+
+
+#: Shapes of the seven inputs (omega, m, n, delta_e, j, theta, e_eg) on an
+#: (N, M) grid: "s" a scalar, "r" an (N, 1) column, "c" a (1, M) row, "f"
+#: the full grid.  Most layouts put J and delta_e, J and N, omega and e_eg
+#: on crossing axes, so singular and undriven points occur where they meet.
+MIXED_LAYOUTS = ("rsccrcc", "cfrrcsr", "frrffrf", "rccsrrc", "ssrrcss", "rcrcrcr", "sssssss")
+
+
+def mixed_case(seed, layout, shape=(23, 17)):
+    """Seeded inputs of the given layout, with J = 0, delta_e ~ 0, N = 0,
+    omega = 0, e_eg = 0 and NaN/+-inf entries on some of their own rows
+    or columns; scalars are drawn plainly."""
+    rng = np.random.default_rng(seed)
+    dims = {"s": (), "r": (shape[0], 1), "c": (1, shape[1]), "f": shape}
+    draws = {
+        "omega": lambda s: rng.uniform(0.0, 0.05, s),
+        "m": lambda s: rng.uniform(-3.0, 3.0, s) - 1j * rng.uniform(0.2, 2.0, s),
+        "n": lambda s: rng.uniform(-3.0, 3.0, s) - 1j * rng.uniform(0.2, 2.0, s),
+        "delta_e": lambda s: rng.uniform(-3.0, 3.0, s),
+        "j": lambda s: rng.uniform(-3.0, 3.0, s),
+        "theta": lambda s: rng.uniform(-math.pi, math.pi, s),
+        "e_eg": lambda s: rng.uniform(0.0, 0.02, s),
+    }
+    special = {
+        "omega": 0.0,
+        "e_eg": 0.0,
+        "j": 0.0,
+        "n": 0.0,
+        "delta_e": steady_state.SINGULAR_TOL / 3.0,
+    }
+    args = []
+    for (name, draw), key in zip(draws.items(), layout):
+        shp = dims[key]
+        a = draw(shp)
+        if a.ndim:
+            flat = a.reshape(-1)
+            pick = rng.permutation(flat.size)
+            if name in special:
+                flat[pick[: max(1, flat.size // 4)]] = special[name]
+            flat[pick[-1]] = math.nan
+            flat[pick[-2]] = math.inf
+            flat[pick[-3]] = -math.inf
+        else:
+            a = a.item()
+        args.append(a)
+    return args
+
+
+class TestMixedShapeEvaluator:
+    """Inputs that vary along different axes are combined only where they
+    meet; the statistics must be those of the full-grid evaluation."""
+
+    @pytest.mark.parametrize("layout", MIXED_LAYOUTS)
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_bit_identical_to_full_broadcast(self, seed, layout):
+        args = mixed_case(seed, layout)
+        with np.errstate(all="ignore"):
+            want, valid, d1, d2 = full_broadcast_stats(*args)
+            got, got_valid = steady_state._stats_from_parameters(*args)
+            c, amp_valid = steady_state.amplitude_arrays(*args)
+        assert got_valid.shape == valid.shape == c.shape[:-1]
+        assert got_valid.tolist() == valid.tolist() == amp_valid.tolist()
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            # Bits, NaN payloads and signed zeros included.
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_layouts_hold_every_kind_of_point(self):
+        kinds = set()
+        for layout in MIXED_LAYOUTS:
+            for seed in (21, 22):
+                args = mixed_case(seed, layout)
+                with np.errstate(all="ignore"):
+                    want, valid, d1, d2 = full_broadcast_stats(*args)
+                    occupation = want["p1"] + 2.0 * want["p2"]
+                tol = steady_state.SINGULAR_TOL
+                kinds |= {
+                    kind
+                    for kind, hit in [
+                        ("d1", (np.abs(d1) <= tol).any()),
+                        ("d2", ((np.abs(d2) <= tol) & (np.abs(d1) > tol)).any()),
+                        ("floor", (valid & (occupation < steady_state.G2_OCCUPATION_FLOOR)).any()),
+                        ("g2", (valid & np.isfinite(want["g2"])).any()),
+                        ("nonfinite", (valid & ~np.isfinite(want["norm"])).any()),
+                    ]
+                    if hit
+                }
+        assert kinds == {"d1", "d2", "floor", "g2", "nonfinite"}
+
+    def test_written_into_rows_of_a_larger_grid(self):
+        # Inputs that vary along the rows only fill every column of ``out``.
+        rng = np.random.default_rng(5)
+        j = rng.uniform(-3.0, 3.0, (9, 1))
+        m = rng.uniform(-3.0, 3.0, (9, 1)) - 0.5j
+        args = (0.02, m, m + 0.3, -0.5, j, 0.4, 0.01)
+        out = {name: np.full((9, 4), -1.0) for name in steady_state._STAT_NAMES}
+        stats, valid = steady_state._stats_from_parameters(*args, out=out)
+        assert stats is out
+        column, _ = steady_state._stats_from_parameters(*args)
+        for name in out:
+            assert column[name].shape == (9, 1)
+            for k in range(4):
+                assert out[name][:, k].tobytes() == column[name][:, 0].tobytes()

@@ -9,6 +9,8 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from cavityblockade.params import (
     ConfigError,
     Direction,
     RegimeWarning,
+    SystemParams,
+    derive_effective,
     reference_params,
 )
 
@@ -280,7 +284,10 @@ class TestRunSweep:
             overrides={"delta_c": 0.0},
             directions=(Direction.FORWARD,),
         )
-        assert sweeps._CHUNK_POINTS // 40000 == 1
+        # A block is whole rows, at least one: here exactly one.  The grid
+        # is large enough for the pool.
+        assert sweeps._CHUNK_POINTS < 2 * 40000
+        assert 6 * 40000 > sweeps._POOL_POINTS
         serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -293,6 +300,54 @@ class TestRunSweep:
         for name, values in serial.stats[d].items():
             assert threaded.stats[d][name].tobytes() == values.tobytes(), name
 
+    def test_block_boundaries_identical_across_jobs(self):
+        # An optimal-(J, theta) grid whose row count is not a multiple of
+        # the block, with inputs of shape (rows, 1), (1, columns), the full
+        # grid and scalars, large enough for the pool.
+        spec = sweeps.SweepSpec(
+            # delta_e = 0 on row 131 has no root: a masked row.
+            axis1=sweeps.SweepAxis("delta_e", -1.0, 1.0, 263),
+            axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 257),
+            optimal_j_theta=True,
+        )
+        rows_per_block = max(1, sweeps._CHUNK_POINTS // 257)
+        assert 263 % rows_per_block != 0
+        assert 263 * 257 > sweeps._POOL_POINTS
+        serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
+        threaded = sweeps.run_sweep(spec, reference_params(), jobs=2)
+        for d in spec.directions:
+            assert threaded.valid[d].tobytes() == serial.valid[d].tobytes()
+            assert not serial.valid[d].all() and serial.valid[d].any()
+            for name, values in serial.stats[d].items():
+                assert threaded.stats[d][name].tobytes() == values.tobytes(), name
+            for field in ("j_used", "theta_used", "delta_c_opt"):
+                got = getattr(threaded, field)[d]
+                assert got.shape == spec.shape
+                assert got.tobytes() == getattr(serial, field)[d].tobytes(), field
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_axis_entering_no_term_fills_every_cell(self, jobs):
+        # With J fixed, e_he enters no statistic: every input varies along
+        # the rows or not at all, and each block's (rows, 1) statistics
+        # must fill every column.
+        base = reference_params()
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("delta_c", -4.0, 4.0, 303),
+            axis2=sweeps.SweepAxis("e_he", 1.0, 60.0, 221),
+            overrides={"J": 0.5, "theta": 0.3},
+        )
+        assert 303 * 221 > sweeps._POOL_POINTS
+        line = sweeps.SweepSpec(
+            axis1=spec.axis1, overrides={"J": 0.5, "theta": 0.3}
+        )
+        grid = sweeps.run_sweep(spec, base, jobs=jobs)
+        column = sweeps.run_sweep(line, base, jobs=1)
+        for d in spec.directions:
+            assert grid.valid[d].all()
+            for name, values in column.stats[d].items():
+                want = np.repeat(values[:, None], 221, axis=1)
+                assert grid.stats[d][name].tobytes() == want.tobytes(), name
+
     def test_observable_grid_accessor(self):
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("delta_c", -1.0, 1.0, 3),
@@ -304,6 +359,74 @@ class TestRunSweep:
         assert np.array_equal(
             result.observable_grid(d), result.stats[d]["n_paper"]
         )
+
+
+def traced(fn):
+    """(result, bytes held on return, peak bytes above that) of one call.
+
+    A first untraced call warms every import and cache.
+    """
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, current - before, peak - current
+
+
+MB = 1 << 20
+
+
+class TestBoundedMemory:
+    """201 x 201 grids, the size of every 2-D figure preset."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            sweeps.SweepSpec(
+                axis1=sweeps.SweepAxis("J", -3.0, 3.0, 201),
+                axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, 201),
+                overrides={"delta_c": 0.0},
+                directions=(Direction.FORWARD,),
+            ),
+            sweeps.SweepSpec(
+                axis1=sweeps.SweepAxis("delta_e", -3.0, 3.0, 201),
+                axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 201),
+                directions=(Direction.FORWARD,),
+                optimal_j_theta=True,
+            ),
+        ],
+        ids=["J-theta", "optimal"],
+    )
+    def test_sweep_peak_is_its_result_plus_a_block(self, spec):
+        result, held, above = traced(
+            lambda: sweeps.run_sweep(spec, reference_params(), jobs=1)
+        )
+        # The result: six statistics, J, theta (and delta_c_opt) and valid.
+        assert held > 8 * 8 * 201 * 201
+        assert above <= 1 * MB, (held, above)
+
+    def test_heatmap_render_peak(self):
+        rng = np.random.default_rng(3)
+        z = 10.0 ** rng.uniform(-6.0, 2.0, (201, 201))
+        z[rng.random(z.shape) < 0.05] = math.nan
+        heat = svgplot.Heatmap(
+            x=np.linspace(-3.0, 3.0, 201),
+            y=np.linspace(-4.0, 4.0, 201),
+            z=z,
+            xlabel="x",
+            ylabel="y",
+        )
+        svg, held, above = traced(heat.render)
+        assert "<image" in svg
+        assert held + above <= 1.5 * MB, (held, above)
 
 
 class TestSweepCsv:
@@ -625,6 +748,77 @@ class TestSvgPlot:
         assert "<image" in svg
 
 
+def regime_conditions(messages) -> set[str]:
+    """The regime conditions a list of RegimeWarning messages names.
+
+    ``derive_effective`` and the sweep word them differently; both name
+    the ratio or drive they test.
+    """
+    keys = {
+        "delta_p/g": "adiabatic elimination",
+        "delta_he/e_he": "upper-leg detuning",
+        "mega/kappa": "weak cavity drive",
+        "_eg/kappa": "weak microwave drive",
+    }
+    found = set()
+    for message in messages:
+        hits = [name for text, name in keys.items() if text in message]
+        assert len(hits) == 1, message
+        found |= set(hits)
+    return found
+
+
+def warned(fn) -> set[str]:
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fn()
+    return regime_conditions(
+        [str(w.message) for w in record if issubclass(w.category, RegimeWarning)]
+    )
+
+
+class TestRegimePolicy:
+    """The scalar and array paths warn on the same conditions."""
+
+    CASES = [
+        (reference_params(), None),
+        (reference_params(), 0.5),
+        (reference_params(), 2.0),
+        (reference_params(Direction.BACKWARD), 4.7),
+        (SystemParams(g=10.0, delta_p=101.0, e_he=30.0), None),
+        (SystemParams(g=10.0, delta_p=101.0, e_he=5.0), None),
+        (SystemParams(g=5.0, delta_p=100.0, delta_he=15.0, b_in=0.2, e_eg=0.2), 1.0),
+        (SystemParams(g=5.0, delta_p=100.0, delta_he=500.0, e_he=80.0), 1.0),
+        (SystemParams(g=0.0, e_he=5.0), 1.0),
+        (SystemParams(g=0.0, e_he=5.0), None),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_one_point_sweep_warns_like_derive_effective(self, case):
+        params, j = self.CASES[case]
+        # phi_eg enters no regime condition, so both grid points share the
+        # one point's conditions.
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("phi_eg", 0.0, 1e-3, 2),
+            overrides={} if j is None else {"J": j},
+            directions=(params.direction,),
+        )
+        scalar = warned(lambda: derive_effective(params, j=j))
+        array = warned(lambda: sweeps.run_sweep(spec, params))
+        assert array == scalar
+
+    def test_cases_reach_every_condition_both_ways(self):
+        seen = [warned(lambda: derive_effective(p, j=j)) for p, j in self.CASES]
+        for name in (
+            "adiabatic elimination",
+            "upper-leg detuning",
+            "weak cavity drive",
+            "weak microwave drive",
+        ):
+            assert any(name in s for s in seen), name
+            assert any(name not in s for s in seen), name
+
+
 class TestCliInProcess:
     def test_g2_prints_statistics(self, capsys):
         assert cli.main(["g2"]) == 0
@@ -728,6 +922,12 @@ class TestCliInProcess:
         assert cli.main(["optimize", "--e-eg", "0"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
 
+    def test_in_process_caller_sees_warnings(self, capsys):
+        format_before = warnings.formatwarning
+        with pytest.warns(RegimeWarning, match="adiabatic elimination"):
+            assert cli.main(["optimize"]) == 0
+        assert warnings.formatwarning is format_before
+
     def test_degenerate_detuning_is_numerical_failure(self, capsys):
         assert cli.main(["optimize", "--delta-e", "0"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
@@ -747,6 +947,13 @@ class TestCliSubprocess:
         proc = self.run("-h")
         assert proc.returncode == 0
         assert "usage: cavityblockade" in proc.stdout
+
+    def test_optimize_warning_is_one_location_free_line(self):
+        proc = self.run("optimize")
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal\n"
+        )
 
     def test_g2_entry_point(self):
         proc = self.run("g2")
