@@ -61,6 +61,17 @@ def effective_arrays(
     kappa1 (or kappa2) alone adjusts the opposite mirror to keep the total
     kappa fixed.
     """
+    consts, violated = _effective_arrays(params, overrides)
+    for message in violated:
+        warnings.warn(message, RegimeWarning, stacklevel=2)
+    return consts
+
+
+def _effective_arrays(
+    params: SystemParams, overrides: Mapping[str, object]
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """:func:`effective_arrays` without the warnings: the arrays and the
+    messages of the regime conditions some point violates."""
     unknown = set(overrides) - set(AXIS_NAMES)
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")
@@ -134,12 +145,11 @@ def effective_arrays(
         "delta_c": delta_c,
         "e": e_eg,
     }
-    _warn_regimes(g, delta_p, omega, e_eg, kappa, e_he_used, delta_he)
-    return out
+    return out, _regime_violations(g, delta_p, omega, e_eg, kappa, e_he_used, delta_he)
 
 
-def _warn_regimes(g, delta_p, omega, e_eg, kappa, e_he, delta_he) -> None:
-    """One aggregate RegimeWarning per violated condition, not per point.
+def _regime_violations(g, delta_p, omega, e_eg, kappa, e_he, delta_he) -> list[str]:
+    """One aggregate message per violated condition, not per point.
 
     The conditions are those ``params.derive_effective`` checks at one
     point; ``e_he`` is the upper-leg drive each point uses (0 where it has
@@ -162,9 +172,7 @@ def _warn_regimes(g, delta_p, omega, e_eg, kappa, e_he, delta_he) -> None:
             "grid points violate the weak microwave condition E_eg/kappa < 0.1",
         ),
     ]
-    for hit, message in checks:
-        if bool(hit):
-            warnings.warn(message, RegimeWarning, stacklevel=3)
+    return [message for hit, message in checks if bool(hit)]
 
 
 @dataclass(frozen=True)
@@ -277,15 +285,16 @@ def _axis_overrides(spec: SweepSpec) -> dict[str, np.ndarray]:
 
 def _solve_optimal_grid(
     params: SystemParams, spec: SweepSpec, grid: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Joint-optimal (J, theta) per grid point, solved over the reduced
     grid of parameters the optimum actually depends on (delta_c drops
     out of a joint solve).  The arrays keep the shape of that reduced
-    grid; they broadcast against the sweep grid."""
+    grid; they broadcast against the sweep grid.  The last item lists the
+    regime conditions the reduced grid violates."""
     from . import optimizer
 
     solver_grid = {k: v for k, v in grid.items() if k != "delta_c"}
-    consts = effective_arrays(params, solver_grid)
+    consts, violated = _effective_arrays(params, solver_grid)
     j, theta, dc_opt, ok = optimizer.solve_optimal_arrays(
         consts["e"],
         consts["omega"],
@@ -294,20 +303,23 @@ def _solve_optimal_grid(
         consts["kappa"],
         fix_delta_c=False,
     )
-    return j, theta, dc_opt, ok
+    return j, theta, dc_opt, ok, violated
 
 
 def _evaluate_direction(
     params: SystemParams, spec: SweepSpec, jobs: int | None
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[
+    dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[str]
+]:
     grid = dict(_axis_overrides(spec))
     for key, value in spec.overrides.items():
         grid[key] = np.asarray(float(value))
 
     dc_opt = None
     solver_ok = None
+    violated = []
     if spec.optimal_j_theta:
-        j_arr, theta_arr, dc_opt, solver_ok = _solve_optimal_grid(params, spec, grid)
+        j_arr, theta_arr, dc_opt, solver_ok, violated = _solve_optimal_grid(params, spec, grid)
         grid["J"] = j_arr
         grid["theta"] = theta_arr
         if "delta_c" not in grid:
@@ -315,7 +327,8 @@ def _evaluate_direction(
             # per-point optimal detuning itself.
             grid["delta_c"] = dc_opt
 
-    consts = effective_arrays(params, grid)
+    consts, grid_violated = _effective_arrays(params, grid)
+    violated += grid_violated
     full_shape = spec.shape
     # The blocks below cover every row, so every cell is written.
     stat_out = {name: np.empty(full_shape) for name in steady_state._STAT_NAMES}
@@ -357,7 +370,7 @@ def _evaluate_direction(
     theta_used = np.broadcast_to(consts["theta"], full_shape)
     if dc_opt is not None:
         dc_opt = np.broadcast_to(dc_opt, full_shape)
-    return stat_out, valid, np.array(j_used), np.array(theta_used), dc_opt
+    return stat_out, valid, np.array(j_used), np.array(theta_used), dc_opt, violated
 
 
 def run_sweep(
@@ -371,16 +384,23 @@ def run_sweep(
     an upper bound on worker threads: a grid of at most 2**16 points runs
     on the calling thread, a larger one on ``min(jobs, blocks)`` threads.
     Every point is computed independently, so the arrays are identical
-    whatever the blocking and the thread count.
+    whatever the blocking and the thread count.  Each regime condition
+    some point violates is warned once per sweep, whatever the directions
+    and the grids it is checked on.
     """
     stats: dict[Direction, dict[str, np.ndarray]] = {}
     valid: dict[Direction, np.ndarray] = {}
     j_used: dict[Direction, np.ndarray] = {}
     theta_used: dict[Direction, np.ndarray] = {}
     dc_opt: dict[Direction, np.ndarray | None] = {}
+    warned: set[str] = set()
     for direction in spec.directions:
         p = dataclasses.replace(base, direction=direction)
-        s, ok, j_arr, theta_arr, dc = _evaluate_direction(p, spec, jobs)
+        s, ok, j_arr, theta_arr, dc, violated = _evaluate_direction(p, spec, jobs)
+        for message in violated:
+            if message not in warned:
+                warned.add(message)
+                warnings.warn(message, RegimeWarning, stacklevel=2)
         stats[direction] = s
         valid[direction] = ok
         j_used[direction] = j_arr

@@ -84,6 +84,39 @@ def plain_evolve(initial, eff, e_eg, cfg):
     return np.array(states), "t_max", n_steps
 
 
+def plain_steady_rk4(effs, e_eg, cfg):
+    """Reference: each set advanced one window at a time by its own window
+    map, with the finite check, the steady test and the stop rule of
+    ``steady_rk4``."""
+    windows = [
+        np.linalg.matrix_power(
+            dynamics.rk4_propagator(
+                dynamics.generator_from_effective(e, e_eg, cfg.hold_c0g), cfg.dt
+            ),
+            cfg.window_steps,
+        )
+        for e in effs
+    ]
+    n_windows = math.ceil(cfg.t_max / (cfg.window_steps * cfg.dt) - 1e-12)
+    states = prev = [dynamics.vacuum_state().as_vector() for _ in effs]
+    steady = np.zeros(len(effs), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_windows):
+            states = [window @ state for window, state in zip(windows, states)]
+            bad = [k for k, state in enumerate(states) if not np.all(np.isfinite(state))]
+            if bad:
+                raise dynamics.NonFiniteState(
+                    f"non-finite amplitudes for parameter sets {bad}; reduce dt"
+                )
+            for k, state in enumerate(states):
+                ratio = np.abs(state - prev[k]) / (np.abs(state) + 1e-12)
+                steady[k] |= np.max(ratio) < cfg.ss_tol
+            prev = states
+            if steady.all():
+                break
+    return np.array(states), steady
+
+
 def blockade_point():
     base = P.reference_params()
     point = optimizer.solve_optimal(base)
@@ -241,6 +274,29 @@ class TestEvolve:
             want = abs(getattr(analytic, label))
             assert abs(got - want) < 1e-3 * want
 
+    @pytest.mark.parametrize("offset, rate", [(0.0, 0.0850), (1.0, 0.0166)])
+    def test_slowest_decay_is_the_approach_rate(self, offset, rate):
+        # At the blockade point and 1 kappa off it, the distance to the
+        # exact steady state shrinks at the reported rate.
+        base, point, working = blockade_point()
+        p = dataclasses.replace(working, delta_c=point.delta_c_opt + offset)
+        eff = P.derive_effective(p, j=point.J, theta=point.theta)
+        cfg = dynamics.IntegratorConfig(dt=1e-3, t_max=100.0, ss_tol=NEVER_STEADY)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, base.e_eg, cfg)
+        assert traj.slowest_decay == pytest.approx(rate, abs=5e-5)
+        assert traj[10:20].slowest_decay == traj.slowest_decay
+        a = dense_generator(eff, base.e_eg)
+        exact = np.linalg.solve(a[1:, 1:], -a[1:, 0])
+        distance = np.linalg.norm(traj.amplitudes[:, 1:] - exact, axis=1)
+        measured = math.log(distance[40_000] / distance[100_000]) / 60.0
+        assert measured == pytest.approx(traj.slowest_decay, rel=1e-5)
+
+    def test_slowest_decay_only_with_held_ground(self):
+        eff = make_eff(0.3, -0.5, 1.0, 0.27, -0.4, omega=0.008944)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=1.0, hold_c0g=False)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, 0.01, cfg)
+        assert traj.slowest_decay is None
+
     def test_halving_dt_leaves_final_state(self):
         eff = make_eff(0.85, -0.5, 1.0, 0.27, -0.4, omega=0.008944)
         finals = []
@@ -342,6 +398,50 @@ class TestEvolve:
         assert len(traj) == k + 1
         assert traj.times[-1] == pytest.approx(k * cfg.dt, abs=1e-12)
 
+    def test_stops_on_the_plain_iteration_step_after_blocker_changes(self):
+        # The amplitude with the largest test ratio at a window's end, the
+        # one evolve screens the next window with, is not the same in
+        # every window before the stop.
+        eff = make_eff(0.75, -0.06, 0.83, 0.53, 0.83, omega=0.02)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=1.0, ss_tol=1e-6)
+        want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
+        assert outcome == "steady"
+        w = cfg.window_steps
+        ratio = np.abs(want[w:] - want[:-w]) / (np.abs(want[w:]) + 1e-12)
+        worst = {int(np.argmax(ratio[end - w])) for end in range(w, k, w)}
+        assert len(worst) >= 3
+        # Some amplitude passes at a step before k where another fails, so
+        # no single amplitude's test decides the stop.
+        early = ratio[k - 2 * w : k - w]
+        split = np.any(early < cfg.ss_tol, axis=1) & np.any(early >= cfg.ss_tol, axis=1)
+        assert split.any()
+        assert np.max(ratio[k - 1 - w]) > cfg.ss_tol * (1 + 1e-6)
+        assert np.max(ratio[k - w]) < cfg.ss_tol * (1 - 1e-6)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
+        assert traj.steady
+        assert len(traj) == k + 1
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(traj.amplitudes - want)) <= 1e-13 * scale
+
+    def test_finite_window_whose_sum_overflows(self):
+        # Amplitudes near 1e307 are finite, but the float sum over a window
+        # of them is not; the window is redone step by step, not reported.
+        eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.05)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=1.0, ss_tol=1e-6)
+        initial = dynamics.AmplitudeState(
+            c0g=1e307 + 1e307j, c1g=5e306, c0e=5e306j, c2g=1e306, c1e=-2e306
+        )
+        want, outcome, k = plain_evolve(initial, eff, 0.03, cfg)
+        assert outcome == "steady"
+        assert np.all(np.isfinite(want.view(float)))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(want[1 : cfg.window_steps + 1].view(float).sum())
+        traj = dynamics.evolve(initial, eff, 0.03, cfg)
+        assert traj.steady
+        assert len(traj) == k + 1
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(traj.amplitudes - want)) <= 1e-13 * scale
+
     @pytest.mark.parametrize("dt", [0.1, 0.3])
     def test_unstable_step_raises_on_the_plain_iteration_step(self, dt):
         # A 200-unit window holds more steps than it takes to overflow, so
@@ -376,6 +476,54 @@ class TestEvolve:
         for k, eff in enumerate(effs):
             traj = dynamics.evolve(dynamics.vacuum_state(), eff, p.e_eg, cfg)
             assert np.allclose(states[k], traj.final.as_vector(), rtol=1e-9, atol=1e-14)
+
+    def test_steady_rk4_matches_window_iteration(self):
+        # The benchmark's time-domain batch: the blockade point, which never
+        # passes the test, and 31 seeded points, some of which do.
+        base, point, working = blockade_point()
+        effs = [P.derive_effective(working, j=point.J, theta=point.theta)]
+        rng = np.random.default_rng(1)
+        for _ in range(31):
+            k1 = rng.uniform(0.1, 0.6)
+            p = dataclasses.replace(
+                base,
+                kappa1=k1,
+                kappa2=2.0 - k1,
+                delta_c=rng.uniform(-2.0, 3.0),
+                delta_e=rng.uniform(-1.0, -0.2),
+            )
+            j, theta = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
+            effs.append(P.derive_effective(p, j=j, theta=theta))
+        cfg = dynamics.IntegratorConfig()
+        want, want_steady = plain_steady_rk4(effs, base.e_eg, cfg)
+        assert 0 < want_steady.sum() < len(effs) and not want_steady[0]
+        states, steady = dynamics.steady_rk4(effs, base.e_eg, cfg)
+        assert steady.tolist() == want_steady.tolist()
+        assert np.max(np.abs(states - want)) <= 1e-13 * float(np.max(np.abs(want)))
+
+    def test_steady_rk4_reports_the_nonfinite_sets(self):
+        # Set 1 grows by about 1.12 a step, so some windows hold finite
+        # amplitudes whose float sum overflows before any is infinite.
+        effs = [
+            make_eff(dc, -0.5, 1.0, 0.3, 0.0, omega=0.01) for dc in (0.3, 50.0, 0.5)
+        ]
+        cfg = dynamics.IntegratorConfig(dt=0.0295, t_max=300.0, ss_window=0.0295)
+        assert cfg.window_steps == 1
+        a = dynamics.generator_from_effective(effs[1], 0.01)
+        step = dynamics.rk4_propagator(a, cfg.dt)
+        state = dynamics.vacuum_state().as_vector()
+        overflowed = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.all(np.isfinite(state)):
+                overflowed |= not np.isfinite(state.view(float).sum())
+                state = step @ state
+        assert overflowed
+        with pytest.raises(dynamics.NonFiniteState) as want:
+            plain_steady_rk4(effs, 0.01, cfg)
+        assert "parameter sets [1];" in str(want.value)
+        with pytest.raises(dynamics.NonFiniteState) as got:
+            dynamics.steady_rk4(effs, 0.01, cfg)
+        assert str(got.value) == str(want.value)
 
     def test_steady_rk4_single_parameter_set(self):
         p = P.reference_params()

@@ -955,6 +955,27 @@ class TestCliSubprocess:
             "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal\n"
         )
 
+    @pytest.mark.parametrize(
+        "directions, conditions",
+        [
+            ([], ["|delta_p/g|", "|delta_he/e_he|"]),
+            (["--directions", "forward"], ["|delta_p/g|"]),
+        ],
+    )
+    def test_optimal_sweep_warns_each_condition_once(
+        self, tmp_path, directions, conditions
+    ):
+        # The solver grid and the evaluation grid, in each direction, break
+        # the same |delta_p/g| condition; it is printed once.
+        proc = self.run(
+            "sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", *directions,
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"RegimeWarning: grid points violate {c} > 10\n" for c in conditions
+        )
+
     def test_g2_entry_point(self):
         proc = self.run("g2")
         assert proc.returncode == 0
