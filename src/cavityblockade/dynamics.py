@@ -8,13 +8,19 @@ single- and two-photon denominators) closes on five basis amplitudes
 
 and the equations of motion are linear with constant coefficients, so a
 classical fixed-step fourth-order Runge-Kutta step is the exact quartic
-Taylor polynomial of the true propagator.  The integrator exploits that:
-it builds the 5x5 step map S once and precomputes S, S^2, ..., S^w for one
-steady-test window of w steps, stored by column.  A window is then five
-scaled column adds from its starting state, one summed finite check, and
-a steady test that looks first at the amplitude that blocked the previous
-window.  The result agrees with the step-by-step
-RK4 iteration to rounding, not bit for bit, and stops at the same step.
+Taylor polynomial of the true propagator.  The integrators exploit that:
+they build the 5x5 step map S once and precompute its powers for one
+steady-test window of w steps.  :func:`evolve` advances a chunk of 16
+windows per matrix product: the windows' starts x, S^w x, S^2w x, ... come
+from one product, and every state of the chunk is the stacked starts
+times S, ..., S^w laid end to end.  :func:`steady_rk4` finds 16 window
+ends of every parameter set per batched product of the window map's
+powers.  Each chunk gets one summed finite check, and evolve's steady
+test first screens the chunk with the amplitude of the largest test ratio
+at its last step.  The powers are built as increments S^j - I, so their
+rounding does not accumulate from window to window.
+The results agree with the step-by-step RK4 iteration to rounding, not bit
+for bit, and stop, or fail, at the same step.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ BASIS_LABELS = ("c0g", "c1g", "c0e", "c2g", "c1e")
 
 _NORM_EPS = 1e-12
 
+#: Steady-test windows advanced per matrix product: :func:`evolve` fills a
+#: chunk of this many windows' states at once, :func:`steady_rk4` finds this
+#: many window ends at once.
+_CHUNK_WINDOWS = 16
+
 
 class NonFiniteState(ArithmeticError):
     """An amplitude became NaN or infinite during integration."""
@@ -56,8 +67,10 @@ class IntegratorConfig:
     amplitudes, and a default run there ends unsteady at ``t_max`` although
     the large amplitudes settled long before; :attr:`Trajectory.slowest_decay`
     says how fast they did.  The test is decided at exactly the step the
-    step-by-step iteration decides it: :func:`evolve` screens a window with
-    one amplitude's test only to skip windows in which no step can pass.
+    step-by-step iteration decides it: :func:`evolve` screens a chunk of
+    windows with one amplitude's test only to skip the steps at which none
+    can pass, and :func:`steady_rk4` stops after the first window at which
+    every set has passed, even when that window is inside its chunk.
     With ``hold_c0g`` the ground amplitude is frozen at its initial value,
     which is the bookkeeping behind the perturbative steady state.
     """
@@ -169,6 +182,38 @@ def step_powers(step: np.ndarray, n: int) -> np.ndarray:
     return powers
 
 
+def _power_increments(inc1: np.ndarray, n: int) -> np.ndarray:
+    """Given E_1 = M - I for each map M of a stack of shape (..., d, d),
+    E_j = M^j - I for j = 1, ..., n, as shape (..., n, d, d).
+
+    The doubling runs on the increments, E_(a+b) = E_a + E_b + E_a E_b, so
+    each entry's rounding error is relative to the increment, not to 1.  For
+    a map near the identity (an RK4 step, or a window of a slow mode) the
+    powers themselves lose the increment's low digits at every doubling,
+    the same digits every window, and a run advanced by them drifts from the
+    step-by-step iteration by about one rounding per step.  The products
+    E_1..E_k times E_b are one (k d, d) @ (d, d) product per map.
+    """
+    d = inc1.shape[-1]
+    lead = inc1.shape[:-2]
+    inc = np.empty(lead + (n, d, d), dtype=inc1.dtype)
+    inc[..., 0, :, :] = inc1
+    filled = 1
+    while filled < n:
+        take = min(filled, n - filled)
+        last = inc[..., filled - 1 : filled, :, :].reshape(lead + (d, d))
+        out = inc[..., filled : filled + take, :, :]
+        np.matmul(
+            inc[..., :take, :, :].reshape(lead + (take * d, d)),
+            last,
+            out=out.reshape(lead + (take * d, d)),
+        )
+        out += inc[..., :take, :, :]
+        out += last[..., None, :, :]
+        filled += take
+    return inc
+
+
 class Trajectory(Sequence[AmplitudeState]):
     """Recorded evolution: times, stacked amplitudes and the steady flag.
 
@@ -229,6 +274,28 @@ class Trajectory(Sequence[AmplitudeState]):
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _first_steady(cur: np.ndarray, prev: np.ndarray, ss_tol: float) -> int | None:
+    """The first row of ``cur`` that passes the steady test against the row
+    of ``prev`` a window earlier, or None if none does.
+
+    The test takes the largest ratio over all amplitudes, so no row passes
+    where one amplitude fails.  The rows are screened with the amplitude of
+    the largest ratio in the last row, and the five-amplitude test runs only
+    from the first row where that amplitude passes.
+    """
+    last = np.abs(cur[-1] - prev[-1]) / (np.abs(cur[-1]) + _NORM_EPS)
+    k = int(np.argmax(last))
+    c = cur[:, k]
+    passed = np.abs(c - prev[:, k]) / (np.abs(c) + _NORM_EPS) < ss_tol
+    if not passed.any():
+        return None
+    first = int(np.argmax(passed))
+    cur, prev = cur[first:], prev[first:]
+    ratio = np.abs(cur - prev) / (np.abs(cur) + _NORM_EPS)
+    passed = np.max(ratio, axis=1) < ss_tol
+    return first + int(np.argmax(passed)) if passed.any() else None
+
+
 def evolve(
     initial: AmplitudeState,
     eff: EffectiveParams,
@@ -237,10 +304,12 @@ def evolve(
 ) -> Trajectory:
     """Integrate from ``initial`` until steady or t_max, recording every step.
 
-    Each steady-test window of steps is formed from the window's starting
-    state and the precomputed step powers; the finite check and the steady
-    test then run over the window's states, and the first step that fails
-    the one or passes the other ends the run.
+    The run advances a chunk of up to ``_CHUNK_WINDOWS`` steady-test windows
+    at a time.  The windows' starting states x, S^w x, S^2w x, ... come from
+    one batched product; every state of the chunk is then one matrix product
+    of the stacked starts with the step powers S, ..., S^w laid end to end.
+    The finite check and the steady test run over the chunk's states, and
+    the first step that fails the one or passes the other ends the run.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     a = generator_from_effective(eff, e_eg, cfg.hold_c0g)
@@ -250,68 +319,84 @@ def evolve(
         slowest = -float(np.max(np.linalg.eigvals(a[1:, 1:]).real))
 
     n_steps = math.ceil(cfg.t_max / cfg.dt - 1e-12)
-    wsteps = cfg.window_steps
     states = np.empty((n_steps + 1, 5), dtype=complex)
     states[0] = initial.as_vector()
-    t0 = initial.t
-
-    steady = False
-    last = n_steps
-    # The amplitude whose own test is tried first: the one that failed
-    # last.  Where it fails at every step of a window no step can pass,
-    # since the test takes the largest ratio over all amplitudes.
-    blocker = 0
-    # Divergence is detected explicitly below; keep numpy quiet about the
+    # Divergence is detected explicitly; keep numpy quiet about the
     # overflow that precedes the raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # columns[j, i] is column j of S^(i+1), so a window is five scaled
-        # column adds over contiguous rows: about a third of the time of
-        # one batched (w, 5, 5) @ (5,) product.
-        columns = np.moveaxis(step_powers(step, min(wsteps, n_steps)), 2, 0).copy()
-        width = columns.shape[1]
-        # Reused by every add; a fresh temporary each time is measurably slower.
-        scaled = np.empty((width, 5), dtype=complex)
-        for start in range(0, n_steps, width):
-            stop = min(start + width, n_steps)
-            n = stop - start
-            block = states[start + 1 : stop + 1]
-            x = states[start]
-            np.multiply(columns[0, :n], x[0], out=block)
-            for j in range(1, 5):
-                np.add(block, np.multiply(columns[j, :n], x[j], out=scaled[:n]), out=block)
-            end = stop  # the last finite step of the window
-            if not np.isfinite(block.view(float).sum()):
-                # A power can overflow a step or more before the state it
-                # maps to, and the sum of a finite window can overflow;
-                # redo the window step by step so a failure is reported
-                # at the step the plain iteration fails.
-                for k in range(start + 1, stop + 1):
-                    states[k] = step @ states[k - 1]
-                finite = np.all(np.isfinite(block.view(float)), axis=1)
-                if not finite.all():
-                    end = start + int(np.argmin(finite))
-            lo = max(start + 1, wsteps)
-            if lo <= end:
-                cur = states[lo : end + 1]
-                prev = states[lo - wsteps : end + 1 - wsteps]
-                c = cur[:, blocker]
-                passed = np.abs(c - prev[:, blocker]) / (np.abs(c) + _NORM_EPS) < cfg.ss_tol
-                if passed.any():
-                    first = int(np.argmax(passed))
-                    cur, prev = cur[first:], prev[first:]
-                    ratio = np.abs(cur - prev) / (np.abs(cur) + _NORM_EPS)
-                    passed = np.max(ratio, axis=1) < cfg.ss_tol
-                    if passed.any():
-                        steady = True
-                        last = lo + first + int(np.argmax(passed))
-                        break
-                    blocker = int(np.argmax(ratio[-1]))
-            if end < stop:
-                raise NonFiniteState(
-                    f"non-finite amplitude at t = {t0 + (end + 1) * cfg.dt:.6g}; reduce dt"
-                )
-    times = t0 + cfg.dt * np.arange(last + 1)
-    return Trajectory(times, states[: last + 1], steady, slowest)
+        stop = _fill_states(states, step, cfg, initial.t)
+    last = n_steps if stop is None else stop
+    times = initial.t + cfg.dt * np.arange(last + 1)
+    return Trajectory(times, states[: last + 1], stop is not None, slowest)
+
+
+def _fill_states(
+    states: np.ndarray, step: np.ndarray, cfg: IntegratorConfig, t0: float
+) -> int | None:
+    """Fill ``states`` row by row from its first under the RK4 step map;
+    return the step of a steady stop, or None if the run fills every row.
+
+    Its working arrays (the step powers, the steady test's temporaries) are
+    freed when it returns, before :func:`evolve` allocates the times.
+    """
+    n_steps = len(states) - 1
+    wsteps = cfg.window_steps
+    width = min(wsteps, n_steps)
+    starts = np.empty((_CHUNK_WINDOWS, 5), dtype=complex)
+    powers = _power_increments(step - np.eye(5), width)
+    # The windows' starts x, W x, W^2 x, ... (W = S^w) come from W^i - I,
+    # exact to rounding of the increments; the states inside a window from
+    # the powers themselves.
+    grow = _power_increments(powers[-1], _CHUNK_WINDOWS - 1)
+    powers.reshape(width, 25)[:, ::6] += 1.0
+    # fill[c, 5j + r] is S^(j+1)[r, c] (a view, no copy), so x @ fill holds
+    # the window's states from x laid end to end, row by row.
+    fill = powers.reshape(-1, 5).T
+    for start in range(0, n_steps, _CHUNK_WINDOWS * width):
+        stop = min(start + _CHUNK_WINDOWS * width, n_steps)
+        whole, rest = divmod(stop - start, width)
+        x = starts[: whole + (rest > 0)]
+        x[0] = states[start]
+        np.matmul(grow[: len(x) - 1], x[0], out=x[1:])
+        x[1:] += x[0]
+        if whole:
+            rows = states[start + 1 : start + 1 + whole * width]
+            np.matmul(x[:whole], fill, out=rows.reshape(whole, -1))
+        if rest:
+            rows = states[stop + 1 - rest : stop + 1]
+            np.matmul(x[whole], fill[:, : 5 * rest], out=rows.reshape(-1))
+        # A window's stored boundary row is the state it started from.
+        states[start + width : stop : width] = x[1:]
+        block = states[start + 1 : stop + 1]
+        end = stop  # the last finite step of the chunk
+        if not np.isfinite(block.view(float).sum()):
+            # A power can overflow a step or more before the state it maps
+            # to, and the sum of a finite chunk can overflow; redo the chunk
+            # step by step so a failure is reported at the step the plain
+            # iteration fails.
+            for k in range(start + 1, stop + 1):
+                states[k] = step @ states[k - 1]
+            finite = np.all(np.isfinite(block.view(float)), axis=1)
+            if not finite.all():
+                end = start + int(np.argmin(finite))
+        lo = max(start + 1, wsteps)
+        if lo <= end:
+            first = _first_steady(
+                states[lo : end + 1], states[lo - wsteps : end + 1 - wsteps], cfg.ss_tol
+            )
+            if first is not None:
+                return lo + first
+        if end < stop:
+            raise NonFiniteState(
+                f"non-finite amplitude at t = {t0 + (end + 1) * cfg.dt:.6g}; reduce dt"
+            )
+    return None
+
+
+def _window_steady(states: np.ndarray, prev: np.ndarray, ss_tol: float) -> np.ndarray:
+    """The steady test of each set (last axis: the amplitudes)."""
+    ratio = np.abs(states - prev) / (np.abs(states) + _NORM_EPS)
+    return np.max(ratio, axis=-1) < ss_tol
 
 
 def steady_rk4(
@@ -324,7 +409,13 @@ def steady_rk4(
     Returns ``(states, steady)`` with states of shape (K, 5) and a boolean
     steady flag per parameter set.  The steady criterion is checked window
     by window, so the answer matches :func:`evolve` at window resolution
-    without storing trajectories; K parameter sets advance together.
+    without storing trajectories; K parameter sets advance together.  With
+    W^i - I precomputed for each set's window map W and i up to
+    ``_CHUNK_WINDOWS``, the ends of that many windows come from one batched
+    product, and the run stops at the first window after which every set
+    has been steady.  A chunk whose sum is not finite is redone window by
+    window, so :class:`NonFiniteState` names the sets that fail first, at
+    the window they fail.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     single = isinstance(effs, EffectiveParams)
@@ -348,28 +439,48 @@ def steady_rk4(
     window = np.linalg.matrix_power(step, wsteps)
 
     n_windows = math.ceil(cfg.t_max / (wsteps * cfg.dt) - 1e-12)
-    states = np.zeros((len(eff_list), 5), dtype=complex)
+    sets = len(eff_list)
+    states = np.zeros((sets, 5), dtype=complex)
     states[:, 0] = 1.0
-    steady = np.zeros(len(eff_list), dtype=bool)
+    steady = np.zeros(sets, dtype=bool)
+    done = 0
     # As in evolve, divergence is detected explicitly.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_windows):
-            prev = states
-            states = np.matmul(window, prev[:, :, None])[:, :, 0]
-            # One reduction screens the window; the sum of finite amplitudes
-            # can overflow, so only the per-set check decides.
-            if not np.isfinite(states.view(float).sum()):
+        # inc[k, 5i + r, :] is row r of W_k^(i+1) - I for set k, so one
+        # product with the starts gives every set's next window ends.
+        inc = _power_increments(window - np.eye(5), min(_CHUNK_WINDOWS, n_windows))
+        inc = inc.reshape(sets, -1, 5)
+        while done < n_windows and not steady.all():
+            count = min(_CHUNK_WINDOWS, n_windows - done)
+            done += count
+            ends = np.matmul(inc[:, : 5 * count], states[:, :, None]).reshape(sets, count, 5)
+            ends += states[:, None]
+            if np.isfinite(ends.view(float).sum()):
+                prev = np.concatenate((states[:, None], ends[:, :-1]), axis=1)
+                so_far = steady[:, None] | np.logical_or.accumulate(
+                    _window_steady(ends, prev, cfg.ss_tol), axis=1
+                )
+                # Stop after the first window at which every set has been
+                # steady, else after the chunk's last.
+                settled = np.all(so_far, axis=0)
+                i = int(np.argmax(settled)) if settled.any() else count - 1
+                states, steady = ends[:, i], so_far[:, i]
+                continue
+            # The sum of finite amplitudes can overflow, and a power can
+            # overflow before the state it maps to: redo the chunk window by
+            # window so the per-set check decides, at the window it fails.
+            for _ in range(count):
+                prev = states
+                states = np.matmul(window, prev[:, :, None])[:, :, 0]
                 bad = ~np.all(np.isfinite(states.view(float)), axis=1)
                 if bad.any():
                     bad_sets = np.nonzero(bad)[0].tolist()
                     raise NonFiniteState(
                         f"non-finite amplitudes for parameter sets {bad_sets}; reduce dt"
                     )
-            delta = np.abs(states - prev)
-            scale = np.abs(states) + _NORM_EPS
-            steady |= np.max(delta / scale, axis=1) < cfg.ss_tol
-            if bool(np.all(steady)):
-                break
+                steady |= _window_steady(states, prev, cfg.ss_tol)
+                if steady.all():
+                    break
     return states, steady
 
 

@@ -50,6 +50,12 @@ _CHUNK_POINTS = 1 << 12
 #: a smaller one (every figure preset) runs on the calling thread.
 _POOL_POINTS = 1 << 16
 
+#: Points per block when worker threads share a grid.  Each block makes
+#: the same few dozen numpy calls whatever its size, and threads hand the
+#: GIL back and forth between calls, so smaller blocks make threads slower
+#: than one.
+_POOL_CHUNK_POINTS = 1 << 14
+
 
 def effective_arrays(
     params: SystemParams, overrides: Mapping[str, object]
@@ -351,9 +357,10 @@ def _evaluate_direction(
 
     n_rows = spec.axis1.count
     points = math.prod(full_shape)
-    per = max(1, _CHUNK_POINTS // (points // n_rows))
+    pooled = points > _POOL_POINTS and (jobs or 1) > 1
+    per = max(1, (_POOL_CHUNK_POINTS if pooled else _CHUNK_POINTS) // (points // n_rows))
     chunks = [slice(i, min(i + per, n_rows)) for i in range(0, n_rows, per)]
-    workers = min(jobs or 1, len(chunks)) if points > _POOL_POINTS else 1
+    workers = min(jobs, len(chunks)) if pooled else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -382,7 +389,8 @@ def run_sweep(
     written straight into the result arrays, so the memory a sweep needs
     beyond its result is bounded by the block, not the grid.  ``jobs`` is
     an upper bound on worker threads: a grid of at most 2**16 points runs
-    on the calling thread, a larger one on ``min(jobs, blocks)`` threads.
+    on the calling thread, a larger one with ``jobs > 1`` on
+    ``min(jobs, blocks)`` threads in blocks of about 2**14 points.
     Every point is computed independently, so the arrays are identical
     whatever the blocking and the thread count.  Each regime condition
     some point violates is warned once per sweep, whatever the directions

@@ -87,7 +87,10 @@ def plain_evolve(initial, eff, e_eg, cfg):
 def plain_steady_rk4(effs, e_eg, cfg):
     """Reference: each set advanced one window at a time by its own window
     map, with the finite check, the steady test and the stop rule of
-    ``steady_rk4``."""
+    ``steady_rk4``.
+
+    Returns (states, steady, windows), windows the number of windows run.
+    """
     windows = [
         np.linalg.matrix_power(
             dynamics.rk4_propagator(
@@ -100,8 +103,9 @@ def plain_steady_rk4(effs, e_eg, cfg):
     n_windows = math.ceil(cfg.t_max / (cfg.window_steps * cfg.dt) - 1e-12)
     states = prev = [dynamics.vacuum_state().as_vector() for _ in effs]
     steady = np.zeros(len(effs), dtype=bool)
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_windows):
+        for done in range(1, n_windows + 1):
             states = [window @ state for window, state in zip(windows, states)]
             bad = [k for k, state in enumerate(states) if not np.all(np.isfinite(state))]
             if bad:
@@ -114,7 +118,7 @@ def plain_steady_rk4(effs, e_eg, cfg):
             prev = states
             if steady.all():
                 break
-    return np.array(states), steady
+    return np.array(states), steady, done
 
 
 def blockade_point():
@@ -463,6 +467,18 @@ class TestEvolve:
                 want = np.linalg.matrix_power(step, j + 1)
                 assert np.allclose(powers[j], want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_power_increments(self, lead):
+        rng = np.random.default_rng(3)
+        shape = lead + (5, 5)
+        m = np.eye(5) + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for n in (1, 2, 7, 16):
+            inc = dynamics._power_increments(m - np.eye(5), n)
+            assert inc.shape == lead + (n, 5, 5)
+            for j in range(n):
+                want = np.linalg.matrix_power(m, j + 1) - np.eye(5)
+                assert np.allclose(inc[..., j, :, :], want, rtol=1e-12, atol=1e-13)
+
     def test_steady_rk4_matches_evolve(self):
         p = P.reference_params()
         effs = [
@@ -495,7 +511,7 @@ class TestEvolve:
             j, theta = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
             effs.append(P.derive_effective(p, j=j, theta=theta))
         cfg = dynamics.IntegratorConfig()
-        want, want_steady = plain_steady_rk4(effs, base.e_eg, cfg)
+        want, want_steady, _ = plain_steady_rk4(effs, base.e_eg, cfg)
         assert 0 < want_steady.sum() < len(effs) and not want_steady[0]
         states, steady = dynamics.steady_rk4(effs, base.e_eg, cfg)
         assert steady.tolist() == want_steady.tolist()
@@ -537,6 +553,230 @@ class TestEvolve:
         states, steady = dynamics.steady_rk4([], 0.01)
         assert states.shape == (0, 5)
         assert steady.shape == (0,)
+
+
+def steady_ratios(states, w):
+    """The steady test's ratio at every step from w on: entry j - w is step j's."""
+    return np.abs(states[w:] - states[:-w]) / (np.abs(states[w:]) + 1e-12)
+
+
+def assert_same_run(initial, eff, e_eg, cfg):
+    """evolve ends as the plain iteration does: the same outcome on the same
+    step, every state within 1e-13 of the largest amplitude."""
+    want, outcome, k = plain_evolve(initial, eff, e_eg, cfg)
+    if outcome == "nonfinite":
+        t = initial.t + k * cfg.dt
+        with pytest.raises(dynamics.NonFiniteState, match=f"t = {t:.6g};"):
+            dynamics.evolve(initial, eff, e_eg, cfg)
+        return outcome, k
+    traj = dynamics.evolve(initial, eff, e_eg, cfg)
+    assert traj.steady == (outcome == "steady")
+    assert traj.amplitudes.shape == want.shape == (k + 1, 5)
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(traj.amplitudes - want)) <= 1e-13 * scale
+    return outcome, k
+
+
+class TestChunks:
+    """evolve fills ``_CHUNK_WINDOWS`` steady-test windows per matrix product
+    and steady_rk4 finds that many window ends per batched product; neither
+    may move a stop, an outcome or an error from the plain iteration's."""
+
+    C = dynamics._CHUNK_WINDOWS
+    # From step w on, the largest test ratio of this run falls at every step
+    # by a factor below 1 - 4e-4, so a tolerance between two consecutive
+    # ratios stops the run on a chosen step with a margin rounding cannot
+    # cross.
+    FALLING = make_eff(0.1, -0.32, 0.56, 0.59, 2.53, omega=0.05)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [
+            1,  # the first step after a chunk boundary
+            12,  # inside the chunk's first window
+            25,  # the end of the first window: the second window's start row
+            75,  # another window's start row inside the chunk
+            186,  # inside the chunk, off every window boundary
+            400,  # the chunk's last step: the next chunk's start row
+        ],
+    )
+    def test_steady_stop_placed_in_a_chunk(self, offset):
+        cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=60.0, ss_window=0.5, ss_tol=NEVER_STEADY)
+        w = cfg.window_steps
+        assert (w, self.C * w) == (25, 400)
+        want, _, _ = plain_evolve(dynamics.vacuum_state(), self.FALLING, 0.03, cfg)
+        worst = np.max(steady_ratios(want, w), axis=1)
+        assert np.all(worst[1:] < worst[:-1] * (1 - 4e-4))
+        k = 3 * self.C * w + offset
+        tol = math.sqrt(worst[k - 1 - w] * worst[k - w])
+        cfg = dataclasses.replace(cfg, ss_tol=tol)
+        assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", k)
+
+    def test_screen_amplitude_changes_across_chunks(self):
+        # The amplitude evolve screens a chunk with, the one with the largest
+        # test ratio at the chunk's last step, takes three values before the
+        # stop, and before it some step passes one amplitude's test but not
+        # another's.
+        eff = make_eff(0.75, -0.06, 0.83, 0.53, 0.83, omega=0.02)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=0.25, ss_tol=1e-6)
+        want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
+        w = cfg.window_steps
+        span = self.C * w
+        ratio = steady_ratios(want, w)
+        worst = [int(np.argmax(ratio[end - w])) for end in range(span, k, span)]
+        assert outcome == "steady" and len(worst) >= 10
+        assert len(set(worst)) >= 3
+        early = ratio[k - 1 - span : k - 1 - w]
+        assert np.any(np.any(early < cfg.ss_tol, axis=1) & np.any(early >= cfg.ss_tol, axis=1))
+        assert np.max(ratio[k - 1 - w]) > cfg.ss_tol * (1 + 1e-6)
+        assert np.max(ratio[k - w]) < cfg.ss_tol * (1 - 1e-6)
+        assert assert_same_run(dynamics.vacuum_state(), eff, 0.03, cfg) == ("steady", k)
+
+    @pytest.mark.parametrize(
+        "ss_window, t_max, hold",
+        [
+            # Four whole chunks of 480 steps, then four windows and a
+            # 10-step partial one.
+            (0.3, 20.5, True),
+            (0.3, 20.5, False),
+            # Runs inside the first chunk of 1600 steps: one window, nine
+            # and a partial one, fifteen.
+            (1.0, 1.0, True),
+            (1.0, 9.5, True),
+            (1.0, 15.0, False),
+        ],
+    )
+    def test_chunk_layouts_match_plain_iteration(self, ss_window, t_max, hold):
+        cfg = dynamics.IntegratorConfig(
+            dt=1e-2, t_max=t_max, ss_window=ss_window, ss_tol=NEVER_STEADY, hold_c0g=hold
+        )
+        rng = np.random.default_rng(12)
+        eff = make_eff(0.85, -0.5, 1.0, 0.27, -0.4, omega=0.05)
+        n_steps = round(t_max / cfg.dt)
+        assert assert_same_run(random_state(rng), eff, 0.03, cfg) == ("t_max", n_steps)
+
+    @pytest.mark.parametrize("dt", [0.0575, 0.059])
+    def test_nonfinite_step_inside_a_later_chunk(self, dt):
+        eff = make_eff(50.0, -0.5, 1.0, 0.3, 0.0, omega=0.01)
+        cfg = dynamics.IntegratorConfig(dt=dt, t_max=2000.0, ss_window=10 * dt)
+        _, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 1e-9, cfg)
+        span = self.C * cfg.window_steps
+        chunk, offset = divmod(k - 1, span)
+        assert outcome == "nonfinite" and chunk >= 1
+        assert 0 < offset < span - 1 and offset % cfg.window_steps != 0
+        assert assert_same_run(dynamics.vacuum_state(), eff, 1e-9, cfg) == ("nonfinite", k)
+
+    def test_steady_stop_wins_over_a_later_overflow_in_the_chunk(self):
+        # Only c1g is non-zero, and with J = omega = 0 and delta_c = G it
+        # decays at the real rate kappa/2; dt puts that just past RK4's real
+        # stability bound (z = -2.7853), so the step multiplies c1g by
+        # 1 + 6.6e-7.  Started just below the largest float, the run passes
+        # the steady test at step 2 and would overflow at step 8, both in
+        # the first chunk of 32 steps.
+        eff = make_eff(0.5, 0.0, 0.5, 0.0, 0.0, omega=0.0)
+        initial = dynamics.AmplitudeState(
+            c0g=0.0, c1g=np.finfo(float).max * (1 - 5e-6), c0e=0.0, c2g=0.0, c1e=0.0
+        )
+        dt = 5.570588
+        cfg = dynamics.IntegratorConfig(dt=dt, t_max=40 * dt, ss_window=2 * dt, ss_tol=NEVER_STEADY)
+        assert self.C * cfg.window_steps == 32
+        assert assert_same_run(initial, eff, 0.0, cfg) == ("nonfinite", 8)
+        cfg = dataclasses.replace(cfg, ss_tol=1e-5)
+        assert assert_same_run(initial, eff, 0.0, cfg) == ("steady", 2)
+
+    def test_finite_chunk_whose_sum_overflows(self):
+        # Decaying amplitudes near 1e306: every one is finite, but the float
+        # sum over the first chunk is not; that chunk is redone step by step
+        # and reported as nothing, and later chunks take the product again.
+        rng = np.random.default_rng(14)
+        eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.0)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=30.0, ss_window=0.25, ss_tol=NEVER_STEADY)
+        vec = 1e306 * (1.0 + rng.uniform(size=5) + 1j * rng.uniform(size=5))
+        vec[0] = 0.0
+        initial = dynamics.AmplitudeState.from_vector(vec)
+        want, outcome, k = plain_evolve(initial, eff, 0.0, cfg)
+        span = self.C * cfg.window_steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = [
+                not np.isfinite(want[s + 1 : s + span + 1].view(float).sum())
+                for s in range(0, k, span)
+            ]
+        assert np.all(np.isfinite(want.view(float)))
+        assert overflows[0] and not all(overflows)
+        assert assert_same_run(initial, eff, 0.0, cfg) == ("t_max", k)
+
+    def test_seeded_configurations_match_plain_iteration(self):
+        # Stable runs that stop steady or reach t_max, and runs whose dt
+        # lies far outside RK4's stability region at a large detuning, so
+        # they overflow; from vacuum and from random states, with the
+        # ground amplitude held and free, windows of 2 to 40 steps.
+        rng = np.random.default_rng(15)
+        outcomes = []
+        for trial in range(50):
+            unstable = trial % 5 == 4
+            eff = make_eff(
+                rng.uniform(30.0, 60.0) if unstable else rng.uniform(-1.0, 1.0),
+                rng.uniform(-1.0, 0.5),
+                rng.uniform(0.2, 1.5),
+                rng.uniform(0.0, 1.2),
+                rng.uniform(-math.pi, math.pi),
+                omega=rng.uniform(0.005, 0.1),
+            )
+            dt = rng.uniform(0.05, 0.1) if unstable else rng.uniform(5e-3, 5e-2)
+            w = int(rng.integers(2, 41))
+            n_steps = int(rng.integers(w, 2500))
+            cfg = dynamics.IntegratorConfig(
+                dt=dt,
+                t_max=n_steps * dt,
+                ss_window=w * dt,
+                ss_tol=10.0 ** rng.uniform(-5.0, -1.0),
+                hold_c0g=bool(rng.integers(2)),
+            )
+            initial = random_state(rng) if rng.integers(2) else dynamics.vacuum_state()
+            outcomes.append(assert_same_run(initial, eff, 0.03, cfg)[0])
+        assert min(outcomes.count(name) for name in ("steady", "t_max", "nonfinite")) >= 5
+
+    @pytest.mark.parametrize("tol, window", [(1e-5, 142), (3e-7, 193)])
+    def test_steady_rk4_stops_inside_a_chunk(self, tol, window):
+        # Every set is steady first after window 142 (the 14th of its
+        # chunk of 16) or after window 193 (the first of its chunk).
+        effs = [make_eff(dc, -0.5, 1.0, 1.0, 0.4, omega=0.05) for dc in (-0.5, 0.3, 1.2)]
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=400.0, ss_window=0.5, ss_tol=tol)
+        want, want_steady, windows = plain_steady_rk4(effs, 0.03, cfg)
+        assert windows == window and want_steady.all()
+        states, steady = dynamics.steady_rk4(effs, 0.03, cfg)
+        assert steady.tolist() == want_steady.tolist()
+        # A window more or less would move the states by about tol.
+        assert np.max(np.abs(states - want)) <= 1e-13 * float(np.max(np.abs(want)))
+
+    def test_steady_rk4_nonfinite_set_inside_a_chunk(self):
+        # Sets 1 and 3 grow about 1.12x a step; with one-step windows set
+        # 1 first overflows inside a chunk, and set 3 a few windows later in
+        # the same chunk, so only set 1 is named.
+        effs = [
+            make_eff(dc, -0.5, 1.0, 0.3, 0.0, omega=0.01) for dc in (0.3, 50.0, 0.5, 49.9995)
+        ]
+        cfg = dynamics.IntegratorConfig(dt=0.0295, t_max=300.0, ss_window=0.0295)
+        fails = []
+        for eff in (effs[1], effs[3]):
+            step = dynamics.rk4_propagator(dynamics.generator_from_effective(eff, 0.01), cfg.dt)
+            state = dynamics.vacuum_state().as_vector()
+            window = 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.all(np.isfinite(state)):
+                    state = step @ state
+                    window += 1
+            fails.append(window)
+        chunks = [divmod(window - 1, self.C) for window in fails]
+        assert chunks[0][0] == chunks[1][0] > 0
+        assert 0 < chunks[0][1] < chunks[1][1]
+        with pytest.raises(dynamics.NonFiniteState) as want:
+            plain_steady_rk4(effs, 0.01, cfg)
+        with pytest.raises(dynamics.NonFiniteState) as got:
+            dynamics.steady_rk4(effs, 0.01, cfg)
+        assert str(got.value) == str(want.value) == (
+            "non-finite amplitudes for parameter sets [1]; reduce dt"
+        )
 
 
 class TestTrajectory:

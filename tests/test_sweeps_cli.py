@@ -287,6 +287,7 @@ class TestRunSweep:
         # A block is whole rows, at least one: here exactly one.  The grid
         # is large enough for the pool.
         assert sweeps._CHUNK_POINTS < 2 * 40000
+        assert sweeps._POOL_CHUNK_POINTS < 2 * 40000
         assert 6 * 40000 > sweeps._POOL_POINTS
         serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
         interval = sys.getswitchinterval()
@@ -312,6 +313,7 @@ class TestRunSweep:
         )
         rows_per_block = max(1, sweeps._CHUNK_POINTS // 257)
         assert 263 % rows_per_block != 0
+        assert 263 % max(1, sweeps._POOL_CHUNK_POINTS // 257) != 0
         assert 263 * 257 > sweeps._POOL_POINTS
         serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
         threaded = sweeps.run_sweep(spec, reference_params(), jobs=2)
