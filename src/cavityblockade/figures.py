@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import svgplot, sweeps
-from .params import FIGURE_NAMES, Direction, SystemParams, reference_params
+from .params import FIGURE_NAMES, Direction, SystemParams, implied_e_he, reference_params
 
 
 class UnknownFigure(KeyError):
@@ -65,17 +65,19 @@ def _direction_sweep(
         observable=observable,
         optimal_j_theta=optimal,
     )
-    return run_quiet(spec, base, jobs)
+    return run_quiet(sweeps.run_sweep, spec, base, jobs=jobs)
 
 
-def run_quiet(spec, base, jobs):
+def run_quiet(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with RegimeWarnings silenced: a preset's
+    grids and points lie where the figure needs them, regime or not."""
     import warnings
 
     from .params import RegimeWarning
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        return sweeps.run_sweep(spec, base, jobs=jobs)
+        return fn(*args, **kwargs)
 
 
 def _line_figure(
@@ -174,7 +176,7 @@ def fig3b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
     d = Direction.FORWARD
     ok = res.valid[d]
     j = np.where(ok, res.j_used[d], np.nan)
-    e_he = np.abs(j) * base.delta_p / base.g
+    e_he = implied_e_he(j, base)
     files = [
         _table_csv(
             out / "fig3b.csv",
@@ -343,7 +345,7 @@ def _nonreciprocal_figure(
 ) -> list[str]:
     from . import optimizer
 
-    j, theta, report = optimizer.nonreciprocal_point(base, target)
+    j, theta, report = run_quiet(optimizer.nonreciprocal_point, base, target)
     res = _direction_sweep(
         base,
         sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D),

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import steady_state
 from .params import Direction, SystemParams
+from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _warn_at_point
 
 C2G_RESIDUAL_TOL = 1e-10
 
@@ -82,18 +83,6 @@ class JThetaScan:
     theta_values: np.ndarray
     g2: Mapping[Direction, np.ndarray]
     valid: Mapping[Direction, np.ndarray]
-
-
-def _consts(params: SystemParams) -> dict[str, float]:
-    if params.delta_p == 0.0:
-        raise ZeroDivisionError("delta_p must be nonzero")
-    return {
-        "e": params.e_eg,
-        "omega": math.sqrt(params.kappa_in) * params.b_in,
-        "g_shift": params.g**2 / params.delta_p,
-        "delta_e": params.delta_e,
-        "kappa": params.kappa,
-    }
 
 
 def _canonical(j, z):
@@ -169,13 +158,12 @@ def _cancellation_roots(
         np.asarray(v, dtype=float)[:, None]
         for v in (e, omega, g_shift, delta_e, kappa, delta_c)
     )
-    half_loss = 0.5j * kappa
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # delta_c = d0 + q s with s = J^2; then a = alpha s, b = J beta(s) and
         # c = gamma(s), with beta and gamma linear in s.
         q = np.zeros_like(delta_e) if fix_delta_c else 1.0 / delta_e
         d0 = delta_c if fix_delta_c else g_shift
-        n0 = d0 - half_loss + delta_e
+        _, n0 = _denominators(d0, kappa, g_shift, delta_e)
         alpha = e**2
         beta = e * omega * np.concatenate([2.0 * n0 - g_shift, 2.0 * q + 0j], axis=1)
         gamma = omega**2 * np.concatenate(
@@ -220,8 +208,7 @@ def _cancellation_roots(
             if fix_delta_c
             else g_shift + jj**2 / delta_e
         )
-        m = dc - half_loss - g_shift
-        n = dc - half_loss + delta_e
+        m, n = _denominators(dc, kappa, g_shift, delta_e)
         amps, valid = steady_state.amplitude_arrays(omega, m, n, delta_e, jj, theta, e)
         residual = np.abs(amps[..., 3])
         root = valid & (residual < C2G_RESIDUAL_TOL)
@@ -253,12 +240,12 @@ def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalP
             "the optimal cavity detuning delta_c = G + J**2/delta_e is undefined "
             "for delta_e = 0"
         )
-    c = _consts(params)
+    c, _ = _derive(params, {})
     j, theta, dc, residual = (
         row[0]
         for row in _cancellation_roots(
-            [c["e"]], [c["omega"]], [c["g_shift"]], [c["delta_e"]], [c["kappa"]],
-            [params.delta_c], fix_delta_c,
+            *([c[k]] for k in ("e_eg", "omega", "g_shift", "delta_e", "kappa", "delta_c")),
+            fix_delta_c,
         )
     )
     return [
@@ -332,23 +319,12 @@ def scan_j_theta(
         raise ValueError("ranges must be increasing (min, max) pairs")
     j_values = np.linspace(j_range[0], j_range[1], resolution)
     theta_values = np.linspace(theta_range[0], theta_range[1], resolution)
-    jj = j_values[:, None]
-    tt = theta_values[None, :]
-
     g2: dict[Direction, np.ndarray] = {}
     valid: dict[Direction, np.ndarray] = {}
     for direction in Direction:
-        p = replace(params, direction=direction)
-        c = _consts(p)
-        half_loss = 0.5j * c["kappa"]
-        m = p.delta_c - half_loss - c["g_shift"]
-        n = p.delta_c - half_loss + c["delta_e"]
-        amps, ok = steady_state.amplitude_arrays(
-            c["omega"], m, n, c["delta_e"], jj, tt, c["e"]
+        g2[direction], valid[direction], _ = _g2_at(
+            replace(params, direction=direction), j_values[:, None], theta_values[None, :]
         )
-        stats = steady_state.stats_arrays(amps)
-        g2[direction] = stats["g2"]
-        valid[direction] = ok
     return JThetaScan(j_values=j_values, theta_values=theta_values, g2=g2, valid=valid)
 
 
@@ -368,7 +344,9 @@ def nonreciprocal_point(
     backward direction is bunched (g2 > 1) when that region exists, and run
     a simplex minimization of forward g2 from the best grid point.  Warns
     NotNonreciprocal when the final point does not separate the two
-    directions.
+    directions, and a RegimeWarning, worded as :func:`derive_effective`
+    words it, for each regime condition the point violates in either
+    direction.
     """
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)
@@ -378,13 +356,18 @@ def nonreciprocal_point(
         roots = []
     in_window = [r for r in roots if abs(r.J) <= j_limit]
     if in_window:
-        best = max(in_window, key=lambda r: _backward_g2(at_target, r.J, r.theta))
+        best = max(
+            in_window,
+            key=lambda r: _direction_g2(at_target, Direction.BACKWARD, r.J, r.theta)[0],
+        )
         j_best, theta_best = best.J, best.theta
     else:
         j_best, theta_best = _minimize_forward_g2(at_target, j_limit, resolution)
 
-    g2_f = _forward_g2(at_target, j_best, theta_best)
-    g2_b = _backward_g2(at_target, j_best, theta_best)
+    g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
+    g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
+    seen = {condition for condition, _ in violated}
+    _warn_at_point(violated + [v for v in violated_b if v[0] not in seen], 2)
     contrast = (
         math.log10(g2_b / g2_f)
         if g2_f > 0.0 and g2_b > 0.0 and math.isfinite(g2_f) and math.isfinite(g2_b)
@@ -427,7 +410,7 @@ def _minimize_forward_g2(
     i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
 
     def objective(x):
-        val = _forward_g2(at_target, x[0], x[1])
+        val = _direction_g2(at_target, Direction.FORWARD, x[0], x[1])[0]
         return math.log10(val) if val > 0.0 else -300.0
 
     sol = minimize(
@@ -440,26 +423,19 @@ def _minimize_forward_g2(
     return float(j), float(theta)
 
 
-def _direction_g2(params: SystemParams, direction: Direction, j, theta) -> float:
-    p = replace(params, direction=direction)
-    c = _consts(p)
-    half_loss = 0.5j * c["kappa"]
-    m = p.delta_c - half_loss - c["g_shift"]
-    n = p.delta_c - half_loss + c["delta_e"]
-    amps, valid = steady_state.amplitude_arrays(
-        c["omega"], m, n, c["delta_e"], j, theta, c["e"]
-    )
-    if not bool(np.all(valid)):
-        return math.inf
-    return float(steady_state.stats_arrays(amps)["g2"])
+def _g2_at(params: SystemParams, j, theta):
+    """g2 at couplings (J, theta), its validity and the regime conditions
+    violated there."""
+    c, violated = _derive(params, {"J": j, "theta": theta})
+    amps, ok = steady_state.amplitude_arrays(*(c[k] for k in _AMPLITUDE_INPUTS))
+    return steady_state.stats_arrays(amps)["g2"], ok, violated
 
 
-def _forward_g2(params: SystemParams, j, theta) -> float:
-    return _direction_g2(params, Direction.FORWARD, j, theta)
-
-
-def _backward_g2(params: SystemParams, j, theta) -> float:
-    return _direction_g2(params, Direction.BACKWARD, j, theta)
+def _direction_g2(params: SystemParams, direction: Direction, j, theta):
+    """g2 in one drive direction (inf at a singular point), and the regime
+    conditions violated there."""
+    g2, valid, violated = _g2_at(replace(params, direction=direction), j, theta)
+    return (float(g2) if bool(np.all(valid)) else math.inf), violated
 
 
 __all__ = [

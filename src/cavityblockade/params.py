@@ -5,15 +5,30 @@ cavity decay rate kappa; input field amplitudes ``b_in`` carry units of
 sqrt(kappa).  The two mirrors decay at ``kappa1`` (left) and ``kappa2``
 (right) with ``kappa1 + kappa2 = 2 kappa``; driving the left mirror is the
 FORWARD direction, driving the right mirror is BACKWARD.
+
+The effective model is derived in one place, :func:`_derive`: adiabatic
+elimination of the far-detuned upper level |h> gives the Stark shift
+G = g**2/delta_p and the Raman coupling J = g*e_he/delta_p; with the drive
+Omega = sqrt(kappa_in)*b_in and the denominators M and N (:func:`_denominators`)
+these are every coefficient of the closed-form steady state.  The same
+routine checks the four regime conditions of :data:`_REGIME`.  It runs on
+floats and on arrays alike: :func:`derive_effective` is its view at one
+point, warning with the measured ratio, and :func:`effective_arrays` its view
+over a grid, warning once per violated condition.  The optimizer and the
+sweeps call :func:`_derive` directly and decide themselves what to warn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
+
+import numpy as np
 
 
 TAU = 2.0 * math.pi
@@ -148,6 +163,16 @@ class SystemParams:
         return self.delta_p - self.delta_eg
 
 
+_FLOAT_FIELDS = tuple(
+    f.name for f in fields(SystemParams) if f.name not in ("direction",)
+)
+
+
+#: Names the derivation accepts as per-point overrides: every numeric
+#: SystemParams field but delta_he, and the direct couplings J and theta.
+OVERRIDE_NAMES = tuple(f for f in _FLOAT_FIELDS if f != "delta_he") + ("J", "theta")
+
+
 @dataclass(frozen=True)
 class EffectiveParams:
     """Derived quantities of the effective two-manifold model.
@@ -178,6 +203,147 @@ class EffectiveParams:
         return self.M.real + self.G
 
 
+class _Condition(NamedTuple):
+    """A validity condition of the effective model, violated where
+    ``violated(value, bound)`` holds; ``point`` formats the message at one
+    point from the value, ``grid`` is the message over a grid."""
+
+    violated: Callable
+    bound: float
+    point: str
+    grid: str
+
+
+#: The regime conditions, in the order :func:`_derive` reports them.
+_REGIME = (
+    _Condition(
+        operator.le, DETUNING_RATIO_MIN,
+        "|delta_p/g| = {:.3g} <= 10; adiabatic elimination is marginal",
+        "grid points violate |delta_p/g| > 10",
+    ),
+    _Condition(
+        operator.le, DETUNING_RATIO_MIN,
+        "|delta_he/e_he| = {:.3g} <= 10; upper-leg drive is not far detuned",
+        "grid points violate |delta_he/e_he| > 10",
+    ),
+    _Condition(
+        operator.ge, WEAK_DRIVE_MAX,
+        "omega/kappa = {:.3g} >= 0.1; weak-driving truncation is marginal",
+        "grid points violate the weak cavity drive condition Omega/kappa < 0.1",
+    ),
+    _Condition(
+        operator.ge, WEAK_DRIVE_MAX,
+        "e_eg/kappa = {:.3g} >= 0.1; weak-driving truncation is marginal",
+        "grid points violate the weak microwave condition E_eg/kappa < 0.1",
+    ),
+)
+
+
+def _any(hit) -> bool:
+    """``np.any``, without its call overhead on the bools of one point."""
+    return bool(hit.any()) if isinstance(hit, np.ndarray) else bool(hit)
+
+
+def _ratio(num, den):
+    """|num|/den where den > 0, NaN elsewhere; no regime condition holds on
+    a NaN ratio.  Python numbers stay Python numbers."""
+    if isinstance(den, (int, float)):
+        return abs(num) / den if den > 0.0 else math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, np.abs(num) / den, np.nan)
+
+
+def _denominators(delta_c, kappa, g_shift, delta_e):
+    """M = delta_c - i kappa/2 - G and N = delta_c - i kappa/2 + delta_e."""
+    half_loss = 0.5j * kappa
+    return delta_c - half_loss - g_shift, delta_c - half_loss + delta_e
+
+
+#: The coefficients of :func:`_derive` that ``steady_state.amplitude_arrays``
+#: takes, in its argument order.
+_AMPLITUDE_INPUTS = ("omega", "m", "n", "delta_e", "j", "theta", "e_eg")
+
+
+def _derive(
+    params: SystemParams, overrides: dict[str, object]
+) -> tuple[dict[str, object], list[tuple[_Condition, object]]]:
+    """The effective model of ``params`` at every point of ``overrides``.
+
+    ``overrides`` maps names of :data:`OVERRIDE_NAMES` to floats or to
+    arrays that broadcast against each other.  Overriding kappa1 (or kappa2)
+    alone slides the opposite mirror to keep the total kappa fixed; an
+    overridden J implies the upper-leg drive e_he = |J| delta_p / g (none
+    where g = 0), and theta overrides phi_p - phi_he - phi_eg, unwrapped.
+
+    Returns the coefficients by name (:data:`_AMPLITUDE_INPUTS`, plus
+    ``g_shift``, ``kappa``, ``delta_c`` and the upper-leg drive ``e_he``)
+    and, for each regime condition some point violates, the condition and
+    its value at every point.  Plain operators keep a point given as floats
+    on floats, so one point costs a few microseconds.
+    """
+    v = vars(params) | overrides
+
+    kappa, kappa1, kappa2 = v["kappa"], v["kappa1"], v["kappa2"]
+    if "kappa1" in overrides and "kappa2" not in overrides:
+        kappa2 = 2.0 * kappa - kappa1
+    elif "kappa2" in overrides and "kappa1" not in overrides:
+        kappa1 = 2.0 * kappa - kappa2
+    if _any((kappa <= 0.0) | (kappa1 <= 0.0) | (kappa2 <= 0.0)):
+        raise ConfigError("decay rates must stay positive over the grid")
+    delta_p = v["delta_p"]
+    if _any(delta_p == 0.0):
+        raise ZeroDivisionError("delta_p must be nonzero for the adiabatic elimination")
+
+    g, e_he, delta_e = v["g"], v["e_he"], v["delta_e"]
+    if params.delta_he is not None:
+        delta_he = params.delta_he
+    else:
+        # The Raman-resonant detuning delta_p - delta_eg, with delta_eg
+        # taken from the configured e_he.
+        delta_he = delta_p - (delta_e + e_he * e_he / delta_p)
+    if "J" in overrides:
+        j = v["J"]
+        e_he = _ratio(j * delta_p, g)
+    else:
+        j = g * e_he / delta_p
+    theta = v["theta"] if "theta" in overrides else v["phi_p"] - v["phi_he"] - v["phi_eg"]
+
+    kappa_in = kappa1 if params.direction is Direction.FORWARD else kappa2
+    omega = np.sqrt(kappa_in) * v["b_in"]
+    e_eg, delta_c = v["e_eg"], v["delta_c"]
+    # Squares are products: a float's ** 2 goes through the C library's pow,
+    # which can round differently from numpy's exact square of an array.
+    g_shift = g * g / delta_p
+    m, n = _denominators(delta_c, kappa, g_shift, delta_e)
+    consts = {
+        "omega": omega,
+        "m": m,
+        "n": n,
+        "delta_e": delta_e,
+        "j": j,
+        "theta": theta,
+        "e_eg": e_eg,
+        "g_shift": g_shift,
+        "kappa": kappa,
+        "delta_c": delta_c,
+        "e_he": e_he,
+    }
+    values = (_ratio(delta_p, g), _ratio(delta_he, e_he), omega / kappa, e_eg / kappa)
+    violated = [
+        (condition, value)
+        for condition, value in zip(_REGIME, values)
+        if _any(condition.violated(value, condition.bound))
+    ]
+    return consts, violated
+
+
+def _warn_at_point(violated, stacklevel: int) -> None:
+    """A RegimeWarning per item of ``violated``, naming the condition's value
+    at the point; ``stacklevel`` counts from the caller."""
+    for condition, value in violated:
+        warnings.warn(condition.point.format(value), RegimeWarning, stacklevel=stacklevel + 1)
+
+
 def derive_effective(
     params: SystemParams,
     *,
@@ -191,76 +357,58 @@ def derive_effective(
     phase combination phi_p - phi_he - phi_eg.
 
     Emits RegimeWarning when the elimination or the weak-driving truncation
-    is not justified; the numbers are still produced.
+    is not justified; the numbers are still produced.  The values are those
+    :func:`effective_arrays` gives for the one point, bit for bit, with
+    theta wrapped.
     """
-    if params.delta_p == 0.0:
-        raise ZeroDivisionError("delta_p must be nonzero for the adiabatic elimination")
-
-    g_shift = params.g**2 / params.delta_p
-    j_val = params.g * params.e_he / params.delta_p if j is None else float(j)
-    theta_val = wrap_angle(
-        params.phi_p - params.phi_he - params.phi_eg if theta is None else float(theta)
-    )
-    omega = math.sqrt(params.kappa_in) * params.b_in
-
-    half_loss = 0.5j * params.kappa
-    m_val = params.delta_c - half_loss - g_shift
-    n_val = params.delta_c - half_loss + params.delta_e
-
-    if params.g > 0.0 and abs(params.delta_p / params.g) <= DETUNING_RATIO_MIN:
-        warnings.warn(
-            f"|delta_p/g| = {abs(params.delta_p / params.g):.3g} <= "
-            f"{DETUNING_RATIO_MIN:g}; adiabatic elimination is marginal",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    e_he_used = params.e_he if j is None else (
-        abs(j_val) * abs(params.delta_p) / params.g if params.g > 0.0 else None
-    )
-    if e_he_used:
-        ratio = abs(params.delta_he_effective / e_he_used)
-        if ratio <= DETUNING_RATIO_MIN:
-            warnings.warn(
-                f"|delta_he/e_he| = {ratio:.3g} <= {DETUNING_RATIO_MIN:g}; "
-                "upper-leg drive is not far detuned",
-                RegimeWarning,
-                stacklevel=2,
-            )
-    if omega / params.kappa >= WEAK_DRIVE_MAX:
-        warnings.warn(
-            f"omega/kappa = {omega / params.kappa:.3g} >= {WEAK_DRIVE_MAX:g}; "
-            "weak-driving truncation is marginal",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    if params.e_eg / params.kappa >= WEAK_DRIVE_MAX:
-        warnings.warn(
-            f"e_eg/kappa = {params.e_eg / params.kappa:.3g} >= {WEAK_DRIVE_MAX:g}; "
-            "weak-driving truncation is marginal",
-            RegimeWarning,
-            stacklevel=2,
-        )
-
+    overrides = {}
+    if j is not None:
+        overrides["J"] = float(j)
+    if theta is not None:
+        overrides["theta"] = float(theta)
+    c, violated = _derive(params, overrides)
+    _warn_at_point(violated, 2)
     return EffectiveParams(
-        delta_e=params.delta_e,
-        G=g_shift,
-        J=j_val,
-        theta=theta_val,
-        omega=omega,
-        M=m_val,
-        N=n_val,
+        delta_e=c["delta_e"],
+        G=c["g_shift"],
+        J=c["j"],
+        theta=wrap_angle(c["theta"]),
+        omega=float(c["omega"]),
+        M=c["m"],
+        N=c["n"],
     )
 
 
-def implied_e_he(j: float, params: SystemParams) -> float:
+def effective_arrays(
+    params: SystemParams, overrides: Mapping[str, object]
+) -> dict[str, np.ndarray]:
+    """Effective-model coefficient arrays with per-point overrides.
+
+    Override values broadcast against each other; any name of
+    :data:`OVERRIDE_NAMES` is accepted, as :func:`_derive` describes.
+    Warns once per regime condition that some point violates.
+    """
+    unknown = overrides.keys() - OVERRIDE_NAMES
+    if unknown:
+        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+    consts, violated = _derive(
+        params, {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
+    )
+    for condition, _ in violated:
+        warnings.warn(condition.grid, RegimeWarning, stacklevel=2)
+    return {k: np.asarray(v) for k, v in consts.items()}
+
+
+def implied_e_he(j, params: SystemParams):
     """Upper-leg drive amplitude that realizes a given Raman coupling.
 
-    Back-solves e_he = |J|*delta_p/g; the sign of J is carried by a pi shift
-    of theta, so the amplitude is reported non-negative.
+    Back-solves e_he = |J*delta_p/g|, for a float or an array ``j``; the
+    sign of J is carried by a pi shift of theta, so the amplitude is
+    reported non-negative.
     """
     if params.g == 0.0:
         raise ZeroDivisionError("cannot back-solve e_he when g = 0")
-    return abs(j * params.delta_p / params.g)
+    return _derive(params, {"J": j})[0]["e_he"]
 
 
 def mirror_swap(params: SystemParams) -> SystemParams:
@@ -289,11 +437,6 @@ def amplitude_from_power(p_in: float, omega_p: float) -> float:
     if omega_p <= 0.0:
         raise ValueError("drive frequency must be positive")
     return math.sqrt(p_in / (hbar * omega_p))
-
-
-_FLOAT_FIELDS = tuple(
-    f.name for f in fields(SystemParams) if f.name not in ("direction",)
-)
 
 
 def parse_config(text: str) -> dict[str, object]:
@@ -397,11 +540,6 @@ FIGURE_NAMES = (
 )
 
 
-def effective_phase(params: SystemParams) -> float:
-    """The gauge-invariant drive phase phi_p - phi_he - phi_eg in (-pi, pi]."""
-    return wrap_angle(params.phi_p - params.phi_he - params.phi_eg)
-
-
 __all__ = [
     "ConfigError",
     "Direction",
@@ -411,7 +549,7 @@ __all__ = [
     "SystemParams",
     "amplitude_from_power",
     "derive_effective",
-    "effective_phase",
+    "effective_arrays",
     "implied_e_he",
     "load_config",
     "mirror_swap",

@@ -21,21 +21,17 @@ import numpy as np
 from . import __version__
 from . import steady_state
 from .params import (
-    DETUNING_RATIO_MIN,
-    WEAK_DRIVE_MAX,
+    OVERRIDE_NAMES,
     ConfigError,
     Direction,
     RegimeWarning,
     SystemParams,
+    _AMPLITUDE_INPUTS,
+    _derive,
 )
 
 #: Parameter names accepted as sweep axes and fixed overrides.
-FIELD_NAMES = tuple(
-    f.name
-    for f in dataclasses.fields(SystemParams)
-    if f.name not in ("direction", "delta_he")
-)
-AXIS_NAMES = FIELD_NAMES + ("J", "theta")
+AXIS_NAMES = OVERRIDE_NAMES
 
 OBSERVABLES = steady_state.OBSERVABLES
 
@@ -55,130 +51,6 @@ _POOL_POINTS = 1 << 16
 #: GIL back and forth between calls, so smaller blocks make threads slower
 #: than one.
 _POOL_CHUNK_POINTS = 1 << 14
-
-
-def effective_arrays(
-    params: SystemParams, overrides: Mapping[str, object]
-) -> dict[str, np.ndarray]:
-    """Effective-model coefficient arrays with per-point overrides.
-
-    Override values broadcast against each other; any SystemParams numeric
-    field plus the direct couplings J and theta are accepted.  Overriding
-    kappa1 (or kappa2) alone adjusts the opposite mirror to keep the total
-    kappa fixed.
-    """
-    consts, violated = _effective_arrays(params, overrides)
-    for message in violated:
-        warnings.warn(message, RegimeWarning, stacklevel=2)
-    return consts
-
-
-def _effective_arrays(
-    params: SystemParams, overrides: Mapping[str, object]
-) -> tuple[dict[str, np.ndarray], list[str]]:
-    """:func:`effective_arrays` without the warnings: the arrays and the
-    messages of the regime conditions some point violates."""
-    unknown = set(overrides) - set(AXIS_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-    arrays = {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
-
-    def get(name: str) -> np.ndarray:
-        if name in arrays:
-            return arrays[name]
-        return np.asarray(getattr(params, name), dtype=float)
-
-    kappa = get("kappa")
-    if "kappa1" in arrays and "kappa2" not in arrays:
-        kappa1 = arrays["kappa1"]
-        kappa2 = 2.0 * kappa - kappa1
-    elif "kappa2" in arrays and "kappa1" not in arrays:
-        kappa2 = arrays["kappa2"]
-        kappa1 = 2.0 * kappa - kappa2
-    else:
-        kappa1, kappa2 = get("kappa1"), get("kappa2")
-    if np.any(kappa <= 0.0) or np.any(kappa1 <= 0.0) or np.any(kappa2 <= 0.0):
-        raise ConfigError("decay rates must stay positive over the grid")
-
-    delta_p = get("delta_p")
-    if np.any(delta_p == 0.0):
-        raise ZeroDivisionError("delta_p must be nonzero")
-    g = get("g")
-    e_he = get("e_he")
-    e_eg = get("e_eg")
-    b_in = get("b_in")
-    delta_e = get("delta_e")
-    delta_c = get("delta_c")
-
-    if "J" in arrays:
-        j = arrays["J"]
-        # The upper-leg drive that realizes J, as derive_effective infers
-        # it; none where g = 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_he_used = np.where(g > 0.0, np.abs(j) * np.abs(delta_p) / g, 0.0)
-    else:
-        j = g * e_he / delta_p
-        e_he_used = e_he
-    if params.delta_he is not None:
-        delta_he = np.asarray(params.delta_he)
-    else:
-        # SystemParams.delta_he_effective: the Raman-resonant detuning.
-        delta_he = delta_p - (delta_e + e_he**2 / delta_p)
-    if "theta" in arrays:
-        theta = arrays["theta"]
-    else:
-        # The statistics are 2*pi-periodic in theta, so no canonical wrap
-        # is needed on the array path.
-        theta = get("phi_p") - get("phi_he") - get("phi_eg")
-
-    kappa_in = kappa1 if params.direction is Direction.FORWARD else kappa2
-    omega = np.sqrt(kappa_in) * b_in
-    g_shift = g**2 / delta_p
-    half_loss = 0.5j * kappa
-    m = delta_c - half_loss - g_shift
-    n = delta_c - half_loss + delta_e
-
-    out = {
-        "omega": omega,
-        "m": m,
-        "n": n,
-        "delta_e": delta_e,
-        "j": j,
-        "theta": theta,
-        "e_eg": e_eg,
-        "g_shift": g_shift,
-        "kappa": kappa,
-        "delta_c": delta_c,
-        "e": e_eg,
-    }
-    return out, _regime_violations(g, delta_p, omega, e_eg, kappa, e_he_used, delta_he)
-
-
-def _regime_violations(g, delta_p, omega, e_eg, kappa, e_he, delta_he) -> list[str]:
-    """One aggregate message per violated condition, not per point.
-
-    The conditions are those ``params.derive_effective`` checks at one
-    point; ``e_he`` is the upper-leg drive each point uses (0 where it has
-    none) and ``delta_he`` its detuning.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near_he = (e_he != 0.0) & (np.abs(delta_he / e_he) <= DETUNING_RATIO_MIN)
-    checks = [
-        (
-            np.any((g > 0) & (np.abs(delta_p / np.maximum(g, 1e-300)) <= DETUNING_RATIO_MIN)),
-            "grid points violate |delta_p/g| > 10",
-        ),
-        (np.any(near_he), "grid points violate |delta_he/e_he| > 10"),
-        (
-            np.any(omega / kappa >= WEAK_DRIVE_MAX),
-            "grid points violate the weak cavity drive condition Omega/kappa < 0.1",
-        ),
-        (
-            np.any(e_eg / kappa >= WEAK_DRIVE_MAX),
-            "grid points violate the weak microwave condition E_eg/kappa < 0.1",
-        ),
-    ]
-    return [message for hit, message in checks if bool(hit)]
 
 
 @dataclass(frozen=True)
@@ -291,7 +163,7 @@ def _axis_overrides(spec: SweepSpec) -> dict[str, np.ndarray]:
 
 def _solve_optimal_grid(
     params: SystemParams, spec: SweepSpec, grid: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Joint-optimal (J, theta) per grid point, solved over the reduced
     grid of parameters the optimum actually depends on (delta_c drops
     out of a joint solve).  The arrays keep the shape of that reduced
@@ -300,9 +172,9 @@ def _solve_optimal_grid(
     from . import optimizer
 
     solver_grid = {k: v for k, v in grid.items() if k != "delta_c"}
-    consts, violated = _effective_arrays(params, solver_grid)
+    consts, violated = _derive(params, solver_grid)
     j, theta, dc_opt, ok = optimizer.solve_optimal_arrays(
-        consts["e"],
+        consts["e_eg"],
         consts["omega"],
         consts["g_shift"],
         consts["delta_e"],
@@ -315,7 +187,7 @@ def _solve_optimal_grid(
 def _evaluate_direction(
     params: SystemParams, spec: SweepSpec, jobs: int | None
 ) -> tuple[
-    dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[str]
+    dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list
 ]:
     grid = dict(_axis_overrides(spec))
     for key, value in spec.overrides.items():
@@ -333,13 +205,13 @@ def _evaluate_direction(
             # per-point optimal detuning itself.
             grid["delta_c"] = dc_opt
 
-    consts, grid_violated = _effective_arrays(params, grid)
+    consts, grid_violated = _derive(params, grid)
     violated += grid_violated
     full_shape = spec.shape
     # The blocks below cover every row, so every cell is written.
     stat_out = {name: np.empty(full_shape) for name in steady_state._STAT_NAMES}
     valid = np.empty(full_shape, dtype=bool)
-    inputs = [consts[key] for key in ("omega", "m", "n", "delta_e", "j", "theta", "e_eg")]
+    inputs = [np.asarray(consts[key]) for key in _AMPLITUDE_INPUTS]
 
     def evaluate(rows: slice) -> None:
         # Only an array that varies along the first axis is cut; the others
@@ -401,14 +273,14 @@ def run_sweep(
     j_used: dict[Direction, np.ndarray] = {}
     theta_used: dict[Direction, np.ndarray] = {}
     dc_opt: dict[Direction, np.ndarray | None] = {}
-    warned: set[str] = set()
+    warned = set()
     for direction in spec.directions:
         p = dataclasses.replace(base, direction=direction)
         s, ok, j_arr, theta_arr, dc, violated = _evaluate_direction(p, spec, jobs)
-        for message in violated:
-            if message not in warned:
-                warned.add(message)
-                warnings.warn(message, RegimeWarning, stacklevel=2)
+        for condition, _ in violated:
+            if condition not in warned:
+                warned.add(condition)
+                warnings.warn(condition.grid, RegimeWarning, stacklevel=2)
         stats[direction] = s
         valid[direction] = ok
         j_used[direction] = j_arr
@@ -510,13 +382,11 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
 
 __all__ = [
     "AXIS_NAMES",
-    "FIELD_NAMES",
     "OBSERVABLES",
     "STAT_COLUMNS",
     "SweepAxis",
     "SweepResult",
     "SweepSpec",
-    "effective_arrays",
     "parse_directions",
     "run_sweep",
     "write_sweep_csv",

@@ -263,11 +263,6 @@ class TestConfigText:
         assert issubclass(P.ConfigError, ValueError)
 
 
-def test_effective_phase_helper():
-    p = P.SystemParams(phi_p=0.2, phi_he=1.5, phi_eg=-0.3)
-    assert P.effective_phase(p) == pytest.approx(P.wrap_angle(0.2 - 1.5 + 0.3))
-
-
 def test_import_leaves_scipy_unloaded():
     # scipy adds several hundred milliseconds to start-up and is needed only by the
     # simplex fallback of optimizer.nonreciprocal_point.

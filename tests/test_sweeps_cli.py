@@ -24,7 +24,9 @@ from cavityblockade.params import (
     RegimeWarning,
     SystemParams,
     derive_effective,
+    effective_arrays,
     reference_params,
+    wrap_angle,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -45,51 +47,51 @@ class TestEffectiveArrays:
     def test_kappa1_axis_slides_kappa2(self):
         base = reference_params()
         k1 = np.array([0.2, 1.0, 1.8])
-        consts = sweeps.effective_arrays(base, {"kappa1": k1})
+        consts = effective_arrays(base, {"kappa1": k1})
         assert np.array_equal(consts["omega"], np.sqrt(k1) * base.b_in)
 
         backward = dataclasses.replace(base, direction=Direction.BACKWARD)
-        consts_b = sweeps.effective_arrays(backward, {"kappa1": k1})
+        consts_b = effective_arrays(backward, {"kappa1": k1})
         assert np.array_equal(
             consts_b["omega"], np.sqrt(2.0 * base.kappa - k1) * base.b_in
         )
 
     def test_kappa2_axis_slides_kappa1(self):
         base = reference_params()
-        consts = sweeps.effective_arrays(base, {"kappa2": np.array([0.4])})
+        consts = effective_arrays(base, {"kappa2": np.array([0.4])})
         assert consts["omega"][0] == pytest.approx(
             math.sqrt(1.6) * base.b_in, rel=1e-15
         )
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown override"):
-            sweeps.effective_arrays(reference_params(), {"gain": 2.0})
+            effective_arrays(reference_params(), {"gain": 2.0})
 
     def test_rates_must_stay_positive(self):
         # kappa1 = 2.5 slides kappa2 to -0.5.
         with pytest.raises(ConfigError, match="positive"):
-            sweeps.effective_arrays(reference_params(), {"kappa1": 2.5})
+            effective_arrays(reference_params(), {"kappa1": 2.5})
 
     def test_delta_p_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            sweeps.effective_arrays(
+            effective_arrays(
                 reference_params(), {"delta_p": np.array([100.0, 0.0])}
             )
 
     def test_default_j_and_theta_from_params(self):
         base = dataclasses.replace(reference_params(), e_he=5.0, phi_p=0.4)
-        consts = sweeps.effective_arrays(base, {})
+        consts = effective_arrays(base, {})
         assert float(consts["j"]) == base.g * 5.0 / base.delta_p
         assert float(consts["theta"]) == 0.4
 
-        phased = sweeps.effective_arrays(base, {"phi_p": np.array([0.3, 7.0])})
+        phased = effective_arrays(base, {"phi_p": np.array([0.3, 7.0])})
         # Array-path theta is left unwrapped; statistics are periodic in it.
         assert np.array_equal(phased["theta"], np.array([0.3, 7.0]))
 
     def test_one_warning_per_violated_condition(self):
         base = reference_params()
         with pytest.warns(RegimeWarning) as record:
-            sweeps.effective_arrays(base, {"b_in": np.array([0.02, 0.5, 0.9])})
+            effective_arrays(base, {"b_in": np.array([0.02, 0.5, 0.9])})
         hits = [r for r in record if "weak cavity drive" in str(r.message)]
         assert len(hits) == 1
 
@@ -261,7 +263,7 @@ class TestRunSweep:
                 "theta": serial.values2[None, :],
                 "delta_c": np.asarray(0.0),
             }
-            consts = sweeps.effective_arrays(
+            consts = effective_arrays(
                 dataclasses.replace(base, direction=direction), grid
             )
             whole, ok = steady_state._stats_from_parameters(
@@ -770,13 +772,20 @@ def regime_conditions(messages) -> set[str]:
     return found
 
 
-def warned(fn) -> set[str]:
+def recording(fn):
+    """``fn()`` and the RegimeWarning messages it emits, in order."""
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        fn()
-    return regime_conditions(
-        [str(w.message) for w in record if issubclass(w.category, RegimeWarning)]
-    )
+        result = fn()
+    return result, [str(w.message) for w in record if issubclass(w.category, RegimeWarning)]
+
+
+def regime_messages(fn) -> list[str]:
+    return recording(fn)[1]
+
+
+def warned(fn) -> set[str]:
+    return regime_conditions(regime_messages(fn))
 
 
 class TestRegimePolicy:
@@ -819,6 +828,155 @@ class TestRegimePolicy:
         ):
             assert any(name in s for s in seen), name
             assert any(name not in s for s in seen), name
+
+    NONRECIPROCAL_CASES = [
+        (reference_params(), 0.0),
+        (reference_params(), 2.5),
+        # |delta_p/g| = 5, and the backward direction is not bunched.
+        (dataclasses.replace(reference_params(), g=20.0), 0.0),
+        # Only the backward drive, through kappa2 = 1.8, breaks Omega/kappa < 0.1.
+        (dataclasses.replace(reference_params(), b_in=0.1, e_eg=0.05), 2.5),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(NONRECIPROCAL_CASES)))
+    def test_nonreciprocal_point_warns_like_derive_effective(self, case):
+        params, target = self.NONRECIPROCAL_CASES[case]
+        (j, theta, _), messages = recording(
+            lambda: optimizer.nonreciprocal_point(params, target)
+        )
+        at_point = [
+            regime_messages(
+                lambda: derive_effective(
+                    dataclasses.replace(params, delta_c=target, direction=d),
+                    j=j,
+                    theta=theta,
+                )
+            )
+            for d in Direction
+        ]
+        # Once per condition violated in either direction, worded as
+        # derive_effective words it there.
+        assert regime_conditions(messages) == regime_conditions(at_point[0] + at_point[1])
+        assert len(messages) == len(regime_conditions(messages))
+        assert set(messages) <= set(at_point[0] + at_point[1])
+
+    def test_nonreciprocal_cases_reach_a_backward_only_condition(self):
+        params, target = self.NONRECIPROCAL_CASES[-1]
+        j, theta, _ = optimizer.nonreciprocal_point(params, target)
+        at_target = dataclasses.replace(params, delta_c=target)
+        forward = warned(lambda: derive_effective(at_target, j=j, theta=theta))
+        backward = warned(
+            lambda: derive_effective(
+                dataclasses.replace(at_target, direction=Direction.BACKWARD),
+                j=j,
+                theta=theta,
+            )
+        )
+        assert "weak cavity drive" in backward - forward
+
+    def test_figure_presets_stay_quiet(self, tmp_path):
+        # fig6c places its point where nonreciprocal_point warns.
+        assert regime_messages(lambda: figures.figure("fig6c", tmp_path)) == []
+
+
+def random_params(rng: np.random.Generator) -> tuple[SystemParams, dict[str, float]]:
+    """A seeded SystemParams, with and without direct J/theta couplings, that
+    reaches g = 0, e_he = 0, a configured delta_he and every regime
+    condition on both sides."""
+    kappa = float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
+    kappa1 = float(rng.uniform(0.05, 1.95)) * kappa
+    params = SystemParams(
+        kappa=kappa,
+        kappa1=kappa1,
+        kappa2=2.0 * kappa - kappa1,
+        g=0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 30.0)),
+        delta_p=float(rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 300.0)),
+        delta_he=None if rng.random() < 0.7 else float(rng.uniform(-200.0, 200.0)),
+        delta_e=float(rng.uniform(-3.0, 3.0)),
+        delta_c=float(rng.uniform(-4.0, 4.0)),
+        e_he=0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 60.0)),
+        e_eg=float(rng.uniform(0.0, 0.2)),
+        b_in=float(rng.uniform(0.0, 0.1)),
+        phi_p=float(rng.uniform(-10.0, 10.0)),
+        phi_he=float(rng.uniform(-10.0, 10.0)),
+        phi_eg=float(rng.uniform(-10.0, 10.0)),
+        direction=Direction.FORWARD if rng.random() < 0.5 else Direction.BACKWARD,
+    )
+    couplings = {}
+    if rng.random() < 0.5:
+        couplings["j"] = float(rng.uniform(-6.0, 6.0))
+    if rng.random() < 0.5:
+        couplings["theta"] = float(rng.uniform(-10.0, 10.0))
+    return params, couplings
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def conditions_by_definition(params: SystemParams, j: float | None) -> set[str]:
+    """The regime conditions violated at one point, evaluated as defined."""
+    found = set()
+    if params.g > 0.0 and abs(params.delta_p / params.g) <= 10.0:
+        found.add("adiabatic elimination")
+    if j is None:
+        e_he = params.e_he
+    else:
+        e_he = abs(j) * abs(params.delta_p) / params.g if params.g > 0.0 else 0.0
+    if e_he > 0.0 and abs(params.delta_he_effective / e_he) <= 10.0:
+        found.add("upper-leg detuning")
+    if math.sqrt(params.kappa_in) * params.b_in / params.kappa >= 0.1:
+        found.add("weak cavity drive")
+    if params.e_eg / params.kappa >= 0.1:
+        found.add("weak microwave drive")
+    return found
+
+
+class TestScalarPathEqualsGridPath:
+    """derive_effective is the one-point view of params.effective_arrays."""
+
+    SAMPLE = [random_params(np.random.default_rng(1000 + i)) for i in range(200)]
+
+    def test_same_numbers_and_conditions(self):
+        conditions = []
+        for params, couplings in self.SAMPLE:
+            eff, scalar = recording(lambda: derive_effective(params, **couplings))
+            expected = conditions_by_definition(params, couplings.get("j"))
+            assert regime_conditions(scalar) == expected, (params, couplings)
+            direct = {{"j": "J", "theta": "theta"}[k]: v for k, v in couplings.items()}
+            # Every field given as a 0-d array as well, so that no input of
+            # the grid path is a float.
+            every = {name: getattr(params, name) for name in sweeps.AXIS_NAMES[:-2]}
+            for overrides in (direct, every | direct):
+                consts, grid = recording(lambda: effective_arrays(params, overrides))
+                assert all(np.ndim(v) == 0 for v in consts.values())
+                assert bits(eff.M) == bits(consts["m"])
+                assert bits(eff.N) == bits(consts["n"])
+                assert bits(eff.omega) == bits(consts["omega"])
+                assert bits(eff.G) == bits(consts["g_shift"])
+                assert bits(eff.J) == bits(consts["j"])
+                assert eff.theta == wrap_angle(float(consts["theta"]))
+                assert regime_conditions(grid) == expected, (params, overrides)
+            conditions.append(expected)
+        for name in (
+            "adiabatic elimination",
+            "upper-leg detuning",
+            "weak cavity drive",
+            "weak microwave drive",
+        ):
+            assert any(name in s for s in conditions), name
+            assert any(name not in s for s in conditions), name
+
+    def test_sample_reaches_the_edge_cases(self):
+        params = [p for p, _ in self.SAMPLE]
+        with_j = [p for p, c in self.SAMPLE if "j" in c]
+        assert {p.direction for p in params} == set(Direction)
+        assert any(p.g == 0.0 for p in with_j)
+        assert any(p.g == 0.0 for p, c in self.SAMPLE if "j" not in c)
+        assert any(p.e_he == 0.0 for p in params)
+        assert any(p.delta_he is not None for p in params)
+        assert any("theta" in c for _, c in self.SAMPLE)
+        assert any(not c for _, c in self.SAMPLE)
 
 
 class TestCliInProcess:
@@ -955,6 +1113,14 @@ class TestCliSubprocess:
         assert proc.returncode == 0
         assert proc.stderr == (
             "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal\n"
+        )
+
+    def test_nonreciprocal_warns_each_condition_once(self):
+        proc = self.run("nonreciprocal")
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal\n"
+            "RegimeWarning: |delta_he/e_he| = 2.12 <= 10; upper-leg drive is not far detuned\n"
         )
 
     @pytest.mark.parametrize(
