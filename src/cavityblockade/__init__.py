@@ -27,7 +27,6 @@ _EXPORTS = {
     "NonFiniteState": "dynamics",
     "NonreciprocityReport": "optimizer",
     "NoRealSolution": "optimizer",
-    "NotConverged": "full_model",
     "NotNonreciprocal": "optimizer",
     "OptimalPoint": "optimizer",
     "PhotonStats": "steady_state",

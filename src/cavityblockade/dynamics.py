@@ -166,22 +166,6 @@ def rk4_propagator(a: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def step_powers(step: np.ndarray, n: int) -> np.ndarray:
-    """S, S^2, ..., S^n stacked as shape (n, d, d), by repeated doubling.
-
-    Entry j is S^(j+1); each doubling is one batched product, so the cost
-    is about log2(n) numpy calls.
-    """
-    powers = np.empty((n,) + step.shape, dtype=step.dtype)
-    powers[0] = step
-    filled = 1
-    while filled < n:
-        take = min(filled, n - filled)
-        np.matmul(powers[:take], powers[filled - 1], out=powers[filled : filled + take])
-        filled += take
-    return powers
-
-
 def _power_increments(inc1: np.ndarray, n: int) -> np.ndarray:
     """Given E_1 = M - I for each map M of a stack of shape (..., d, d),
     E_j = M^j - I for j = 1, ..., n, as shape (..., n, d, d).
@@ -495,6 +479,5 @@ __all__ = [
     "generator_from_effective",
     "rk4_propagator",
     "steady_rk4",
-    "step_powers",
     "vacuum_state",
 ]

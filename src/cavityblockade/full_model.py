@@ -2,20 +2,24 @@
 
 In the rotating frame the Hamiltonian keeps two explicitly time-dependent
 phases, e^{-i delta_p t} on the cavity-atom coupling and
-e^{+i (delta_he + delta_eg) t} on the |h> <-> |e> drive, so no strict
-steady state exists.  Observables are therefore time-averaged over the
-slowest explicit phase period after the cavity transient has decayed.
-Cavity loss enters as -i kappa/2 per photon; spontaneous emission of |h>
-is excluded, consistent with the large-detuning regime where |h> is
-barely populated.
+e^{+i (delta_he + delta_eg) t} on the |h> <-> |e> drive.  Cavity loss enters
+as -i kappa/2 per photon; spontaneous emission of |h> is excluded,
+consistent with the large-detuning regime where |h> is barely populated.
 
-When the upper-leg drive is Raman resonant, delta_he + delta_eg = delta_p
-(the default of ``SystemParams``), both phases are undone by one frame
-change: H(t) = U(t) H(0) U(t)^dagger with U(t) = e^{i delta_p t} on every
-|h> state and 1 elsewhere.  The RK4 step from t_k = k dt is then
-U(t_k) R0 U(t_k)^dagger, with R0 the step from t = 0, so y_k =
-U(t_k)^dagger x_k obeys the constant recurrence y_{k+1} = Q y_k with
-Q = U(dt)^dagger R0, and ``FullModel.run`` advances by powers of Q.
+Rephasing every |h> state by delta_p, x(t) = U(t) y(t) with U(t) =
+e^{i delta_p t} on |h> and 1 elsewhere, removes the first phase: y obeys
+i dy/dt = H'(t) y with H'(t) = U^dagger H(t) U + delta_p on the |h>
+diagonal, in which only the drive still rotates, at omega = delta_he +
+delta_eg - delta_p.  U moves no population, so ``FullModel.steady_mode``
+solves for the long-time state of y directly:
+
+- Raman resonant, omega = 0 (the default of ``SystemParams``): H' =
+  H(0) + delta_p P_h is static, and the long-time state is its eigenvector
+  whose eigenvalue has the largest imaginary part.
+- Otherwise H' has the period T = 2 pi/|omega|, and the long-time state is
+  the Floquet mode of largest multiplier (Shirley, Phys. Rev. 138, B979
+  (1965)): the dominant eigenvector of the one-period RK4 monodromy matrix,
+  followed through that period.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import steady_state
-from .dynamics import step_powers
 from .params import (
     TAU,
     Direction,
@@ -45,13 +48,8 @@ DETUNING_RECONSTRUCTION_TOL = 1e-12
 MAX_N_MAX = 4
 VALIDATE_REGIME_MIN = 5.0
 
-#: Steps per block in ``FullModel.run``: generator matrices assembled at
-#: once on the stepping path, precomputed powers of Q on the frame path.
+#: Steps per block of generator matrices assembled at once by the RK4 run.
 _BLOCK_STEPS = 4096
-
-
-class NotConverged(RuntimeError):
-    """Consecutive time-averaging windows disagree beyond the tolerance."""
 
 
 def state_index(n: int, level: str) -> int:
@@ -177,7 +175,7 @@ class FullModel:
     dependence; ``hamiltonian`` reassembles the sum at any t.
     ``raman_resonant`` records whether delta_he + delta_eg equals delta_p
     to the frequency round-off that ``FullModelParams.from_system_params``
-    accepts; then H(t) = U(t) H(0) U(t)^dagger (see the module docstring).
+    accepts; then the rephased H' is static (see the module docstring).
     """
 
     def __init__(self, params: FullModelParams) -> None:
@@ -221,6 +219,8 @@ class FullModel:
         self._static = static
         self._cavity = cavity_block
         self._atom = atom_block
+        # P_h, the projector on every |h> state.
+        self._p_h = np.diag(np.tile(np.array(LEVELS) == "h", n_max + 1).astype(float))
         self.delta2 = params.delta_he + params.delta_eg
         scale = max(
             abs(params.omega_c),
@@ -235,33 +235,26 @@ class FullModel:
             abs(self.delta2 - params.delta_p) <= DETUNING_RECONSTRUCTION_TOL * scale
         )
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """Non-Hermitian H(t) including the -i kappa/2 photon decay."""
-        ph_c = cmath.exp(-1j * self.params.delta_p * t)
-        ph_a = cmath.exp(1j * self.delta2 * t)
-        return (
-            self._static
-            + ph_c * self._cavity
-            + np.conj(ph_c) * self._cavity.conj().T
-            + ph_a * self._atom
-            + np.conj(ph_a) * self._atom.conj().T
-        )
+    def hamiltonian(self, t: float, frame: bool = False) -> np.ndarray:
+        """Non-Hermitian H(t) including the -i kappa/2 photon decay; with
+        ``frame``, H'(t) of the |h>-rephased frame."""
+        return self._hamiltonians(np.array([t], dtype=float), frame)[0]
 
     def rhs(self, state: np.ndarray, t: float) -> np.ndarray:
         return -1j * (self.hamiltonian(t) @ np.asarray(state, dtype=complex))
 
-    def _matrices_at(self, times: np.ndarray) -> np.ndarray:
-        """Generator stack -i H(t) for a vector of times, shape (T, dim, dim)."""
-        ph_c = np.exp(-1j * self.params.delta_p * times)
-        ph_a = np.exp(1j * self.delta2 * times)
-        h = (
-            self._static[None, :, :]
+    def _hamiltonians(self, times: np.ndarray, frame: bool = False) -> np.ndarray:
+        """``hamiltonian`` for a vector of times, shape (T, dim, dim)."""
+        shift = self.params.delta_p if frame else 0.0
+        ph_c = np.exp(-1j * (self.params.delta_p - shift) * times)
+        ph_a = np.exp(1j * (self.delta2 - shift) * times)
+        return (
+            (self._static + shift * self._p_h)[None, :, :]
             + ph_c[:, None, None] * self._cavity[None, :, :]
             + np.conj(ph_c)[:, None, None] * self._cavity.conj().T[None, :, :]
             + ph_a[:, None, None] * self._atom[None, :, :]
             + np.conj(ph_a)[:, None, None] * self._atom.conj().T[None, :, :]
         )
-        return -1j * h
 
     def run(
         self,
@@ -275,13 +268,9 @@ class FullModel:
 
         Returns (final_state, collect_times, collected_states); collection
         starts at ``collect_from`` (None collects nothing) and never
-        includes step 0.  When ``raman_resonant``, the run follows the
-        constant frame recurrence y_{k+1} = Q y_k: it jumps to the first
-        collected step with one matrix power, advances through the
-        collected steps in blocks of precomputed powers of Q, and rotates
-        back by U(t_k).  Otherwise generator matrices are pre-assembled on
-        the half-step grid in blocks and the steps run one by one.  Both
-        raise ArithmeticError once the state is no longer finite.
+        includes step 0.  Generator matrices are pre-assembled on the
+        half-step grid in blocks and the steps run one by one.  Raises
+        ArithmeticError once the state is no longer finite.
         """
         if dt <= 0.0 or t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
@@ -298,8 +287,7 @@ class FullModel:
         first_collect = n_steps + 1
         if collect_from is not None:
             first_collect = max(1, int(math.ceil(collect_from / dt)))
-        integrate = self._run_frame if self.raman_resonant else self._run_steps
-        final, collected = integrate(state, n_steps, dt, first_collect)
+        final, collected = self._run_steps(state, n_steps, dt, first_collect)
         times = dt * np.arange(first_collect, n_steps + 1)
         states = (
             np.concatenate(collected)
@@ -309,14 +297,19 @@ class FullModel:
         return final, times, states
 
     def _run_steps(
-        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
+        self,
+        state: np.ndarray,
+        n_steps: int,
+        dt: float,
+        first_collect: int,
+        frame: bool = False,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         collected = []
         half = dt / 2.0
         for start in range(0, n_steps, _BLOCK_STEPS):
             stop = min(start + _BLOCK_STEPS, n_steps)
             times = start * dt + half * np.arange(2 * (stop - start) + 1)
-            gen = self._matrices_at(times)
+            gen = -1j * self._hamiltonians(times, frame)
             for k in range(stop - start):
                 state = _rk4_step(gen[2 * k : 2 * k + 3], state, dt)
                 if start + k + 1 >= first_collect:
@@ -324,33 +317,39 @@ class FullModel:
             _check_finite(state, stop * dt)
         return state, collected
 
-    def _run_frame(
-        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        # U(t) = exp(rate * t) elementwise: e^{i delta_p t} on |h> states.
-        in_h = np.tile(np.array(LEVELS) == "h", self.params.n_max + 1)
-        rate = np.where(in_h, 1j * self.params.delta_p, 0.0)
-        r0 = _rk4_step(
-            self._matrices_at(np.array([0.0, dt / 2.0, dt])),
-            np.eye(self.params.dim, dtype=complex),
-            dt,
-        )
-        q = np.exp(-rate * dt)[:, None] * r0
-        jump = min(first_collect, n_steps + 1) - 1
-        y = np.linalg.matrix_power(q, jump) @ state
-        _check_finite(y, jump * dt)
-        collected = []
-        if jump < n_steps:
-            powers = step_powers(q, min(_BLOCK_STEPS, n_steps - jump))
-            for start in range(jump, n_steps, len(powers)):
-                stop = min(start + len(powers), n_steps)
-                ys = powers[: stop - start] @ y
-                y = ys[-1]
-                _check_finite(y, stop * dt)
-                times = dt * np.arange(start + 1, stop + 1)
-                collected.append(np.exp(np.outer(times, rate)) * ys)
-            return collected[-1][-1], collected
-        return np.exp(rate * (n_steps * dt)) * y, collected
+    def steady_mode(self, dt: float = 1e-3) -> tuple[np.ndarray, float]:
+        """The long-time state in the |h>-rephased frame, and the rate at
+        which the runner-up mode falls behind it.
+
+        Returns (states, gap).  When ``raman_resonant``, ``states`` holds
+        the eigenvector of the static H' as its one row, and ``gap`` is the
+        difference of the two largest imaginary parts of its eigenvalues.
+        Otherwise the monodromy matrix over one beat period T is built by
+        RK4 at the step nearest ``dt`` that divides T, ``states`` holds its
+        dominant eigenvector at the steps of one period, and ``gap`` is
+        ln(|mu_1|/|mu_2|)/T.  A beat period longer than 100/kappa raises
+        ValueError.
+        """
+        if self.raman_resonant:
+            lam, vec = np.linalg.eig(self.hamiltonian(0.0, frame=True))
+            top, second = np.argsort(-lam.imag)[:2]
+            return vec[:, top][None], float(lam[top].imag - lam[second].imag)
+
+        period = TAU / abs(self.delta2 - self.params.delta_p)
+        if period > 100.0 / self.params.kappa:
+            raise ValueError(
+                f"the drive beat period T = {period:.6g} exceeds 100/kappa; "
+                "move delta_he onto Raman resonance or further from it"
+            )
+        n_steps = max(8, round(period / dt))
+        dt = period / n_steps
+        identity = np.eye(self.params.dim, dtype=complex)
+        monodromy, _ = self._run_steps(identity, n_steps, dt, n_steps + 1, frame=True)
+        mu, vec = np.linalg.eig(monodromy)
+        top, second = np.argsort(-np.abs(mu))[:2]
+        _, states = self._run_steps(vec[:, top], n_steps, dt, 1, frame=True)
+        gap = math.log(abs(mu[top]) / abs(mu[second])) / period
+        return np.concatenate(states), gap
 
 
 def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
@@ -387,7 +386,10 @@ class ValidationReport:
     """Full-vs-effective comparison at one parameter point.
 
     ``passed`` avoids shadowing the keyword; the key=value serialization
-    still emits it as ``pass``.
+    still emits it as ``pass``.  ``gap`` is the rate at which the full
+    model's runner-up mode falls behind its steady state, and
+    ``settle_time`` = ln(10/tolerance)/gap the time it takes to fall by a
+    factor tolerance/10 (inf when the gap is 0).
     """
 
     g2_full: float
@@ -395,8 +397,8 @@ class ValidationReport:
     rel_diff: float
     passed: bool
     n_max: int
-    window_period: float
-    window_spread: float
+    gap: float
+    settle_time: float
 
     def as_text(self) -> str:
         lines = [
@@ -405,28 +407,10 @@ class ValidationReport:
             f"rel_diff = {self.rel_diff!r}",
             f"pass = {'true' if self.passed else 'false'}",
             f"n_max = {self.n_max}",
-            f"window_period = {self.window_period!r}",
-            f"window_spread = {self.window_spread!r}",
+            f"gap = {self.gap!r}",
+            f"settle_time = {self.settle_time!r}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def averaging_period(params: FullModelParams) -> float:
-    """Period of the slowest explicit phase; 1/kappa when none rotates."""
-    freqs = [abs(params.delta_p), abs(params.delta_he + params.delta_eg)]
-    live = [f for f in freqs if f > 1e-9]
-    if not live:
-        return 1.0 / params.kappa
-    return TAU / min(live)
-
-
-def _window_g2(p1: np.ndarray, p2: np.ndarray) -> float:
-    mean_p1 = float(np.mean(p1))
-    mean_p2 = float(np.mean(p2))
-    occupation = mean_p1 + 2.0 * mean_p2
-    if occupation <= 0.0:
-        return math.nan
-    return 2.0 * mean_p2 / occupation**2
 
 
 def validate_effective(
@@ -435,20 +419,17 @@ def validate_effective(
     *,
     n_max: int = 2,
     dt: float = 1e-3,
-    transient: float | None = None,
-    windows: int = 4,
 ) -> ValidationReport:
-    """Integrate the full model and compare its g2 with the analytic one.
+    """Solve the full model's steady state and compare its g2 with the
+    analytic one.
 
-    The full model runs past a ``transient`` (default 100/kappa), then P1
-    and P2 are averaged over ``windows`` consecutive periods of the
-    slowest explicit phase.  The last two windows must agree on g2 to
-    tolerance/10, otherwise NotConverged.
+    P1 and P2 come from ``FullModel.steady_mode``, averaged over one beat
+    period off Raman resonance, where ``dt`` is the RK4 step.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    if windows < 2:
-        raise ValueError("need at least two averaging windows")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     if params.g != 0.0 and abs(params.delta_p / params.g) <= VALIDATE_REGIME_MIN:
         warnings.warn(
             f"|delta_p/g| = {abs(params.delta_p / params.g):.3g} <= "
@@ -457,33 +438,13 @@ def validate_effective(
             stacklevel=2,
         )
 
-    fm = FullModelParams.from_system_params(params, n_max)
-    model = FullModel(fm)
-    period = averaging_period(fm)
-    if transient is None:
-        transient = 100.0 / params.kappa
-    # Commensurate step so each window holds a whole number of steps.
-    steps_per_period = max(8, int(round(period / dt)))
-    dt_used = period / steps_per_period
-    t_end = transient + windows * period
-
-    _, times, states = model.run(t_end, dt_used, collect_from=transient)
+    model = FullModel(FullModelParams.from_system_params(params, n_max))
+    states, gap = model.steady_mode(dt)
     occ = photon_occupations(states, n_max)
-    p1, p2 = occ[1], occ[2] if n_max >= 2 else np.zeros_like(occ[1])
-
-    per_window = []
-    for w in range(windows):
-        sel = slice(w * steps_per_period, (w + 1) * steps_per_period)
-        per_window.append(_window_g2(p1[sel], p2[sel]))
-    g2_full = _window_g2(p1[: windows * steps_per_period], p2[: windows * steps_per_period])
-    spread = abs(per_window[-1] - per_window[-2])
-    scale = max(abs(g2_full), 1e-30)
-    if not math.isfinite(g2_full) or spread / scale > tolerance / 10.0:
-        raise NotConverged(
-            f"averaging windows disagree: |{per_window[-1]!r} - "
-            f"{per_window[-2]!r}| relative to {g2_full!r} exceeds "
-            f"{tolerance / 10.0:g}"
-        )
+    p1 = float(np.mean(occ[1]))
+    p2 = float(np.mean(occ[2])) if n_max >= 2 else 0.0
+    occupation = p1 + 2.0 * p2
+    g2_full = 2.0 * p2 / occupation**2 if occupation > 0.0 else math.nan
 
     g2_effective = steady_state.steady_stats(params).g2
     rel_diff = abs(g2_full - g2_effective) / abs(g2_effective)
@@ -493,8 +454,8 @@ def validate_effective(
         rel_diff=rel_diff,
         passed=bool(rel_diff < tolerance),
         n_max=n_max,
-        window_period=period,
-        window_spread=spread,
+        gap=gap,
+        settle_time=math.log(10.0 / tolerance) / gap if gap > 0.0 else math.inf,
     )
 
 
@@ -502,9 +463,7 @@ __all__ = [
     "LEVELS",
     "FullModel",
     "FullModelParams",
-    "NotConverged",
     "ValidationReport",
-    "averaging_period",
     "photon_occupations",
     "state_index",
     "validate_effective",

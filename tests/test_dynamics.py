@@ -457,16 +457,6 @@ class TestEvolve:
         with pytest.raises(dynamics.NonFiniteState, match=f"t = {k * dt:.6g};"):
             dynamics.evolve(dynamics.vacuum_state(), eff, 1e-9, cfg)
 
-    def test_step_powers(self):
-        rng = np.random.default_rng(2)
-        step = np.eye(5) + 0.1 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        for n in (1, 2, 7, 64):
-            powers = dynamics.step_powers(step, n)
-            assert powers.shape == (n, 5, 5)
-            for j in range(n):
-                want = np.linalg.matrix_power(step, j + 1)
-                assert np.allclose(powers[j], want, rtol=1e-12, atol=1e-12)
-
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_power_increments(self, lead):
         rng = np.random.default_rng(3)

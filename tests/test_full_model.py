@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityblockade import cli
 from cavityblockade import full_model as fm
 from cavityblockade import optimizer
 from cavityblockade import params as P
@@ -163,6 +164,27 @@ class TestModelStructure:
                 model.rhs(state, t), -1j * (want @ state), rtol=1e-12, atol=1e-12
             )
 
+    def test_rephased_frame(self):
+        # H'(t) = U^dagger H(t) U + delta_p P_h with U = e^{i delta_p t} on
+        # every |h> state: only the drive rotates, at delta_he + delta_eg - delta_p.
+        p = bare_params(g=3.0, e_he=1.5, e_eg=0.2, b_in=0.3, phi_he=0.7)
+        model = fm.FullModel(p)
+        in_h = np.tile(np.array(fm.LEVELS) == "h", p.n_max + 1)
+        for t in (0.0, 0.37, 2.9):
+            u = np.exp(1j * p.delta_p * t * in_h)
+            want = (
+                u.conj()[:, None] * assemble_hamiltonian(p, t) * u[None, :]
+                + np.diag(np.where(in_h, p.delta_p, 0.0))
+            )
+            assert np.allclose(model.hamiltonian(t, frame=True), want, rtol=1e-12, atol=1e-12)
+        period = 2.0 * math.pi / 0.5
+        assert np.allclose(
+            model.hamiltonian(period, frame=True),
+            model.hamiltonian(0.0, frame=True),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
     def test_detuning_reconstruction(self):
         base = dataclasses.replace(P.reference_params(), e_he=2.736, delta_c=0.85)
         p = fm.FullModelParams.from_system_params(base, n_max=2)
@@ -239,9 +261,9 @@ class TestRun:
             initial = rng.normal(size=resonant.dim) + 1j * rng.normal(size=resonant.dim)
             initial /= np.linalg.norm(initial)
         t_end, dt = 0.6, 1e-3
-        for p, frame in ((resonant, True), (detuned, False)):
+        for p, is_resonant in ((resonant, True), (detuned, False)):
             model = fm.FullModel(p)
-            assert model.raman_resonant is frame
+            assert model.raman_resonant is is_resonant
             want_final, want_times, want_states = reference_run(
                 p, t_end, dt, initial, collect_from=0.0
             )
@@ -261,9 +283,9 @@ class TestRun:
     def test_unstable_step_raises(self, collect_from):
         resonant = fm.FullModelParams.from_system_params(P.reference_params())
         detuned = bare_params(g=10.0, e_he=1.5, b_in=0.3)
-        for p, frame in ((resonant, True), (detuned, False)):
+        for p, is_resonant in ((resonant, True), (detuned, False)):
             model = fm.FullModel(p)
-            assert model.raman_resonant is frame
+            assert model.raman_resonant is is_resonant
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ArithmeticError, match="non-finite"):
                     model.run(100.0, 0.5, collect_from=collect_from)
@@ -276,15 +298,23 @@ class TestRun:
         assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
 
-class TestValidation:
-    def test_averaging_period(self):
-        p = fm.FullModelParams.from_system_params(P.reference_params())
-        assert fm.averaging_period(p) == pytest.approx(2.0 * math.pi / 100.0)
-        static = bare_params(omega_h=1000.0, omega_he=950.0)
-        assert static.delta_p == 0.0
-        assert static.delta_he + static.delta_eg == 0.0
-        assert fm.averaging_period(static) == 1.0
+def raman_offset(base: P.SystemParams, offset: float) -> P.SystemParams:
+    """``base`` with the upper-leg drive ``offset`` from Raman resonance."""
+    return dataclasses.replace(
+        base, delta_he=base.delta_he_effective + offset
+    )
 
+
+def g2_of(states: np.ndarray, n_max: int) -> float:
+    occ = fm.photon_occupations(states, n_max)
+    p1, p2 = float(np.mean(occ[1])), float(np.mean(occ[2]))
+    return 2.0 * p2 / (p1 + 2.0 * p2) ** 2
+
+
+E_HE_2 = dataclasses.replace(P.reference_params(), e_he=2.0, delta_c=0.0)
+
+
+class TestValidation:
     def test_reference_point_agrees(self):
         report = fm.validate_effective(P.reference_params())
         assert report.passed
@@ -294,27 +324,98 @@ class TestValidation:
         assert "pass = true" in text
         assert f"rel_diff = {report.rel_diff!r}" in text
 
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_resonant_g2_is_the_eigenvector(self, n_max):
+        # The runner-up mode decays at ~5e-3 kappa here, so a run of 100/kappa
+        # followed by averaging windows kept e^{-0.49} of it.
+        p = fm.FullModelParams.from_system_params(E_HE_2, n_max)
+        in_h = np.tile(np.array(fm.LEVELS) == "h", n_max + 1)
+        lam, vec = np.linalg.eig(
+            assemble_hamiltonian(p, 0.0) + np.diag(np.where(in_h, p.delta_p, 0.0))
+        )
+        want = g2_of(vec[:, np.argmax(lam.imag)][None], n_max)
+        report = fm.validate_effective(E_HE_2, n_max=n_max)
+        assert report.g2_full == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert report.passed
+        top, second = np.sort(lam.imag)[::-1][:2]
+        assert report.gap == pytest.approx(top - second, rel=1e-9)
+        assert report.settle_time == pytest.approx(math.log(50.0) / report.gap)
+
+    def test_off_resonance_is_the_floquet_mode(self):
+        # Beat period T = 2 pi/20: the monodromy matrix of the independent
+        # per-step RK4, rephased by U(T)^dagger, and its dominant mode
+        # followed through one period.  This reference steps in the lab
+        # frame and the package in the rephased one; the two RK4
+        # discretizations differ by about 5e-9 in g2 here.
+        base = raman_offset(E_HE_2, -20.0)
+        p = fm.FullModelParams.from_system_params(base)
+        assert not fm.FullModel(p).raman_resonant
+        period = 2.0 * math.pi / 20.0
+        n_steps = round(period / 1e-3)
+        dt = period / n_steps
+        lab = np.stack(
+            [reference_run(p, period, dt, initial=column)[0] for column in np.eye(p.dim)],
+            axis=1,
+        )
+        in_h = np.tile(np.array(fm.LEVELS) == "h", p.n_max + 1)
+        mu, vec = np.linalg.eig(np.exp(-1j * p.delta_p * period * in_h)[:, None] * lab)
+        order = np.argsort(-np.abs(mu))
+        _, _, states = reference_run(p, period, dt, initial=vec[:, order[0]], collect_from=0.0)
+        want = g2_of(states, p.n_max)
+        report = fm.validate_effective(base)
+        assert report.g2_full == pytest.approx(want, rel=1e-8, abs=0.0)
+        want_gap = math.log(abs(mu[order[0]]) / abs(mu[order[1]])) / period
+        assert report.gap == pytest.approx(want_gap, rel=1e-6)
+
+    def test_off_resonance_step_converged(self):
+        base = raman_offset(E_HE_2, 3.0)
+        coarse = fm.validate_effective(base)
+        fine = fm.validate_effective(base, dt=5e-4)
+        assert coarse.g2_full == pytest.approx(fine.g2_full, rel=1e-9, abs=0.0)
+        assert coarse.gap == pytest.approx(fine.gap, rel=1e-9)
+
+    def test_slow_beat_is_refused(self):
+        # T = 2 pi/0.05 ~ 126 is longer than 100/kappa.
+        with pytest.raises(ValueError, match="T = 125.66"):
+            fm.validate_effective(raman_offset(E_HE_2, 0.05))
+
     def test_decoupled_cavity_matches_exactly(self):
         # All atom couplings and drives off: both models reduce to the same
-        # truncated driven cavity, so only integrator error remains.
+        # truncated driven cavity, whatever level the atom sits in.  The
+        # three copies' top modes decay alike, so the gap is round-off.
         p = dataclasses.replace(
             P.reference_params(), g=0.0, e_he=0.0, e_eg=0.0, b_in=5e-4
         )
         report = fm.validate_effective(p)
         assert report.rel_diff < 1e-6
+        for value in (report.g2_full, report.g2_effective, report.rel_diff, report.gap):
+            assert math.isfinite(value)
+        assert report.gap < 1e-12
+        assert report.settle_time > 1e12
+        text = report.as_text()
+        assert f"gap = {report.gap!r}" in text
+        assert f"settle_time = {report.settle_time!r}" in text
+
+    def test_undriven_cavity_reports_nan(self):
+        # No photons: g2 is undefined on both sides, and the vacuum states
+        # tie for the slowest decay.
+        report = fm.validate_effective(dataclasses.replace(P.reference_params(), b_in=0.0))
+        assert math.isnan(report.g2_full) and not report.passed
+        assert report.gap == 0.0 and report.settle_time == math.inf
 
     def test_breakdown_is_loud(self):
         p = dataclasses.replace(P.reference_params(), delta_p=10.0)
         with pytest.warns(P.RegimeWarning, match="unreliable"):
-            with pytest.raises(fm.NotConverged):
-                fm.validate_effective(p)
+            report = fm.validate_effective(p)
+        assert not report.passed
+        assert report.g2_full > 10.0 * report.g2_effective
 
     def test_argument_validation(self):
         p = P.reference_params()
         with pytest.raises(ValueError, match="tolerance"):
             fm.validate_effective(p, tolerance=0.0)
-        with pytest.raises(ValueError, match="windows"):
-            fm.validate_effective(p, windows=1)
+        with pytest.raises(ValueError, match="dt"):
+            fm.validate_effective(p, dt=0.0)
 
     def test_report_text_shape(self):
         report = fm.ValidationReport(
@@ -323,10 +424,22 @@ class TestValidation:
             rel_diff=0.25,
             passed=False,
             n_max=2,
-            window_period=0.0628,
-            window_spread=1e-4,
+            gap=0.004,
+            settle_time=977.98,
         )
         lines = report.as_text().strip().split("\n")
         assert lines[0] == "g2_full = 1.25"
         assert "pass = false" in lines
-        assert lines[-1] == "window_spread = 0.0001"
+        assert lines[-2:] == ["gap = 0.004", "settle_time = 977.98"]
+
+
+class TestCli:
+    def test_slow_beat_exits_1(self, capsys):
+        argv = ["validate-full", "--e-he", "2", "--delta-c", "0", "--delta-he", "100.45"]
+        assert cli.main(argv) == 1
+        assert "T = 628.319" in capsys.readouterr().err
+
+    def test_failed_comparison_exits_0(self, capsys):
+        # validate-full reports; it does not gate.
+        assert cli.main(["validate-full", "--delta-p", "10"]) == 0
+        assert "pass = false" in capsys.readouterr().out

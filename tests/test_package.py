@@ -59,7 +59,7 @@ VERBS = {
     "optimize": (["optimize"], BASE + ["optimizer"]),
     "optimize-fixed": (["optimize", "--fix-delta-c", "--delta-c", "2.5"], BASE + ["optimizer"]),
     "nonreciprocal": (["nonreciprocal"], BASE + ["optimizer"]),
-    "validate-full": (["validate-full"], BASE + ["dynamics", "full_model"]),
+    "validate-full": (["validate-full"], BASE + ["full_model"]),
     "sweep": (
         ["sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", "--jobs", "2"],
         BASE + ["optimizer", "sweeps"],
@@ -86,7 +86,7 @@ def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     out = run_python(VERB_CHILD, *argv, cwd=tmp_path).strip().splitlines()[-1]
     code, loaded, numpy_ma, futures = json.loads(out)
     assert code == 0
-    # Only validate-full integrates in time, so only it loads dynamics.
+    # No verb integrates the amplitude equations, so none loads dynamics.
     assert loaded == sorted(modules)
     # np.unique imports numpy.ma on first use in numpy 2.4.
     assert not numpy_ma
