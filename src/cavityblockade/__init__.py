@@ -21,7 +21,6 @@ _EXPORTS = {
     "EnergyPair": "spectrum",
     "FIGURE_NAMES": "figures",
     "FullModel": "full_model",
-    "FullModelParams": "full_model",
     "IntegratorConfig": "dynamics",
     "JThetaScan": "optimizer",
     "NonFiniteState": "dynamics",

@@ -27,6 +27,7 @@ from .params import (
     RegimeWarning,
     SystemParams,
     _FLOAT_FIELDS,
+    _kv_text,
     parse_config,
     params_from_mapping,
     reference_params,
@@ -94,13 +95,6 @@ def _parse_axis(text: str):
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
-def _print_kv(pairs: list[tuple[str, object]]) -> None:
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = repr(value)
-        print(f"{key} = {value}")
-
-
 def _jobs(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         if args.jobs < 1:
@@ -114,16 +108,18 @@ def _cmd_g2(args: argparse.Namespace) -> int:
 
     params = _params_from_args(args)
     stats = steady_state.steady_stats(params, j=args.J, theta=args.theta)
-    _print_kv(
-        [
-            ("direction", params.direction.value),
-            ("delta_c", params.delta_c),
-            ("g2", stats.g2),
-            ("p1", stats.p1),
-            ("p2", stats.p2),
-            ("n_paper", stats.n_cavity_paper),
-            ("n_full", stats.n_cavity_full),
-        ]
+    sys.stdout.write(
+        _kv_text(
+            [
+                ("direction", params.direction.value),
+                ("delta_c", params.delta_c),
+                ("g2", stats.g2),
+                ("p1", stats.p1),
+                ("p2", stats.p2),
+                ("n_paper", stats.n_cavity_paper),
+                ("n_full", stats.n_cavity_full),
+            ]
+        )
     )
     return 0
 
@@ -161,15 +157,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     point = optimizer.solve_optimal(params, fix_delta_c=args.fix_delta_c)
     at_optimum = dataclasses.replace(params, delta_c=point.delta_c_opt)
     stats = steady_state.steady_stats(at_optimum, j=point.J, theta=point.theta)
-    _print_kv(
-        [
-            ("direction", point.direction.value),
-            ("J", point.J),
-            ("theta", point.theta),
-            ("delta_c_opt", point.delta_c_opt),
-            ("residual", point.residual),
-            ("g2", stats.g2),
-        ]
+    sys.stdout.write(
+        _kv_text(
+            [
+                ("direction", point.direction.value),
+                ("J", point.J),
+                ("theta", point.theta),
+                ("delta_c_opt", point.delta_c_opt),
+                ("residual", point.residual),
+                ("g2", stats.g2),
+            ]
+        )
     )
     return 0
 
@@ -179,15 +177,17 @@ def _cmd_nonreciprocal(args: argparse.Namespace) -> int:
 
     params = _params_from_args(args)
     j, theta, report = optimizer.nonreciprocal_point(params, args.target_delta_c)
-    _print_kv(
-        [
-            ("J", j),
-            ("theta", theta),
-            ("delta_c", report.delta_c),
-            ("g2_forward", report.g2_forward),
-            ("g2_backward", report.g2_backward),
-            ("contrast", report.contrast),
-        ]
+    sys.stdout.write(
+        _kv_text(
+            [
+                ("J", j),
+                ("theta", theta),
+                ("delta_c", report.delta_c),
+                ("g2_forward", report.g2_forward),
+                ("g2_backward", report.g2_backward),
+                ("contrast", report.contrast),
+            ]
+        )
     )
     return 0
 

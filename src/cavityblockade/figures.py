@@ -13,7 +13,14 @@ from typing import Callable
 import numpy as np
 
 from . import svgplot, sweeps
-from .params import FIGURE_NAMES, Direction, SystemParams, implied_e_he, reference_params
+from .params import (
+    FIGURE_NAMES,
+    Direction,
+    SystemParams,
+    _kv_text,
+    implied_e_he,
+    reference_params,
+)
 
 
 class UnknownFigure(KeyError):
@@ -30,15 +37,6 @@ _DC_LABEL = "delta_c / kappa"
 def _write(path: Path, text: str) -> str:
     path.write_text(text)
     return path.name
-
-
-def _kv_block(items: list[tuple[str, object]]) -> str:
-    lines = []
-    for key, value in items:
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
@@ -357,7 +355,7 @@ def _nonreciprocal_figure(
     files.append(
         _write(
             out / f"{name}_point.txt",
-            _kv_block(
+            _kv_text(
                 [
                     ("J", j),
                     ("theta", theta),

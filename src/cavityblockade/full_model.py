@@ -1,10 +1,13 @@
 """Un-eliminated three-level model used as an oracle for the effective one.
 
-In the rotating frame the Hamiltonian keeps two explicitly time-dependent
-phases, e^{-i delta_p t} on the cavity-atom coupling and
-e^{+i (delta_he + delta_eg) t} on the |h> <-> |e> drive.  Cavity loss enters
-as -i kappa/2 per photon; spontaneous emission of |h> is excluded,
-consistent with the large-detuning regime where |h> is barely populated.
+The model is built straight from the rotating-frame detunings of
+``SystemParams``: delta_c, delta_p, the bare delta_eg and the upper-leg
+delta_he (Raman resonant unless set), with no lab frequencies.  Its
+Hamiltonian keeps two explicitly time-dependent phases, e^{-i delta_p t} on
+the cavity-atom coupling and e^{+i (delta_he + delta_eg) t} on the
+|h> <-> |e> drive.  Cavity loss enters as -i kappa/2 per photon;
+spontaneous emission of |h> is excluded, consistent with the
+large-detuning regime where |h> is barely populated.
 
 Rephasing every |h> state by delta_p, x(t) = U(t) y(t) with U(t) =
 e^{i delta_p t} on |h> and 1 elsewhere, removes the first phase: y obeys
@@ -32,18 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import steady_state
-from .params import (
-    TAU,
-    Direction,
-    RegimeWarning,
-    SystemParams,
-)
+from .params import TAU, RegimeWarning, SystemParams, _kv_text
 
 LEVELS = ("g", "e", "h")
 
-#: Reconstruction agreement demanded between stored frequencies and the
-#: detunings they were built from.
-DETUNING_RECONSTRUCTION_TOL = 1e-12
+#: Relative size of the beat delta_he + delta_eg - delta_p below which the
+#: drive counts as Raman resonant (see ``FullModel``).
+RAMAN_TOL = 1e-12
 
 MAX_N_MAX = 4
 VALIDATE_REGIME_MIN = 5.0
@@ -56,139 +54,35 @@ def state_index(n: int, level: str) -> int:
     return 3 * n + LEVELS.index(level)
 
 
-@dataclass(frozen=True)
-class FullModelParams:
-    """Lab-frame frequencies plus drives for the three-level simulation.
-
-    Frequencies are stored absolutely (in units of kappa) so that the
-    rotating-frame detunings are derived quantities; ``from_system_params``
-    picks arbitrary reference frequencies and verifies the round trip.
-    """
-
-    omega_c: float
-    omega_e: float
-    omega_h: float
-    omega_p: float
-    omega_he: float
-    omega_eg: float
-    kappa: float = 1.0
-    kappa1: float = 1.0
-    kappa2: float = 1.0
-    g: float = 0.0
-    e_he: float = 0.0
-    e_eg: float = 0.0
-    b_in: float = 0.0
-    phi_p: float = 0.0
-    phi_he: float = 0.0
-    phi_eg: float = 0.0
-    direction: Direction = Direction.FORWARD
-    n_max: int = 2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_max <= MAX_N_MAX:
-            raise ValueError(f"n_max must be in [1, {MAX_N_MAX}], got {self.n_max}")
-        if self.kappa <= 0.0 or self.kappa1 <= 0.0 or self.kappa2 <= 0.0:
-            raise ValueError("decay rates must be positive")
-
-    @property
-    def delta_c(self) -> float:
-        return self.omega_c - self.omega_p
-
-    @property
-    def delta_p(self) -> float:
-        return self.omega_h - self.omega_p
-
-    @property
-    def delta_he(self) -> float:
-        return self.omega_h - self.omega_e - self.omega_he
-
-    @property
-    def delta_eg(self) -> float:
-        return self.omega_e - self.omega_eg
-
-    @property
-    def kappa_in(self) -> float:
-        return self.kappa1 if self.direction is Direction.FORWARD else self.kappa2
-
-    @property
-    def omega(self) -> float:
-        return math.sqrt(self.kappa_in) * self.b_in
-
-    @property
-    def dim(self) -> int:
-        return 3 * (self.n_max + 1)
-
-    @classmethod
-    def from_system_params(
-        cls,
-        params: SystemParams,
-        n_max: int = 2,
-        *,
-        omega_p_base: float = 1000.0,
-        omega_e_base: float = 50.0,
-    ) -> "FullModelParams":
-        delta_eg = params.delta_eg
-        delta_he = params.delta_he_effective
-        omega_p = omega_p_base
-        omega_e = omega_e_base
-        built = cls(
-            omega_c=omega_p + params.delta_c,
-            omega_e=omega_e,
-            omega_h=omega_p + params.delta_p,
-            omega_p=omega_p,
-            omega_he=(omega_p + params.delta_p) - omega_e - delta_he,
-            omega_eg=omega_e - delta_eg,
-            kappa=params.kappa,
-            kappa1=params.kappa1,
-            kappa2=params.kappa2,
-            g=params.g,
-            e_he=params.e_he,
-            e_eg=params.e_eg,
-            b_in=params.b_in,
-            phi_p=params.phi_p,
-            phi_he=params.phi_he,
-            phi_eg=params.phi_eg,
-            direction=params.direction,
-            n_max=n_max,
-        )
-        checks = {
-            "delta_c": (built.delta_c, params.delta_c),
-            "delta_p": (built.delta_p, params.delta_p),
-            "delta_he": (built.delta_he, delta_he),
-            "delta_eg": (built.delta_eg, delta_eg),
-        }
-        scale = max(abs(omega_p_base), abs(omega_e_base), 1.0)
-        for name, (got, want) in checks.items():
-            if abs(got - want) > DETUNING_RECONSTRUCTION_TOL * scale:
-                raise ValueError(
-                    f"frequency construction failed to reproduce {name}: "
-                    f"{got!r} != {want!r}"
-                )
-        return built
-
-
 class FullModel:
     """Dense time-dependent generator for the truncated three-level model.
 
-    The matrix splits into a static part (detunings, decay, cavity drive,
-    microwave) plus two rotating blocks whose phases are the only time
-    dependence; ``hamiltonian`` reassembles the sum at any t.
-    ``raman_resonant`` records whether delta_he + delta_eg equals delta_p
-    to the frequency round-off that ``FullModelParams.from_system_params``
-    accepts; then the rephased H' is static (see the module docstring).
+    Built straight from the detunings of ``params``: delta_c, delta_p,
+    ``params.delta_eg`` and ``params.delta_he_effective``, with the cavity
+    drive Omega = sqrt(kappa_in) b_in.  The matrix splits into a static part
+    (detunings, decay, cavity drive, microwave) plus two rotating blocks
+    whose phases are the only time dependence; ``hamiltonian`` reassembles
+    the sum at any t.  ``raman_resonant`` records whether the beat vanishes,
+    |delta_he + delta_eg - delta_p| <= RAMAN_TOL * max(1, |delta_p|,
+    |delta_he|, |delta_eg|); then the rephased H' is static (see the module
+    docstring).
     """
 
-    def __init__(self, params: FullModelParams) -> None:
+    def __init__(self, params: SystemParams, n_max: int = 2) -> None:
+        if not 1 <= n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
         self.params = params
-        dim = params.dim
-        n_max = params.n_max
+        self.n_max = n_max
+        self.dim = dim = 3 * (n_max + 1)
+        delta_eg = params.delta_eg
+        delta_he = params.delta_he_effective
 
         static = np.zeros((dim, dim), dtype=complex)
         cavity_block = np.zeros((dim, dim), dtype=complex)
         atom_block = np.zeros((dim, dim), dtype=complex)
 
         half_loss = 0.5j * params.kappa
-        drive = params.omega * cmath.exp(1j * params.phi_p)
+        drive = math.sqrt(params.kappa_in) * params.b_in * cmath.exp(1j * params.phi_p)
         microwave = params.e_eg * cmath.exp(1j * params.phi_eg)
         pump = params.e_he * cmath.exp(1j * params.phi_he)
 
@@ -197,7 +91,7 @@ class FullModel:
                 k = state_index(n, level)
                 static[k, k] = params.delta_c * n - half_loss * n
                 if level == "e":
-                    static[k, k] += params.delta_eg
+                    static[k, k] += delta_eg
             # microwave E_eg |e><g| + h.c., photon-number diagonal
             static[state_index(n, "e"), state_index(n, "g")] += microwave
             static[state_index(n, "g"), state_index(n, "e")] += microwave.conjugate()
@@ -221,27 +115,14 @@ class FullModel:
         self._atom = atom_block
         # P_h, the projector on every |h> state.
         self._p_h = np.diag(np.tile(np.array(LEVELS) == "h", n_max + 1).astype(float))
-        self.delta2 = params.delta_he + params.delta_eg
-        scale = max(
-            abs(params.omega_c),
-            abs(params.omega_e),
-            abs(params.omega_h),
-            abs(params.omega_p),
-            abs(params.omega_he),
-            abs(params.omega_eg),
-            1.0,
-        )
-        self.raman_resonant = (
-            abs(self.delta2 - params.delta_p) <= DETUNING_RECONSTRUCTION_TOL * scale
-        )
+        self.delta2 = delta_he + delta_eg
+        scale = max(1.0, abs(params.delta_p), abs(delta_he), abs(delta_eg))
+        self.raman_resonant = abs(self.delta2 - params.delta_p) <= RAMAN_TOL * scale
 
     def hamiltonian(self, t: float, frame: bool = False) -> np.ndarray:
         """Non-Hermitian H(t) including the -i kappa/2 photon decay; with
         ``frame``, H'(t) of the |h>-rephased frame."""
         return self._hamiltonians(np.array([t], dtype=float), frame)[0]
-
-    def rhs(self, state: np.ndarray, t: float) -> np.ndarray:
-        return -1j * (self.hamiltonian(t) @ np.asarray(state, dtype=complex))
 
     def _hamiltonians(self, times: np.ndarray, frame: bool = False) -> np.ndarray:
         """``hamiltonian`` for a vector of times, shape (T, dim, dim)."""
@@ -274,7 +155,7 @@ class FullModel:
         """
         if dt <= 0.0 or t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
-        dim = self.params.dim
+        dim = self.dim
         if initial is None:
             state = np.zeros(dim, dtype=complex)
             state[state_index(0, "g")] = 1.0
@@ -343,7 +224,7 @@ class FullModel:
             )
         n_steps = max(8, round(period / dt))
         dt = period / n_steps
-        identity = np.eye(self.params.dim, dtype=complex)
+        identity = np.eye(self.dim, dtype=complex)
         monodromy, _ = self._run_steps(identity, n_steps, dt, n_steps + 1, frame=True)
         mu, vec = np.linalg.eig(monodromy)
         top, second = np.argsort(-np.abs(mu))[:2]
@@ -401,16 +282,17 @@ class ValidationReport:
     settle_time: float
 
     def as_text(self) -> str:
-        lines = [
-            f"g2_full = {self.g2_full!r}",
-            f"g2_effective = {self.g2_effective!r}",
-            f"rel_diff = {self.rel_diff!r}",
-            f"pass = {'true' if self.passed else 'false'}",
-            f"n_max = {self.n_max}",
-            f"gap = {self.gap!r}",
-            f"settle_time = {self.settle_time!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        return _kv_text(
+            [
+                ("g2_full", self.g2_full),
+                ("g2_effective", self.g2_effective),
+                ("rel_diff", self.rel_diff),
+                ("pass", "true" if self.passed else "false"),
+                ("n_max", self.n_max),
+                ("gap", self.gap),
+                ("settle_time", self.settle_time),
+            ]
+        )
 
 
 def validate_effective(
@@ -424,12 +306,15 @@ def validate_effective(
     analytic one.
 
     P1 and P2 come from ``FullModel.steady_mode``, averaged over one beat
-    period off Raman resonance, where ``dt`` is the RK4 step.
+    period off Raman resonance, where ``dt`` is the RK4 step.  ``n_max``
+    must be 2 to 4: g2 needs the two-photon states.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
     if params.g != 0.0 and abs(params.delta_p / params.g) <= VALIDATE_REGIME_MIN:
         warnings.warn(
             f"|delta_p/g| = {abs(params.delta_p / params.g):.3g} <= "
@@ -438,11 +323,11 @@ def validate_effective(
             stacklevel=2,
         )
 
-    model = FullModel(FullModelParams.from_system_params(params, n_max))
+    model = FullModel(params, n_max)
     states, gap = model.steady_mode(dt)
     occ = photon_occupations(states, n_max)
     p1 = float(np.mean(occ[1]))
-    p2 = float(np.mean(occ[2])) if n_max >= 2 else 0.0
+    p2 = float(np.mean(occ[2]))
     occupation = p1 + 2.0 * p2
     g2_full = 2.0 * p2 / occupation**2 if occupation > 0.0 else math.nan
 
@@ -462,7 +347,6 @@ def validate_effective(
 __all__ = [
     "LEVELS",
     "FullModel",
-    "FullModelParams",
     "ValidationReport",
     "photon_occupations",
     "state_index",

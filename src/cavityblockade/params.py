@@ -439,6 +439,17 @@ def amplitude_from_power(p_in: float, omega_p: float) -> float:
     return math.sqrt(p_in / (hbar * omega_p))
 
 
+def _kv_text(pairs: list[tuple[str, object]]) -> str:
+    """``key = value`` lines, one per pair: floats as their repr, anything
+    else as its str.  The output format of the report verbs and files."""
+    lines = []
+    for key, value in pairs:
+        if isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
 def parse_config(text: str) -> dict[str, object]:
     """Parse ``key = value`` configuration text into a raw mapping.
 
