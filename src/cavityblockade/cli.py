@@ -176,19 +176,8 @@ def _cmd_nonreciprocal(args: argparse.Namespace) -> int:
     from . import optimizer
 
     params = _params_from_args(args)
-    j, theta, report = optimizer.nonreciprocal_point(params, args.target_delta_c)
-    sys.stdout.write(
-        _kv_text(
-            [
-                ("J", j),
-                ("theta", theta),
-                ("delta_c", report.delta_c),
-                ("g2_forward", report.g2_forward),
-                ("g2_backward", report.g2_backward),
-                ("contrast", report.contrast),
-            ]
-        )
-    )
+    _, _, report = optimizer.nonreciprocal_point(params, args.target_delta_c)
+    sys.stdout.write(report.as_text())
     return 0
 
 

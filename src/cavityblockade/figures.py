@@ -17,7 +17,6 @@ from .params import (
     FIGURE_NAMES,
     Direction,
     SystemParams,
-    _kv_text,
     implied_e_he,
     reference_params,
 )
@@ -103,6 +102,7 @@ def _heatmap_figure(
     direction: Direction,
     xlabel: str,
     *,
+    ylabel: str = _DC_LABEL,
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
@@ -112,7 +112,7 @@ def _heatmap_figure(
         y=result.values2,
         z=z,
         xlabel=xlabel,
-        ylabel=_DC_LABEL,
+        ylabel=ylabel,
         title=name,
         log10_color=True,
         color_label=f"log10 {result.spec.observable}",
@@ -314,20 +314,7 @@ def _j_theta_figure(
         optimal=False,
         jobs=jobs,
     )
-    files = sweeps.write_sweep_csv(res, out / f"{name}.csv")
-    z = np.where(res.valid[direction], res.observable_grid(direction), np.nan)
-    heat = svgplot.Heatmap(
-        x=res.values1,
-        y=res.values2,
-        z=z,
-        xlabel="J / kappa",
-        ylabel="theta",
-        title=name,
-        log10_color=True,
-        color_label="log10 g2",
-    )
-    files.append(_write(out / f"{name}.svg", heat.render()))
-    return files
+    return _heatmap_figure(res, out, name, direction, "J / kappa", ylabel="theta")
 
 
 def fig6a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
@@ -352,21 +339,7 @@ def _nonreciprocal_figure(
         jobs=jobs,
     )
     files = _line_figure(res, out, name, "g2", _G2_LABEL)
-    files.append(
-        _write(
-            out / f"{name}_point.txt",
-            _kv_text(
-                [
-                    ("J", j),
-                    ("theta", theta),
-                    ("delta_c", report.delta_c),
-                    ("g2_forward", report.g2_forward),
-                    ("g2_backward", report.g2_backward),
-                    ("contrast", report.contrast),
-                ]
-            ),
-        )
-    )
+    files.append(_write(out / f"{name}_point.txt", report.as_text()))
     return files
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import steady_state
 from .params import Direction, SystemParams
-from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _warn_at_point
+from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _kv_text, _warn_at_point
 
 C2G_RESIDUAL_TOL = 1e-10
 
@@ -48,7 +48,7 @@ class DegenerateDetuning(ValueError):
 
 
 class NotNonreciprocal(UserWarning):
-    """The polished working point is not photon-blockade nonreciprocal."""
+    """The selected working point does not have forward g2 < 1 < backward g2."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,27 @@ class OptimalPoint:
 
 @dataclass(frozen=True)
 class NonreciprocityReport:
+    """A one-way working point (J, theta) at cavity detuning ``delta_c``:
+    g2 in both drive directions and contrast = log10(backward/forward)."""
+
+    J: float
+    theta: float
     delta_c: float
     g2_forward: float
     g2_backward: float
     contrast: float
+
+    def as_text(self) -> str:
+        return _kv_text(
+            [
+                ("J", self.J),
+                ("theta", self.theta),
+                ("delta_c", self.delta_c),
+                ("g2_forward", self.g2_forward),
+                ("g2_backward", self.g2_backward),
+                ("contrast", self.contrast),
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -340,11 +357,13 @@ def nonreciprocal_point(
     Of the exact forward cancellation roots at the target cavity detuning
     with |J| <= ``j_limit``, returns the one with the largest backward g2.
     Only when no root lies in that window does it scan the (J, theta) plane
-    (``resolution`` points a side), restrict to the region where the
-    backward direction is bunched (g2 > 1) when that region exists, and run
-    a simplex minimization of forward g2 from the best grid point.  Warns
-    NotNonreciprocal when the final point does not separate the two
-    directions, and a RegimeWarning, worded as :func:`derive_effective`
+    (``resolution`` points a side) for the least forward g2 in the region
+    where the backward direction is bunched (g2 > 1), or anywhere when that
+    region is empty, and then rescan the window of two cells either side of
+    that point twice, each time on a 41 x 41 grid under the same rule and
+    with |J| <= ``j_limit``.  Warns NotNonreciprocal when the final point
+    does not separate the two directions, that is unless forward g2 < 1 <
+    backward g2, and a RegimeWarning, worded as :func:`derive_effective`
     words it, for each regime condition the point violates in either
     direction.
     """
@@ -362,7 +381,7 @@ def nonreciprocal_point(
         )
         j_best, theta_best = best.J, best.theta
     else:
-        j_best, theta_best = _minimize_forward_g2(at_target, j_limit, resolution)
+        j_best, theta_best = _scan_forward_g2(at_target, j_limit, resolution)
 
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
     g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
@@ -373,14 +392,16 @@ def nonreciprocal_point(
         if g2_f > 0.0 and g2_b > 0.0 and math.isfinite(g2_f) and math.isfinite(g2_b)
         else math.nan
     )
-    if not (g2_b > 1.0):
+    if not (g2_f < 1.0 < g2_b):
         warnings.warn(
-            f"backward g2 = {g2_b:.3g} <= 1 at the selected point; "
-            "the blockade is not nonreciprocal here",
+            f"g2 = {g2_f:.6g} forward and {g2_b:.6g} backward at the selected "
+            "point; the blockade is not nonreciprocal here",
             NotNonreciprocal,
             stacklevel=2,
         )
     report = NonreciprocityReport(
+        J=j_best,
+        theta=theta_best,
         delta_c=float(target_delta_c),
         g2_forward=g2_f,
         g2_backward=g2_b,
@@ -389,37 +410,29 @@ def nonreciprocal_point(
     return j_best, theta_best, report
 
 
-def _minimize_forward_g2(
+def _scan_forward_g2(
     at_target: SystemParams, j_limit: float, resolution: int
 ) -> tuple[float, float]:
-    """Simplex minimum of forward g2, seeded from a (J, theta) scan."""
-    from scipy.optimize import minimize
-
-    scan = scan_j_theta(
-        at_target, (-j_limit, j_limit), (-math.pi, math.pi), resolution
-    )
-    fwd = scan.g2[Direction.FORWARD]
-    bwd = scan.g2[Direction.BACKWARD]
-    ok = scan.valid[Direction.FORWARD] & scan.valid[Direction.BACKWARD]
-    ok &= np.isfinite(fwd) & np.isfinite(bwd)
-    if not bool(np.any(ok)):
-        raise NoRealSolution("the (J, theta) scan produced no valid points")
-    bunched = ok & (bwd > 1.0)
-    candidates = bunched if bool(np.any(bunched)) else ok
-    masked = np.where(candidates, fwd, np.inf)
-    i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
-
-    def objective(x):
-        val = _direction_g2(at_target, Direction.FORWARD, x[0], x[1])[0]
-        return math.log10(val) if val > 0.0 else -300.0
-
-    sol = minimize(
-        objective,
-        x0=np.array([scan.j_values[i], scan.theta_values[k]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    j, theta = _canonical(sol.x[0], np.exp(-1j * sol.x[1]))
+    """Least forward g2 on a (J, theta) scan, in the backward-bunched region
+    when it exists, refined by two 41 x 41 rescans of +-2 cells around it."""
+    j_range, theta_range = (-j_limit, j_limit), (-math.pi, math.pi)
+    for side in (resolution, 41, 41):
+        scan = scan_j_theta(at_target, j_range, theta_range, side)
+        fwd = scan.g2[Direction.FORWARD]
+        bwd = scan.g2[Direction.BACKWARD]
+        ok = scan.valid[Direction.FORWARD] & scan.valid[Direction.BACKWARD]
+        ok &= np.isfinite(fwd) & np.isfinite(bwd)
+        if not bool(np.any(ok)):
+            raise NoRealSolution("the (J, theta) scan produced no valid points")
+        bunched = ok & (bwd > 1.0)
+        masked = np.where(bunched if bool(np.any(bunched)) else ok, fwd, np.inf)
+        i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        j, theta = scan.j_values[i], scan.theta_values[k]
+        dj = 2.0 * (scan.j_values[1] - scan.j_values[0])
+        dtheta = 2.0 * (scan.theta_values[1] - scan.theta_values[0])
+        j_range = (max(j - dj, -j_limit), min(j + dj, j_limit))
+        theta_range = (theta - dtheta, theta + dtheta)
+    j, theta = _canonical(j, np.exp(-1j * theta))
     return float(j), float(theta)
 
 

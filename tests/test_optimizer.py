@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,39 @@ class TestNonreciprocalPoint:
             ),
             rel=1e-12,
         )
+
+    # A seeded draw of the blockade-solve benchmark, rounded: no forward root
+    # lies in |J| <= 5 at the target, so the point comes from the scan.
+    NO_ROOT = dict(
+        kappa1=0.5919, kappa2=1.4081, g=8.011, delta_e=-0.7073, e_eg=0.0059, b_in=0.0228
+    )
+    NO_ROOT_TARGET = -0.7264
+
+    @pytest.mark.parametrize("j_limit", [5.0, 1.05])
+    def test_no_root_target_stays_in_the_bunched_region(self, j_limit):
+        p = dataclasses.replace(P.reference_params(), **self.NO_ROOT)
+        at_target = dataclasses.replace(p, delta_c=self.NO_ROOT_TARGET)
+        roots = optimizer.find_roots(at_target, fix_delta_c=True)
+        assert not [r for r in roots if abs(r.J) <= j_limit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", optimizer.NotNonreciprocal)
+            j, theta, report = optimizer.nonreciprocal_point(
+                p, self.NO_ROOT_TARGET, j_limit=j_limit
+            )
+        assert report.g2_forward < 1.0 < report.g2_backward
+        assert abs(j) <= j_limit
+        assert (report.J, report.theta) == (j, theta)
+        # The rescans only improve on the best bunched point of the coarse scan.
+        scan = optimizer.scan_j_theta(
+            at_target, (-j_limit, j_limit), (-math.pi, math.pi), 161
+        )
+        fwd = scan.g2[P.Direction.FORWARD]
+        bunched = (
+            scan.valid[P.Direction.FORWARD]
+            & scan.valid[P.Direction.BACKWARD]
+            & (scan.g2[P.Direction.BACKWARD] > 1.0)
+        )
+        assert report.g2_forward <= np.min(fwd[bunched])
 
     def test_symmetric_cavity_warns_and_has_no_contrast(self):
         p = dataclasses.replace(P.reference_params(), kappa1=1.0, kappa2=1.0)

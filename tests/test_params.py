@@ -263,15 +263,15 @@ class TestConfigText:
         assert issubclass(P.ConfigError, ValueError)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy adds several hundred milliseconds to start-up and is needed only by the
-    # simplex fallback of optimizer.nonreciprocal_point.
+def scipy_modules_after(code: str) -> str:
+    """Standard output of a fresh interpreter that runs ``code`` and then
+    prints the scipy modules it has loaded."""
     src = str(Path(P.__file__).resolve().parents[1])
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, cavityblockade; "
+            f"{code}; import sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
         capture_output=True,
@@ -279,4 +279,21 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy adds several hundred milliseconds to start-up, and the package never
+    # needs it: only the tests use it (scipy.linalg.expm).
+    assert scipy_modules_after("import cavityblockade").strip() == "[]"
+
+
+def test_nonreciprocal_scan_leaves_scipy_unloaded():
+    # No forward root lies in |J| <= 5 at this target, so the verb takes the
+    # (J, theta) scan of optimizer.nonreciprocal_point.
+    argv = (
+        "nonreciprocal --kappa1 0.5919 --kappa2 1.4081 --g 8.011 --delta-e -0.7073 "
+        "--e-eg 0.0059 --b-in 0.0228 --target-delta-c -0.7264"
+    ).split()
+    code = f"from cavityblockade.cli import main; main({argv!r})"
+    assert scipy_modules_after(code).splitlines()[-1] == "[]"
