@@ -24,7 +24,6 @@ from .params import (
     FIGURE_NAMES,
     ConfigError,
     Direction,
-    RegimeWarning,
     SystemParams,
     _FLOAT_FIELDS,
     _kv_text,
@@ -95,12 +94,11 @@ def _parse_axis(text: str):
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        return args.jobs
-    return os.cpu_count() or 1
+def _jobs(text: str) -> int:
+    """The ``--jobs`` count of sweep and figure: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _cmd_g2(args: argparse.Namespace) -> int:
@@ -141,7 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         observable=args.observable,
         optimal_j_theta=args.optimal_j_theta,
     )
-    result = sweeps.run_sweep(spec, params, jobs=_jobs(args))
+    result = sweeps.run_sweep(spec, params, jobs=args.jobs or os.cpu_count() or 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = sweeps.write_sweep_csv(result, out / f"{args.name}.csv")
@@ -185,9 +183,7 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
     from .full_model import validate_effective
 
     params = _params_from_args(args)
-    report = validate_effective(
-        params, tolerance=args.tolerance, n_max=args.n_max, dt=args.dt
-    )
+    report = validate_effective(params, tolerance=args.tolerance, n_max=args.n_max)
     print(report.as_text())
     return 0
 
@@ -195,7 +191,7 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from . import figures
 
-    for name in figures.figure(args.name, args.out, jobs=_jobs(args)):
+    for name in figures.figure(args.name, args.out):
         print(Path(args.out) / name)
     return 0
 
@@ -231,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, help="fixed drive-phase override")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--name", default="sweep", help="output file stem")
-    p.add_argument("--jobs", type=int, help="worker count (default: all cores)")
+    p.add_argument("--jobs", type=_jobs, help="worker count (default: all cores)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="solve the two-photon cancellation condition")
@@ -265,19 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--tolerance", type=float, default=0.2)
     p.add_argument("--n-max", dest="n_max", type=int, default=2)
-    p.add_argument(
-        "--dt",
-        type=float,
-        default=1e-3,
-        help="RK4 step of the one-period monodromy matrix, used only off Raman "
-        "resonance (a --delta-he away from it)",
-    )
     p.set_defaults(func=_cmd_validate_full)
 
     p = sub.add_parser("figure", help="regenerate a named figure preset")
     p.add_argument("name", help="figure name, e.g. one of: " + ", ".join(FIGURE_NAMES))
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, help="worker count (default: all cores)")
+    p.add_argument(
+        "--jobs",
+        type=_jobs,
+        help="accepted for symmetry with sweep; every preset grid is small "
+        "enough to run on the calling thread",
+    )
     p.set_defaults(func=_cmd_figure)
 
     return parser
@@ -290,18 +284,10 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
     reaches it, so a verb that succeeds never imports these modules just to
     name their exceptions.
     """
-    from .dynamics import NonFiniteState
     from .optimizer import DegenerateDetuning, NoRealSolution
     from .steady_state import SingularDenominator
 
-    return (
-        DegenerateDetuning,
-        NoRealSolution,
-        NonFiniteState,
-        SingularDenominator,
-        ZeroDivisionError,
-        FloatingPointError,
-    )
+    return (ArithmeticError, DegenerateDetuning, NoRealSolution, SingularDenominator)
 
 
 def _request_errors() -> tuple[type[Exception], ...]:
@@ -332,13 +318,14 @@ _standard_format = warnings.formatwarning
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:
-    """A RegimeWarning as one ``RegimeWarning: <message>`` line.
+    """A warning of this package as one ``<Category>: <message>`` line.
 
-    It reports on the request, not on a line of the library, so a program's
-    stderr does not move with edits to the package.  Other warnings keep
-    the standard format.
+    Such a warning (a RegimeWarning, NotNonreciprocal) reports on the
+    request, not on a line of the library, so a program's stderr does not
+    move with edits to the package.  Other warnings keep the standard
+    format.
     """
-    if issubclass(category, RegimeWarning):
+    if category.__module__.partition(".")[0] == __package__:
         return f"{category.__name__}: {message}\n"
     return _standard_format(message, category, filename, lineno, line)
 
@@ -347,8 +334,8 @@ def run() -> int:
     """Entry point of the program: ``python -m cavityblockade`` and the
     installed ``cavityblockade`` script.
 
-    Runs :func:`main` on the command line with RegimeWarnings printed by
-    :func:`_format_warning`.  In-process callers use :func:`main`, which
+    Runs :func:`main` on the command line with the package's warnings
+    printed by :func:`_format_warning`.  In-process callers use :func:`main`, which
     leaves the warnings machinery as it finds it; both emit the same
     warnings.
     """

@@ -13,13 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import svgplot, sweeps
-from .params import (
-    FIGURE_NAMES,
-    Direction,
-    SystemParams,
-    implied_e_he,
-    reference_params,
-)
+from .params import FIGURE_NAMES, Direction, implied_e_he, reference_params
 
 
 class UnknownFigure(KeyError):
@@ -28,6 +22,9 @@ class UnknownFigure(KeyError):
 
 GRID_1D = 601
 GRID_2D = 201
+
+#: The working point every preset starts from.
+_BASE = reference_params()
 
 _G2_LABEL = "g2(0)"
 _DC_LABEL = "delta_c / kappa"
@@ -44,7 +41,6 @@ def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _direction_sweep(
-    base: SystemParams,
     axis: sweeps.SweepAxis,
     *,
     overrides: dict[str, float] | None = None,
@@ -52,7 +48,6 @@ def _direction_sweep(
     observable: str = "g2",
     optimal: bool = True,
     axis2: sweeps.SweepAxis | None = None,
-    jobs: int | None = None,
 ) -> sweeps.SweepResult:
     spec = sweeps.SweepSpec(
         axis1=axis,
@@ -62,7 +57,7 @@ def _direction_sweep(
         observable=observable,
         optimal_j_theta=optimal,
     )
-    return run_quiet(sweeps.run_sweep, spec, base, jobs=jobs)
+    return run_quiet(sweeps.run_sweep, spec, _BASE)
 
 
 def run_quiet(fn, *args, **kwargs):
@@ -123,30 +118,23 @@ def _heatmap_figure(
     return files
 
 
-def fig2a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    res = _direction_sweep(
-        base, sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D), jobs=jobs
-    )
+def fig2a(out: Path) -> list[str]:
+    res = _direction_sweep(sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D))
     return _line_figure(res, out, "fig2a", "g2", _G2_LABEL)
 
 
-def fig2b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig2b(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
-        sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D),
-        observable="n_paper",
-        jobs=jobs,
+        sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D), observable="n_paper"
     )
     return _line_figure(res, out, "fig2b", "n_paper", "n (leading order)")
 
 
-def fig3a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig3a(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_2D),
         axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
         directions=(Direction.FORWARD,),
-        jobs=jobs,
     )
     d = Direction.FORWARD
     dc_opt = res.delta_c_opt[d][:, 0]
@@ -164,17 +152,15 @@ def fig3a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
     return files
 
 
-def fig3b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig3b(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_1D),
         directions=(Direction.FORWARD,),
-        jobs=jobs,
     )
     d = Direction.FORWARD
     ok = res.valid[d]
     j = np.where(ok, res.j_used[d], np.nan)
-    e_he = implied_e_he(j, base)
+    e_he = implied_e_he(j, _BASE)
     files = [
         _table_csv(
             out / "fig3b.csv",
@@ -196,9 +182,7 @@ def fig3b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
     return files
 
 
-def _microwave_pair(
-    base: SystemParams, observable: str, jobs: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _microwave_pair(observable: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """delta_c grid plus on/off curves at the microwave-on optimal (J, theta).
 
     The microwave-off system has no exact cancellation point, so both curves
@@ -206,18 +190,16 @@ def _microwave_pair(
     """
     from . import optimizer
 
-    point = optimizer.solve_optimal(base)
+    point = optimizer.solve_optimal(_BASE)
     axis = sweeps.SweepAxis("delta_c", -1.0, 2.0, GRID_1D)
     curves = []
-    for e_eg in (base.e_eg, 0.0):
+    for e_eg in (_BASE.e_eg, 0.0):
         res = _direction_sweep(
-            base,
             axis,
             overrides={"J": point.J, "theta": point.theta, "e_eg": e_eg},
             directions=(Direction.FORWARD,),
             observable=observable,
             optimal=False,
-            jobs=jobs,
         )
         d = Direction.FORWARD
         curves.append(
@@ -227,10 +209,8 @@ def _microwave_pair(
     return grid, curves[0], curves[1]
 
 
-def _microwave_figure(
-    out: Path, base: SystemParams, jobs: int | None, name: str, observable: str, ylabel: str
-) -> list[str]:
-    grid, on, off = _microwave_pair(base, observable, jobs)
+def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> list[str]:
+    grid, on, off = _microwave_pair(observable)
     files = [
         _table_csv(
             out / f"{name}.csv",
@@ -239,29 +219,25 @@ def _microwave_figure(
         )
     ]
     plot = svgplot.LinePlot(xlabel=_DC_LABEL, ylabel=ylabel, log_y=True, title=name)
-    plot.add_line(grid, on, "e_eg = %g" % base.e_eg)
+    plot.add_line(grid, on, "e_eg = %g" % _BASE.e_eg)
     plot.add_line(grid, off, "e_eg = 0", dashed=True)
     files.append(_write(out / f"{name}.svg", plot.render()))
     return files
 
 
-def fig3c(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _microwave_figure(out, base, jobs, "fig3c", "g2", _G2_LABEL)
+def fig3c(out: Path) -> list[str]:
+    return _microwave_figure(out, "fig3c", "g2", _G2_LABEL)
 
 
-def fig3d(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _microwave_figure(
-        out, base, jobs, "fig3d", "n_paper", "n (leading order)"
-    )
+def fig3d(out: Path) -> list[str]:
+    return _microwave_figure(out, "fig3d", "n_paper", "n (leading order)")
 
 
-def fig5a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig5a(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("g", 2.0, 14.0, GRID_2D),
         axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
         directions=(Direction.FORWARD,),
-        jobs=jobs,
     )
     d = Direction.FORWARD
     files = _heatmap_figure(res, out, "fig5a", d, "g / kappa")
@@ -280,94 +256,76 @@ def fig5a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
     return files
 
 
-def fig5b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig5b(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
-        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D),
-        overrides={"g": 6.7},
-        jobs=jobs,
+        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D), overrides={"g": 6.7}
     )
     return _line_figure(res, out, "fig5b", "g2", _G2_LABEL)
 
 
-def fig5c(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
+def fig5c(out: Path) -> list[str]:
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("kappa1", 0.02, 1.98, GRID_2D),
         axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
         overrides={"g": 6.7},
         directions=(Direction.FORWARD,),
-        jobs=jobs,
     )
     return _heatmap_figure(res, out, "fig5c", Direction.FORWARD, "kappa1 / kappa")
 
 
-def _j_theta_figure(
-    out: Path, base: SystemParams, jobs: int | None, name: str, direction: Direction
-) -> list[str]:
+def _j_theta_figure(out: Path, name: str, direction: Direction) -> list[str]:
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("J", -3.0, 3.0, GRID_2D),
         axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, GRID_2D),
         overrides={"delta_c": 0.0},
         directions=(direction,),
         optimal=False,
-        jobs=jobs,
     )
     return _heatmap_figure(res, out, name, direction, "J / kappa", ylabel="theta")
 
 
-def fig6a(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _j_theta_figure(out, base, jobs, "fig6a", Direction.FORWARD)
+def fig6a(out: Path) -> list[str]:
+    return _j_theta_figure(out, "fig6a", Direction.FORWARD)
 
 
-def fig6b(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _j_theta_figure(out, base, jobs, "fig6b", Direction.BACKWARD)
+def fig6b(out: Path) -> list[str]:
+    return _j_theta_figure(out, "fig6b", Direction.BACKWARD)
 
 
-def _nonreciprocal_figure(
-    out: Path, base: SystemParams, jobs: int | None, name: str, target: float
-) -> list[str]:
+def _nonreciprocal_figure(out: Path, name: str, target: float) -> list[str]:
     from . import optimizer
 
-    j, theta, report = run_quiet(optimizer.nonreciprocal_point, base, target)
+    j, theta, report = run_quiet(optimizer.nonreciprocal_point, _BASE, target)
     res = _direction_sweep(
-        base,
         sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D),
         overrides={"J": j, "theta": theta},
         optimal=False,
-        jobs=jobs,
     )
     files = _line_figure(res, out, name, "g2", _G2_LABEL)
     files.append(_write(out / f"{name}_point.txt", report.as_text()))
     return files
 
 
-def fig6c(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _nonreciprocal_figure(out, base, jobs, "fig6c", 0.0)
+def fig6c(out: Path) -> list[str]:
+    return _nonreciprocal_figure(out, "fig6c", 0.0)
 
 
-def fig6d(out: Path, base: SystemParams, jobs: int | None) -> list[str]:
-    return _nonreciprocal_figure(out, base, jobs, "fig6d", 2.5)
+def fig6d(out: Path) -> list[str]:
+    return _nonreciprocal_figure(out, "fig6d", 2.5)
 
 
 # Each preset is built by the function of its name above.
-_BUILDERS: dict[str, Callable[[Path, SystemParams, int | None], list[str]]] = {
+_BUILDERS: dict[str, Callable[[Path], list[str]]] = {
     name: globals()[name] for name in FIGURE_NAMES
 }
 
 
-def figure(
-    name: str,
-    out_dir,
-    *,
-    base: SystemParams | None = None,
-    jobs: int | None = None,
-) -> list[str]:
+def figure(name: str, out_dir) -> list[str]:
     """Regenerate a named figure's data and rendering under ``out_dir``.
 
-    Returns the written file names.  The parameter preset is the reference
-    working point unless ``base`` overrides it.
+    Returns the written file names.  Every preset starts from the
+    reference working point, and its grids are small enough to run on the
+    calling thread.
     """
     try:
         builder = _BUILDERS[name]
@@ -377,9 +335,7 @@ def figure(
         ) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if base is None:
-        base = reference_params()
-    return builder(out, base, jobs)
+    return builder(out)
 
 
 __all__ = ["FIGURE_NAMES", "UnknownFigure", "figure"]

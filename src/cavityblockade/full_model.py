@@ -22,7 +22,11 @@ solves for the long-time state of y directly:
 - Otherwise H' has the period T = 2 pi/|omega|, and the long-time state is
   the Floquet mode of largest multiplier (Shirley, Phys. Rev. 138, B979
   (1965)): the dominant eigenvector of the one-period RK4 monodromy matrix,
-  followed through that period.
+  followed through that period.  The RK4 step h is derived, not chosen:
+  it divides T into at least T/1e-3 steps, and into more where needed to
+  keep h times a bound on ||H'(t)|| at most 0.2, well inside RK4's
+  stability interval on the imaginary axis (|h lambda| <= 2 sqrt 2).  The
+  step count thus grows as T ||H'||, about T delta_p once delta_p is large.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ VALIDATE_REGIME_MIN = 5.0
 
 #: Steps per block of generator matrices assembled at once by the RK4 run.
 _BLOCK_STEPS = 4096
+
+#: Nominal RK4 step of the one-period monodromy matrix, and the largest
+#: product of a step with the bound on ||H'(t)|| (``FullModel.steady_mode``).
+_MONODROMY_STEP = 1e-3
+_MONODROMY_STEP_NORM = 0.2
 
 
 def state_index(n: int, level: str) -> int:
@@ -198,7 +207,7 @@ class FullModel:
             _check_finite(state, stop * dt)
         return state, collected
 
-    def steady_mode(self, dt: float = 1e-3) -> tuple[np.ndarray, float]:
+    def steady_mode(self) -> tuple[np.ndarray, float]:
         """The long-time state in the |h>-rephased frame, and the rate at
         which the runner-up mode falls behind it.
 
@@ -206,10 +215,12 @@ class FullModel:
         the eigenvector of the static H' as its one row, and ``gap`` is the
         difference of the two largest imaginary parts of its eigenvalues.
         Otherwise the monodromy matrix over one beat period T is built by
-        RK4 at the step nearest ``dt`` that divides T, ``states`` holds its
-        dominant eigenvector at the steps of one period, and ``gap`` is
-        ln(|mu_1|/|mu_2|)/T.  A beat period longer than 100/kappa raises
-        ValueError.
+        RK4 in n equal steps, ``states`` holds its dominant eigenvector at
+        the steps of one period, and ``gap`` is ln(|mu_1|/|mu_2|)/T.  With
+        B the largest row sum of the entrywise |.| of the static and both
+        rotating blocks, a bound on ||H'(t)|| at every t, n = max(8,
+        round(T/1e-3), ceil(T B/0.2)).  A beat period longer than 100/kappa
+        raises ValueError.
         """
         if self.raman_resonant:
             lam, vec = np.linalg.eig(self.hamiltonian(0.0, frame=True))
@@ -222,7 +233,14 @@ class FullModel:
                 f"the drive beat period T = {period:.6g} exceeds 100/kappa; "
                 "move delta_he onto Raman resonance or further from it"
             )
-        n_steps = max(8, round(period / dt))
+        cavity, atom = np.abs(self._cavity), np.abs(self._atom)
+        bound = np.abs(self._static + self.params.delta_p * self._p_h)
+        bound += cavity + cavity.T + atom + atom.T
+        n_steps = max(
+            8,
+            round(period / _MONODROMY_STEP),
+            math.ceil(period * bound.sum(axis=1).max() / _MONODROMY_STEP_NORM),
+        )
         dt = period / n_steps
         identity = np.eye(self.dim, dtype=complex)
         monodromy, _ = self._run_steps(identity, n_steps, dt, n_steps + 1, frame=True)
@@ -296,23 +314,17 @@ class ValidationReport:
 
 
 def validate_effective(
-    params: SystemParams,
-    tolerance: float = 0.2,
-    *,
-    n_max: int = 2,
-    dt: float = 1e-3,
+    params: SystemParams, tolerance: float = 0.2, *, n_max: int = 2
 ) -> ValidationReport:
     """Solve the full model's steady state and compare its g2 with the
     analytic one.
 
     P1 and P2 come from ``FullModel.steady_mode``, averaged over one beat
-    period off Raman resonance, where ``dt`` is the RK4 step.  ``n_max``
-    must be 2 to 4: g2 needs the two-photon states.
+    period off Raman resonance.  ``n_max`` must be 2 to 4: g2 needs the
+    two-photon states.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
     if params.g != 0.0 and abs(params.delta_p / params.g) <= VALIDATE_REGIME_MIN:
@@ -324,7 +336,7 @@ def validate_effective(
         )
 
     model = FullModel(params, n_max)
-    states, gap = model.steady_mode(dt)
+    states, gap = model.steady_mode()
     occ = photon_occupations(states, n_max)
     p1 = float(np.mean(occ[1]))
     p2 = float(np.mean(occ[2]))

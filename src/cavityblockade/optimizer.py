@@ -440,8 +440,8 @@ def _g2_at(params: SystemParams, j, theta):
     """g2 at couplings (J, theta), its validity and the regime conditions
     violated there."""
     c, violated = _derive(params, {"J": j, "theta": theta})
-    amps, ok = steady_state.amplitude_arrays(*(c[k] for k in _AMPLITUDE_INPUTS))
-    return steady_state.stats_arrays(amps)["g2"], ok, violated
+    stats, ok = steady_state._stats_from_parameters(*(c[k] for k in _AMPLITUDE_INPUTS))
+    return stats["g2"], ok, violated
 
 
 def _direction_g2(params: SystemParams, direction: Direction, j, theta):

@@ -158,27 +158,31 @@ def amplitude_arrays(
     return c, valid
 
 
-def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized photon statistics for stacked amplitude vectors (*S, 5)."""
-    p = np.abs(c) ** 2
-    norm = p.sum(axis=-1)
+def _stats(p0g, p1g, p0e, p2g, p1e) -> dict[str, np.ndarray]:
+    """The statistics of :func:`stats_arrays` from the five |c|**2, in the
+    basis order of :class:`AmplitudeState`, the norm summed in that order."""
+    norm = p0g + p1g + p0e + p2g + p1e
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = (p[..., 1] + p[..., 4]) / norm
-        p2 = p[..., 3] / norm
+        p1 = (p1g + p1e) / norm
+        p2 = p2g / norm
         occupation = p1 + 2.0 * p2
         g2 = np.where(
-            occupation >= G2_OCCUPATION_FLOOR,
-            2.0 * p2 / occupation**2,
-            np.nan,
+            occupation >= G2_OCCUPATION_FLOOR, 2.0 * p2 / occupation**2, np.nan
         )
     return {
         "p1": p1,
         "p2": p2,
         "g2": g2,
-        "n_paper": p[..., 1],
-        "n_full": p[..., 1] + p[..., 4] + 2.0 * p[..., 3],
+        "n_paper": p1g,
+        "n_full": p1g + p1e + 2.0 * p2g,
         "norm": norm,
     }
+
+
+def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
+    """Vectorized photon statistics for stacked amplitude vectors (*S, 5)."""
+    p = np.abs(c) ** 2
+    return _stats(*p.transpose(-1, *range(p.ndim - 1)))
 
 
 def _stats_from_parameters(
@@ -186,10 +190,8 @@ def _stats_from_parameters(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """``stats_arrays(amplitude_arrays(...)[0])`` and ``valid`` in one pass.
 
-    No (*S, 5) stack is built.  Every statistic is computed by the same
-    operations in the same order as the two-step path, the norm summed left
-    to right from c0g = 1 as ``sum(axis=-1)`` does over five terms, so the
-    results are bit-identical; invalid points are NaN in every statistic.
+    No (*S, 5) stack is built; both evaluate :func:`_stats`, so the results
+    are bit-identical, and invalid points are NaN in every statistic.
 
     ``out`` maps each statistic to a float array the inputs broadcast to,
     such as the rows of a sweep grid; the statistics are written straight
@@ -199,24 +201,11 @@ def _stats_from_parameters(
     c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
     if out is None:
         out = {name: np.empty(valid.shape) for name in _STAT_NAMES}
-    p1g = np.abs(c1g) ** 2
-    p2g = np.abs(c2g) ** 2
-    p1e = np.abs(c1e) ** 2
-    norm = 1.0 + p1g + np.abs(c0e) ** 2 + p2g + p1e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = (p1g + p1e) / norm
-        p2 = p2g / norm
-        occupation = p1 + 2.0 * p2
-        np.copyto(out["g2"], 2.0 * p2 / occupation**2)
-    np.copyto(out["g2"], np.nan, where=~(occupation >= G2_OCCUPATION_FLOOR))
-    np.copyto(out["p1"], p1)
-    np.copyto(out["p2"], p2)
-    np.copyto(out["n_paper"], p1g)
-    np.copyto(out["n_full"], p1g + p1e + 2.0 * p2g)
-    np.copyto(out["norm"], norm)
-    if not valid.all():
-        invalid = ~valid
-        for name in _STAT_NAMES:
+    stats = _stats(1.0, *(np.abs(c) ** 2 for c in (c1g, c0e, c2g, c1e)))
+    invalid = None if valid.all() else ~valid
+    for name in _STAT_NAMES:
+        np.copyto(out[name], stats[name])
+        if invalid is not None:
             np.copyto(out[name], np.nan, where=invalid)
     return out, valid
 

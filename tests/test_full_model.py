@@ -317,6 +317,13 @@ def g2_of(states: np.ndarray, n_max: int) -> float:
 E_HE_2 = dataclasses.replace(P.reference_params(), e_he=2.0, delta_c=0.0)
 
 
+def halve_monodromy_step(monkeypatch) -> None:
+    """Halve the RK4 step ``FullModel.steady_mode`` derives, under both of
+    its limits."""
+    monkeypatch.setattr(fm, "_MONODROMY_STEP", fm._MONODROMY_STEP / 2.0)
+    monkeypatch.setattr(fm, "_MONODROMY_STEP_NORM", fm._MONODROMY_STEP_NORM / 2.0)
+
+
 class TestValidation:
     def test_reference_point_agrees(self):
         report = fm.validate_effective(P.reference_params())
@@ -377,12 +384,26 @@ class TestValidation:
         want_gap = math.log(abs(mu[order[0]]) / abs(mu[order[1]])) / period
         assert report.gap == pytest.approx(want_gap, rel=1e-6)
 
-    def test_off_resonance_step_converged(self):
+    def test_off_resonance_step_converged(self, monkeypatch):
         base = raman_offset(E_HE_2, 3.0)
         coarse = fm.validate_effective(base)
-        fine = fm.validate_effective(base, dt=5e-4)
+        halve_monodromy_step(monkeypatch)
+        fine = fm.validate_effective(base)
         assert coarse.g2_full == pytest.approx(fine.g2_full, rel=1e-9, abs=0.0)
         assert coarse.gap == pytest.approx(fine.gap, rel=1e-9)
+
+    def test_large_detuning_step_converged(self, monkeypatch):
+        # ||H'|| ~ delta_p = 3000, so a step of 1e-3 would put h lambda
+        # outside RK4's stability interval |h lambda| <= 2 sqrt 2.
+        base = raman_offset(
+            dataclasses.replace(E_HE_2, delta_p=3000.0, g=300.0, e_he=1.0), 10.0
+        )
+        coarse = fm.validate_effective(base)
+        assert math.isfinite(coarse.g2_full) and math.isfinite(coarse.gap)
+        halve_monodromy_step(monkeypatch)
+        fine = fm.validate_effective(base)
+        assert coarse.g2_full == pytest.approx(fine.g2_full, rel=1e-8, abs=0.0)
+        assert coarse.g2_full == pytest.approx(662.9, rel=1e-3)
 
     def test_slow_beat_is_refused(self):
         # T = 2 pi/0.05 ~ 126 is longer than 100/kappa.
@@ -424,8 +445,6 @@ class TestValidation:
         p = P.reference_params()
         with pytest.raises(ValueError, match="tolerance"):
             fm.validate_effective(p, tolerance=0.0)
-        with pytest.raises(ValueError, match="dt"):
-            fm.validate_effective(p, dt=0.0)
         # Without two-photon states g2 cannot be measured, only misreported as 0.
         with pytest.raises(ValueError, match="n_max must be at least 2"):
             fm.validate_effective(p, n_max=1)
@@ -458,6 +477,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n_max" in captured.err
+
+    def test_non_finite_state_exits_2(self, monkeypatch, capsys):
+        def blow_up(self):
+            raise ArithmeticError("full-model state became non-finite near t = 1.000")
+
+        monkeypatch.setattr(fm.FullModel, "steady_mode", blow_up)
+        assert cli.main(["validate-full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: full-model state became non-finite near t = 1.000\n"
+        )
+
+    def test_step_is_not_an_option(self, capsys):
+        assert cli.main(["validate-full", "--dt", "1e-3"]) == 1
+        assert "--dt" in capsys.readouterr().err
+
+    def test_large_detuning_off_resonance_reports(self, capsys):
+        # delta_he = Raman + 3 at delta_p = 3000: a step of 1e-3 is unstable
+        # here, and the state overflows within one beat period.
+        delta_eg = -0.5 + 1.0 / 3000.0
+        argv = [
+            "validate-full", "--delta-p", "3000", "--g", "300", "--e-he", "1",
+            "--delta-he", repr(3000.0 - delta_eg + 3.0),
+        ]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        values = dict(line.split(" = ") for line in out.splitlines() if line)
+        assert math.isfinite(float(values["g2_full"]))
+        assert math.isfinite(float(values["gap"]))
 
     def test_failed_comparison_exits_0(self, capsys):
         # validate-full reports; it does not gate.

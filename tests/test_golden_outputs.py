@@ -35,6 +35,10 @@ VERBS = {
     "optimize --fix-delta-c --delta-c 2.5": ["optimize", "--fix-delta-c", "--delta-c", "2.5"],
     "nonreciprocal": ["nonreciprocal"],
     "validate-full": ["validate-full"],
+    # Off Raman resonance: the Floquet mode over a beat period T = 2.094.
+    "validate-full --e-he 2 --delta-c 0 --delta-he 103.46": [
+        "validate-full", "--e-he", "2", "--delta-c", "0", "--delta-he", "103.46",
+    ],
 }
 
 

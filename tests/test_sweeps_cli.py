@@ -1073,10 +1073,16 @@ class TestCliInProcess:
         assert cli.main(["g2", "--kappa1", "5.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_jobs_must_be_positive(self, capsys):
+    def test_jobs_must_be_positive(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--axis1", "delta_c,0,1,5", "--jobs", "0"])
         assert rc == 1
         assert "--jobs" in capsys.readouterr().err
+        # figure checks --jobs too, though its presets run on the calling
+        # thread.
+        rc = cli.main(["figure", "fig2a", "--out", str(tmp_path), "--jobs", "0"])
+        assert rc == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_no_microwave_root_is_numerical_failure(self, capsys):
         assert cli.main(["optimize", "--e-eg", "0"]) == 2
@@ -1122,6 +1128,16 @@ class TestCliSubprocess:
             "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal\n"
             "RegimeWarning: |delta_he/e_he| = 2.12 <= 10; upper-leg drive is not far detuned\n"
         )
+
+    def test_not_nonreciprocal_is_one_location_free_line(self):
+        # Equal mirrors: both directions see the same g2.
+        proc = self.run("nonreciprocal", "--kappa1", "1", "--kappa2", "1")
+        assert proc.returncode == 0
+        assert "cli.py" not in proc.stderr
+        assert (
+            "NotNonreciprocal: g2 = 1.00001 forward and 1.00001 backward at the "
+            "selected point; the blockade is not nonreciprocal here"
+        ) in proc.stderr.splitlines()
 
     @pytest.mark.parametrize(
         "directions, conditions",
