@@ -20,13 +20,13 @@ solves for the long-time state of y directly:
   H(0) + delta_p P_h is static, and the long-time state is its eigenvector
   whose eigenvalue has the largest imaginary part.
 - Otherwise H' has the period T = 2 pi/|omega|, and the long-time state is
-  the Floquet mode of largest multiplier (Shirley, Phys. Rev. 138, B979
-  (1965)): the dominant eigenvector of the one-period RK4 monodromy matrix,
-  followed through that period.  The RK4 step h is derived, not chosen:
-  it divides T into at least T/1e-3 steps, and into more where needed to
-  keep h times a bound on ||H'(t)|| at most 0.2, well inside RK4's
-  stability interval on the imaginary axis (|h lambda| <= 2 sqrt 2).  The
-  step count thus grows as T ||H'||, about T delta_p once delta_p is large.
+  the Floquet mode of largest growth rate (Shirley, Phys. Rev. 138, B979
+  (1965)).  With H'(t) = H0 + e^{i omega t} A + e^{-i omega t} A^dagger,
+  A the |h> <- |e> drive and H0 the rest, a mode y(t) = e^{-i eps t}
+  sum_m phi_m e^{i m omega t} solves eps phi_m = (H0 + m omega) phi_m +
+  A phi_{m-1} + A^dagger phi_{m+1}: an eigenproblem of the block-tridiagonal
+  Fourier matrix K over the harmonics |m| <= H, grown until the mode's
+  weight on the outermost ones is negligible.  No time step is involved.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ VALIDATE_REGIME_MIN = 5.0
 #: Steps per block of generator matrices assembled at once by the RK4 run.
 _BLOCK_STEPS = 4096
 
-#: Nominal RK4 step of the one-period monodromy matrix, and the largest
-#: product of a step with the bound on ||H'(t)|| (``FullModel.steady_mode``).
-_MONODROMY_STEP = 1e-3
-_MONODROMY_STEP_NORM = 0.2
+#: Share of the Floquet mode's weight on its two outermost harmonics at or
+#: below which ``FullModel.steady_mode`` stops adding harmonics.
+_EDGE_WEIGHT = 1e-12
 
 
 def state_index(n: int, level: str) -> int:
@@ -187,19 +186,14 @@ class FullModel:
         return final, times, states
 
     def _run_steps(
-        self,
-        state: np.ndarray,
-        n_steps: int,
-        dt: float,
-        first_collect: int,
-        frame: bool = False,
+        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         collected = []
         half = dt / 2.0
         for start in range(0, n_steps, _BLOCK_STEPS):
             stop = min(start + _BLOCK_STEPS, n_steps)
             times = start * dt + half * np.arange(2 * (stop - start) + 1)
-            gen = -1j * self._hamiltonians(times, frame)
+            gen = -1j * self._hamiltonians(times)
             for k in range(stop - start):
                 state = _rk4_step(gen[2 * k : 2 * k + 3], state, dt)
                 if start + k + 1 >= first_collect:
@@ -211,44 +205,50 @@ class FullModel:
         """The long-time state in the |h>-rephased frame, and the rate at
         which the runner-up mode falls behind it.
 
-        Returns (states, gap).  When ``raman_resonant``, ``states`` holds
-        the eigenvector of the static H' as its one row, and ``gap`` is the
-        difference of the two largest imaginary parts of its eigenvalues.
-        Otherwise the monodromy matrix over one beat period T is built by
-        RK4 in n equal steps, ``states`` holds its dominant eigenvector at
-        the steps of one period, and ``gap`` is ln(|mu_1|/|mu_2|)/T.  With
-        B the largest row sum of the entrywise |.| of the static and both
-        rotating blocks, a bound on ||H'(t)|| at every t, n = max(8,
-        round(T/1e-3), ceil(T B/0.2)).  A beat period longer than 100/kappa
-        raises ValueError.
+        Returns (states, gap) from one eigen solve of Shirley's Fourier
+        matrix K over the harmonics |m| <= H (module docstring).  K repeats
+        each mode once per shift of its harmonics; the steady state is the
+        mode of largest Im eigenvalue among the copies centred at
+        |mean m| < 1/2, and ``gap`` its distance to the next such copy.
+        ``states`` holds it at 8H + 1 equally spaced points of one period:
+        4H + 1 average each |y_n(t)|^2 exactly, and twice that keeps the
+        average of their ratio P_n(t) at round-off.  When ``raman_resonant``
+        H = 0 and K is the static H'; otherwise H grows from 1 until at most
+        1e-12 of the mode's weight sits on its two outermost harmonics, and
+        a beat period over 100/kappa raises ValueError.
         """
         if self.raman_resonant:
-            lam, vec = np.linalg.eig(self.hamiltonian(0.0, frame=True))
-            top, second = np.argsort(-lam.imag)[:2]
-            return vec[:, top][None], float(lam[top].imag - lam[second].imag)
-
-        period = TAU / abs(self.delta2 - self.params.delta_p)
-        if period > 100.0 / self.params.kappa:
-            raise ValueError(
-                f"the drive beat period T = {period:.6g} exceeds 100/kappa; "
-                "move delta_he onto Raman resonance or further from it"
-            )
-        cavity, atom = np.abs(self._cavity), np.abs(self._atom)
-        bound = np.abs(self._static + self.params.delta_p * self._p_h)
-        bound += cavity + cavity.T + atom + atom.T
-        n_steps = max(
-            8,
-            round(period / _MONODROMY_STEP),
-            math.ceil(period * bound.sum(axis=1).max() / _MONODROMY_STEP_NORM),
-        )
-        dt = period / n_steps
-        identity = np.eye(self.dim, dtype=complex)
-        monodromy, _ = self._run_steps(identity, n_steps, dt, n_steps + 1, frame=True)
-        mu, vec = np.linalg.eig(monodromy)
-        top, second = np.argsort(-np.abs(mu))[:2]
-        _, states = self._run_steps(vec[:, top], n_steps, dt, 1, frame=True)
-        gap = math.log(abs(mu[top]) / abs(mu[second])) / period
-        return np.concatenate(states), gap
+            h0, omega, harmonics = self.hamiltonian(0.0, frame=True), 0.0, 0
+        else:
+            omega = self.delta2 - self.params.delta_p
+            period = TAU / abs(omega)
+            if period > 100.0 / self.params.kappa:
+                raise ValueError(
+                    f"the drive beat period T = {period:.6g} exceeds 100/kappa; "
+                    "move delta_he onto Raman resonance or further from it"
+                )
+            h0 = self._static + self.params.delta_p * self._p_h
+            h0 = h0 + self._cavity + self._cavity.conj().T
+            harmonics = 1
+        while True:
+            m = np.arange(-harmonics, harmonics + 1)
+            i = np.arange(m.size)
+            k = np.zeros((m.size, self.dim, m.size, self.dim), dtype=complex)
+            k[i, :, i, :] = h0 + (m * omega)[:, None, None] * np.eye(self.dim)
+            k[i[1:], :, i[:-1], :] = self._atom
+            k[i[:-1], :, i[1:], :] = self._atom.conj().T
+            lam, vec = np.linalg.eig(k.reshape(m.size * self.dim, -1))
+            # Unit eigenvectors: column j of weight is mode j's share per harmonic.
+            weight = (np.abs(vec) ** 2).reshape(m.size, self.dim, -1).sum(axis=1)
+            order = np.argsort(-lam.imag)
+            top, second = order[np.abs(m @ weight[:, order]) < 0.5][:2]
+            if self.raman_resonant or weight[[0, -1], top].sum() <= _EDGE_WEIGHT:
+                break
+            harmonics += 1
+        samples = 8 * harmonics + 1
+        phases = np.exp(1j * TAU / samples * np.outer(np.arange(samples), m))
+        states = phases @ vec[:, top].reshape(m.size, self.dim)
+        return states, float(lam[top].imag - lam[second].imag)
 
 
 def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
@@ -319,9 +319,9 @@ def validate_effective(
     """Solve the full model's steady state and compare its g2 with the
     analytic one.
 
-    P1 and P2 come from ``FullModel.steady_mode``, averaged over one beat
-    period off Raman resonance.  ``n_max`` must be 2 to 4: g2 needs the
-    two-photon states.
+    P1 and P2 come from ``FullModel.steady_mode``, averaged over its samples
+    of one beat period off Raman resonance.  ``n_max`` must be 2 to 4: g2
+    needs the two-photon states.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")

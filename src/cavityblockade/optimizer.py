@@ -366,6 +366,11 @@ def nonreciprocal_point(
     backward g2, and a RegimeWarning, worded as :func:`derive_effective`
     words it, for each regime condition the point violates in either
     direction.
+
+    The scan asks of the backward direction only g2 > 1, with no margin, so
+    its point may sit on the edge of the bunched region: on 83 seeded
+    no-root draws, 59 returned backward g2 < 1.01.  Whether to require a
+    margin, or to rank by contrast instead, is an open physics decision.
     """
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)

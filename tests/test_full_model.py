@@ -317,11 +317,21 @@ def g2_of(states: np.ndarray, n_max: int) -> float:
 E_HE_2 = dataclasses.replace(P.reference_params(), e_he=2.0, delta_c=0.0)
 
 
-def halve_monodromy_step(monkeypatch) -> None:
-    """Halve the RK4 step ``FullModel.steady_mode`` derives, under both of
-    its limits."""
-    monkeypatch.setattr(fm, "_MONODROMY_STEP", fm._MONODROMY_STEP / 2.0)
-    monkeypatch.setattr(fm, "_MONODROMY_STEP_NORM", fm._MONODROMY_STEP_NORM / 2.0)
+BIG_DETUNING = dataclasses.replace(E_HE_2, delta_p=3000.0, g=300.0, e_he=1.0)
+
+
+def one_more_harmonic(model: fm.FullModel, monkeypatch):
+    """``model.steady_mode()`` at the H it picks, and again with one
+    harmonic more: its 8H + 1 samples give the edge weight at H by FFT, and
+    a threshold of half that makes the loop take exactly one more step."""
+    states, gap = model.steady_mode()
+    harmonics = (len(states) - 1) // 8
+    weight = (np.abs(np.fft.fft(states, axis=0)) ** 2).sum(axis=1)
+    edge = (weight[harmonics] + weight[-harmonics]) / weight.sum()
+    monkeypatch.setattr(fm, "_EDGE_WEIGHT", edge / 2.0)
+    more_states, more_gap = model.steady_mode()
+    assert harmonics >= 1 and len(more_states) == len(states) + 8
+    return (g2_of(states, model.n_max), gap), (g2_of(more_states, model.n_max), more_gap)
 
 
 class TestValidation:
@@ -357,9 +367,9 @@ class TestValidation:
     def test_off_resonance_is_the_floquet_mode(self):
         # Beat period T = 2 pi/20: the monodromy matrix of the independent
         # per-step RK4, rephased by U(T)^dagger, and its dominant mode
-        # followed through one period.  This reference steps in the lab
-        # frame and the package in the rephased one; the two RK4
-        # discretizations differ by about 5e-9 in g2 here.
+        # followed through one period.  The package solves Shirley's
+        # Fourier matrix instead, so the difference, about 6e-9 in g2 and
+        # 5e-7 in the gap, is this reference's RK4 error.
         base = raman_offset(E_HE_2, -20.0)
         assert not fm.FullModel(base).raman_resonant
         period = 2.0 * math.pi / 20.0
@@ -384,26 +394,43 @@ class TestValidation:
         want_gap = math.log(abs(mu[order[0]]) / abs(mu[order[1]])) / period
         assert report.gap == pytest.approx(want_gap, rel=1e-6)
 
-    def test_off_resonance_step_converged(self, monkeypatch):
-        base = raman_offset(E_HE_2, 3.0)
-        coarse = fm.validate_effective(base)
-        halve_monodromy_step(monkeypatch)
-        fine = fm.validate_effective(base)
-        assert coarse.g2_full == pytest.approx(fine.g2_full, rel=1e-9, abs=0.0)
-        assert coarse.gap == pytest.approx(fine.gap, rel=1e-9)
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("offset", [3.0, -20.0, 0.5])
+    def test_off_resonance_truncation_converged(self, offset, n_max, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("steady_mode took an RK4 step")
 
-    def test_large_detuning_step_converged(self, monkeypatch):
-        # ||H'|| ~ delta_p = 3000, so a step of 1e-3 would put h lambda
-        # outside RK4's stability interval |h lambda| <= 2 sqrt 2.
-        base = raman_offset(
-            dataclasses.replace(E_HE_2, delta_p=3000.0, g=300.0, e_he=1.0), 10.0
-        )
-        coarse = fm.validate_effective(base)
-        assert math.isfinite(coarse.g2_full) and math.isfinite(coarse.gap)
-        halve_monodromy_step(monkeypatch)
-        fine = fm.validate_effective(base)
-        assert coarse.g2_full == pytest.approx(fine.g2_full, rel=1e-8, abs=0.0)
-        assert coarse.g2_full == pytest.approx(662.9, rel=1e-3)
+        monkeypatch.setattr(fm, "_rk4_step", no_step)
+        model = fm.FullModel(raman_offset(E_HE_2, offset), n_max)
+        (g2, gap), (more_g2, more_gap) = one_more_harmonic(model, monkeypatch)
+        assert g2 == pytest.approx(more_g2, rel=1e-10, abs=0.0)
+        assert gap == pytest.approx(more_gap, rel=1e-10, abs=0.0)
+
+    def test_large_detuning_truncation_converged(self, monkeypatch):
+        # ||K|| ~ delta_p = 3000 puts the eigenvector's round-off at about
+        # 1e-8 in g2, so g2 is held to the 1e-8 of the replaced RK4 test.
+        # 662.9010838 is g2 from a one-period RK4 monodromy matrix whose
+        # step was converged to 1e-8.
+        model = fm.FullModel(raman_offset(BIG_DETUNING, 10.0))
+        (g2, gap), (more_g2, more_gap) = one_more_harmonic(model, monkeypatch)
+        assert g2 == pytest.approx(more_g2, rel=1e-8, abs=0.0)
+        assert gap == pytest.approx(more_gap, rel=1e-10, abs=0.0)
+        assert g2 == pytest.approx(662.9010838, rel=1e-7)
+
+    def test_resonant_solve_is_the_static_hamiltonian(self, monkeypatch):
+        # H = 0: K is H' itself, bit for bit, and is solved once.
+        seen = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda k: seen.append(k.copy()) or eig(k))
+        tilted = dataclasses.replace(E_HE_2, delta_c=-0.7, phi_he=2.0, phi_eg=-1.0)
+        for p in (P.reference_params(), E_HE_2, joint_root_params(), tilted):
+            model = fm.FullModel(p, 3)
+            assert model.raman_resonant
+            seen.clear()
+            states, _ = model.steady_mode()
+            want = model.hamiltonian(0.0, frame=True)
+            assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+            assert states.shape == (1, model.dim)
 
     def test_slow_beat_is_refused(self):
         # T = 2 pi/0.05 ~ 126 is longer than 100/kappa.
@@ -495,8 +522,8 @@ class TestCli:
         assert "--dt" in capsys.readouterr().err
 
     def test_large_detuning_off_resonance_reports(self, capsys):
-        # delta_he = Raman + 3 at delta_p = 3000: a step of 1e-3 is unstable
-        # here, and the state overflows within one beat period.
+        # delta_he = Raman + 3 at delta_p = 3000, where a fixed RK4 step of
+        # 1e-3 overflows; 690.3507741 is g2 from a converged RK4 monodromy.
         delta_eg = -0.5 + 1.0 / 3000.0
         argv = [
             "validate-full", "--delta-p", "3000", "--g", "300", "--e-he", "1",
@@ -507,6 +534,7 @@ class TestCli:
         values = dict(line.split(" = ") for line in out.splitlines() if line)
         assert math.isfinite(float(values["g2_full"]))
         assert math.isfinite(float(values["gap"]))
+        assert float(values["g2_full"]) == pytest.approx(690.3507741, rel=1e-7)
 
     def test_failed_comparison_exits_0(self, capsys):
         # validate-full reports; it does not gate.
