@@ -24,6 +24,7 @@ _EXPORTS = {
     "IntegratorConfig": "dynamics",
     "JThetaScan": "optimizer",
     "NonFiniteState": "dynamics",
+    "NumericalFailure": "params",
     "NonreciprocityReport": "optimizer",
     "NoRealSolution": "optimizer",
     "NotNonreciprocal": "optimizer",

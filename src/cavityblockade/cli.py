@@ -24,10 +24,12 @@ from .params import (
     FIGURE_NAMES,
     ConfigError,
     Direction,
+    NumericalFailure,
     SystemParams,
     _FLOAT_FIELDS,
     _kv_text,
-    parse_config,
+    _slide_mirrors,
+    load_config,
     params_from_mapping,
     reference_params,
 )
@@ -60,10 +62,9 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
     base = reference_params()
     if args.config is not None:
         try:
-            text = args.config.read_text(encoding="utf-8")
+            base = load_config(args.config, base=base)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        base = params_from_mapping(parse_config(text), base=base)
     overrides: dict[str, object] = {}
     for name in _FLOAT_FIELDS:
         value = getattr(args, name, None)
@@ -72,10 +73,8 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
     direction = getattr(args, "direction", None)
     if direction is not None:
         overrides["direction"] = Direction(direction)
-    if "kappa1" in overrides and "kappa2" not in overrides:
-        overrides["kappa2"] = 2.0 * overrides.get("kappa", base.kappa) - overrides["kappa1"]
-    elif "kappa2" in overrides and "kappa1" not in overrides:
-        overrides["kappa1"] = 2.0 * overrides.get("kappa", base.kappa) - overrides["kappa2"]
+    kappas = _slide_mirrors(vars(base) | overrides, overrides)
+    overrides["kappa1"], overrides["kappa2"] = kappas
     return params_from_mapping(overrides, base=base)
 
 
@@ -277,38 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    """Exceptions reported as a numerical failure (exit code 2).
-
-    An ``except`` clause evaluates its expression only when an exception
-    reaches it, so a verb that succeeds never imports these modules just to
-    name their exceptions.
-    """
-    from .optimizer import DegenerateDetuning, NoRealSolution
-    from .steady_state import SingularDenominator
-
-    return (ArithmeticError, DegenerateDetuning, NoRealSolution, SingularDenominator)
-
-
-def _request_errors() -> tuple[type[Exception], ...]:
-    """Exceptions reported as a malformed request (exit code 1)."""
-    from .figures import UnknownFigure
-
-    return (ValueError, UnknownFigure)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _numerical_errors() as exc:
+    except (ArithmeticError, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except _request_errors() as exc:
-        # ConfigError and parameter-validation ValueErrors both mean the
-        # request was malformed; solver exceptions are ValueErrors too but
-        # the numerical clause above claims them first.
+    except ValueError as exc:
+        # Every other ValueError means the request was malformed; a
+        # NumericalFailure is a ValueError too, but the clause above claims it.
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1

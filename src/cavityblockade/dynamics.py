@@ -34,6 +34,7 @@ import numpy as np
 
 from .params import EffectiveParams
 from .steady_state import AmplitudeState
+from .sweeps import _csv_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -242,19 +243,17 @@ class Trajectory(Sequence[AmplitudeState]):
         return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
 
     def to_csv(self, path: str | Path) -> None:
-        """Write t, the real/imaginary amplitude parts and the squared norm."""
+        """Write t, the real/imaginary amplitude parts and the squared norm,
+        by the cell rule of the sweep CSVs."""
         header = ["t"]
         for label in BASIS_LABELS:
             header.extend([f"{label}_re", f"{label}_im"])
         header.append("norm2")
-        lines = [",".join(header)]
-        norms = self.norm_squared()
-        for i, t in enumerate(self.times):
-            row = [repr(float(t))]
-            for c in self.amplitudes[i]:
-                row.extend([repr(float(c.real)), repr(float(c.imag))])
-            row.append(repr(float(norms[i])))
-            lines.append(",".join(row))
+        parts = np.stack([self.amplitudes.real, self.amplitudes.imag], axis=-1)
+        table = np.column_stack(
+            [self.times, parts.reshape(len(self), -1), self.norm_squared()]
+        )
+        lines = [",".join(header), *_csv_rows(table, True)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

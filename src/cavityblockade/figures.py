@@ -13,10 +13,10 @@ from typing import Callable
 import numpy as np
 
 from . import svgplot, sweeps
-from .params import FIGURE_NAMES, Direction, implied_e_he, reference_params
+from .params import FIGURE_NAMES, ConfigError, Direction, implied_e_he, reference_params
 
 
-class UnknownFigure(KeyError):
+class UnknownFigure(ConfigError, KeyError):
     """Requested figure name is not one of the built-in presets."""
 
 

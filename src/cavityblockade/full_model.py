@@ -34,12 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import steady_state
-from .params import TAU, RegimeWarning, SystemParams, _kv_text
+from .params import TAU, RegimeWarning, SystemParams, _Report
 
 LEVELS = ("g", "e", "h")
 
@@ -214,8 +214,13 @@ class FullModel:
         4H + 1 average each |y_n(t)|^2 exactly, and twice that keeps the
         average of their ratio P_n(t) at round-off.  When ``raman_resonant``
         H = 0 and K is the static H'; otherwise H grows from 1 until at most
-        1e-12 of the mode's weight sits on its two outermost harmonics, and
-        a beat period over 100/kappa raises ValueError.
+        1e-12 of the mode's weight sits on its two outermost harmonics.
+
+        A beat period over 100/kappa raises ValueError.  That is a physics
+        policy, not a numerical guard: the Fourier solve converges there
+        too, but the period average then runs over the drives' relative
+        phase, which a detection window of order 1/kappa does not see, so
+        its g2 is not the one such a detector measures.
         """
         if self.raman_resonant:
             h0, omega, harmonics = self.hamiltonian(0.0, frame=True), 0.0, 0
@@ -281,7 +286,7 @@ def photon_occupations(states: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Report):
     """Full-vs-effective comparison at one parameter point.
 
     ``passed`` avoids shadowing the keyword; the key=value serialization
@@ -294,23 +299,10 @@ class ValidationReport:
     g2_full: float
     g2_effective: float
     rel_diff: float
-    passed: bool
+    passed: bool = field(metadata={"key": "pass"})
     n_max: int
     gap: float
     settle_time: float
-
-    def as_text(self) -> str:
-        return _kv_text(
-            [
-                ("g2_full", self.g2_full),
-                ("g2_effective", self.g2_effective),
-                ("rel_diff", self.rel_diff),
-                ("pass", "true" if self.passed else "false"),
-                ("n_max", self.n_max),
-                ("gap", self.gap),
-                ("settle_time", self.settle_time),
-            ]
-        )
 
 
 def validate_effective(
@@ -323,8 +315,8 @@ def validate_effective(
     of one beat period off Raman resonance.  ``n_max`` must be 2 to 4: g2
     needs the two-photon states.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
     if params.g != 0.0 and abs(params.delta_p / params.g) <= VALIDATE_REGIME_MIN:

@@ -33,17 +33,17 @@ from typing import Mapping
 import numpy as np
 
 from . import steady_state
-from .params import Direction, SystemParams
-from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _kv_text, _warn_at_point
+from .params import Direction, NumericalFailure, SystemParams
+from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _Report, _warn_at_point
 
 C2G_RESIDUAL_TOL = 1e-10
 
 
-class NoRealSolution(ValueError):
+class NoRealSolution(NumericalFailure):
     """No real (J, theta) satisfies the cancellation condition."""
 
 
-class DegenerateDetuning(ValueError):
+class DegenerateDetuning(NumericalFailure):
     """delta_e = 0 leaves the optimal cavity detuning undefined."""
 
 
@@ -68,7 +68,7 @@ class OptimalPoint:
 
 
 @dataclass(frozen=True)
-class NonreciprocityReport:
+class NonreciprocityReport(_Report):
     """A one-way working point (J, theta) at cavity detuning ``delta_c``:
     g2 in both drive directions and contrast = log10(backward/forward)."""
 
@@ -78,18 +78,6 @@ class NonreciprocityReport:
     g2_forward: float
     g2_backward: float
     contrast: float
-
-    def as_text(self) -> str:
-        return _kv_text(
-            [
-                ("J", self.J),
-                ("theta", self.theta),
-                ("delta_c", self.delta_c),
-                ("g2_forward", self.g2_forward),
-                ("g2_backward", self.g2_backward),
-                ("contrast", self.contrast),
-            ]
-        )
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,11 @@ class ConfigError(ValueError):
     """Malformed configuration text or parameter overrides."""
 
 
+class NumericalFailure(ValueError):
+    """Well-formed inputs on which a solve has no answer: a singular
+    denominator, no real root, an undefined optimal detuning."""
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the canonical interval (-pi, pi]."""
     r = math.remainder(theta, TAU)
@@ -71,7 +76,7 @@ def wrap_angle(theta: float) -> float:
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,24 @@ _FLOAT_FIELDS = tuple(
 #: Names the derivation accepts as per-point overrides: every numeric
 #: SystemParams field but delta_he, and the direct couplings J and theta.
 OVERRIDE_NAMES = tuple(f for f in _FLOAT_FIELDS if f != "delta_he") + ("J", "theta")
+
+
+def _check_override_names(names) -> None:
+    """ConfigError unless every name is one of :data:`OVERRIDE_NAMES`."""
+    unknown = set(names) - set(OVERRIDE_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+
+
+def _slide_mirrors(v: Mapping[str, object], named) -> tuple:
+    """(kappa1, kappa2) of ``v``, with the mirror ``named`` leaves out slid
+    to keep kappa1 + kappa2 = 2 kappa when it names the other one alone."""
+    kappa, kappa1, kappa2 = v["kappa"], v["kappa1"], v["kappa2"]
+    if "kappa1" in named and "kappa2" not in named:
+        kappa2 = 2.0 * kappa - kappa1
+    elif "kappa2" in named and "kappa1" not in named:
+        kappa1 = 2.0 * kappa - kappa2
+    return kappa1, kappa2
 
 
 @dataclass(frozen=True)
@@ -283,11 +306,8 @@ def _derive(
     """
     v = vars(params) | overrides
 
-    kappa, kappa1, kappa2 = v["kappa"], v["kappa1"], v["kappa2"]
-    if "kappa1" in overrides and "kappa2" not in overrides:
-        kappa2 = 2.0 * kappa - kappa1
-    elif "kappa2" in overrides and "kappa1" not in overrides:
-        kappa1 = 2.0 * kappa - kappa2
+    kappa = v["kappa"]
+    kappa1, kappa2 = _slide_mirrors(v, overrides)
     if _any((kappa <= 0.0) | (kappa1 <= 0.0) | (kappa2 <= 0.0)):
         raise ConfigError("decay rates must stay positive over the grid")
     delta_p = v["delta_p"]
@@ -354,7 +374,7 @@ def derive_effective(
 
     ``j`` overrides the Raman coupling g*e_he/delta_p (used by optimizer and
     sweep code that treats J as a direct control); ``theta`` overrides the
-    phase combination phi_p - phi_he - phi_eg.
+    phase combination phi_p - phi_he - phi_eg.  Both must be finite.
 
     Emits RegimeWarning when the elimination or the weak-driving truncation
     is not justified; the numbers are still produced.  The values are those
@@ -366,6 +386,8 @@ def derive_effective(
         overrides["J"] = float(j)
     if theta is not None:
         overrides["theta"] = float(theta)
+    for name, value in overrides.items():
+        _require_finite(name, value)
     c, violated = _derive(params, overrides)
     _warn_at_point(violated, 2)
     return EffectiveParams(
@@ -388,9 +410,7 @@ def effective_arrays(
     :data:`OVERRIDE_NAMES` is accepted, as :func:`_derive` describes.
     Warns once per regime condition that some point violates.
     """
-    unknown = overrides.keys() - OVERRIDE_NAMES
-    if unknown:
-        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+    _check_override_names(overrides)
     consts, violated = _derive(
         params, {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
     )
@@ -440,14 +460,28 @@ def amplitude_from_power(p_in: float, omega_p: float) -> float:
 
 
 def _kv_text(pairs: list[tuple[str, object]]) -> str:
-    """``key = value`` lines, one per pair: floats as their repr, anything
-    else as its str.  The output format of the report verbs and files."""
+    """``key = value`` lines, one per pair: floats as their repr, bools as
+    ``true``/``false``, anything else as its str.  The output format of the
+    report verbs and files."""
     lines = []
     for key, value in pairs:
-        if isinstance(value, float):
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
             value = repr(value)
         lines.append(f"{key} = {value}\n")
     return "".join(lines)
+
+
+class _Report:
+    """Base of the report dataclasses, which print as ``key = value`` lines."""
+
+    def as_text(self) -> str:
+        """:func:`_kv_text` of the fields, in order, each keyed by its
+        ``key`` metadata or else its name."""
+        return _kv_text(
+            [(f.metadata.get("key", f.name), getattr(self, f.name)) for f in fields(self)]
+        )
 
 
 def parse_config(text: str) -> dict[str, object]:
@@ -556,6 +590,7 @@ __all__ = [
     "Direction",
     "EffectiveParams",
     "FIGURE_NAMES",
+    "NumericalFailure",
     "RegimeWarning",
     "SystemParams",
     "amplitude_from_power",

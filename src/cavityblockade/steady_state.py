@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import EffectiveParams, SystemParams, derive_effective
+from .params import EffectiveParams, NumericalFailure, SystemParams, derive_effective
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,7 +28,7 @@ G2_OCCUPATION_FLOOR = 1e-30
 _STAT_NAMES = ("p1", "p2", "g2", "n_paper", "n_full", "norm")
 
 
-class SingularDenominator(ValueError):
+class SingularDenominator(NumericalFailure):
     """A steady-state denominator is too close to zero to invert."""
 
     def __init__(self, which: str, magnitude: float):

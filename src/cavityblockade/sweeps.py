@@ -27,7 +27,9 @@ from .params import (
     RegimeWarning,
     SystemParams,
     _AMPLITUDE_INPUTS,
+    _check_override_names,
     _derive,
+    _require_finite,
 )
 
 #: Parameter names accepted as sweep axes and fixed overrides.
@@ -70,6 +72,8 @@ class SweepAxis:
                 f"axis {self.name}: need minimum < maximum, got "
                 f"[{self.minimum!r}, {self.maximum!r}]"
             )
+        for bound in (self.minimum, self.maximum):
+            _require_finite(f"axis {self.name}: bounds", bound)
         if self.count < 2:
             raise ConfigError(f"axis {self.name}: need at least 2 points")
 
@@ -91,9 +95,9 @@ class SweepSpec:
             raise ConfigError(
                 f"observable must be one of {OBSERVABLES}, got {self.observable!r}"
             )
-        bad = set(self.overrides) - set(AXIS_NAMES)
-        if bad:
-            raise ConfigError(f"unknown override keys: {sorted(bad)}")
+        _check_override_names(self.overrides)
+        for name, value in self.overrides.items():
+            _require_finite(name, value)
         if not self.directions:
             raise ConfigError("at least one direction is required")
         names = {self.axis1.name}
@@ -332,14 +336,13 @@ def _preamble(result: SweepResult) -> list[str]:
     lines = [
         f"# version = {result.provenance['version']}",
         f"# config_hash = {result.provenance['config_hash']}",
-        f"# axis1 = {spec.axis1.name}, {_fmt(spec.axis1.minimum)}, "
-        f"{_fmt(spec.axis1.maximum)}, {spec.axis1.count}",
     ]
-    if spec.axis2 is not None:
-        lines.append(
-            f"# axis2 = {spec.axis2.name}, {_fmt(spec.axis2.minimum)}, "
-            f"{_fmt(spec.axis2.maximum)}, {spec.axis2.count}"
-        )
+    for key, axis in (("axis1", spec.axis1), ("axis2", spec.axis2)):
+        if axis is not None:
+            lines.append(
+                f"# {key} = {axis.name}, {_fmt(axis.minimum)}, "
+                f"{_fmt(axis.maximum)}, {axis.count}"
+            )
     return lines
 
 

@@ -470,8 +470,9 @@ class TestValidation:
 
     def test_argument_validation(self):
         p = P.reference_params()
-        with pytest.raises(ValueError, match="tolerance"):
-            fm.validate_effective(p, tolerance=0.0)
+        for tolerance in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                fm.validate_effective(p, tolerance=tolerance)
         # Without two-photon states g2 cannot be measured, only misreported as 0.
         with pytest.raises(ValueError, match="n_max must be at least 2"):
             fm.validate_effective(p, n_max=1)
@@ -490,6 +491,21 @@ class TestValidation:
         assert lines[0] == "g2_full = 1.25"
         assert "pass = false" in lines
         assert lines[-2:] == ["gap = 0.004", "settle_time = 977.98"]
+
+    def test_report_text_is_every_field_in_order(self):
+        report = fm.ValidationReport(
+            g2_full=1.25,
+            g2_effective=1.0,
+            rel_diff=0.25,
+            passed=True,
+            n_max=3,
+            gap=0.0,
+            settle_time=math.inf,
+        )
+        assert report.as_text() == (
+            "g2_full = 1.25\ng2_effective = 1.0\nrel_diff = 0.25\npass = true\n"
+            "n_max = 3\ngap = 0.0\nsettle_time = inf\n"
+        )
 
 
 class TestCli:
@@ -515,6 +531,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "numerical failure: full-model state became non-finite near t = 1.000\n"
+        )
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_1(self, tolerance, capsys):
+        assert cli.main(["validate-full", "--tolerance", tolerance]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tolerance must be positive and finite, got {tolerance}\n"
         )
 
     def test_step_is_not_an_option(self, capsys):

@@ -83,6 +83,15 @@ class TestDeriveEffective:
         assert eff.J == -0.7
         assert eff.theta == 2.0
 
+    @pytest.mark.parametrize(
+        "override, value",
+        [("j", math.nan), ("j", math.inf), ("theta", math.inf), ("theta", -math.inf)],
+    )
+    def test_non_finite_override_rejected_by_name(self, override, value):
+        name = "J" if override == "j" else "theta"
+        with pytest.raises(P.ConfigError, match=f"^{name} must be finite"):
+            quiet_effective(P.reference_params(), **{override: value})
+
     def test_zero_delta_p_rejected(self):
         with pytest.raises(ZeroDivisionError):
             P.derive_effective(P.SystemParams(delta_p=0.0))

@@ -21,6 +21,7 @@ from cavityblockade import cli, figures, optimizer, steady_state, svgplot, sweep
 from cavityblockade.params import (
     ConfigError,
     Direction,
+    NumericalFailure,
     RegimeWarning,
     SystemParams,
     derive_effective,
@@ -113,6 +114,11 @@ class TestSweepAxis:
         with pytest.raises(ConfigError, match="at least 2"):
             sweeps.SweepAxis("delta_c", 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_infinite_bounds(self, bounds):
+        with pytest.raises(ConfigError, match="bounds must be finite"):
+            sweeps.SweepAxis("delta_c", *bounds, 5)
+
 
 class TestSweepSpec:
     def axis(self, name="delta_c"):
@@ -138,6 +144,11 @@ class TestSweepSpec:
     def test_unknown_override(self):
         with pytest.raises(ConfigError, match="unknown override"):
             sweeps.SweepSpec(axis1=self.axis(), overrides={"gain": 0.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_override(self, value):
+        with pytest.raises(ConfigError, match="J must be finite"):
+            sweeps.SweepSpec(axis1=self.axis(), overrides={"J": value})
 
     def test_optimal_excludes_direct_couplings(self):
         with pytest.raises(ConfigError, match="cannot also be set"):
@@ -1097,6 +1108,60 @@ class TestCliInProcess:
     def test_degenerate_detuning_is_numerical_failure(self, capsys):
         assert cli.main(["optimize", "--delta-e", "0"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (steady_state.SingularDenominator("M", 1e-12), 2),
+            (optimizer.NoRealSolution("no root"), 2),
+            (optimizer.DegenerateDetuning("delta_e = 0"), 2),
+            (ArithmeticError("overflow"), 2),
+            (ConfigError("bad request"), 1),
+            (figures.UnknownFigure("no such preset"), 1),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_failure_type_sets_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(steady_state, "steady_stats", fail)
+        assert cli.main(["g2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "numerical failure: " if code == 2 else "error: "
+        assert captured.err == f"{prefix}{exc.args[0]}\n"
+
+    def test_failure_types_keep_their_builtin_bases(self):
+        # Library callers catch these as ValueError (and KeyError).
+        for cls in (
+            steady_state.SingularDenominator,
+            optimizer.NoRealSolution,
+            optimizer.DegenerateDetuning,
+        ):
+            assert issubclass(cls, NumericalFailure)
+            assert issubclass(cls, ValueError)
+        assert issubclass(figures.UnknownFigure, ConfigError)
+        assert issubclass(figures.UnknownFigure, KeyError)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["g2", "--J", "nan"], "J must be finite, got nan"),
+            (["g2", "--J", "inf"], "J must be finite, got inf"),
+            (["g2", "--theta", "inf"], "theta must be finite, got inf"),
+            (["sweep", "--axis1", "delta_c,0,1,5", "--J", "nan"], "J must be finite"),
+            (["sweep", "--axis1", "delta_c,0,inf,5"], "bounds must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, argv, message):
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCliSubprocess:
