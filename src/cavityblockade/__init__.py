@@ -19,7 +19,7 @@ _EXPORTS = {
     "Direction": "params",
     "EffectiveParams": "params",
     "EnergyPair": "spectrum",
-    "FIGURE_NAMES": "figures",
+    "FIGURE_NAMES": "params",
     "FullModel": "full_model",
     "IntegratorConfig": "dynamics",
     "JThetaScan": "optimizer",

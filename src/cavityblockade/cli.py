@@ -28,7 +28,6 @@ from .params import (
     SystemParams,
     _FLOAT_FIELDS,
     _kv_text,
-    _slide_mirrors,
     load_config,
     params_from_mapping,
     reference_params,
@@ -73,8 +72,6 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
     direction = getattr(args, "direction", None)
     if direction is not None:
         overrides["direction"] = Direction(direction)
-    kappas = _slide_mirrors(vars(base) | overrides, overrides)
-    overrides["kappa1"], overrides["kappa2"] = kappas
     return params_from_mapping(overrides, base=base)
 
 

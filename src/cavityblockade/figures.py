@@ -338,4 +338,4 @@ def figure(name: str, out_dir) -> list[str]:
     return builder(out)
 
 
-__all__ = ["FIGURE_NAMES", "UnknownFigure", "figure"]
+__all__ = ["UnknownFigure", "figure"]

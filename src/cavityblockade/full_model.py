@@ -121,8 +121,9 @@ class FullModel:
         self._static = static
         self._cavity = cavity_block
         self._atom = atom_block
-        # P_h, the projector on every |h> state.
-        self._p_h = np.diag(np.tile(np.array(LEVELS) == "h", n_max + 1).astype(float))
+        # H0 of the |h>-rephased frame, where the cavity coupling is static.
+        p_h = np.diag(np.tile(np.array(LEVELS) == "h", n_max + 1).astype(float))
+        self._h0 = static + params.delta_p * p_h + cavity_block + cavity_block.conj().T
         self.delta2 = delta_he + delta_eg
         scale = max(1.0, abs(params.delta_p), abs(delta_he), abs(delta_eg))
         self.raman_resonant = abs(self.delta2 - params.delta_p) <= RAMAN_TOL * scale
@@ -134,16 +135,16 @@ class FullModel:
 
     def _hamiltonians(self, times: np.ndarray, frame: bool = False) -> np.ndarray:
         """``hamiltonian`` for a vector of times, shape (T, dim, dim)."""
-        shift = self.params.delta_p if frame else 0.0
-        ph_c = np.exp(-1j * (self.params.delta_p - shift) * times)
-        ph_a = np.exp(1j * (self.delta2 - shift) * times)
-        return (
-            (self._static + shift * self._p_h)[None, :, :]
-            + ph_c[:, None, None] * self._cavity[None, :, :]
-            + np.conj(ph_c)[:, None, None] * self._cavity.conj().T[None, :, :]
-            + ph_a[:, None, None] * self._atom[None, :, :]
-            + np.conj(ph_a)[:, None, None] * self._atom.conj().T[None, :, :]
-        )
+        delta_p = self.params.delta_p
+        if frame:
+            out, rotating = self._h0[None], [(self._atom, self.delta2 - delta_p)]
+        else:
+            out = self._static[None]
+            rotating = [(self._cavity, -delta_p), (self._atom, self.delta2)]
+        for block, rate in rotating:
+            phase = np.exp(1j * rate * times)[:, None, None]
+            out = out + phase * block[None] + np.conj(phase) * block.conj().T[None]
+        return out
 
     def run(
         self,
@@ -222,8 +223,9 @@ class FullModel:
         phase, which a detection window of order 1/kappa does not see, so
         its g2 is not the one such a detector measures.
         """
+        h0, omega, harmonics = self._h0, 0.0, 0
         if self.raman_resonant:
-            h0, omega, harmonics = self.hamiltonian(0.0, frame=True), 0.0, 0
+            h0 = h0 + self._atom + self._atom.conj().T
         else:
             omega = self.delta2 - self.params.delta_p
             period = TAU / abs(omega)
@@ -232,8 +234,6 @@ class FullModel:
                     f"the drive beat period T = {period:.6g} exceeds 100/kappa; "
                     "move delta_he onto Raman resonance or further from it"
                 )
-            h0 = self._static + self.params.delta_p * self._p_h
-            h0 = h0 + self._cavity + self._cavity.conj().T
             harmonics = 1
         while True:
             m = np.arange(-harmonics, harmonics + 1)
@@ -313,7 +313,10 @@ def validate_effective(
 
     P1 and P2 come from ``FullModel.steady_mode``, averaged over its samples
     of one beat period off Raman resonance.  ``n_max`` must be 2 to 4: g2
-    needs the two-photon states.
+    needs the two-photon states.  ``g2_full`` is the two-photon formula
+    2 P2/(P1 + 2 P2)^2 over n <= 2, NaN below the 1e-30 occupation floor: at
+    the reference joint root with n_max = 3 it is 1.985e-3, where
+    <n(n-1)>/<n>^2 over every photon number is 2.392e-3.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -330,10 +333,7 @@ def validate_effective(
     model = FullModel(params, n_max)
     states, gap = model.steady_mode()
     occ = photon_occupations(states, n_max)
-    p1 = float(np.mean(occ[1]))
-    p2 = float(np.mean(occ[2]))
-    occupation = p1 + 2.0 * p2
-    g2_full = 2.0 * p2 / occupation**2 if occupation > 0.0 else math.nan
+    g2_full = float(steady_state._g2(np.mean(occ[1]), np.mean(occ[2])))
 
     g2_effective = steady_state.steady_stats(params).g2
     rel_diff = abs(g2_full - g2_effective) / abs(g2_effective)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import steady_state
 from .params import Direction, NumericalFailure, SystemParams
-from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _Report, _warn_at_point
+from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _Report, _warn_regime
 
 C2G_RESIDUAL_TOL = 1e-10
 
@@ -378,8 +378,7 @@ def nonreciprocal_point(
 
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
     g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
-    seen = {condition for condition, _ in violated}
-    _warn_at_point(violated + [v for v in violated_b if v[0] not in seen], 2)
+    _warn_regime(violated + violated_b, 2)
     contrast = (
         math.log10(g2_b / g2_f)
         if g2_f > 0.0 and g2_b > 0.0 and math.isfinite(g2_f) and math.isfinite(g2_b)

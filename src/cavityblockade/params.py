@@ -15,7 +15,8 @@ routine checks the four regime conditions of :data:`_REGIME`.  It runs on
 floats and on arrays alike: :func:`derive_effective` is its view at one
 point, warning with the measured ratio, and :func:`effective_arrays` its view
 over a grid, warning once per violated condition.  The optimizer and the
-sweeps call :func:`_derive` directly and decide themselves what to warn.
+sweeps call :func:`_derive` directly and decide themselves when to warn, all
+through :func:`_warn_regime`.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def wrap_angle(theta: float) -> float:
     return math.pi if r <= -math.pi else r
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+def _require_finite(name: str, value) -> None:
+    """ConfigError unless ``value``, a number or an array, is finite throughout."""
+    array = isinstance(value, np.ndarray)
+    if not (np.isfinite(value).all() if array else math.isfinite(value)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
@@ -178,11 +181,14 @@ _FLOAT_FIELDS = tuple(
 OVERRIDE_NAMES = tuple(f for f in _FLOAT_FIELDS if f != "delta_he") + ("J", "theta")
 
 
-def _check_override_names(names) -> None:
-    """ConfigError unless every name is one of :data:`OVERRIDE_NAMES`."""
-    unknown = set(names) - set(OVERRIDE_NAMES)
+def _check_overrides(overrides: Mapping[str, object]) -> None:
+    """ConfigError unless every name is one of :data:`OVERRIDE_NAMES` and
+    every value is finite."""
+    unknown = overrides.keys() - OVERRIDE_NAMES
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+    for name, value in overrides.items():
+        _require_finite(name, value)
 
 
 def _slide_mirrors(v: Mapping[str, object], named) -> tuple:
@@ -357,11 +363,16 @@ def _derive(
     return consts, violated
 
 
-def _warn_at_point(violated, stacklevel: int) -> None:
-    """A RegimeWarning per item of ``violated``, naming the condition's value
-    at the point; ``stacklevel`` counts from the caller."""
+def _warn_regime(violated, stacklevel: int, *, grid: bool = False) -> None:
+    """One RegimeWarning per condition of ``violated``, in order of first
+    appearance, worded with its first value or, with ``grid``, its grid
+    message.  ``stacklevel`` counts from the caller."""
+    first = {}
     for condition, value in violated:
-        warnings.warn(condition.point.format(value), RegimeWarning, stacklevel=stacklevel + 1)
+        first.setdefault(condition, value)
+    for condition, value in first.items():
+        message = condition.grid if grid else condition.point.format(value)
+        warnings.warn(message, RegimeWarning, stacklevel=stacklevel + 1)
 
 
 def derive_effective(
@@ -386,10 +397,9 @@ def derive_effective(
         overrides["J"] = float(j)
     if theta is not None:
         overrides["theta"] = float(theta)
-    for name, value in overrides.items():
-        _require_finite(name, value)
+    _check_overrides(overrides)
     c, violated = _derive(params, overrides)
-    _warn_at_point(violated, 2)
+    _warn_regime(violated, 2)
     return EffectiveParams(
         delta_e=c["delta_e"],
         G=c["g_shift"],
@@ -407,15 +417,14 @@ def effective_arrays(
     """Effective-model coefficient arrays with per-point overrides.
 
     Override values broadcast against each other; any name of
-    :data:`OVERRIDE_NAMES` is accepted, as :func:`_derive` describes.
-    Warns once per regime condition that some point violates.
+    :data:`OVERRIDE_NAMES` is accepted, as :func:`_derive` describes, and
+    must be finite at every point.  Warns once per regime condition that
+    some point violates.
     """
-    _check_override_names(overrides)
-    consts, violated = _derive(
-        params, {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
-    )
-    for condition, _ in violated:
-        warnings.warn(condition.grid, RegimeWarning, stacklevel=2)
+    overrides = {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
+    _check_overrides(overrides)
+    consts, violated = _derive(params, overrides)
+    _warn_regime(violated, 2, grid=True)
     return {k: np.asarray(v) for k, v in consts.items()}
 
 
@@ -527,13 +536,15 @@ def parse_config(text: str) -> dict[str, object]:
 def params_from_mapping(
     mapping: dict[str, object], base: SystemParams | None = None
 ) -> SystemParams:
-    """Build SystemParams from a raw mapping, layered over ``base``."""
+    """Build SystemParams from a raw mapping, layered over ``base``; naming
+    one mirror rate alone slides the other, as :func:`_slide_mirrors` does."""
     base = base if base is not None else SystemParams()
     unknown = set(mapping) - set(_FLOAT_FIELDS) - {"direction"}
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
+    kappa1, kappa2 = _slide_mirrors(vars(base) | mapping, mapping)
     try:
-        return replace(base, **mapping)
+        return replace(base, **{**mapping, "kappa1": kappa1, "kappa2": kappa2})
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
 

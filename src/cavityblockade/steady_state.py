@@ -74,8 +74,8 @@ class AmplitudeState:
 class PhotonStats:
     """Occupation probabilities and the equal-time two-photon correlation.
 
-    ``g2`` is NaN when the photonic occupation p1 + 2 p2 vanishes; it is
-    never silently reported as zero.  ``n_cavity_paper`` is the leading
+    ``g2`` is NaN when the photonic occupation p1 + 2 p2 is below
+    G2_OCCUPATION_FLOOR; it is never silently reported as zero.  ``n_cavity_paper`` is the leading
     |c1g|**2 estimate of the photon number; ``n_cavity_full`` adds the
     dressed and two-photon contributions |c1e|**2 + 2 |c2g|**2.
     """
@@ -86,6 +86,13 @@ class PhotonStats:
     n_cavity_paper: float
     n_cavity_full: float
     norm: float
+
+
+def _amplitude_denominators(m, n, delta_e, j):
+    """The arrays J^2 - M delta_e and J^2 - M N, named, and for each where it
+    is safely away from zero (a NaN one is not)."""
+    dens = {"J^2 - M*delta_e": j**2 - m * delta_e, "J^2 - M*N": j**2 - m * n}
+    return dens, [np.abs(d) > SINGULAR_TOL for d in dens.values()]
 
 
 def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
@@ -115,9 +122,9 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     phase_minus = np.exp(-1j * theta)
     phase_plus = np.conj(phase_minus)
 
-    d1 = j**2 - m * delta_e
-    d2 = j**2 - m * n
-    valid = (np.abs(d1) > SINGULAR_TOL) & (np.abs(d2) > SINGULAR_TOL)
+    dens, (ok1, ok2) = _amplitude_denominators(m, n, delta_e, j)
+    d1, d2 = dens.values()
+    valid = ok1 & ok2
 
     with np.errstate(divide="ignore", invalid="ignore"):
         safe1 = np.where(valid, d1, 1.0)
@@ -158,6 +165,16 @@ def amplitude_arrays(
     return c, valid
 
 
+def _g2(p1, p2):
+    """2 P2/(P1 + 2 P2)^2, NaN where P1 + 2 P2 < G2_OCCUPATION_FLOOR, for
+    arrays or numpy scalars (which square by the C library's pow)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        occupation = p1 + 2.0 * p2
+        return np.where(
+            occupation >= G2_OCCUPATION_FLOOR, 2.0 * p2 / occupation**2, np.nan
+        )
+
+
 def _stats(p0g, p1g, p0e, p2g, p1e) -> dict[str, np.ndarray]:
     """The statistics of :func:`stats_arrays` from the five |c|**2, in the
     basis order of :class:`AmplitudeState`, the norm summed in that order."""
@@ -165,14 +182,10 @@ def _stats(p0g, p1g, p0e, p2g, p1e) -> dict[str, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         p1 = (p1g + p1e) / norm
         p2 = p2g / norm
-        occupation = p1 + 2.0 * p2
-        g2 = np.where(
-            occupation >= G2_OCCUPATION_FLOOR, 2.0 * p2 / occupation**2, np.nan
-        )
     return {
         "p1": p1,
         "p2": p2,
-        "g2": g2,
+        "g2": _g2(p1, p2),
         "n_paper": p1g,
         "n_full": p1g + p1e + 2.0 * p2g,
         "norm": norm,
@@ -213,26 +226,18 @@ def _stats_from_parameters(
 def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
     """Closed-form steady state with c0g = 1.
 
-    Raises SingularDenominator when either J**2 - M*delta_e or J**2 - M*N
-    is within SINGULAR_TOL of zero.
+    Raises SingularDenominator when J**2 - M*delta_e or J**2 - M*N is
+    within SINGULAR_TOL of zero, exactly where :func:`amplitude_arrays`
+    flags the point invalid.
     """
-    d1 = eff.J**2 - eff.M * eff.delta_e
-    if abs(d1) <= SINGULAR_TOL:
-        raise SingularDenominator("J^2 - M*delta_e", abs(d1))
-    d2 = eff.J**2 - eff.M * eff.N
-    if abs(d2) <= SINGULAR_TOL:
-        raise SingularDenominator("J^2 - M*N", abs(d2))
-    c, _ = amplitude_arrays(
-        eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
-    )
-    return AmplitudeState(
-        c0g=complex(c[0]),
-        c1g=complex(c[1]),
-        c0e=complex(c[2]),
-        c2g=complex(c[3]),
-        c1e=complex(c[4]),
-        t=math.inf,
-    )
+    inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
+    c1g, c0e, c2g, c1e, valid = (a.item() for a in _amplitudes(*inputs))
+    if not valid:
+        m, j = np.asarray(eff.M, dtype=complex), np.asarray(eff.J, dtype=float)
+        dens, oks = _amplitude_denominators(m, eff.N, eff.delta_e, j)
+        which = next(name for name, ok in zip(dens, oks) if not ok)
+        raise SingularDenominator(which, float(np.abs(dens[which])))
+    return AmplitudeState(c0g=1 + 0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=math.inf)
 
 
 def photon_stats(state: AmplitudeState) -> PhotonStats:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,12 +23,12 @@ from .params import (
     OVERRIDE_NAMES,
     ConfigError,
     Direction,
-    RegimeWarning,
     SystemParams,
     _AMPLITUDE_INPUTS,
-    _check_override_names,
+    _check_overrides,
     _derive,
     _require_finite,
+    _warn_regime,
 )
 
 #: Parameter names accepted as sweep axes and fixed overrides.
@@ -95,9 +94,7 @@ class SweepSpec:
             raise ConfigError(
                 f"observable must be one of {OBSERVABLES}, got {self.observable!r}"
             )
-        _check_override_names(self.overrides)
-        for name, value in self.overrides.items():
-            _require_finite(name, value)
+        _check_overrides(self.overrides)
         if not self.directions:
             raise ConfigError("at least one direction is required")
         names = {self.axis1.name}
@@ -252,7 +249,7 @@ def _evaluate_direction(
     j_used = np.broadcast_to(consts["j"], full_shape)
     theta_used = np.broadcast_to(consts["theta"], full_shape)
     if dc_opt is not None:
-        dc_opt = np.broadcast_to(dc_opt, full_shape)
+        dc_opt = np.array(np.broadcast_to(dc_opt, full_shape))
     return stat_out, valid, np.array(j_used), np.array(theta_used), dc_opt, violated
 
 
@@ -272,24 +269,14 @@ def run_sweep(
     some point violates is warned once per sweep, whatever the directions
     and the grids it is checked on.
     """
-    stats: dict[Direction, dict[str, np.ndarray]] = {}
-    valid: dict[Direction, np.ndarray] = {}
-    j_used: dict[Direction, np.ndarray] = {}
-    theta_used: dict[Direction, np.ndarray] = {}
-    dc_opt: dict[Direction, np.ndarray | None] = {}
-    warned = set()
-    for direction in spec.directions:
-        p = dataclasses.replace(base, direction=direction)
-        s, ok, j_arr, theta_arr, dc, violated = _evaluate_direction(p, spec, jobs)
-        for condition, _ in violated:
-            if condition not in warned:
-                warned.add(condition)
-                warnings.warn(condition.grid, RegimeWarning, stacklevel=2)
-        stats[direction] = s
-        valid[direction] = ok
-        j_used[direction] = j_arr
-        theta_used[direction] = theta_arr
-        dc_opt[direction] = None if dc is None else np.array(dc)
+    results = [
+        _evaluate_direction(dataclasses.replace(base, direction=direction), spec, jobs)
+        for direction in spec.directions
+    ]
+    stats, valid, j_used, theta_used, dc_opt, violated = (
+        dict(zip(spec.directions, column)) for column in zip(*results)
+    )
+    _warn_regime([v for found in violated.values() for v in found], 2, grid=True)
     return SweepResult(
         spec=spec,
         base=base,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -117,7 +118,36 @@ def test_submodules_and_star_import_after_bare_import():
     assert star == sorted(cavityblockade.__all__)
 
 
+def test_figure_names_lookup_loads_only_params():
+    # The CLI parser names the presets without loading the figure code.
+    out = run_python(
+        "import sys, cavityblockade; cavityblockade.FIGURE_NAMES; "
+        "print(sorted(m for m in sys.modules if m.startswith('cavityblockade.')))"
+    )
+    assert out.strip() == "['cavityblockade.params']"
+
+
+def defined_names(module) -> set[str]:
+    """Names ``module`` binds at top level by a def, a class or an
+    assignment, not by an import."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 def test_exports_are_the_defining_modules_objects():
+    # Each lazy export names the module that defines it, not one that
+    # re-exports it, so looking it up loads no more than that module.
+    for name, short in cavityblockade._EXPORTS.items():
+        module = importlib.import_module(f"cavityblockade.{short}")
+        assert name in defined_names(module), f"{name} is not defined in {short}"
+        owner = getattr(getattr(module, name), "__module__", module.__name__)
+        assert owner == module.__name__, f"{name} is defined in {owner}, not {short}"
     owners = {name: [] for name in cavityblockade.__all__}
     for short in SUBMODULES:
         module = importlib.import_module(f"cavityblockade.{short}")

@@ -259,8 +259,12 @@ class TestConfigText:
         assert p.g == base.g
 
     def test_mapping_rejects_invalid_combination(self):
-        with pytest.raises(P.ConfigError):
-            P.params_from_mapping({"kappa1": 0.4})
+        # One mirror alone slides the other; both named must sum to 2 kappa,
+        # and a slide must leave both rates positive.
+        with pytest.raises(P.ConfigError, match="must equal 2"):
+            P.params_from_mapping({"kappa1": 0.4, "kappa2": 1.8})
+        with pytest.raises(P.ConfigError, match="positive"):
+            P.params_from_mapping({"kappa1": 2.5})
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "point.cfg"

@@ -214,7 +214,10 @@ class TestSingularities:
         assert err.value.which == "J^2 - M*N"
 
     def test_array_path_masks_instead_of_raising(self):
-        c, valid = steady_state.amplitude_arrays(
+        # The scalar path raises exactly where the grid marks a point
+        # invalid; elsewhere, on finite inputs, it gives the grid's finite
+        # amplitudes.  The seeded grid holds boundary and non-finite points.
+        hand_built = np.broadcast_arrays(
             0.01,
             np.array([complex(0.3, -0.5), complex(0.3, -0.5)]),
             complex(0.3, -0.5),
@@ -223,9 +226,27 @@ class TestSingularities:
             0.0,
             0.01,
         )
-        assert valid.tolist() == [False, True]
-        assert np.all(np.isnan(c[0].real))
-        assert np.all(np.isfinite(c[1].view(float)))
+        assert steady_state.amplitude_arrays(*hand_built)[1].tolist() == [False, True]
+        for args in (hand_built, np.broadcast_arrays(*fused_case(11))):
+            with np.errstate(all="ignore"):
+                c, valid = steady_state.amplitude_arrays(*args)
+                marked = steady_state._stats_from_parameters(*args)[1]
+            assert marked.tolist() == valid.tolist()
+            for point in np.ndindex(valid.shape):
+                omega, m, n, delta_e, j, theta, e_eg = (a[point].item() for a in args)
+                eff = P.EffectiveParams(
+                    delta_e=delta_e, G=0.0, J=j, theta=theta, omega=omega, M=m, N=n
+                )
+                if not valid[point]:
+                    assert np.all(np.isnan(c[point].real))
+                    with pytest.raises(steady_state.SingularDenominator):
+                        steady_state.analytic_amplitudes(eff, e_eg)
+                    continue
+                with np.errstate(all="ignore"):
+                    vector = steady_state.analytic_amplitudes(eff, e_eg).as_vector()
+                if all(math.isfinite(abs(a[point])) for a in args):
+                    assert np.all(np.isfinite(vector.view(float)))
+                    assert np.allclose(vector, c[point], rtol=1e-12, atol=0.0)
 
 
 def detuning_sweep(params, lo, hi, count):

@@ -68,6 +68,14 @@ class TestEffectiveArrays:
         with pytest.raises(ConfigError, match="unknown override"):
             effective_arrays(reference_params(), {"gain": 2.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_override_rejected(self, bad):
+        # As derive_effective rejects a non-finite j at one point.
+        with pytest.raises(ConfigError, match="^J must be finite"):
+            effective_arrays(reference_params(), {"J": np.array([bad, 0.3])})
+        with pytest.raises(ConfigError, match="^theta must be finite"):
+            effective_arrays(reference_params(), {"theta": bad})
+
     def test_rates_must_stay_positive(self):
         # kappa1 = 2.5 slides kappa2 to -0.5.
         with pytest.raises(ConfigError, match="positive"):
@@ -1065,6 +1073,15 @@ class TestCliInProcess:
             dataclasses.replace(reference_params(), delta_c=1.0, e_eg=0.005)
         )
         assert float(kv["g2"]) == expected.g2
+
+    def test_config_file_slides_the_unnamed_mirror(self, tmp_path, capsys):
+        # A file naming one mirror alone slides the other, as the flag does.
+        config = tmp_path / "mirror.cfg"
+        config.write_text("kappa1 = 0.5\n", encoding="utf-8")
+        assert cli.main(["g2", "--kappa1", "0.5"]) == 0
+        by_flag = capsys.readouterr()
+        assert cli.main(["g2", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == by_flag.out != ""
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["g2", "--config", str(tmp_path / "absent.cfg")])
