@@ -15,10 +15,13 @@ windows per matrix product: the windows' starts x, S^w x, S^2w x, ... come
 from one product, and every state of the chunk is the stacked starts
 times S, ..., S^w laid end to end.  :func:`steady_rk4` finds 16 window
 ends of every parameter set per batched product of the window map's
-powers.  Each chunk gets one summed finite check, and evolve's steady
-test first screens the chunk with the amplitude of the largest test ratio
-at its last step.  The powers are built as increments S^j - I, so their
-rounding does not accumulate from window to window.
+powers.  A chunk's states are products of a few starting states with
+those powers, so a bound from the starts' largest part shows most chunks
+finite without reading their states; only a chunk the bound cannot clear
+gets a summed finite check.  evolve's steady test first screens the chunk
+with the amplitude of the largest test ratio at its last step.  The
+powers are built as increments S^j - I, so their rounding does not
+accumulate from window to window.
 The results agree with the step-by-step RK4 iteration to rounding, not bit
 for bit, and stop, or fail, at the same step.
 """
@@ -47,6 +50,10 @@ _NORM_EPS = 1e-12
 #: chunk of this many windows' states at once, :func:`steady_rk4` finds this
 #: many window ends at once.
 _CHUNK_WINDOWS = 16
+
+#: A chunk's bound on its real and imaginary parts, times their count, below
+#: which every state is finite and so is their float sum.
+_FINITE_BOUND = 1e300
 
 
 class NonFiniteState(ArithmeticError):
@@ -87,10 +94,10 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.ss_window > 0.0 and math.isfinite(self.ss_window)):
             raise ValueError("ss_window must be positive and finite")
-        if not (self.t_max >= self.ss_window):
-            raise ValueError("t_max must be at least ss_window")
-        if not (self.ss_tol > 0.0):
-            raise ValueError("ss_tol must be positive")
+        if not (self.t_max >= self.ss_window and math.isfinite(self.t_max)):
+            raise ValueError("t_max must be finite and at least ss_window")
+        if not (self.ss_tol > 0.0 and math.isfinite(self.ss_tol)):
+            raise ValueError("ss_tol must be positive and finite")
 
     @property
     def window_steps(self) -> int:
@@ -240,7 +247,10 @@ class Trajectory(Sequence[AmplitudeState]):
         return self[-1]
 
     def norm_squared(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
+        # np.sum(axis=-1) adds the five amplitudes in this same order, but
+        # reduces a 5-long axis slowly (see _window_steady).
+        sq = np.abs(self.amplitudes) ** 2
+        return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3] + sq[..., 4]
 
     def to_csv(self, path: str | Path) -> None:
         """Write t, the real/imaginary amplitude parts and the squared norm,
@@ -273,9 +283,7 @@ def _first_steady(cur: np.ndarray, prev: np.ndarray, ss_tol: float) -> int | Non
     if not passed.any():
         return None
     first = int(np.argmax(passed))
-    cur, prev = cur[first:], prev[first:]
-    ratio = np.abs(cur - prev) / (np.abs(cur) + _NORM_EPS)
-    passed = np.max(ratio, axis=1) < ss_tol
+    passed = _window_steady(cur[first:], prev[first:], ss_tol)
     return first + int(np.argmax(passed)) if passed.any() else None
 
 
@@ -293,6 +301,11 @@ def evolve(
     of the stacked starts with the step powers S, ..., S^w laid end to end.
     The finite check and the steady test run over the chunk's states, and
     the first step that fails the one or passes the other ends the run.
+    Every part of a chunk's states is at most (10 max|fill| + 1) max|x|,
+    with fill the laid-out powers and x the window starts (maxima over real
+    components), so a chunk whose bound is small enough is finite as it
+    stands; any other chunk gets a summed finite check, and one whose sum
+    is not finite is redone step by step.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     a = generator_from_effective(eff, e_eg, cfg.hold_c0g)
@@ -309,7 +322,9 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         stop = _fill_states(states, step, cfg, initial.t)
     last = n_steps if stop is None else stop
-    times = initial.t + cfg.dt * np.arange(last + 1)
+    times = np.arange(last + 1, dtype=float)
+    times *= cfg.dt
+    times += initial.t
     return Trajectory(times, states[: last + 1], stop is not None, slowest)
 
 
@@ -335,6 +350,8 @@ def _fill_states(
     # fill[c, 5j + r] is S^(j+1)[r, c] (a view, no copy), so x @ fill holds
     # the window's states from x laid end to end, row by row.
     fill = powers.reshape(-1, 5).T
+    # Each state of a chunk is x_i @ fill, five complex products summed.
+    scale = _product_scale(powers)
     for start in range(0, n_steps, _CHUNK_WINDOWS * width):
         stop = min(start + _CHUNK_WINDOWS * width, n_steps)
         whole, rest = divmod(stop - start, width)
@@ -352,7 +369,7 @@ def _fill_states(
         states[start + width : stop : width] = x[1:]
         block = states[start + 1 : stop + 1]
         end = stop  # the last finite step of the chunk
-        if not np.isfinite(block.view(float).sum()):
+        if not _chunk_finite(block, x, scale):
             # A power can overflow a step or more before the state it maps
             # to, and the sum of a finite chunk can overflow; redo the chunk
             # step by step so a failure is reported at the step the plain
@@ -376,10 +393,37 @@ def _fill_states(
     return None
 
 
+def _product_scale(maps: np.ndarray) -> float:
+    """10 max|M| + 1 over the real components of ``maps``: no real or
+    imaginary part of M x + x, or of M x, with M one of the 5x5 maps, exceeds
+    it times the largest part of x.  NaN if any part of the maps is."""
+    return 10.0 * float(np.abs(maps.view(float)).max()) + 1.0
+
+
+def _chunk_finite(out: np.ndarray, x: np.ndarray, scale: float) -> bool:
+    """The chunk finite check: whether ``out``, whose parts are at most
+    ``scale`` (see :func:`_product_scale`) times the largest part of the
+    states ``x``, is finite and has a finite float sum.
+
+    When that bound times the count of parts is below ``_FINITE_BOUND``,
+    both hold without reading ``out``; otherwise the sum decides.
+    """
+    parts = out.view(float)
+    bound = float(np.abs(x.view(float)).max()) * scale * parts.size
+    return bound < _FINITE_BOUND or bool(np.isfinite(parts.sum()))
+
+
 def _window_steady(states: np.ndarray, prev: np.ndarray, ss_tol: float) -> np.ndarray:
     """The steady test of each set (last axis: the amplitudes)."""
     ratio = np.abs(states - prev) / (np.abs(states) + _NORM_EPS)
-    return np.max(ratio, axis=-1) < ss_tol
+    # np.maximum over the amplitude slices, not max(axis=-1): numpy reduces
+    # a 5-long axis slowly (on a shared 2-CPU host, 41 us against 10 us on
+    # a (32, 16, 5) array, 1.2 ms against 52 us on (16000, 5)).  Both are
+    # exact and propagate NaN, so the test is the same.
+    worst = np.maximum(ratio[..., 0], ratio[..., 1])
+    for k in range(2, ratio.shape[-1]):
+        np.maximum(worst, ratio[..., k], out=worst)
+    return worst < ss_tol
 
 
 def steady_rk4(
@@ -396,9 +440,12 @@ def steady_rk4(
     W^i - I precomputed for each set's window map W and i up to
     ``_CHUNK_WINDOWS``, the ends of that many windows come from one batched
     product, and the run stops at the first window after which every set
-    has been steady.  A chunk whose sum is not finite is redone window by
-    window, so :class:`NonFiniteState` names the sets that fail first, at
-    the window they fail.
+    has been steady.  Every part of the ends is at most
+    (10 max|W^i - I| + 1) max|states|, maxima over real components, so a
+    chunk whose bound is small enough is finite as it stands; any other
+    chunk gets a summed finite check.  A chunk whose sum is not finite is
+    redone window by window, so :class:`NonFiniteState` names the sets that
+    fail first, at the window they fail.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     single = isinstance(effs, EffectiveParams)
@@ -433,12 +480,13 @@ def steady_rk4(
         # product with the starts gives every set's next window ends.
         inc = _power_increments(window - np.eye(5), min(_CHUNK_WINDOWS, n_windows))
         inc = inc.reshape(sets, -1, 5)
+        scale = _product_scale(inc)
         while done < n_windows and not steady.all():
             count = min(_CHUNK_WINDOWS, n_windows - done)
             done += count
             ends = np.matmul(inc[:, : 5 * count], states[:, :, None]).reshape(sets, count, 5)
             ends += states[:, None]
-            if np.isfinite(ends.view(float).sum()):
+            if _chunk_finite(ends, states, scale):
                 prev = np.concatenate((states[:, None], ends[:, :-1]), axis=1)
                 so_far = steady[:, None] | np.logical_or.accumulate(
                     _window_steady(ends, prev, cfg.ss_tol), axis=1

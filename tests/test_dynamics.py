@@ -726,6 +726,66 @@ class TestChunks:
             outcomes.append(assert_same_run(initial, eff, 0.03, cfg)[0])
         assert min(outcomes.count(name) for name in ("steady", "t_max", "nonfinite")) >= 5
 
+    @pytest.mark.parametrize("bad", [(1, math.nan), (4, math.inf), (0, complex(0.0, -math.inf))])
+    def test_nonfinite_initial_state_fails_at_the_first_step(self, bad):
+        index, value = bad
+        vec = np.array([1.0, 0.2, 0.1j, 0.0, 0.3], dtype=complex)
+        vec[index] = value
+        initial = dynamics.AmplitudeState.from_vector(vec, t=2.5)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=20.0, ss_window=0.5, ss_tol=1e-6)
+        # Raised naming t0 + dt = 2.51, as the plain iteration does.
+        assert assert_same_run(initial, self.FALLING, 0.03, cfg) == ("nonfinite", 1)
+
+    @pytest.mark.parametrize("outcome", ["steady", "nonfinite"])
+    def test_finite_states_too_large_for_the_bound(self, outcome):
+        # Amplitudes near 1e299 are finite and so is the float sum of a
+        # chunk of them, but no bound on a chunk's parts from its starts
+        # (1e299 at least, times at least ten parts) is below 1e300, so the
+        # first chunks are checked by their sum.  The steady run decays to
+        # its fixed point; in the other only c1g and c0e are non-zero, c0e
+        # is constant and dt puts c1g's decay at kappa/2 just past RK4's
+        # real stability bound, so c1g grows about 1.05x a step and overflows in
+        # a later chunk.
+        if outcome == "steady":
+            eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.05)
+            vec = 1e299 * (1.0 + np.random.default_rng(16).uniform(size=5) * (1 + 1j))
+            cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=1.0, ss_tol=1e-6)
+        else:
+            eff = make_eff(0.5, 0.0, 0.5, 0.0, 0.0, omega=0.0)
+            vec = np.array([0.0, 1e299, 3e298j, 0.0, 0.0])
+            cfg = dynamics.IntegratorConfig(dt=5.64, t_max=4000.0, ss_window=11.28)
+        initial = dynamics.AmplitudeState.from_vector(vec)
+        want, got, k = plain_evolve(initial, eff, 0.0, cfg)
+        span = self.C * cfg.window_steps
+        assert got == outcome and k > 2 * span
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(want[1 : 2 * span + 1].view(float).sum())
+        assert assert_same_run(initial, eff, 0.0, cfg) == (outcome, k)
+
+    def test_window_steady_is_the_worst_ratio_test(self):
+        # The test against np.max over the amplitudes, on ratios on both
+        # sides of the tolerance and with NaN and infinite states: an
+        # infinite state gives a NaN ratio, an infinite previous state an
+        # infinite one, and neither passes.
+        rng = np.random.default_rng(17)
+        tol = 1e-6
+        for shape in [(32, 16, 5), (400, 5)]:
+            states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            prev = states * (1.0 + tol * rng.uniform(0.0, 1.3, size=shape))
+            for arr in (states, prev):
+                flat = arr.reshape(-1)
+                picks = rng.choice(flat.size, size=max(1, flat.size // 50), replace=False)
+                flat[picks[::3]] = complex(math.nan, 0.0)
+                flat[picks[1::3]] = complex(math.inf, 1.0)
+                flat[picks[2::3]] = complex(0.0, -math.inf)
+            with np.errstate(invalid="ignore"):
+                ratio = np.abs(states - prev) / (np.abs(states) + 1e-12)
+                want = np.max(ratio, axis=-1) < tol
+                got = dynamics._window_steady(states, prev, tol)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert 0 < want.sum() < want.size
+
     @pytest.mark.parametrize("tol, window", [(1e-5, 142), (3e-7, 193)])
     def test_steady_rk4_stops_inside_a_chunk(self, tol, window):
         # Every set is steady first after window 142 (the 14th of its
@@ -805,6 +865,18 @@ class TestTrajectory:
         last = [float(x) for x in lines[-1].split(",")]
         assert last[-1] == pytest.approx(traj.norm_squared()[-1], rel=1e-15)
 
+    def test_norm_squared_adds_the_amplitudes_in_order(self):
+        # Magnitudes spread over 16 decades, so the order of the additions
+        # shows in the last bits of many rows.
+        rng = np.random.default_rng(18)
+        mag = 10.0 ** rng.uniform(-8.0, 8.0, size=(2000, 5))
+        amps = mag * np.exp(2j * math.pi * rng.uniform(size=(2000, 5)))
+        traj = dynamics.Trajectory(np.arange(2000.0), amps, steady=False)
+        sq = np.abs(amps) ** 2
+        want = np.sum(sq, axis=-1)
+        assert np.array_equal(traj.norm_squared(), want)
+        assert not np.array_equal(np.sum(sq[:, ::-1], axis=-1), want)
+
 
 class TestIntegratorConfig:
     def test_validation(self):
@@ -816,6 +888,13 @@ class TestIntegratorConfig:
             dynamics.IntegratorConfig(t_max=0.5, ss_window=1.0)
         with pytest.raises(ValueError, match="ss_tol"):
             dynamics.IntegratorConfig(ss_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("t_max", math.inf), ("ss_tol", math.inf), ("ss_tol", math.nan)]
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dynamics.IntegratorConfig(**{field: value})
 
     def test_window_steps(self):
         cfg = dynamics.IntegratorConfig(dt=1e-3, ss_window=1.0)
