@@ -8,22 +8,17 @@ single- and two-photon denominators) closes on five basis amplitudes
 
 and the equations of motion are linear with constant coefficients, so a
 classical fixed-step fourth-order Runge-Kutta step is the exact quartic
-Taylor polynomial of the true propagator.  The integrators exploit that:
-they build the 5x5 step map S once and precompute its powers for one
-steady-test window of w steps.  :func:`evolve` advances a chunk of 16
-windows per matrix product: the windows' starts x, S^w x, S^2w x, ... come
-from one product, and every state of the chunk is the stacked starts
-times S, ..., S^w laid end to end.  :func:`steady_rk4` finds 16 window
-ends of every parameter set per batched product of the window map's
-powers.  A chunk's states are products of a few starting states with
-those powers, so a bound from the starts' largest part shows most chunks
-finite without reading their states; only a chunk the bound cannot clear
-gets a summed finite check.  evolve's steady test first screens the chunk
-with the amplitude of the largest test ratio at its last step.  The
-powers are built as increments S^j - I, so their rounding does not
+Taylor polynomial of the true propagator: one 5x5 step map S.  The
+integrators advance many steps per matrix product by precomputed powers
+of S, built as increments S^j - I so that their rounding does not
 accumulate from window to window.
-The results agree with the step-by-step RK4 iteration to rounding, not bit
-for bit, and stop, or fail, at the same step.
+
+Both keep the contract of the plain iteration, state = S state one step
+(or one steady-test window) at a time: the results agree with it to
+rounding, not bit for bit, and stop, or fail, at the same step or window.
+A state is finite when the modulus of every amplitude is finite; a run
+fails with :class:`NonFiniteState` at its first state that is not,
+unless it stopped steady before.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .params import EffectiveParams
-from .steady_state import AmplitudeState
+from .steady_state import SQRT2, AmplitudeState
 from .sweeps import _csv_rows
-
-SQRT2 = math.sqrt(2.0)
 
 #: Order of the amplitude components in every vector/matrix in this module.
 BASIS_LABELS = ("c0g", "c1g", "c0e", "c2g", "c1e")
@@ -51,8 +44,8 @@ _NORM_EPS = 1e-12
 #: many window ends at once.
 _CHUNK_WINDOWS = 16
 
-#: A chunk's bound on its real and imaginary parts, times their count, below
-#: which every state is finite and so is their float sum.
+#: A chunk's bound on its states' real and imaginary parts below which the
+#: modulus of every amplitude is finite.
 _FINITE_BOUND = 1e300
 
 
@@ -295,17 +288,10 @@ def evolve(
 ) -> Trajectory:
     """Integrate from ``initial`` until steady or t_max, recording every step.
 
-    The run advances a chunk of up to ``_CHUNK_WINDOWS`` steady-test windows
-    at a time.  The windows' starting states x, S^w x, S^2w x, ... come from
-    one batched product; every state of the chunk is then one matrix product
-    of the stacked starts with the step powers S, ..., S^w laid end to end.
-    The finite check and the steady test run over the chunk's states, and
-    the first step that fails the one or passes the other ends the run.
-    Every part of a chunk's states is at most (10 max|fill| + 1) max|x|,
-    with fill the laid-out powers and x the window starts (maxima over real
-    components), so a chunk whose bound is small enough is finite as it
-    stands; any other chunk gets a summed finite check, and one whose sum
-    is not finite is redone step by step.
+    The run stops at the first step that passes the steady test of
+    :class:`IntegratorConfig`, or raises :class:`NonFiniteState`, naming the
+    time, at the first step at which the modulus of some amplitude is not
+    finite, whichever comes first: the plain iteration's step either way.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     a = generator_from_effective(eff, e_eg, cfg.hold_c0g)
@@ -334,8 +320,13 @@ def _fill_states(
     """Fill ``states`` row by row from its first under the RK4 step map;
     return the step of a steady stop, or None if the run fills every row.
 
-    Its working arrays (the step powers, the steady test's temporaries) are
-    freed when it returns, before :func:`evolve` allocates the times.
+    A chunk of up to ``_CHUNK_WINDOWS`` windows takes two products: the
+    windows' starts x, S^w x, S^2w x, ... from one, every state from the
+    stacked starts times the step powers S, ..., S^w laid end to end.  A
+    chunk that :func:`_chunk_finite` cannot clear is refilled by
+    :func:`_plain_iteration`.  The working arrays (the step powers, the
+    steady test's temporaries) are freed when this returns, before
+    :func:`evolve` allocates the times.
     """
     n_steps = len(states) - 1
     wsteps = cfg.window_steps
@@ -367,16 +358,9 @@ def _fill_states(
             np.matmul(x[whole], fill[:, : 5 * rest], out=rows.reshape(-1))
         # A window's stored boundary row is the state it started from.
         states[start + width : stop : width] = x[1:]
-        block = states[start + 1 : stop + 1]
         end = stop  # the last finite step of the chunk
-        if not _chunk_finite(block, x, scale):
-            # A power can overflow a step or more before the state it maps
-            # to, and the sum of a finite chunk can overflow; redo the chunk
-            # step by step so a failure is reported at the step the plain
-            # iteration fails.
-            for k in range(start + 1, stop + 1):
-                states[k] = step @ states[k - 1]
-            finite = np.all(np.isfinite(block.view(float)), axis=1)
+        if not _chunk_finite(x, scale):
+            finite = _plain_iteration(step, states[start], states[start + 1 : stop + 1])
             if not finite.all():
                 end = start + int(np.argmin(finite))
         lo = max(start + 1, wsteps)
@@ -400,17 +384,28 @@ def _product_scale(maps: np.ndarray) -> float:
     return 10.0 * float(np.abs(maps.view(float)).max()) + 1.0
 
 
-def _chunk_finite(out: np.ndarray, x: np.ndarray, scale: float) -> bool:
-    """The chunk finite check: whether ``out``, whose parts are at most
-    ``scale`` (see :func:`_product_scale`) times the largest part of the
-    states ``x``, is finite and has a finite float sum.
+def _chunk_finite(x: np.ndarray, scale: float) -> bool:
+    """Whether the bound clears a chunk: every part of its states is at most
+    ``scale`` (see :func:`_product_scale`) times the largest part of its
+    starting states ``x``, and a bound below ``_FINITE_BOUND`` makes every
+    state finite.  False if any part of ``x`` or of the maps is not finite."""
+    return float(np.abs(x.view(float)).max()) * scale < _FINITE_BOUND
 
-    When that bound times the count of parts is below ``_FINITE_BOUND``,
-    both hold without reading ``out``; otherwise the sum decides.
+
+def _plain_iteration(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` by the plain iteration from ``x`` and return which of its
+    states are finite, by the modulus of every amplitude.
+
+    Along the second-last axis of ``out`` each state is the map ``m`` times
+    the one before, the first ``m`` times ``x``: :func:`evolve` passes its
+    step map and a chunk of steps, :func:`steady_rk4` every set's window map
+    and a chunk of every set's windows.
     """
-    parts = out.view(float)
-    bound = float(np.abs(x.view(float)).max()) * scale * parts.size
-    return bound < _FINITE_BOUND or bool(np.isfinite(parts.sum()))
+    prev = x
+    for i in range(out.shape[-2]):
+        out[..., i, :] = np.matmul(m, prev[..., None])[..., 0]
+        prev = out[..., i, :]
+    return np.isfinite(np.abs(out)).all(axis=-1)
 
 
 def _window_steady(states: np.ndarray, prev: np.ndarray, ss_tol: float) -> np.ndarray:
@@ -434,18 +429,14 @@ def steady_rk4(
     """Long-time amplitudes from vacuum for one or many parameter sets.
 
     Returns ``(states, steady)`` with states of shape (K, 5) and a boolean
-    steady flag per parameter set.  The steady criterion is checked window
-    by window, so the answer matches :func:`evolve` at window resolution
-    without storing trajectories; K parameter sets advance together.  With
-    W^i - I precomputed for each set's window map W and i up to
-    ``_CHUNK_WINDOWS``, the ends of that many windows come from one batched
-    product, and the run stops at the first window after which every set
-    has been steady.  Every part of the ends is at most
-    (10 max|W^i - I| + 1) max|states|, maxima over real components, so a
-    chunk whose bound is small enough is finite as it stands; any other
-    chunk gets a summed finite check.  A chunk whose sum is not finite is
-    redone window by window, so :class:`NonFiniteState` names the sets that
-    fail first, at the window they fail.
+    steady flag per parameter set.  The K sets advance together, one
+    steady-test window at a time, and each set's steady test is checked at
+    every window's end, so the answer matches :func:`evolve` at window
+    resolution without storing trajectories.  The run stops after the first
+    window at which every set has been steady, or at t_max.  It raises
+    :class:`NonFiniteState` when the modulus of some amplitude is not finite
+    at a window no later than that stop, naming the sets not finite at the
+    first such window: the plain window-by-window iteration's rule.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     single = isinstance(effs, EffectiveParams)
@@ -486,32 +477,24 @@ def steady_rk4(
             done += count
             ends = np.matmul(inc[:, : 5 * count], states[:, :, None]).reshape(sets, count, 5)
             ends += states[:, None]
-            if _chunk_finite(ends, states, scale):
-                prev = np.concatenate((states[:, None], ends[:, :-1]), axis=1)
-                so_far = steady[:, None] | np.logical_or.accumulate(
-                    _window_steady(ends, prev, cfg.ss_tol), axis=1
+            finite = None
+            if not _chunk_finite(states, scale):
+                finite = _plain_iteration(window, states, ends)
+            prev = np.concatenate((states[:, None], ends[:, :-1]), axis=1)
+            so_far = steady[:, None] | np.logical_or.accumulate(
+                _window_steady(ends, prev, cfg.ss_tol), axis=1
+            )
+            # Stop after the first window at which every set has been
+            # steady, else after the chunk's last.
+            settled = np.all(so_far, axis=0)
+            i = int(np.argmax(settled)) if settled.any() else count - 1
+            if finite is not None and not finite[:, : i + 1].all():
+                first = int(np.argmin(finite.all(axis=0)))
+                bad_sets = np.nonzero(~finite[:, first])[0].tolist()
+                raise NonFiniteState(
+                    f"non-finite amplitudes for parameter sets {bad_sets}; reduce dt"
                 )
-                # Stop after the first window at which every set has been
-                # steady, else after the chunk's last.
-                settled = np.all(so_far, axis=0)
-                i = int(np.argmax(settled)) if settled.any() else count - 1
-                states, steady = ends[:, i], so_far[:, i]
-                continue
-            # The sum of finite amplitudes can overflow, and a power can
-            # overflow before the state it maps to: redo the chunk window by
-            # window so the per-set check decides, at the window it fails.
-            for _ in range(count):
-                prev = states
-                states = np.matmul(window, prev[:, :, None])[:, :, 0]
-                bad = ~np.all(np.isfinite(states.view(float)), axis=1)
-                if bad.any():
-                    bad_sets = np.nonzero(bad)[0].tolist()
-                    raise NonFiniteState(
-                        f"non-finite amplitudes for parameter sets {bad_sets}; reduce dt"
-                    )
-                steady |= _window_steady(states, prev, cfg.ss_tol)
-                if steady.all():
-                    break
+            states, steady = ends[:, i], so_far[:, i]
     return states, steady
 
 

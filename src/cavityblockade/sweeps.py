@@ -30,11 +30,7 @@ from .params import (
     _require_finite,
     _warn_regime,
 )
-
-#: Parameter names accepted as sweep axes and fixed overrides.
-AXIS_NAMES = OVERRIDE_NAMES
-
-OBSERVABLES = steady_state.OBSERVABLES
+from .steady_state import OBSERVABLES
 
 STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
 
@@ -62,7 +58,7 @@ class SweepAxis:
     count: int
 
     def __post_init__(self) -> None:
-        if self.name not in AXIS_NAMES:
+        if self.name not in OVERRIDE_NAMES:
             raise ConfigError(
                 f"axis parameter {self.name!r} is not a system parameter, J, or theta"
             )
@@ -371,8 +367,6 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
 
 
 __all__ = [
-    "AXIS_NAMES",
-    "OBSERVABLES",
     "STAT_COLUMNS",
     "SweepAxis",
     "SweepResult",

@@ -60,7 +60,8 @@ def random_state(rng):
 
 def plain_evolve(initial, eff, e_eg, cfg):
     """Reference: ``state = step @ state`` one step at a time, with the
-    per-step finite check and steady test of ``evolve``.
+    per-step finite check (the modulus of every amplitude) and steady test
+    of ``evolve``.
 
     Returns (states, outcome, k) with outcome "steady", "nonfinite" or
     "t_max" and k the step it ended on.
@@ -75,7 +76,7 @@ def plain_evolve(initial, eff, e_eg, cfg):
         for k in range(1, n_steps + 1):
             state = step @ states[-1]
             states.append(state)
-            if not np.all(np.isfinite(state.view(float))):
+            if not np.all(np.isfinite(np.abs(state))):
                 return np.array(states), "nonfinite", k
             if k >= w:
                 ratio = np.abs(state - states[k - w]) / (np.abs(state) + 1e-12)
@@ -86,8 +87,8 @@ def plain_evolve(initial, eff, e_eg, cfg):
 
 def plain_steady_rk4(effs, e_eg, cfg):
     """Reference: each set advanced one window at a time by its own window
-    map, with the finite check, the steady test and the stop rule of
-    ``steady_rk4``.
+    map, with the finite check (the modulus of every amplitude), the steady
+    test and the stop rule of ``steady_rk4``.
 
     Returns (states, steady, windows), windows the number of windows run.
     """
@@ -107,7 +108,7 @@ def plain_steady_rk4(effs, e_eg, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(1, n_windows + 1):
             states = [window @ state for window, state in zip(windows, states)]
-            bad = [k for k, state in enumerate(states) if not np.all(np.isfinite(state))]
+            bad = [k for k, state in enumerate(states) if not np.all(np.isfinite(np.abs(state)))]
             if bad:
                 raise dynamics.NonFiniteState(
                     f"non-finite amplitudes for parameter sets {bad}; reduce dt"
@@ -126,6 +127,26 @@ def blockade_point():
     point = optimizer.solve_optimal(base)
     working = dataclasses.replace(base, delta_c=point.delta_c_opt)
     return base, point, working
+
+
+def time_domain_batch():
+    """The benchmark's time-domain batch: the blockade point, which never
+    passes the steady test, and 31 seeded points, some of which do."""
+    base, point, working = blockade_point()
+    effs = [P.derive_effective(working, j=point.J, theta=point.theta)]
+    rng = np.random.default_rng(1)
+    for _ in range(31):
+        k1 = rng.uniform(0.1, 0.6)
+        p = dataclasses.replace(
+            base,
+            kappa1=k1,
+            kappa2=2.0 - k1,
+            delta_c=rng.uniform(-2.0, 3.0),
+            delta_e=rng.uniform(-1.0, -0.2),
+        )
+        j, theta = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
+        effs.append(P.derive_effective(p, j=j, theta=theta))
+    return base, effs
 
 
 def rhs(state, eff, e_eg, hold_c0g=True):
@@ -484,22 +505,7 @@ class TestEvolve:
             assert np.allclose(states[k], traj.final.as_vector(), rtol=1e-9, atol=1e-14)
 
     def test_steady_rk4_matches_window_iteration(self):
-        # The benchmark's time-domain batch: the blockade point, which never
-        # passes the test, and 31 seeded points, some of which do.
-        base, point, working = blockade_point()
-        effs = [P.derive_effective(working, j=point.J, theta=point.theta)]
-        rng = np.random.default_rng(1)
-        for _ in range(31):
-            k1 = rng.uniform(0.1, 0.6)
-            p = dataclasses.replace(
-                base,
-                kappa1=k1,
-                kappa2=2.0 - k1,
-                delta_c=rng.uniform(-2.0, 3.0),
-                delta_e=rng.uniform(-1.0, -0.2),
-            )
-            j, theta = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
-            effs.append(P.derive_effective(p, j=j, theta=theta))
+        base, effs = time_domain_batch()
         cfg = dynamics.IntegratorConfig()
         want, want_steady, _ = plain_steady_rk4(effs, base.e_eg, cfg)
         assert 0 < want_steady.sum() < len(effs) and not want_steady[0]
@@ -761,6 +767,115 @@ class TestChunks:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(want[1 : 2 * span + 1].view(float).sum())
         assert assert_same_run(initial, eff, 0.0, cfg) == (outcome, k)
+
+    @pytest.mark.parametrize("settle, raises", [(2681, False), (2682, True)])
+    def test_steady_rk4_settles_before_an_overflow_in_the_chunk(self, settle, raises):
+        # Set 1 passes the steady test at its first window, every amplitude
+        # below the test's 1e-12 floor, and stays steady; but its c2g turns by
+        # 2 (delta_c - G) dt = 3 a step, past RK4's 2 sqrt(2) limit, grows
+        # 1.35x a window and overflows at window 2682, inside a chunk.  Set 0
+        # settles slowly, and the tolerance makes every set steady first at
+        # window ``settle``.  The run fails only when the overflow comes no
+        # later than that.
+        effs = [
+            make_eff(0.5, 0.0, 0.0, 0.0, 0.0, omega=0.05, kappa=0.05),
+            make_eff(15.0, 0.0, 0.0, 0.0, 0.0, omega=1e-20),
+        ]
+        cfg = dynamics.IntegratorConfig(dt=0.1, t_max=1000.0, ss_window=0.1)
+        runs = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for eff in effs:
+                step = dynamics.rk4_propagator(dynamics.generator_from_effective(eff, 0.0), cfg.dt)
+                states = [dynamics.vacuum_state().as_vector()]
+                for _ in range(2682):
+                    states.append(step @ states[-1])
+                runs.append(np.array(states))
+        finite = np.isfinite(np.abs(runs[1])).all(axis=1)
+        assert finite[:-1].all() and not finite[-1]
+        assert divmod(2682 - 1, self.C) == (167, 9)
+        # ratios[k - 1] is set 0's at window k.
+        ratios = np.max(steady_ratios(runs[0], 1), axis=1)
+        assert ratios[settle - 2] > ratios[settle - 1] * (1 + 1e-3)
+        cfg = dataclasses.replace(
+            cfg, ss_tol=math.sqrt(ratios[settle - 2] * ratios[settle - 1])
+        )
+        if raises:
+            with pytest.raises(dynamics.NonFiniteState) as want:
+                plain_steady_rk4(effs, 0.0, cfg)
+            with pytest.raises(dynamics.NonFiniteState) as got:
+                dynamics.steady_rk4(effs, 0.0, cfg)
+            assert str(got.value) == str(want.value) == (
+                "non-finite amplitudes for parameter sets [1]; reduce dt"
+            )
+            return
+        want, want_steady, windows = plain_steady_rk4(effs, 0.0, cfg)
+        assert windows == settle and want_steady.all()
+        states, steady = dynamics.steady_rk4(effs, 0.0, cfg)
+        assert steady.all()
+        # Set 1's rounding grows with it; a window more would move it 1.35x.
+        assert np.allclose(states, want, rtol=1e-10, atol=0.0)
+
+    def test_overflowed_modulus_is_not_steady(self):
+        # delta_e dt = 2.84 lies just past RK4's 2 sqrt(2) limit on the
+        # imaginary axis, so c0e turns and grows about 1.03x a step.  Its
+        # modulus overflows while both its parts are finite, and the steady
+        # ratio, which divides by the modulus, would read 0 from there on.
+        eff = make_eff(0.0, 2.84, 0.0, 0.0, 0.0, omega=0.0)
+        cfg = dynamics.IntegratorConfig(dt=1.0, t_max=90000.0, ss_window=3.0)
+        path, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.01, cfg)
+        assert (outcome, k) == ("nonfinite", 24654)
+        assert np.all(np.isfinite(path[-1].view(float)))
+        with pytest.raises(dynamics.NonFiniteState, match="t = 24654;"):
+            dynamics.evolve(dynamics.vacuum_state(), eff, 0.01, cfg)
+        with pytest.raises(dynamics.NonFiniteState) as want:
+            plain_steady_rk4([eff], 0.01, cfg)
+        with pytest.raises(dynamics.NonFiniteState) as got:
+            dynamics.steady_rk4([eff], 0.01, cfg)
+        assert str(got.value) == str(want.value) == (
+            "non-finite amplitudes for parameter sets [0]; reduce dt"
+        )
+
+    def test_overflowed_modulus_from_a_large_start(self):
+        # As in the failing run of test_finite_states_too_large_for_the_bound,
+        # dt puts c1g's decay just past RK4's real stability bound, so it grows
+        # about 1.04x a step; with an imaginary part in c1g, at step 570 both
+        # its parts are finite but its modulus is not.
+        eff = make_eff(0.5, 0.0, 0.5, 0.0, 0.0, omega=0.0)
+        initial = dynamics.AmplitudeState(
+            c0g=0.0, c1g=1e299 * (1 + 0.5j), c0e=3e298, c2g=0.0, c1e=0.0
+        )
+        dt = 5.62
+        cfg = dynamics.IntegratorConfig(
+            dt=dt, t_max=4000.0, ss_window=2 * dt, ss_tol=NEVER_STEADY
+        )
+        path, _, _ = plain_evolve(initial, eff, 0.0, cfg)
+        assert np.all(np.isfinite(path[570].view(float)))
+        # Raised naming t = 570 dt = 3203.4.
+        assert assert_same_run(initial, eff, 0.0, cfg) == ("nonfinite", 570)
+
+    def test_bound_clears_the_benchmark_runs(self, monkeypatch):
+        # The time-domain workload's runs: evolve at the reference joint root
+        # and 1 kappa off it, and the 32-set batch, all with the default
+        # config.  The bound clears every chunk, so none reaches the plain
+        # iteration and the product results stand as they are.
+        real = dynamics._chunk_finite
+        checks = []
+
+        def cleared(*args):
+            checks.append(real(*args))
+            assert checks[-1], "a chunk the bound does not clear"
+            return True
+
+        monkeypatch.setattr(dynamics, "_chunk_finite", cleared)
+        base, point, working = blockade_point()
+        for offset in (0.0, 1.0):
+            p = dataclasses.replace(working, delta_c=working.delta_c + offset)
+            eff = P.derive_effective(p, j=point.J, theta=point.theta)
+            dynamics.evolve(dynamics.vacuum_state(), eff, p.e_eg)
+        runs = len(checks)
+        _, effs = time_domain_batch()
+        dynamics.steady_rk4(effs, base.e_eg)
+        assert 0 < runs < len(checks)
 
     def test_window_steady_is_the_worst_ratio_test(self):
         # The test against np.max over the amplitudes, on ratios on both

@@ -19,6 +19,7 @@ import pytest
 
 from cavityblockade import cli, figures, optimizer, steady_state, svgplot, sweeps
 from cavityblockade.params import (
+    OVERRIDE_NAMES,
     ConfigError,
     Direction,
     NumericalFailure,
@@ -965,7 +966,7 @@ class TestScalarPathEqualsGridPath:
             direct = {{"j": "J", "theta": "theta"}[k]: v for k, v in couplings.items()}
             # Every field given as a 0-d array as well, so that no input of
             # the grid path is a float.
-            every = {name: getattr(params, name) for name in sweeps.AXIS_NAMES[:-2]}
+            every = {name: getattr(params, name) for name in OVERRIDE_NAMES[:-2]}
             for overrides in (direct, every | direct):
                 consts, grid = recording(lambda: effective_arrays(params, overrides))
                 assert all(np.ndim(v) == 0 for v in consts.values())
@@ -985,6 +986,23 @@ class TestScalarPathEqualsGridPath:
         ):
             assert any(name in s for s in conditions), name
             assert any(name not in s for s in conditions), name
+
+    def test_same_g2_for_theta_in_the_wrapped_interval(self):
+        # derive_effective wraps theta into (-pi, pi] and the grid path does
+        # not, so only inside that interval are the two g2 values pinned
+        # bit for bit.  With theta given, phi_eg enters nothing, so the
+        # first point of a phi_eg axis is the one point.
+        rng = np.random.default_rng(2500)
+        for params, _ in self.SAMPLE:
+            j, theta = float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-math.pi, math.pi))
+            point = steady_state.steady_stats(params, j=j, theta=theta).g2
+            spec = sweeps.SweepSpec(
+                axis1=sweeps.SweepAxis("phi_eg", 0.0, 1e-3, 2),
+                overrides={"J": j, "theta": theta},
+                directions=(params.direction,),
+            )
+            grid = sweeps.run_sweep(spec, params).stats[params.direction]["g2"][0]
+            assert bits(point) == bits(grid), (params, j, theta)
 
     def test_sample_reaches_the_edge_cases(self):
         params = [p for p, _ in self.SAMPLE]
