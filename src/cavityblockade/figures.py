@@ -109,7 +109,6 @@ def _heatmap_figure(
         xlabel=xlabel,
         ylabel=ylabel,
         title=name,
-        log10_color=True,
         color_label=f"log10 {result.spec.observable}",
     )
     if overlay is not None:

@@ -177,18 +177,6 @@ class FullModel:
         first_collect = n_steps + 1
         if collect_from is not None:
             first_collect = max(1, int(math.ceil(collect_from / dt)))
-        final, collected = self._run_steps(state, n_steps, dt, first_collect)
-        times = dt * np.arange(first_collect, n_steps + 1)
-        states = (
-            np.concatenate(collected)
-            if collected
-            else np.zeros((0, dim), dtype=complex)
-        )
-        return final, times, states
-
-    def _run_steps(
-        self, state: np.ndarray, n_steps: int, dt: float, first_collect: int
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
         collected = []
         half = dt / 2.0
         for start in range(0, n_steps, _BLOCK_STEPS):
@@ -199,8 +187,17 @@ class FullModel:
                 state = _rk4_step(gen[2 * k : 2 * k + 3], state, dt)
                 if start + k + 1 >= first_collect:
                     collected.append(state[None])
-            _check_finite(state, stop * dt)
-        return state, collected
+            if not np.all(np.isfinite(state)):
+                raise ArithmeticError(
+                    f"full-model state became non-finite near t = {stop * dt:.3f}"
+                )
+        times = dt * np.arange(first_collect, n_steps + 1)
+        states = (
+            np.concatenate(collected)
+            if collected
+            else np.zeros((0, dim), dtype=complex)
+        )
+        return state, times, states
 
     def steady_mode(self) -> tuple[np.ndarray, float]:
         """The long-time state in the |h>-rephased frame, and the rate at
@@ -268,13 +265,6 @@ def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _check_finite(state: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(state)):
-        raise ArithmeticError(
-            f"full-model state became non-finite near t = {t:.3f}"
-        )
-
-
 def photon_occupations(states: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
     """Normalized P_n(t) summed over atomic levels, keyed by photon number."""
     prob = np.abs(states) ** 2
@@ -316,7 +306,9 @@ def validate_effective(
     needs the two-photon states.  ``g2_full`` is the two-photon formula
     2 P2/(P1 + 2 P2)^2 over n <= 2, NaN below the 1e-30 occupation floor: at
     the reference joint root with n_max = 3 it is 1.985e-3, where
-    <n(n-1)>/<n>^2 over every photon number is 2.392e-3.
+    <n(n-1)>/<n>^2 over every photon number is 2.392e-3.  ``rel_diff`` is
+    |g2_full - g2_effective|/|g2_effective|; at an exact root, where
+    g2_effective is 0.0, it is inf unless g2_full is 0.0 too.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -336,7 +328,11 @@ def validate_effective(
     g2_full = float(steady_state._g2(np.mean(occ[1]), np.mean(occ[2])))
 
     g2_effective = steady_state.steady_stats(params).g2
-    rel_diff = abs(g2_full - g2_effective) / abs(g2_effective)
+    diff = abs(g2_full - g2_effective)
+    if g2_effective == 0.0:
+        rel_diff = 0.0 if diff == 0.0 else math.inf
+    else:
+        rel_diff = diff / abs(g2_effective)
     return ValidationReport(
         g2_full=g2_full,
         g2_effective=g2_effective,

@@ -42,8 +42,8 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / max(target - 1, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 5.0  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -51,10 +51,10 @@ def _nice_step(span: float, target: int = 6) -> float:
     return 10.0 * mag
 
 
-def linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def linear_ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    step = _nice_step(hi - lo, target)
+    step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
@@ -74,6 +74,18 @@ def log_ticks(lo: float, hi: float) -> list[float]:
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _document(body: list[str]) -> str:
+    """The SVG page: header, white background, ``body`` and the closing tag."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
 
 
 @dataclass
@@ -198,19 +210,13 @@ class LinePlot:
     title: str = ""
     log_y: bool = False
     lines: list[tuple[np.ndarray, np.ndarray, str, str, bool]] = field(
-        default_factory=list
+        default_factory=list, init=False
     )
 
     def add_line(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        label: str,
-        *,
-        color: str | None = None,
-        dashed: bool = False,
+        self, x: np.ndarray, y: np.ndarray, label: str, *, dashed: bool = False
     ) -> None:
-        color = color or LINE_COLORS[len(self.lines) % len(LINE_COLORS)]
+        color = LINE_COLORS[len(self.lines) % len(LINE_COLORS)]
         self.lines.append((np.asarray(x, float), np.asarray(y, float), label, color, dashed))
 
     def _ranges(self) -> Axes:
@@ -235,12 +241,7 @@ class LinePlot:
 
     def render(self) -> str:
         ax = self._ranges()
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        ]
-        parts += _axis_svg(ax, self.xlabel, self.ylabel, self.title)
+        parts = _axis_svg(ax, self.xlabel, self.ylabel, self.title)
         for x, y, _, color, dashed in self.lines:
             parts += _line_elements(ax, x, y, color, dashed)
         labeled = [ln for ln in self.lines if ln[2]]
@@ -256,8 +257,7 @@ class LinePlot:
                 f'<text x="{xp + 32}" y="{yp}" font-size="12" '
                 f'font-family="sans-serif">{_esc(label)}</text>'
             )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        return _document(parts)
 
 
 def _png_bytes(rgb: np.ndarray) -> bytes:
@@ -295,7 +295,8 @@ class Heatmap:
 
     ``z`` is indexed [i, j] with i along the x axis (axis1) and j along the
     y axis (axis2), matching sweep grids; rendering transposes so axis1 is
-    horizontal.
+    horizontal.  The color shows log10(z); cells where it is not finite
+    are drawn as missing.
     """
 
     x: np.ndarray
@@ -304,26 +305,19 @@ class Heatmap:
     xlabel: str
     ylabel: str
     title: str = ""
-    log10_color: bool = True
-    color_label: str = ""
-    overlays: list[tuple[np.ndarray, np.ndarray, str, bool]] = field(
-        default_factory=list
+    color_label: str = "log10 value"
+    overlays: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False
     )
 
-    def add_line(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        color: str = "#ffffff",
-        dashed: bool = True,
-    ) -> None:
-        self.overlays.append((np.asarray(x, float), np.asarray(y, float), color, dashed))
+    def add_line(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Overlay a white dashed line."""
+        self.overlays.append((np.asarray(x, float), np.asarray(y, float)))
 
     def render(self) -> str:
         z = np.asarray(self.z, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            field_vals = np.log10(z) if self.log10_color else z.copy()
+            field_vals = np.log10(z)
         field_vals[~np.isfinite(field_vals)] = np.nan
         finite = np.isfinite(field_vals)
         if finite.any():
@@ -361,24 +355,19 @@ class Heatmap:
         ih = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
             f'<image x="{x0p}" y="{y1p}" width="{iw}" height="{ih}" '
             'preserveAspectRatio="none" image-rendering="pixelated" '
             f'href="data:image/png;base64,{png}"/>',
         ]
         parts += _axis_svg(ax, self.xlabel, self.ylabel, self.title)
-        for ox, oy, color, dashed in self.overlays:
-            parts += _line_elements(ax, ox, oy, color, dashed)
-        label = self.color_label or ("log10 value" if self.log10_color else "value")
+        for ox, oy in self.overlays:
+            parts += _line_elements(ax, ox, oy, "#ffffff", True)
         parts.append(
             f'<text x="{WIDTH - MARGIN_RIGHT}" y="{HEIGHT - 14}" font-size="12" '
             f'text-anchor="end" font-family="sans-serif">'
-            f"{_esc(label)}: {_fmt(v_lo)} to {_fmt(v_hi)}</text>"
+            f"{_esc(self.color_label)}: {_fmt(v_lo)} to {_fmt(v_hi)}</text>"
         )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        return _document(parts)
 
 
 __all__ = ["Axes", "Heatmap", "LinePlot", "linear_ticks", "log_ticks"]

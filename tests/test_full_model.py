@@ -26,17 +26,23 @@ def bare_params(**kw) -> P.SystemParams:
     return P.SystemParams(**defaults)
 
 
-def joint_root_params() -> P.SystemParams:
-    """The reference point at its optimal joint root (J, theta, delta_c),
-    encoded as e_he, phi_p and delta_c."""
+def encoded(j: float, theta: float, delta_c: float, **kw) -> P.SystemParams:
+    """The reference point at (J, theta, delta_c), encoded as e_he, phi_p
+    and delta_c; J < 0 is carried by a pi shift of theta."""
     base = P.reference_params()
-    point = optimizer.solve_optimal(base)
     return dataclasses.replace(
         base,
-        e_he=P.implied_e_he(point.J, base),
-        phi_p=point.theta,
-        delta_c=point.delta_c_opt,
+        e_he=P.implied_e_he(j, base),
+        phi_p=theta + (math.pi if j < 0.0 else 0.0),
+        delta_c=delta_c,
+        **kw,
     )
+
+
+def joint_root_params() -> P.SystemParams:
+    """The reference point at its optimal joint root (J, theta, delta_c)."""
+    point = optimizer.solve_optimal(P.reference_params())
+    return encoded(point.J, point.theta, point.delta_c_opt)
 
 
 def dim_of(n_max: int) -> int:
@@ -508,6 +514,38 @@ class TestValidation:
         )
 
 
+class TestBlockadePoints:
+    """The three-level g2 where the effective model has an exact root."""
+
+    # (point, direction, g2_full at n_max = 3, bound on its relative change
+    # at n_max = 4); measured gaps: 1.63e-5 at the joint root, at most
+    # 5.4e-7 at fig6c and fig6d.
+    CASES = [
+        ("joint", P.Direction.FORWARD, 1.985006080e-3, 2e-5),
+        ("fig6c", P.Direction.FORWARD, 0.04645985684, 1e-6),
+        ("fig6c", P.Direction.BACKWARD, 73.45106361, 1e-6),
+        ("fig6d", P.Direction.FORWARD, 0.07272759273, 1e-6),
+        ("fig6d", P.Direction.BACKWARD, 50.40393818, 1e-6),
+    ]
+
+    @pytest.mark.parametrize(
+        "point, direction, g2_full, truncation",
+        CASES,
+        ids=[f"{case[0]}-{case[1].value}" for case in CASES],
+    )
+    def test_g2_full(self, point, direction, g2_full, truncation):
+        if point == "joint":
+            p = joint_root_params()
+        else:
+            target = {"fig6c": 0.0, "fig6d": 2.5}[point]
+            j, theta, _ = optimizer.nonreciprocal_point(P.reference_params(), target)
+            p = encoded(j, theta, target, direction=direction)
+        report = fm.validate_effective(p, n_max=3)
+        assert report.g2_full == pytest.approx(g2_full, rel=1e-6)
+        deeper = fm.validate_effective(p, n_max=4).g2_full
+        assert deeper == pytest.approx(report.g2_full, rel=truncation)
+
+
 class TestCli:
     def test_slow_beat_exits_1(self, capsys):
         argv = ["validate-full", "--e-he", "2", "--delta-c", "0", "--delta-he", "100.45"]
@@ -565,3 +603,19 @@ class TestCli:
         # validate-full reports; it does not gate.
         assert cli.main(["validate-full", "--delta-p", "10"]) == 0
         assert "pass = false" in capsys.readouterr().out
+
+    def test_exact_root_reports_inf_and_exits_0(self, capsys):
+        # fig6d's working point, J = -3.964 carried by a pi shift of theta,
+        # where the effective g2 is exactly 0.0.
+        argv = [
+            "validate-full", "--e-he", "39.64000042264327",
+            "--phi-p", "4.307737685990058", "--delta-c", "2.5", "--n-max", "3",
+        ]
+        assert cli.main(argv) == 0
+        values = dict(
+            line.split(" = ") for line in capsys.readouterr().out.splitlines() if line
+        )
+        assert values["g2_effective"] == "0.0"
+        assert values["rel_diff"] == "inf"
+        assert values["pass"] == "false"
+        assert float(values["g2_full"]) == pytest.approx(0.07272759273, rel=1e-6)

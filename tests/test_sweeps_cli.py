@@ -739,18 +739,17 @@ class TestSvgPlot:
         assert svg.count("<circle") == 0
 
     def test_heatmap_colors_and_missing_cells(self):
-        z = np.array([[math.nan, 1.0], [2.0, 3.0]])
+        z = 10.0 ** np.array([[math.nan, 1.0], [2.0, 3.0]])
         heat = svgplot.Heatmap(
             x=np.array([0.0, 1.0]),
             y=np.array([0.0, 1.0]),
             z=z,
             xlabel="x",
             ylabel="y",
-            log10_color=False,
         )
         rgb = decode_embedded_png(heat.render())
         assert rgb.shape == (2, 2, 3)
-        # Top row is max y: z[:, 1] = (1, 3) spans the color ramp ends.
+        # Top row is max y: log10 z[:, 1] = (1, 3) spans the color ramp ends.
         assert tuple(rgb[0, 0]) == (68, 1, 84)
         assert tuple(rgb[0, 1]) == (253, 231, 37)
         # Bottom row is min y: the NaN cell renders in the missing-data gray.
