@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import os
 import sys
@@ -97,6 +98,13 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: ``sweep``'s default ``--jobs``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_g2(args: argparse.Namespace) -> int:
     from . import steady_state
 
@@ -135,10 +143,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         observable=args.observable,
         optimal_j_theta=args.optimal_j_theta,
     )
-    result = sweeps.run_sweep(spec, params, jobs=args.jobs or os.cpu_count() or 1)
+    result = sweeps.run_sweep(spec, params, jobs=args.jobs or _usable_cpus())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files = sweeps.write_sweep_csv(result, out / f"{args.name}.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        files = sweeps.write_sweep_csv(result, out / f"{args.name}.csv")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     for name in files:
         print(out / name)
     return 0
@@ -187,7 +198,11 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from . import figures
 
-    for name in figures.figure(args.name, args.out):
+    try:
+        files = figures.figure(args.name, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    for name in files:
         print(Path(args.out) / name)
     return 0
 
@@ -223,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, help="fixed drive-phase override")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--name", default="sweep", help="output file stem")
-    p.add_argument("--jobs", type=_jobs, help="worker count (default: all cores)")
+    p.add_argument(
+        "--jobs",
+        type=_jobs,
+        help="worker count (default: the CPUs this process may run on)",
+    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="solve the two-photon cancellation condition")
@@ -310,12 +329,32 @@ def run() -> int:
     installed ``cavityblockade`` script.
 
     Runs :func:`main` on the command line with the package's warnings
-    printed by :func:`_format_warning`.  In-process callers use :func:`main`, which
-    leaves the warnings machinery as it finds it; both emit the same
-    warnings.
+    printed by :func:`_format_warning`.  When :func:`main` returns, the
+    process ends at once: the exit handlers run, standard output and
+    standard error are flushed, and ``os._exit`` skips the interpreter's
+    teardown, a full garbage collection and the freeing of every object
+    numpy and the package made, which writes nothing.  Should a flush fail
+    (a closed pipe) or a stream be missing, this function returns and the
+    interpreter exits and reports it as usual.  An exception that leaves
+    :func:`main`, the ``SystemExit`` of ``-h`` among them, exits the usual
+    way too.
+
+    Embedders and profilers call :func:`main`, which returns its exit code
+    and leaves the warnings machinery as it finds it; both emit the same
+    warnings.  ``python -m cProfile -m cavityblockade ...`` ends with the
+    verb and prints no profile; ``bench/cli_child.py`` shows the in-process
+    pattern.
     """
     warnings.formatwarning = _format_warning
-    return main()
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # No stream (started with it closed), a closed file or a broken pipe.
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1129,6 +1129,51 @@ class TestCliInProcess:
         assert "--jobs" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--axis1", "delta_c,0,1,5"],
+            ["figure", "fig2a"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv, where):
+        # A regular file where the output directory should be, or on its
+        # path: FileExistsError and NotADirectoryError, reported as an
+        # unreadable --config is.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+    def test_sweep_jobs_default_to_usable_cpus(
+        self, monkeypatch, tmp_path, capsys, affinity
+    ):
+        # The default counts the CPUs this process may run on, not the
+        # machine's, and falls back to cpu_count where affinity is unknown.
+        seen = []
+        run_sweep = sweeps.run_sweep
+
+        def recording(spec, params, jobs):
+            seen.append(jobs)
+            return run_sweep(spec, params, jobs=jobs)
+
+        monkeypatch.setattr(sweeps, "run_sweep", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        argv = ["sweep", "--axis1", "delta_c,0,1,5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert seen == [3 if affinity else 64]
+
     def test_no_microwave_root_is_numerical_failure(self, capsys):
         assert cli.main(["optimize", "--e-eg", "0"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
@@ -1198,15 +1243,74 @@ class TestCliInProcess:
         assert not any(tmp_path.iterdir())
 
 
+def in_process(argv: list[str], capsys) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of ``cli.main(argv)``, with warnings
+    shown as a program run shows them: each in the package's one-line
+    format, once per location."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(cli._format_warning(message, category, filename, lineno, line))
+
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
 class TestCliSubprocess:
+    @staticmethod
+    def spawn(*cmd: str):
+        # Without PYTHONUNBUFFERED a piped stdout is block-buffered, so
+        # output that the program does not flush before it ends is lost.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
     def run(self, *args: str):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        return subprocess.run(
-            [sys.executable, "-m", "cavityblockade", *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
+        return self.spawn(sys.executable, "-m", "cavityblockade", *args)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["g2"], 0),
+            (["optimize", "--e-eg", "0"], 2),
+            (["sweep", "--axis1", "delta_c,0,1"], 1),
+            (["figure", "fig2b"], 0),
+        ],
+        ids=["g2", "optimize-no-root", "bad-axis", "figure-fig2b"],
+    )
+    def test_program_output_equals_in_process(self, tmp_path, capsys, argv, code):
+        if argv[0] == "figure":
+            argv = [*argv, "--out", str(tmp_path)]
+        proc = self.run(*argv)
+        assert (proc.stdout, proc.stderr, proc.returncode) == in_process(argv, capsys)
+        assert proc.returncode == code
+
+    def test_closed_stdout_exits_as_before(self):
+        # Started with stdout closed, sys.stdout is None: the flush is
+        # skipped and the interpreter exits the usual way.
+        proc = self.spawn(
+            "sh", "-c", 'exec "$0" -m cavityblockade g2 --kappa1 5 >&-', sys.executable
         )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: mirror decay rates kappa1, kappa2 must be positive\n"
+
+    def test_exit_handlers_run_after_the_verb(self):
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: sys.stderr.write('exit handler ran\\n'))\n"
+            "sys.argv = ['cavityblockade', 'g2']\n"
+            "from cavityblockade import cli\n"
+            "sys.exit(cli.run())\n"
+        )
+        proc = self.spawn(sys.executable, "-c", script)
+        assert proc.returncode == 0
+        verb = self.run("g2")
+        assert proc.stdout == verb.stdout != ""
+        assert proc.stderr == verb.stderr + "exit handler ran\n"
 
     def test_help_exits_cleanly(self):
         proc = self.run("-h")
