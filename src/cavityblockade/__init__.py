@@ -22,7 +22,6 @@ _EXPORTS = {
     "FIGURE_NAMES": "params",
     "FullModel": "full_model",
     "IntegratorConfig": "dynamics",
-    "JThetaScan": "optimizer",
     "NonFiniteState": "dynamics",
     "NumericalFailure": "params",
     "NonreciprocityReport": "optimizer",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "photon_stats": "steady_state",
     "reference_params": "params",
     "run_sweep": "sweeps",
-    "scan_j_theta": "optimizer",
     "solve_optimal": "optimizer",
     "steady_rk4": "dynamics",
     "steady_stats": "steady_state",

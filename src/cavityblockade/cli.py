@@ -6,9 +6,9 @@ search), ``validate-full`` (effective-vs-full-model check), ``figure``
 (named presets).  Parameter flags mirror the config-file keys; ``--config``
 is applied first and flags override it.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
-``validate-full`` is a report, not a gate: it exits 0 also when it prints
-``pass = false``.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure, 141
+when the reader of standard output has gone away.  ``validate-full`` is a
+report, not a gate: it exits 0 also when it prints ``pass = false``.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
 
     params = _params_from_args(args)
     report = validate_effective(params, tolerance=args.tolerance, n_max=args.n_max)
-    print(report.as_text())
+    sys.stdout.write(report.as_text())
     return 0
 
 
@@ -333,9 +333,15 @@ def run() -> int:
     process ends at once: the exit handlers run, standard output and
     standard error are flushed, and ``os._exit`` skips the interpreter's
     teardown, a full garbage collection and the freeing of every object
-    numpy and the package made, which writes nothing.  Should a flush fail
-    (a closed pipe) or a stream be missing, this function returns and the
-    interpreter exits and reports it as usual.  An exception that leaves
+    numpy and the package made, which writes nothing.
+
+    When the reader of standard output has gone away (``| head -c0``), so
+    that a write or the flush of standard output raises BrokenPipeError,
+    standard output is pointed at the null device and this function
+    returns 141, the status of a process killed by SIGPIPE, without a
+    traceback.  Should another flush fail (a closed file) or a stream be
+    missing, this function returns the verb's code and the interpreter
+    exits and reports it as usual.  Any other exception that leaves
     :func:`main`, the ``SystemExit`` of ``-h`` among them, exits the usual
     way too.
 
@@ -346,15 +352,32 @@ def run() -> int:
     pattern.
     """
     warnings.formatwarning = _format_warning
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        return _reader_gone()
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
+    except BrokenPipeError:
+        return _reader_gone()
+    except (AttributeError, OSError, ValueError):
+        # No stream (started with it closed) or a closed file.
+        return code
+    try:
         sys.stderr.flush()
     except (AttributeError, OSError, ValueError):
-        # No stream (started with it closed), a closed file or a broken pipe.
         return code
     os._exit(code)
+
+
+def _reader_gone() -> int:
+    """The exit status once the reader of standard output has gone away:
+    141, that of a process killed by SIGPIPE (128 + 13).  Standard output is
+    pointed at the null device first, so the interpreter's own flush at exit
+    does not report the broken pipe a second time."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -78,16 +77,6 @@ class NonreciprocityReport(_Report):
     g2_forward: float
     g2_backward: float
     contrast: float
-
-
-@dataclass(frozen=True)
-class JThetaScan:
-    """Rectangular (J, theta) map of g2 for both drive directions."""
-
-    j_values: np.ndarray
-    theta_values: np.ndarray
-    g2: Mapping[Direction, np.ndarray]
-    valid: Mapping[Direction, np.ndarray]
 
 
 def _canonical(j, z):
@@ -148,26 +137,27 @@ def _positive_zeros(coef: np.ndarray) -> np.ndarray:
 
 
 def _cancellation_roots(
-    e, omega, g_shift, delta_e, kappa, delta_c, fix_delta_c: bool
+    e, omega, g_shift, delta_e, kappa, delta_c=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every canonical real cancellation root of each column.
 
-    Takes 1-D arrays of the system constants (``delta_c`` is read only when
-    ``fix_delta_c``) and returns (J, theta, delta_c_opt, |c2g|), each of
-    shape (K, 15).  A row lists its column's roots in selection order
-    (smallest |J| first, then theta closest to 0, positive theta first) and
-    is NaN after the last one.  Columns with the microwave drive off, or with
-    delta_e = 0 on a joint solve, have no roots.
+    Takes 1-D arrays of the system constants, with ``delta_c`` the fixed
+    cavity detuning of each column or None for a joint solve, and returns
+    (J, theta, delta_c_opt, |c2g|), each of shape (K, 15).  A row lists its
+    column's roots in selection order (smallest |J| first, then theta
+    closest to 0, positive theta first) and is NaN after the last one.
+    Columns with the microwave drive off, or with delta_e = 0 on a joint
+    solve, have no roots.
     """
-    e, omega, g_shift, delta_e, kappa, delta_c = (
-        np.asarray(v, dtype=float)[:, None]
-        for v in (e, omega, g_shift, delta_e, kappa, delta_c)
+    fix_delta_c = delta_c is not None
+    e, omega, g_shift, delta_e, kappa = (
+        np.asarray(v, dtype=float)[:, None] for v in (e, omega, g_shift, delta_e, kappa)
     )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # delta_c = d0 + q s with s = J^2; then a = alpha s, b = J beta(s) and
         # c = gamma(s), with beta and gamma linear in s.
         q = np.zeros_like(delta_e) if fix_delta_c else 1.0 / delta_e
-        d0 = delta_c if fix_delta_c else g_shift
+        d0 = np.asarray(delta_c, dtype=float)[:, None] if fix_delta_c else g_shift
         _, n0 = _denominators(d0, kappa, g_shift, delta_e)
         alpha = e**2
         beta = e * omega * np.concatenate([2.0 * n0 - g_shift, 2.0 * q + 0j], axis=1)
@@ -208,14 +198,12 @@ def _cancellation_roots(
             axis=-1,
         ).reshape(e.shape[0], -1)
         jj, theta = _canonical(np.repeat(j, 3, axis=1), z)
-        dc = (
-            np.broadcast_to(delta_c, jj.shape)
-            if fix_delta_c
-            else g_shift + jj**2 / delta_e
-        )
+        dc = np.broadcast_to(d0, jj.shape) if fix_delta_c else g_shift + jj**2 / delta_e
         m, n = _denominators(dc, kappa, g_shift, delta_e)
-        amps, valid = steady_state.amplitude_arrays(omega, m, n, delta_e, jj, theta, e)
-        residual = np.abs(amps[..., 3])
+        _, _, c2g, _, valid = steady_state._amplitudes(
+            omega, m, n, delta_e, jj, theta, e
+        )
+        residual = np.abs(c2g)
         root = valid & (residual < C2G_RESIDUAL_TOL)
     order = np.lexsort((theta < 0.0, np.abs(theta), np.where(root, np.abs(jj), np.inf)))
     root = np.take_along_axis(root, order, axis=1)
@@ -249,8 +237,8 @@ def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalP
     j, theta, dc, residual = (
         row[0]
         for row in _cancellation_roots(
-            *([c[k]] for k in ("e_eg", "omega", "g_shift", "delta_e", "kappa", "delta_c")),
-            fix_delta_c,
+            *([c[k]] for k in ("e_eg", "omega", "g_shift", "delta_e", "kappa")),
+            [c["delta_c"]] if fix_delta_c else None,
         )
     )
     return [
@@ -279,58 +267,28 @@ def solve_optimal(params: SystemParams, fix_delta_c: bool = False) -> OptimalPoi
 
 
 def solve_optimal_arrays(
-    e,
-    omega,
-    g_shift,
-    delta_e,
-    kappa,
-    *,
-    fix_delta_c: bool = False,
-    delta_c=0.0,
+    e, omega, g_shift, delta_e, kappa
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise selected cancellation roots over arrays of system constants.
 
     Broadcasts every constant to a common shape, solves every column exactly
-    at once, and applies the selection rule of :func:`solve_optimal`.
-    Returns (J, theta, delta_c_opt, ok); columns without a real root
-    (microwave off, delta_e = 0 on a joint solve, or none exists) have
-    ok = False and NaN entries.
+    at once with the cavity detuning free (a joint solve), and applies the
+    selection rule of :func:`solve_optimal`.  Returns (J, theta,
+    delta_c_opt, ok); columns without a real root (microwave off,
+    delta_e = 0, or none exists) have ok = False and NaN entries.
+    :func:`find_roots` solves at a fixed cavity detuning.
     """
     consts = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa, delta_c))
+        *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa))
     )
     shape = consts[0].shape
-    j, theta, dc, _ = _cancellation_roots(
-        *(v.reshape(-1) for v in consts), fix_delta_c
-    )
+    j, theta, dc, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
     return (
         j[:, 0].reshape(shape),
         theta[:, 0].reshape(shape),
         dc[:, 0].reshape(shape),
         np.isfinite(j[:, 0]).reshape(shape),
     )
-
-
-def scan_j_theta(
-    params: SystemParams,
-    j_range: tuple[float, float] = (-3.0, 3.0),
-    theta_range: tuple[float, float] = (-math.pi, math.pi),
-    resolution: int = 201,
-) -> JThetaScan:
-    """g2 over a rectangular (J, theta) grid for both drive directions."""
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    if not (j_range[0] < j_range[1]) or not (theta_range[0] < theta_range[1]):
-        raise ValueError("ranges must be increasing (min, max) pairs")
-    j_values = np.linspace(j_range[0], j_range[1], resolution)
-    theta_values = np.linspace(theta_range[0], theta_range[1], resolution)
-    g2: dict[Direction, np.ndarray] = {}
-    valid: dict[Direction, np.ndarray] = {}
-    for direction in Direction:
-        g2[direction], valid[direction], _ = _g2_at(
-            replace(params, direction=direction), j_values[:, None], theta_values[None, :]
-        )
-    return JThetaScan(j_values=j_values, theta_values=theta_values, g2=g2, valid=valid)
 
 
 def nonreciprocal_point(
@@ -349,11 +307,12 @@ def nonreciprocal_point(
     where the backward direction is bunched (g2 > 1), or anywhere when that
     region is empty, and then rescan the window of two cells either side of
     that point twice, each time on a 41 x 41 grid under the same rule and
-    with |J| <= ``j_limit``.  Warns NotNonreciprocal when the final point
-    does not separate the two directions, that is unless forward g2 < 1 <
-    backward g2, and a RegimeWarning, worded as :func:`derive_effective`
-    words it, for each regime condition the point violates in either
-    direction.
+    with |J| <= ``j_limit``.  Raises ValueError when ``resolution`` is below
+    8 or ``j_limit`` is not finite and positive.  Warns NotNonreciprocal
+    when the final point does not separate the two directions, that is
+    unless forward g2 < 1 < backward g2, and a RegimeWarning, worded as
+    :func:`derive_effective` words it, for each regime condition the point
+    violates in either direction.
 
     The scan asks of the backward direction only g2 > 1, with no margin, so
     its point may sit on the edge of the bunched region: on 83 seeded
@@ -369,6 +328,10 @@ def nonreciprocal_point(
     fig6d (contrast 2.84).  fig6c's J = 4.735 lies outside the elimination
     regime, where it warns |delta_he/e_he| = 2.12.
     """
+    if resolution < 8:
+        raise ValueError("resolution must be at least 8")
+    if not (math.isfinite(j_limit) and j_limit > 0.0):
+        raise ValueError(f"j_limit must be finite and positive, got {j_limit!r}")
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)
     try:
@@ -418,19 +381,22 @@ def _scan_forward_g2(
     when it exists, refined by two 41 x 41 rescans of +-2 cells around it."""
     j_range, theta_range = (-j_limit, j_limit), (-math.pi, math.pi)
     for side in (resolution, 41, 41):
-        scan = scan_j_theta(at_target, j_range, theta_range, side)
-        fwd = scan.g2[Direction.FORWARD]
-        bwd = scan.g2[Direction.BACKWARD]
-        ok = scan.valid[Direction.FORWARD] & scan.valid[Direction.BACKWARD]
-        ok &= np.isfinite(fwd) & np.isfinite(bwd)
+        j_values = np.linspace(*j_range, side)
+        theta_values = np.linspace(*theta_range, side)
+        grid = (j_values[:, None], theta_values[None, :])
+        (fwd, ok_f, _), (bwd, ok_b, _) = (
+            _g2_at(replace(at_target, direction=d), *grid)
+            for d in (Direction.FORWARD, Direction.BACKWARD)
+        )
+        ok = ok_f & ok_b & np.isfinite(fwd) & np.isfinite(bwd)
         if not bool(np.any(ok)):
             raise NoRealSolution("the (J, theta) scan produced no valid points")
         bunched = ok & (bwd > 1.0)
         masked = np.where(bunched if bool(np.any(bunched)) else ok, fwd, np.inf)
         i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        j, theta = scan.j_values[i], scan.theta_values[k]
-        dj = 2.0 * (scan.j_values[1] - scan.j_values[0])
-        dtheta = 2.0 * (scan.theta_values[1] - scan.theta_values[0])
+        j, theta = j_values[i], theta_values[k]
+        dj = 2.0 * (j_values[1] - j_values[0])
+        dtheta = 2.0 * (theta_values[1] - theta_values[0])
         j_range = (max(j - dj, -j_limit), min(j + dj, j_limit))
         theta_range = (theta - dtheta, theta + dtheta)
     j, theta = _canonical(j, np.exp(-1j * theta))
@@ -454,13 +420,11 @@ def _direction_g2(params: SystemParams, direction: Direction, j, theta):
 
 __all__ = [
     "DegenerateDetuning",
-    "JThetaScan",
     "NonreciprocityReport",
     "NoRealSolution",
     "NotNonreciprocal",
     "OptimalPoint",
     "find_roots",
     "nonreciprocal_point",
-    "scan_j_theta",
     "solve_optimal",
 ]

@@ -176,7 +176,6 @@ def _solve_optimal_grid(
         consts["g_shift"],
         consts["delta_e"],
         consts["kappa"],
-        fix_delta_c=False,
     )
     return j, theta, dc_opt, ok, violated
 

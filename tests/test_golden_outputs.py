@@ -67,12 +67,22 @@ def test_figure_files(name, tmp_path):
         assert sha256((tmp_path / file).read_bytes()) == digest, mismatch(file)
 
 
-@pytest.mark.parametrize("verb", sorted(VERBS))
-def test_verb_stdout(verb):
+def verb_stdout(verb: str) -> str:
     out = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out):
         warnings.simplefilter("ignore")
         assert cli.main(VERBS[verb]) == 0
-    assert sha256(out.getvalue().encode()) == RECORDED["stdout"][verb], mismatch(
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_verb_stdout(verb):
+    assert sha256(verb_stdout(verb).encode()) == RECORDED["stdout"][verb], mismatch(
         f"the stdout of `{verb}`"
     )
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_verb_stdout_ends_in_one_newline(verb):
+    text = verb_stdout(verb)
+    assert text.endswith("\n") and not text.endswith("\n\n")

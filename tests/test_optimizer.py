@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavityblockade import optimizer, steady_state
+from cavityblockade import optimizer, steady_state, sweeps
 from cavityblockade import params as P
 
 pytestmark = pytest.mark.filterwarnings(
@@ -172,27 +172,6 @@ class TestArraySolve:
         )
         assert ok.tolist() == [True, False]
 
-    def test_fixed_detuning_grid(self):
-        base = P.reference_params()
-        omega = math.sqrt(base.kappa_in) * base.b_in
-        j, theta, dc, ok = optimizer.solve_optimal_arrays(
-            base.e_eg,
-            omega,
-            1.0,
-            -0.5,
-            1.0,
-            fix_delta_c=True,
-            delta_c=np.array([0.0, 2.5]),
-        )
-        assert ok.tolist() == [True, True]
-        assert dc.tolist() == [0.0, 2.5]
-        for idx, target in enumerate((0.0, 2.5)):
-            scalar = optimizer.solve_optimal(
-                dataclasses.replace(base, delta_c=target), fix_delta_c=True
-            )
-            assert j[idx] == pytest.approx(scalar.J, abs=1e-9)
-            assert theta[idx] == pytest.approx(scalar.theta, abs=1e-9)
-
     def test_backward_detuning_grid_solved_on_every_column(self):
         base = dataclasses.replace(
             P.reference_params(), direction=P.Direction.BACKWARD
@@ -256,16 +235,14 @@ def unit_circle_crossings(params, fix_delta_c, j_max=5.0, points=20000):
 class TestCompleteness:
     def test_every_unit_circle_crossing_is_a_root(self):
         draws = [_draw(np.random.default_rng(seed)) for seed in range(20)]
+        j, theta, dc, ok = optimizer.solve_optimal_arrays(
+            np.array([p.e_eg for p in draws]),
+            np.array([math.sqrt(p.kappa_in) * p.b_in for p in draws]),
+            np.array([p.g**2 / p.delta_p for p in draws]),
+            np.array([p.delta_e for p in draws]),
+            np.array([p.kappa for p in draws]),
+        )
         for fix_delta_c in (False, True):
-            j, theta, dc, ok = optimizer.solve_optimal_arrays(
-                np.array([p.e_eg for p in draws]),
-                np.array([math.sqrt(p.kappa_in) * p.b_in for p in draws]),
-                np.array([p.g**2 / p.delta_p for p in draws]),
-                np.array([p.delta_e for p in draws]),
-                np.array([p.kappa for p in draws]),
-                fix_delta_c=fix_delta_c,
-                delta_c=np.array([p.delta_c for p in draws]),
-            )
             for idx, p in enumerate(draws):
                 crossings = unit_circle_crossings(p, fix_delta_c)
                 roots = optimizer.find_roots(p, fix_delta_c)
@@ -274,7 +251,9 @@ class TestCompleteness:
                 for lo, hi in crossings:
                     assert any(lo <= abs(r.J) <= hi for r in in_window), (p, lo, hi)
                 assert all(r.residual < 1e-10 for r in roots)
-                # the array path selects the scalar path's first root
+                if fix_delta_c:
+                    continue
+                # the array path selects the scalar path's first joint root
                 assert bool(ok[idx]) == bool(roots)
                 if roots:
                     assert j[idx] == pytest.approx(roots[0].J, abs=1e-9)
@@ -293,26 +272,39 @@ class TestCompleteness:
             assert lo <= abs(r.J) <= hi
 
 
+def j_theta_sweep(params, j_range=(-3.0, 3.0), side=201):
+    """g2 in both directions over J in ``j_range`` (rows) and theta in
+    [-pi, pi] (columns), ``side`` points an axis."""
+    spec = sweeps.SweepSpec(
+        axis1=sweeps.SweepAxis("J", *j_range, side),
+        axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, side),
+    )
+    return sweeps.run_sweep(spec, params)
+
+
 class TestScan:
+    """(J, theta) maps of g2, drawn by run_sweep with J and theta axes."""
+
     def test_grid_shapes_and_orientation(self):
         at_zero = dataclasses.replace(P.reference_params(), delta_c=0.0)
-        scan = optimizer.scan_j_theta(at_zero, resolution=21)
-        assert scan.j_values.shape == (21,) and scan.theta_values.shape == (21,)
+        scan = j_theta_sweep(at_zero, side=21)
+        assert scan.values1.shape == (21,) and scan.values2.shape == (21,)
         for direction in P.Direction:
-            assert scan.g2[direction].shape == (21, 21)
+            assert scan.stats[direction]["g2"].shape == (21, 21)
             assert scan.valid[direction].shape == (21, 21)
         i, k = 5, 13
         direct = steady_state.steady_stats(
-            at_zero, j=float(scan.j_values[i]), theta=float(scan.theta_values[k])
+            at_zero, j=float(scan.values1[i]), theta=float(scan.values2[k])
         ).g2
-        assert scan.g2[P.Direction.FORWARD][i, k] == pytest.approx(direct, rel=1e-12)
+        g2 = scan.stats[P.Direction.FORWARD]["g2"]
+        assert g2[i, k] == pytest.approx(direct, rel=1e-12)
 
     def test_symmetric_cavity_grids_identical(self):
         p = dataclasses.replace(P.reference_params(), kappa1=1.0, kappa2=1.0)
-        scan = optimizer.scan_j_theta(p, resolution=31)
+        scan = j_theta_sweep(p, side=31)
         assert np.array_equal(
-            scan.g2[P.Direction.FORWARD],
-            scan.g2[P.Direction.BACKWARD],
+            scan.stats[P.Direction.FORWARD]["g2"],
+            scan.stats[P.Direction.BACKWARD]["g2"],
             equal_nan=True,
         )
 
@@ -320,10 +312,10 @@ class TestScan:
         # At delta_c = 0, |J| >= 1.5: every backward point is bunched while
         # the forward map reaches deep antibunching.
         at_zero = dataclasses.replace(P.reference_params(), delta_c=0.0)
-        scan = optimizer.scan_j_theta(at_zero)
-        band = np.abs(scan.j_values) >= 1.5
-        fwd = scan.g2[P.Direction.FORWARD][band]
-        bwd = scan.g2[P.Direction.BACKWARD][band]
+        scan = j_theta_sweep(at_zero)
+        band = np.abs(scan.values1) >= 1.5
+        fwd = scan.stats[P.Direction.FORWARD]["g2"][band]
+        bwd = scan.stats[P.Direction.BACKWARD]["g2"][band]
         assert bool(np.all(np.isfinite(bwd)))
         assert float(np.min(bwd)) > 1.0
         assert float(np.min(fwd)) < 0.02
@@ -331,27 +323,39 @@ class TestScan:
     def test_refinement_keeps_minimum_location(self):
         at_zero = dataclasses.replace(P.reference_params(), delta_c=0.0)
         locs = []
-        for res in (101, 201):
-            scan = optimizer.scan_j_theta(at_zero, resolution=res)
-            fwd = scan.g2[P.Direction.FORWARD]
+        for side in (101, 201):
+            scan = j_theta_sweep(at_zero, side=side)
+            fwd = scan.stats[P.Direction.FORWARD]["g2"]
             ok = scan.valid[P.Direction.FORWARD] & np.isfinite(fwd)
             masked = np.where(ok, fwd, np.inf)
             i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            locs.append((float(scan.j_values[i]), float(scan.theta_values[k])))
+            locs.append((float(scan.values1[i]), float(scan.values2[k])))
         coarse_j = 6.0 / 100
         coarse_th = 2.0 * math.pi / 100
         assert abs(locs[0][0] - locs[1][0]) <= coarse_j + 1e-12
         assert abs(locs[0][1] - locs[1][1]) <= coarse_th + 1e-12
 
-    def test_validation(self):
-        p = P.reference_params()
-        with pytest.raises(ValueError, match="resolution"):
-            optimizer.scan_j_theta(p, resolution=7)
-        with pytest.raises(ValueError, match="increasing"):
-            optimizer.scan_j_theta(p, j_range=(2.0, -2.0))
-
 
 class TestNonreciprocalPoint:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(resolution=7), "resolution"),
+            (dict(j_limit=0.0), "j_limit"),
+            (dict(j_limit=-1.0), "j_limit"),
+            (dict(j_limit=math.inf), "j_limit"),
+            (dict(j_limit=math.nan), "j_limit"),
+        ],
+        ids=[
+            "resolution-7", "j_limit-0", "j_limit-negative", "j_limit-inf", "j_limit-nan"
+        ],
+    )
+    def test_rejects_bad_settings_also_at_a_root(self, kwargs, message):
+        # The reference point has forward roots at delta_c = 0, so no map is
+        # drawn; the settings are checked all the same.
+        with pytest.raises(ValueError, match=message):
+            optimizer.nonreciprocal_point(P.reference_params(), 0.0, **kwargs)
+
     def test_resonant_target(self):
         base = P.reference_params()
         j, theta, report = optimizer.nonreciprocal_point(base, 0.0)
@@ -406,6 +410,11 @@ class TestNonreciprocalPoint:
         kappa1=0.5919, kappa2=1.4081, g=8.011, delta_e=-0.7073, e_eg=0.0059, b_in=0.0228
     )
     NO_ROOT_TARGET = -0.7264
+    # (J, theta, g2_forward, g2_backward) of the map's point at each j_limit.
+    NO_ROOT_POINTS = {
+        5.0: (-1.0625, 1.1835950322399544, 0.8548007345977774, 1.0000362585409734),
+        1.05: (1.05, 1.4251049674846699, 0.8804495061519452, 1.0001592827128352),
+    }
 
     @pytest.mark.parametrize("j_limit", [5.0, 1.05])
     def test_no_root_target_stays_in_the_bunched_region(self, j_limit):
@@ -421,15 +430,16 @@ class TestNonreciprocalPoint:
         assert report.g2_forward < 1.0 < report.g2_backward
         assert abs(j) <= j_limit
         assert (report.J, report.theta) == (j, theta)
-        # The rescans only improve on the best bunched point of the coarse scan.
-        scan = optimizer.scan_j_theta(
-            at_target, (-j_limit, j_limit), (-math.pi, math.pi), 161
-        )
-        fwd = scan.g2[P.Direction.FORWARD]
+        got = (j, theta, report.g2_forward, report.g2_backward)
+        assert got == pytest.approx(self.NO_ROOT_POINTS[j_limit], rel=1e-12)
+        # The finer maps only improve on the best bunched point of the coarse
+        # 161 x 161 map.
+        scan = j_theta_sweep(at_target, (-j_limit, j_limit), 161)
+        fwd = scan.stats[P.Direction.FORWARD]["g2"]
         bunched = (
             scan.valid[P.Direction.FORWARD]
             & scan.valid[P.Direction.BACKWARD]
-            & (scan.g2[P.Direction.BACKWARD] > 1.0)
+            & (scan.stats[P.Direction.BACKWARD]["g2"] > 1.0)
         )
         assert report.g2_forward <= np.min(fwd[bunched])
 

@@ -1298,6 +1298,29 @@ class TestCliSubprocess:
         assert proc.returncode == 1
         assert proc.stderr == "error: mirror decay rates kappa1, kappa2 must be positive\n"
 
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["g2"], ["figure", "fig2b"]], ids=["g2", "figure-fig2b"])
+    def test_gone_reader_exits_141_quietly(self, tmp_path, argv, flags):
+        # The program's stdout is a pipe whose read end is closed before it
+        # starts, as in `cavityblockade g2 | head -c0`.  Buffered, the flush
+        # at the end meets the broken pipe; unbuffered (-u), the verb's write.
+        script = (
+            "import os, sys\n"
+            "r, w = os.pipe()\n"
+            "os.close(r)\n"
+            "os.dup2(w, 1)\n"
+            "os.execv(sys.executable, sys.argv[1:])\n"
+        )
+        if argv[0] == "figure":
+            argv = [*argv, "--out", str(tmp_path)]
+        proc = self.spawn(
+            sys.executable, "-c", script, sys.executable, *flags, "-m", "cavityblockade",
+            *argv,
+        )
+        assert proc.returncode == 141
+        # The verb's own warnings, and no BrokenPipeError report.
+        assert proc.stderr == self.run(*argv).stderr
+
     def test_exit_handlers_run_after_the_verb(self):
         script = (
             "import atexit, sys\n"
