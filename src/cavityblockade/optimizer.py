@@ -283,10 +283,12 @@ def solve_optimal_arrays(
     )
     shape = consts[0].shape
     j, theta, dc, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
+    # Copies of the first column, so the results do not keep the (K, 15)
+    # root tables alive.
     return (
-        j[:, 0].reshape(shape),
-        theta[:, 0].reshape(shape),
-        dc[:, 0].reshape(shape),
+        j[:, 0].copy().reshape(shape),
+        theta[:, 0].copy().reshape(shape),
+        dc[:, 0].copy().reshape(shape),
         np.isfinite(j[:, 0]).reshape(shape),
     )
 

@@ -10,8 +10,8 @@ of every other quantity.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,8 +24,9 @@ from .params import (
     ConfigError,
     Direction,
     SystemParams,
-    _AMPLITUDE_INPUTS,
+    _FLOAT_FIELDS,
     _check_overrides,
+    _denominators,
     _derive,
     _require_finite,
     _warn_regime,
@@ -127,6 +128,15 @@ def parse_directions(text: str) -> tuple[Direction, ...]:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The grids of one sweep, keyed by direction, each of ``spec.shape``.
+
+    ``stats`` and ``valid`` are arrays of their own.  ``j_used``,
+    ``theta_used`` and ``delta_c_opt`` are read-only views that broadcast
+    the derived couplings, or the optimizer's reduced grid, to the sweep
+    grid; copy one before writing to it.  ``delta_c_opt`` is None unless
+    ``spec.optimal_j_theta``.
+    """
+
     spec: SweepSpec
     base: SystemParams
     values1: np.ndarray
@@ -142,11 +152,52 @@ class SweepResult:
         return self.stats[direction][self.spec.observable]
 
 
+def _config_text(spec: SweepSpec, base: SystemParams) -> bytes:
+    """The text ``config_hash`` digests: the repr of ``(spec, base)`` with
+    every real number a Python float and every count a Python int, so a
+    grid hashes the same however its numbers were typed (``-1``, ``-1.0``
+    or ``np.float64(-1.0)``)."""
+
+    def axis(a: SweepAxis | None) -> SweepAxis | None:
+        if a is None:
+            return None
+        return dataclasses.replace(
+            a,
+            minimum=float(a.minimum),
+            maximum=float(a.maximum),
+            count=operator.index(a.count),
+        )
+
+    spec = dataclasses.replace(
+        spec,
+        axis1=axis(spec.axis1),
+        axis2=axis(spec.axis2),
+        overrides={name: float(v) for name, v in spec.overrides.items()},
+    )
+    base = dataclasses.replace(
+        base,
+        **{
+            name: float(v)
+            for name in _FLOAT_FIELDS
+            if (v := getattr(base, name)) is not None
+        },
+    )
+    return repr((spec, base)).encode()
+
+
 def _provenance(spec: SweepSpec, base: SystemParams) -> dict[str, str]:
-    canon = repr((spec, base)).encode()
+    # hashlib loads OpenSSL's libcrypto, a few megabytes of resident memory,
+    # for this one short digest; CPython's built-in SHA-256 gives the same.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
     return {
         "version": __version__,
-        "config_hash": hashlib.sha256(canon).hexdigest()[:16],
+        "config_hash": sha256(_config_text(spec, base)).hexdigest()[:16],
     }
 
 
@@ -159,17 +210,15 @@ def _axis_overrides(spec: SweepSpec) -> dict[str, np.ndarray]:
 
 
 def _solve_optimal_grid(
-    params: SystemParams, spec: SweepSpec, grid: Mapping[str, np.ndarray]
+    params: SystemParams, grid: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-    """Joint-optimal (J, theta) per grid point, solved over the reduced
-    grid of parameters the optimum actually depends on (delta_c drops
-    out of a joint solve).  The arrays keep the shape of that reduced
-    grid; they broadcast against the sweep grid.  The last item lists the
-    regime conditions the reduced grid violates."""
+    """Joint-optimal (J, theta) per grid point, solved over a grid without
+    delta_c (it drops out of a joint solve).  The arrays keep the shape of
+    that reduced grid; they broadcast against the sweep grid.  The last
+    item lists the regime conditions the reduced grid violates."""
     from . import optimizer
 
-    solver_grid = {k: v for k, v in grid.items() if k != "delta_c"}
-    consts, violated = _derive(params, solver_grid)
+    consts, violated = _derive(params, grid)
     j, theta, dc_opt, ok = optimizer.solve_optimal_arrays(
         consts["e_eg"],
         consts["omega"],
@@ -188,38 +237,55 @@ def _evaluate_direction(
     grid = dict(_axis_overrides(spec))
     for key, value in spec.overrides.items():
         grid[key] = np.asarray(float(value))
+    # delta_c enters only the denominators M and N, not the joint solve nor
+    # a regime check.  Over a detuning axis M and N vary over the whole
+    # grid, so each block forms them from its own rows instead.
+    delta_c = grid.pop("delta_c", None)
 
     dc_opt = None
     solver_ok = None
     violated = []
     if spec.optimal_j_theta:
-        j_arr, theta_arr, dc_opt, solver_ok, violated = _solve_optimal_grid(params, spec, grid)
+        j_arr, theta_arr, dc_opt, solver_ok, violated = _solve_optimal_grid(params, grid)
         grid["J"] = j_arr
         grid["theta"] = theta_arr
-        if "delta_c" not in grid:
+        if delta_c is None:
             # Without a detuning axis the natural operating point is the
             # per-point optimal detuning itself.
-            grid["delta_c"] = dc_opt
+            delta_c = dc_opt
+    if delta_c is None:
+        delta_c = params.delta_c
 
     consts, grid_violated = _derive(params, grid)
     violated += grid_violated
     full_shape = spec.shape
+    # Read-only views: J and theta vary along fewer axes than the grid, as
+    # does delta_c_opt, and nothing writes to them.
+    j_used = np.broadcast_to(consts["j"], full_shape)
+    theta_used = np.broadcast_to(consts["theta"], full_shape)
+    if dc_opt is not None:
+        dc_opt = np.broadcast_to(dc_opt, full_shape)
+    names = ("kappa", "g_shift", "omega", "delta_e", "j", "theta", "e_eg")
+    inputs = [np.asarray(a) for a in (delta_c, *(consts[key] for key in names))]
+    # M and N at the base detuning go with the rest.
+    del consts
     # The blocks below cover every row, so every cell is written.
     stat_out = {name: np.empty(full_shape) for name in steady_state._STAT_NAMES}
     valid = np.empty(full_shape, dtype=bool)
-    inputs = [np.asarray(consts[key]) for key in _AMPLITUDE_INPUTS]
 
     def evaluate(rows: slice) -> None:
         # Only an array that varies along the first axis is cut; the others
         # broadcast against the block as they are.
-        cut = [
+        delta_c, kappa, g_shift, omega, delta_e, j, theta, e_eg = (
             a[rows] if a.ndim == len(full_shape) and a.shape[0] > 1 else a
             for a in inputs
-        ]
+        )
+        m, n = _denominators(delta_c, kappa, g_shift, delta_e)
         with np.errstate(invalid="ignore"):
             # Blocks cover disjoint rows, so threads never write the same cell.
             _, ok = steady_state._stats_from_parameters(
-                *cut, out={name: whole[rows] for name, whole in stat_out.items()}
+                omega, m, n, delta_e, j, theta, e_eg,
+                out={name: whole[rows] for name, whole in stat_out.items()},
             )
         valid[rows] = ok
 
@@ -240,12 +306,7 @@ def _evaluate_direction(
             evaluate(rows)
     if solver_ok is not None:
         valid &= solver_ok
-
-    j_used = np.broadcast_to(consts["j"], full_shape)
-    theta_used = np.broadcast_to(consts["theta"], full_shape)
-    if dc_opt is not None:
-        dc_opt = np.array(np.broadcast_to(dc_opt, full_shape))
-    return stat_out, valid, np.array(j_used), np.array(theta_used), dc_opt, violated
+    return stat_out, valid, j_used, theta_used, dc_opt, violated
 
 
 def run_sweep(
@@ -255,10 +316,13 @@ def run_sweep(
 
     The grid is evaluated in blocks of whole rows, about 2**12 points each,
     written straight into the result arrays, so the memory a sweep needs
-    beyond its result is bounded by the block, not the grid.  ``jobs`` is
-    an upper bound on worker threads: a grid of at most 2**16 points runs
-    on the calling thread, a larger one with ``jobs > 1`` on
-    ``min(jobs, blocks)`` threads in blocks of about 2**14 points.
+    beyond its result is bounded by the block, not the grid.  The result
+    holds six statistics and ``valid`` per direction at full grid size;
+    ``j_used``, ``theta_used`` and ``delta_c_opt`` are read-only views, as
+    large only as the axes they vary along.  ``jobs`` is an upper bound on
+    worker threads: a grid of at most 2**16 points runs on the calling
+    thread, a larger one with ``jobs > 1`` on ``min(jobs, blocks)`` threads
+    in blocks of about 2**14 points.
     Every point is computed independently, so the arrays are identical
     whatever the blocking and the thread count.  Each regime condition
     some point violates is warned once per sweep, whatever the directions

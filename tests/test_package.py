@@ -43,13 +43,20 @@ def run_python(code: str, *args: str, cwd=None) -> str:
 
 
 # Runs one verb as ``python -m cavityblockade`` does, then prints the loaded
-# package submodules and whether numpy.ma and concurrent.futures were imported.
+# package submodules and whether numpy.ma, concurrent.futures and hashlib's
+# OpenSSL binding were imported.
 VERB_CHILD = """
 import json, sys
 from cavityblockade.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cavityblockade."))
-print(json.dumps([code, loaded, "numpy.ma" in sys.modules, "concurrent.futures" in sys.modules]))
+print(json.dumps([
+    code,
+    loaded,
+    "numpy.ma" in sys.modules,
+    "concurrent.futures" in sys.modules,
+    "_hashlib" in sys.modules,
+]))
 """
 
 BASE = ["cli", "params", "steady_state"]
@@ -85,7 +92,7 @@ VERBS = {
 def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     argv, modules = VERBS[verb]
     out = run_python(VERB_CHILD, *argv, cwd=tmp_path).strip().splitlines()[-1]
-    code, loaded, numpy_ma, futures = json.loads(out)
+    code, loaded, numpy_ma, futures, openssl = json.loads(out)
     assert code == 0
     # No verb integrates the amplitude equations, so none loads dynamics.
     assert loaded == sorted(modules)
@@ -95,6 +102,9 @@ def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     # whatever --jobs allows, and figure accepts --jobs but runs every
     # preset there, so no verb here imports the thread pool.
     assert not futures
+    # The sweep config hash uses CPython's built-in SHA-256: OpenSSL's
+    # libcrypto costs a few megabytes of resident memory.
+    assert not openssl
 
 
 def test_bare_import_loads_no_submodule():

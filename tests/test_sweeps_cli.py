@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import hashlib
 import math
 import os
 import struct
@@ -408,34 +409,60 @@ def traced(fn):
 MB = 1 << 20
 
 
+MEMORY_SPECS = {
+    "J-theta": sweeps.SweepSpec(
+        axis1=sweeps.SweepAxis("J", -3.0, 3.0, 201),
+        axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, 201),
+        overrides={"delta_c": 0.0},
+        directions=(Direction.FORWARD,),
+    ),
+    "optimal": sweeps.SweepSpec(
+        axis1=sweeps.SweepAxis("delta_e", -3.0, 3.0, 201),
+        axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 201),
+        directions=(Direction.FORWARD,),
+        optimal_j_theta=True,
+    ),
+}
+
+
 class TestBoundedMemory:
     """201 x 201 grids, the size of every 2-D figure preset."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            sweeps.SweepSpec(
-                axis1=sweeps.SweepAxis("J", -3.0, 3.0, 201),
-                axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, 201),
-                overrides={"delta_c": 0.0},
-                directions=(Direction.FORWARD,),
-            ),
-            sweeps.SweepSpec(
-                axis1=sweeps.SweepAxis("delta_e", -3.0, 3.0, 201),
-                axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 201),
-                directions=(Direction.FORWARD,),
-                optimal_j_theta=True,
-            ),
-        ],
-        ids=["J-theta", "optimal"],
-    )
+    @pytest.mark.parametrize("spec", MEMORY_SPECS.values(), ids=MEMORY_SPECS.keys())
     def test_sweep_peak_is_its_result_plus_a_block(self, spec):
         result, held, above = traced(
             lambda: sweeps.run_sweep(spec, reference_params(), jobs=1)
         )
-        # The result: six statistics, J, theta (and delta_c_opt) and valid.
-        assert held > 8 * 8 * 201 * 201
+        # The result: six statistics and valid at full size; J, theta and
+        # delta_c_opt are views of arrays no larger than their axes (about
+        # 15 kB in all, with the axis values).
+        points = 201 * 201
+        assert held > 6 * 8 * points
+        assert held <= 6 * 8 * points + points + 24 * 1024, held
         assert above <= 1 * MB, (held, above)
+
+    @pytest.mark.parametrize(
+        "name, digests",
+        [
+            ("J-theta", ["e3993574d5537bcd", "7d0dd157138982eb", None]),
+            ("optimal", ["2d88de5203bcf01c", "066c420150886b21", "4c03402553c112a6"]),
+        ],
+        ids=["J-theta", "optimal"],
+    )
+    def test_j_theta_and_delta_c_opt_are_read_only_views(self, name, digests):
+        # The digests are those of the full-grid copies these views replaced.
+        spec = MEMORY_SPECS[name]
+        result = sweeps.run_sweep(spec, reference_params(), jobs=1)
+        d = Direction.FORWARD
+        fields = (result.j_used[d], result.theta_used[d], result.delta_c_opt[d])
+        for grid, digest in zip(fields, digests):
+            if digest is None:
+                assert grid is None
+                continue
+            assert grid.shape == spec.shape
+            assert grid.dtype == np.float64
+            assert not grid.flags.writeable
+            assert hashlib.sha256(grid.tobytes()).hexdigest()[:16] == digest
 
     def test_heatmap_render_peak(self):
         rng = np.random.default_rng(3)
@@ -451,6 +478,34 @@ class TestBoundedMemory:
         svg, held, above = traced(heat.render)
         assert "<image" in svg
         assert held + above <= 1.5 * MB, (held, above)
+
+
+class TestConfigHash:
+    def test_is_sha256_of_the_canonical_text(self):
+        spec = sweeps.SweepSpec(axis1=sweeps.SweepAxis("delta_c", -1.0, 2.0, 5))
+        base = reference_params()
+        canonical = sweeps._config_text(spec, base)
+        # With every number a float already, as in every preset and CLI
+        # input, the canonical text is the plain repr: no hash moves.
+        assert canonical == repr((spec, base)).encode()
+        config_hash = sweeps.run_sweep(spec, base).provenance["config_hash"]
+        assert config_hash == hashlib.sha256(canonical).hexdigest()[:16]
+        assert config_hash == "d59280699656be9b"
+
+    @pytest.mark.parametrize(
+        "number", [int, float, np.float64, np.int64], ids=lambda t: t.__name__
+    )
+    def test_same_values_same_hash(self, number):
+        def config(num):
+            spec = sweeps.SweepSpec(
+                axis1=sweeps.SweepAxis("delta_c", num(-1), num(2), 5),
+                axis2=sweeps.SweepAxis("e_eg", num(0), num(1), np.int64(3)),
+                overrides={"g": num(6)},
+            )
+            base = dataclasses.replace(reference_params(), delta_p=num(100))
+            return sweeps._provenance(spec, base)["config_hash"]
+
+        assert config(number) == config(float)
 
 
 class TestSweepCsv:
