@@ -38,7 +38,6 @@ _EXPORTS = {
     "Trajectory": "dynamics",
     "UnknownFigure": "figures",
     "ValidationReport": "full_model",
-    "amplitude_from_power": "params",
     "analytic_amplitudes": "steady_state",
     "anharmonicity": "spectrum",
     "derive_effective": "params",

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .params import EffectiveParams
 from .steady_state import SQRT2, AmplitudeState
-from .sweeps import _csv_rows
 
 #: Order of the amplitude components in every vector/matrix in this module.
 BASIS_LABELS = ("c0g", "c1g", "c0e", "c2g", "c1e")
@@ -244,20 +242,6 @@ class Trajectory(Sequence[AmplitudeState]):
         # reduces a 5-long axis slowly (see _window_steady).
         sq = np.abs(self.amplitudes) ** 2
         return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3] + sq[..., 4]
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write t, the real/imaginary amplitude parts and the squared norm,
-        by the cell rule of the sweep CSVs."""
-        header = ["t"]
-        for label in BASIS_LABELS:
-            header.extend([f"{label}_re", f"{label}_im"])
-        header.append("norm2")
-        parts = np.stack([self.amplitudes.real, self.amplitudes.imag], axis=-1)
-        table = np.column_stack(
-            [self.times, parts.reshape(len(self), -1), self.norm_squared()]
-        )
-        lines = [",".join(header), *_csv_rows(table, True)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _first_steady(cur: np.ndarray, prev: np.ndarray, ss_tol: float) -> int | None:

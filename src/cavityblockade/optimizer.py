@@ -37,6 +37,9 @@ from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _Report, _warn_re
 
 C2G_RESIDUAL_TOL = 1e-10
 
+#: Points a side of :func:`nonreciprocal_point`'s coarse (J, theta) map.
+_SCAN_POINTS = 161
+
 
 class NoRealSolution(NumericalFailure):
     """No real (J, theta) satisfies the cancellation condition."""
@@ -298,23 +301,21 @@ def nonreciprocal_point(
     target_delta_c: float,
     *,
     j_limit: float = 5.0,
-    resolution: int = 161,
 ) -> tuple[float, float, NonreciprocityReport]:
     """Working point (J, theta) for one-way blockade at a target detuning.
 
     Of the exact forward cancellation roots at the target cavity detuning
     with |J| <= ``j_limit``, returns the one with the largest backward g2.
     Only when no root lies in that window does it scan the (J, theta) plane
-    (``resolution`` points a side) for the least forward g2 in the region
-    where the backward direction is bunched (g2 > 1), or anywhere when that
-    region is empty, and then rescan the window of two cells either side of
-    that point twice, each time on a 41 x 41 grid under the same rule and
-    with |J| <= ``j_limit``.  Raises ValueError when ``resolution`` is below
-    8 or ``j_limit`` is not finite and positive.  Warns NotNonreciprocal
-    when the final point does not separate the two directions, that is
-    unless forward g2 < 1 < backward g2, and a RegimeWarning, worded as
-    :func:`derive_effective` words it, for each regime condition the point
-    violates in either direction.
+    on a 161 x 161 grid for the least forward g2 in the region where the
+    backward direction is bunched (g2 > 1), or anywhere when that region is
+    empty, and then rescan the window of two cells either side of that point
+    twice, each time on a 41 x 41 grid under the same rule and with
+    |J| <= ``j_limit``.  Raises ValueError when ``j_limit`` is not finite
+    and positive.  Warns NotNonreciprocal when the final point does not
+    separate the two directions, that is unless forward g2 < 1 < backward
+    g2, and a RegimeWarning, worded as :func:`derive_effective` words it,
+    for each regime condition the point violates in either direction.
 
     The scan asks of the backward direction only g2 > 1, with no margin, so
     its point may sit on the edge of the bunched region: on 83 seeded
@@ -330,8 +331,6 @@ def nonreciprocal_point(
     fig6d (contrast 2.84).  fig6c's J = 4.735 lies outside the elimination
     regime, where it warns |delta_he/e_he| = 2.12.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
     if not (math.isfinite(j_limit) and j_limit > 0.0):
         raise ValueError(f"j_limit must be finite and positive, got {j_limit!r}")
     at_target = replace(params, delta_c=float(target_delta_c))
@@ -348,7 +347,7 @@ def nonreciprocal_point(
         )
         j_best, theta_best = best.J, best.theta
     else:
-        j_best, theta_best = _scan_forward_g2(at_target, j_limit, resolution)
+        j_best, theta_best = _scan_forward_g2(at_target, j_limit)
 
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
     g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
@@ -376,13 +375,11 @@ def nonreciprocal_point(
     return j_best, theta_best, report
 
 
-def _scan_forward_g2(
-    at_target: SystemParams, j_limit: float, resolution: int
-) -> tuple[float, float]:
+def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, float]:
     """Least forward g2 on a (J, theta) scan, in the backward-bunched region
     when it exists, refined by two 41 x 41 rescans of +-2 cells around it."""
     j_range, theta_range = (-j_limit, j_limit), (-math.pi, math.pi)
-    for side in (resolution, 41, 41):
+    for side in (_SCAN_POINTS, 41, 41):
         j_values = np.linspace(*j_range, side)
         theta_values = np.linspace(*theta_range, side)
         grid = (j_values[:, None], theta_values[None, :])

@@ -34,9 +34,6 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-#: Reduced Planck constant in J s; h = 6.62607015e-34 J s is exact in SI.
-hbar = 6.62607015e-34 / TAU
-
 # Validity guard rails for the adiabatic elimination and the weak-driving
 # truncation.  Violations warn (RegimeWarning) but never abort: the
 # breakdown region is itself worth exploring.
@@ -454,20 +451,6 @@ def mirror_swap(params: SystemParams) -> SystemParams:
     )
 
 
-def amplitude_from_power(p_in: float, omega_p: float) -> float:
-    """Input amplitude sqrt(P_in/(hbar*omega_p)) in SI units, 1/sqrt(s).
-
-    ``p_in`` is the input power in watts, ``omega_p`` the drive angular
-    frequency in rad/s.  This is a unit-conversion convenience only; the
-    rest of the package works in kappa units.
-    """
-    if p_in < 0.0:
-        raise ValueError("input power must be non-negative")
-    if omega_p <= 0.0:
-        raise ValueError("drive frequency must be positive")
-    return math.sqrt(p_in / (hbar * omega_p))
-
-
 def _kv_text(pairs: list[tuple[str, object]]) -> str:
     """``key = value`` lines, one per pair: floats as their repr, bools as
     ``true``/``false``, anything else as its str.  The output format of the
@@ -555,7 +538,7 @@ def load_config(path: str | Path, base: SystemParams | None = None) -> SystemPar
     return params_from_mapping(parse_config(text), base=base)
 
 
-def reference_params(direction: Direction = Direction.FORWARD) -> SystemParams:
+def reference_params() -> SystemParams:
     """Asymmetric-cavity working point used throughout the figure presets.
 
     kappa1/kappa = 0.2, kappa2/kappa = 1.8, g = 10, delta_p = 100,
@@ -571,7 +554,6 @@ def reference_params(direction: Direction = Direction.FORWARD) -> SystemParams:
         delta_e=-0.5,
         b_in=0.02,
         e_eg=0.01,
-        direction=direction,
     )
 
 
@@ -604,7 +586,6 @@ __all__ = [
     "NumericalFailure",
     "RegimeWarning",
     "SystemParams",
-    "amplitude_from_power",
     "derive_effective",
     "effective_arrays",
     "implied_e_he",

@@ -29,15 +29,17 @@ _STAT_NAMES = ("p1", "p2", "g2", "n_paper", "n_full", "norm")
 
 
 class SingularDenominator(NumericalFailure):
-    """A steady-state denominator is too close to zero to invert."""
+    """A steady-state denominator is too close to zero to invert, or not
+    finite."""
 
     def __init__(self, which: str, magnitude: float):
         self.which = which
         self.magnitude = magnitude
-        super().__init__(
-            f"steady-state denominator {which} has magnitude {magnitude:.3e} "
-            f"<= {SINGULAR_TOL:g} kappa^2"
-        )
+        if math.isfinite(magnitude):
+            text = f"has magnitude {magnitude:.3e} <= {SINGULAR_TOL:g} kappa^2"
+        else:
+            text = f"is not finite (magnitude {magnitude})"
+        super().__init__(f"steady-state denominator {which} {text}")
 
 
 @dataclass
@@ -90,9 +92,11 @@ class PhotonStats:
 
 def _amplitude_denominators(m, n, delta_e, j):
     """The arrays J^2 - M delta_e and J^2 - M N, named, and for each where it
-    is safely away from zero (a NaN one is not)."""
-    dens = {"J^2 - M*delta_e": j**2 - m * delta_e, "J^2 - M*N": j**2 - m * n}
-    return dens, [np.abs(d) > SINGULAR_TOL for d in dens.values()]
+    is finite and safely away from zero: one that overflows, or is NaN or
+    infinite from a non-finite input, is singular, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = {"J^2 - M*delta_e": j**2 - m * delta_e, "J^2 - M*N": j**2 - m * n}
+    return dens, [np.isfinite(d) & (np.abs(d) > SINGULAR_TOL) for d in dens.values()]
 
 
 def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
@@ -106,8 +110,8 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     order, so the values are bit-identical.  The returned arrays are
     broadcast (read-only views) to the common shape of the inputs.
 
-    Invalid points carry the finite values of a unit denominator, not NaN;
-    the callers mask them.
+    Invalid points divide by an infinite denominator, so their amplitudes
+    are zero (or NaN), and never overflow; the callers mask them.
     """
     omega = np.asarray(omega, dtype=float)
     m = np.asarray(m, dtype=complex)
@@ -127,8 +131,8 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     valid = ok1 & ok2
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        safe1 = np.where(valid, d1, 1.0)
-        safe2 = np.where(valid, d2, 1.0)
+        safe1 = np.where(valid, d1, np.inf)
+        safe2 = np.where(valid, d2, np.inf)
         c1g = (e_eg * j * phase_minus + omega * delta_e) / safe1
         c0e = (e_eg * m + omega * j * phase_plus) / safe1
         c2g = (
@@ -206,20 +210,20 @@ def _stats_from_parameters(
     No (*S, 5) stack is built; both evaluate :func:`_stats`, so the results
     are bit-identical, and invalid points are NaN in every statistic.
 
-    ``out`` maps each statistic to a float array the inputs broadcast to,
-    such as the rows of a sweep grid; the statistics are written straight
-    into it, and invalid points are masked there.  Without it, arrays of
-    the inputs' common shape are allocated.
+    ``out`` maps some of the statistics to float arrays the inputs
+    broadcast to, such as the rows of a sweep grid; exactly those are
+    written, straight into them, and invalid points are masked there.
+    Without it, every statistic gets an array of the inputs' common shape.
     """
     c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
     if out is None:
         out = {name: np.empty(valid.shape) for name in _STAT_NAMES}
     stats = _stats(1.0, *(np.abs(c) ** 2 for c in (c1g, c0e, c2g, c1e)))
     invalid = None if valid.all() else ~valid
-    for name in _STAT_NAMES:
-        np.copyto(out[name], stats[name])
+    for name, target in out.items():
+        np.copyto(target, stats[name])
         if invalid is not None:
-            np.copyto(out[name], np.nan, where=invalid)
+            np.copyto(target, np.nan, where=invalid)
     return out, valid
 
 

@@ -130,10 +130,11 @@ def parse_directions(text: str) -> tuple[Direction, ...]:
 class SweepResult:
     """The grids of one sweep, keyed by direction, each of ``spec.shape``.
 
-    ``stats`` and ``valid`` are arrays of their own.  ``j_used``,
-    ``theta_used`` and ``delta_c_opt`` are read-only views that broadcast
-    the derived couplings, or the optimizer's reduced grid, to the sweep
-    grid; copy one before writing to it.  ``delta_c_opt`` is None unless
+    ``stats`` maps the five statistics of ``STAT_COLUMNS`` to arrays of
+    their own, and ``valid`` is one too.  ``j_used``, ``theta_used`` and
+    ``delta_c_opt`` are read-only views that broadcast the derived
+    couplings, or the optimizer's reduced grid, to the sweep grid; copy one
+    before writing to it.  ``delta_c_opt`` is None unless
     ``spec.optimal_j_theta``.
     """
 
@@ -270,7 +271,7 @@ def _evaluate_direction(
     # M and N at the base detuning go with the rest.
     del consts
     # The blocks below cover every row, so every cell is written.
-    stat_out = {name: np.empty(full_shape) for name in steady_state._STAT_NAMES}
+    stat_out = {name: np.empty(full_shape) for name in STAT_COLUMNS}
     valid = np.empty(full_shape, dtype=bool)
 
     def evaluate(rows: slice) -> None:
@@ -317,13 +318,13 @@ def run_sweep(
     The grid is evaluated in blocks of whole rows, about 2**12 points each,
     written straight into the result arrays, so the memory a sweep needs
     beyond its result is bounded by the block, not the grid.  The result
-    holds six statistics and ``valid`` per direction at full grid size;
-    ``j_used``, ``theta_used`` and ``delta_c_opt`` are read-only views, as
-    large only as the axes they vary along.  ``jobs`` is an upper bound on
-    worker threads: a grid of at most 2**16 points runs on the calling
-    thread, a larger one with ``jobs > 1`` on ``min(jobs, blocks)`` threads
-    in blocks of about 2**14 points.
-    Every point is computed independently, so the arrays are identical
+    holds the five statistics of ``STAT_COLUMNS`` and ``valid`` per
+    direction at full grid size; ``j_used``, ``theta_used`` and
+    ``delta_c_opt`` are read-only views, as large only as the axes they
+    vary along.  ``jobs`` is an upper bound on worker threads: a grid of
+    at most 2**16 points runs on the calling thread, a larger one with
+    ``jobs > 1`` on ``min(jobs, blocks)`` threads in blocks of about 2**14
+    points.  Every point is computed independently, so the arrays are identical
     whatever the blocking and the thread count.  Each regime condition
     some point violates is warned once per sweep, whatever the directions
     and the grids it is checked on.

@@ -963,23 +963,6 @@ class TestTrajectory:
         assert traj.final.t == pytest.approx(0.1)
         assert [s.t for s in traj] == pytest.approx(list(traj.times))
 
-    def test_csv_output(self, tmp_path):
-        traj = self.make()
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        header = lines[0].split(",")
-        assert header[0] == "t"
-        assert header[-1] == "norm2"
-        for label in dynamics.BASIS_LABELS:
-            assert f"{label}_re" in header and f"{label}_im" in header
-        assert len(lines) == len(traj) + 1
-        first = [float(x) for x in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert first[1] == 1.0  # c0g_re of the vacuum
-        last = [float(x) for x in lines[-1].split(",")]
-        assert last[-1] == pytest.approx(traj.norm_squared()[-1], rel=1e-15)
-
     def test_norm_squared_adds_the_amplitudes_in_order(self):
         # Magnitudes spread over 16 decades, so the order of the additions
         # shows in the last bits of many rows.

@@ -340,15 +340,12 @@ class TestNonreciprocalPoint:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(resolution=7), "resolution"),
             (dict(j_limit=0.0), "j_limit"),
             (dict(j_limit=-1.0), "j_limit"),
             (dict(j_limit=math.inf), "j_limit"),
             (dict(j_limit=math.nan), "j_limit"),
         ],
-        ids=[
-            "resolution-7", "j_limit-0", "j_limit-negative", "j_limit-inf", "j_limit-nan"
-        ],
+        ids=["j_limit-0", "j_limit-negative", "j_limit-inf", "j_limit-nan"],
     )
     def test_rejects_bad_settings_also_at_a_root(self, kwargs, message):
         # The reference point has forward roots at delta_c = 0, so no map is
@@ -434,7 +431,7 @@ class TestNonreciprocalPoint:
         assert got == pytest.approx(self.NO_ROOT_POINTS[j_limit], rel=1e-12)
         # The finer maps only improve on the best bunched point of the coarse
         # 161 x 161 map.
-        scan = j_theta_sweep(at_target, (-j_limit, j_limit), 161)
+        scan = j_theta_sweep(at_target, (-j_limit, j_limit), optimizer._SCAN_POINTS)
         fwd = scan.stats[P.Direction.FORWARD]["g2"]
         bunched = (
             scan.valid[P.Direction.FORWARD]

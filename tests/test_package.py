@@ -115,6 +115,18 @@ def test_bare_import_loads_no_submodule():
     assert out.strip() == "[]"
 
 
+def test_dynamics_import_loads_no_sweeps():
+    # The integrator needs the effective model and the closed-form state,
+    # not the sweep and CSV code.
+    out = run_python(
+        "import sys, cavityblockade.dynamics; "
+        "print(sorted(m for m in sys.modules if m.startswith('cavityblockade.')))"
+    )
+    assert out.strip() == (
+        "['cavityblockade.dynamics', 'cavityblockade.params', 'cavityblockade.steady_state']"
+    )
+
+
 def test_submodules_and_star_import_after_bare_import():
     out = run_python(
         "import json, cavityblockade as cb\n"

@@ -188,33 +188,6 @@ class TestMirrorSwap:
         assert quiet_effective(q).omega == quiet_effective(p).omega
 
 
-class TestAmplitudeFromPower:
-    def test_zero_power(self):
-        assert P.amplitude_from_power(0.0, 2.0e15) == 0.0
-
-    def test_square_root_scaling(self):
-        one = P.amplitude_from_power(3.3e-15, 2.0e15)
-        four = P.amplitude_from_power(4 * 3.3e-15, 2.0e15)
-        assert four == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_femtowatt_example(self):
-        # Independent evaluation with hard-coded constants:
-        # omega_p = 2 pi c / 852 nm, b = sqrt(P / (hbar omega_p)).
-        omega_p = 2.0 * math.pi * 2.99792458e8 / 852e-9
-        expected = math.sqrt(1.16e-15 / (1.054571817e-34 * omega_p))
-        value = P.amplitude_from_power(1.16e-15, omega_p)
-        assert value == pytest.approx(expected, rel=1e-9)
-        assert value == pytest.approx(70.5, rel=0.01)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            P.amplitude_from_power(-1.0, 2.0e15)
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            P.amplitude_from_power(1.0, 0.0)
-
-
 class TestConfigText:
     def test_roundtrip(self):
         text = """

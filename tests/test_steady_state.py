@@ -213,6 +213,17 @@ class TestSingularities:
             steady_state.analytic_amplitudes(eff, 0.01)
         assert err.value.which == "J^2 - M*N"
 
+    def test_overflowing_coupling(self):
+        # J**2 overflows to inf, so neither denominator is finite: the point
+        # is singular, as the grid path marks it, and numpy does not warn.
+        with pytest.raises(steady_state.SingularDenominator) as err:
+            steady_state.steady_stats(P.reference_params(), j=1e200)
+        assert err.value.which == "J^2 - M*delta_e"
+        assert math.isinf(err.value.magnitude)
+        assert str(err.value) == (
+            "steady-state denominator J^2 - M*delta_e is not finite (magnitude inf)"
+        )
+
     def test_array_path_masks_instead_of_raising(self):
         # The scalar path raises exactly where the grid marks a point
         # invalid; elsewhere, on finite inputs, it gives the grid's finite
@@ -374,7 +385,8 @@ class TestFusedEvaluator:
 def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
     """The evaluator as it was before it stopped broadcasting up front:
     every input expanded to the full grid first, then the same operations,
-    and each statistic masked by one ``np.where``."""
+    and each statistic masked by one ``np.where``.  A denominator that is
+    not finite is singular, as it is in the evaluator."""
     omega, m, n, delta_e, j, theta, e_eg = np.broadcast_arrays(
         np.asarray(omega, dtype=float),
         np.asarray(m, dtype=complex),
@@ -388,8 +400,11 @@ def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
     phase_plus = np.conj(phase_minus)
     d1 = j**2 - m * delta_e
     d2 = j**2 - m * n
-    valid = (np.abs(d1) > steady_state.SINGULAR_TOL) & (
-        np.abs(d2) > steady_state.SINGULAR_TOL
+    valid = (
+        np.isfinite(d1)
+        & np.isfinite(d2)
+        & (np.abs(d1) > steady_state.SINGULAR_TOL)
+        & (np.abs(d2) > steady_state.SINGULAR_TOL)
     )
     safe1 = np.where(valid, d1, 1.0)
     safe2 = np.where(valid, d2, 1.0)

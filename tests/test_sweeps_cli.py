@@ -190,6 +190,25 @@ class TestParseDirections:
 
 
 class TestRunSweep:
+    def test_stats_are_the_csv_columns(self):
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("delta_c", -1.0, 1.0, 5), overrides={"J": 0.5}
+        )
+        result = sweeps.run_sweep(spec, reference_params())
+        for direction in spec.directions:
+            assert tuple(result.stats[direction]) == sweeps.STAT_COLUMNS
+
+    def test_overflowing_coupling_marks_points_invalid(self):
+        # J**2 overflows: every point is singular, as the scalar path says.
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("delta_c", -1.0, 1.0, 3), overrides={"J": 1e200}
+        )
+        result = sweeps.run_sweep(spec, reference_params())
+        for direction in spec.directions:
+            assert not result.valid[direction].any()
+            for name in sweeps.STAT_COLUMNS:
+                assert np.isnan(result.stats[direction][name]).all(), name
+
     def test_matches_pointwise_statistics(self):
         base = reference_params()
         spec = sweeps.SweepSpec(
@@ -295,8 +314,8 @@ class TestRunSweep:
             )
             for result in (serial, threaded):
                 assert result.valid[direction].tolist() == ok.tolist()
-                for name, values in whole.items():
-                    assert result.stats[direction][name].tobytes() == values.tobytes()
+                for name, values in result.stats[direction].items():
+                    assert values.tobytes() == whole[name].tobytes()
 
     def test_threads_fill_every_row(self):
         # One row per chunk, more threads than cores and a short switch
@@ -433,12 +452,12 @@ class TestBoundedMemory:
         result, held, above = traced(
             lambda: sweeps.run_sweep(spec, reference_params(), jobs=1)
         )
-        # The result: six statistics and valid at full size; J, theta and
+        # The result: five statistics and valid at full size; J, theta and
         # delta_c_opt are views of arrays no larger than their axes (about
         # 15 kB in all, with the axis values).
         points = 201 * 201
-        assert held > 6 * 8 * points
-        assert held <= 6 * 8 * points + points + 24 * 1024, held
+        assert held > 5 * 8 * points
+        assert held <= 5 * 8 * points + points + 24 * 1024, held
         assert above <= 1 * MB, (held, above)
 
     @pytest.mark.parametrize(
@@ -869,7 +888,7 @@ class TestRegimePolicy:
         (reference_params(), None),
         (reference_params(), 0.5),
         (reference_params(), 2.0),
-        (reference_params(Direction.BACKWARD), 4.7),
+        (dataclasses.replace(reference_params(), direction=Direction.BACKWARD), 4.7),
         (SystemParams(g=10.0, delta_p=101.0, e_he=30.0), None),
         (SystemParams(g=10.0, delta_p=101.0, e_he=5.0), None),
         (SystemParams(g=5.0, delta_p=100.0, delta_he=15.0, b_in=0.2, e_eg=0.2), 1.0),
@@ -1343,6 +1362,18 @@ class TestCliSubprocess:
         proc = self.run(*argv)
         assert (proc.stdout, proc.stderr, proc.returncode) == in_process(argv, capsys)
         assert proc.returncode == code
+
+    def test_overflowing_coupling_is_one_numerical_failure_line(self):
+        proc = self.run("g2", "--J", "1e200")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "RegimeWarning: |delta_p/g| = 10 <= 10; adiabatic elimination is marginal",
+            "RegimeWarning: |delta_he/e_he| = 1.01e-199 <= 10; "
+            "upper-leg drive is not far detuned",
+            "numerical failure: steady-state denominator J^2 - M*delta_e "
+            "is not finite (magnitude inf)",
+        ]
 
     def test_closed_stdout_exits_as_before(self):
         # Started with stdout closed, sys.stdout is None: the flush is
