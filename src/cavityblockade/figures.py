@@ -82,9 +82,7 @@ def _line_figure(
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
     plot = svgplot.LinePlot(xlabel=_DC_LABEL, ylabel=ylabel, log_y=True, title=name)
     for direction in result.spec.directions:
-        y = np.where(
-            result.valid[direction], result.stats[direction][observable], np.nan
-        )
+        y = result.stats[direction][observable]
         plot.add_line(result.values1, y, direction.value)
     files.append(_write(out / f"{name}.svg", plot.render()))
     return files
@@ -101,11 +99,10 @@ def _heatmap_figure(
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
-    z = np.where(result.valid[direction], result.observable_grid(direction), np.nan)
     heat = svgplot.Heatmap(
         x=result.values1,
         y=result.values2,
-        z=z,
+        z=result.observable_grid(direction),
         xlabel=xlabel,
         ylabel=ylabel,
         title=name,
@@ -137,7 +134,6 @@ def fig3a(out: Path) -> list[str]:
     )
     d = Direction.FORWARD
     dc_opt = res.delta_c_opt[d][:, 0]
-    dc_opt = np.where(res.valid[d].any(axis=1), dc_opt, np.nan)
     files = _heatmap_figure(
         res, out, "fig3a", d, "delta_e / kappa", overlay=(res.values1, dc_opt)
     )
@@ -157,20 +153,12 @@ def fig3b(out: Path) -> list[str]:
         directions=(Direction.FORWARD,),
     )
     d = Direction.FORWARD
-    ok = res.valid[d]
-    j = np.where(ok, res.j_used[d], np.nan)
-    e_he = implied_e_he(j, _BASE)
+    e_he = implied_e_he(res.j_used[d], _BASE)
     files = [
         _table_csv(
             out / "fig3b.csv",
             ["delta_e", "e_he", "J", "theta", "delta_c_opt"],
-            [
-                res.values1,
-                e_he,
-                j,
-                np.where(ok, res.theta_used[d], np.nan),
-                np.where(ok, res.delta_c_opt[d], np.nan),
-            ],
+            [res.values1, e_he, res.j_used[d], res.theta_used[d], res.delta_c_opt[d]],
         )
     ]
     plot = svgplot.LinePlot(
@@ -200,10 +188,7 @@ def _microwave_pair(observable: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
             observable=observable,
             optimal=False,
         )
-        d = Direction.FORWARD
-        curves.append(
-            np.where(res.valid[d], res.stats[d][observable], np.nan)
-        )
+        curves.append(res.stats[Direction.FORWARD][observable])
         grid = res.values1
     return grid, curves[0], curves[1]
 

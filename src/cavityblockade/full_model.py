@@ -308,7 +308,9 @@ def validate_effective(
     the reference joint root with n_max = 3 it is 1.985e-3, where
     <n(n-1)>/<n>^2 over every photon number is 2.392e-3.  ``rel_diff`` is
     |g2_full - g2_effective|/|g2_effective|; at an exact root, where
-    g2_effective is 0.0, it is inf unless g2_full is 0.0 too.
+    g2_effective is 0.0, it is inf unless g2_full is 0.0 too.  Where the
+    effective model has no statistics, this raises what
+    ``steady_state.steady_stats`` raises, before it builds the full model.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -322,12 +324,12 @@ def validate_effective(
             stacklevel=2,
         )
 
+    g2_effective = steady_state.steady_stats(params).g2
+
     model = FullModel(params, n_max)
     states, gap = model.steady_mode()
     occ = photon_occupations(states, n_max)
     g2_full = float(steady_state._g2(np.mean(occ[1]), np.mean(occ[2])))
-
-    g2_effective = steady_state.steady_stats(params).g2
     diff = abs(g2_full - g2_effective)
     if g2_effective == 0.0:
         rel_diff = 0.0 if diff == 0.0 else math.inf

@@ -271,15 +271,15 @@ def solve_optimal(params: SystemParams, fix_delta_c: bool = False) -> OptimalPoi
 
 def solve_optimal_arrays(
     e, omega, g_shift, delta_e, kappa
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise selected cancellation roots over arrays of system constants.
 
     Broadcasts every constant to a common shape, solves every column exactly
     at once with the cavity detuning free (a joint solve), and applies the
     selection rule of :func:`solve_optimal`.  Returns (J, theta,
-    delta_c_opt, ok); columns without a real root (microwave off,
-    delta_e = 0, or none exists) have ok = False and NaN entries.
-    :func:`find_roots` solves at a fixed cavity detuning.
+    delta_c_opt), NaN in columns without a real root (microwave off,
+    delta_e = 0, or none exists).  :func:`find_roots` solves at a fixed
+    cavity detuning.
     """
     consts = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa))
@@ -288,12 +288,7 @@ def solve_optimal_arrays(
     j, theta, dc, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
     # Copies of the first column, so the results do not keep the (K, 15)
     # root tables alive.
-    return (
-        j[:, 0].copy().reshape(shape),
-        theta[:, 0].copy().reshape(shape),
-        dc[:, 0].copy().reshape(shape),
-        np.isfinite(j[:, 0]).reshape(shape),
-    )
+    return tuple(x[:, 0].copy().reshape(shape) for x in (j, theta, dc))
 
 
 def nonreciprocal_point(
@@ -383,11 +378,12 @@ def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, fl
         j_values = np.linspace(*j_range, side)
         theta_values = np.linspace(*theta_range, side)
         grid = (j_values[:, None], theta_values[None, :])
-        (fwd, ok_f, _), (bwd, ok_b, _) = (
-            _g2_at(replace(at_target, direction=d), *grid)
+        fwd, bwd = (
+            _g2_at(replace(at_target, direction=d), *grid)[0]
             for d in (Direction.FORWARD, Direction.BACKWARD)
         )
-        ok = ok_f & ok_b & np.isfinite(fwd) & np.isfinite(bwd)
+        # g2 is NaN at every invalid point.
+        ok = np.isfinite(fwd) & np.isfinite(bwd)
         if not bool(np.any(ok)):
             raise NoRealSolution("the (J, theta) scan produced no valid points")
         bunched = ok & (bwd > 1.0)

@@ -111,7 +111,8 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     broadcast (read-only views) to the common shape of the inputs.
 
     Invalid points divide by an infinite denominator, so their amplitudes
-    are zero (or NaN), and never overflow; the callers mask them.
+    are zero (or NaN); the callers mask them.  An amplitude of a valid point
+    may overflow to inf, without a warning; :func:`_stats` marks it.
     """
     omega = np.asarray(omega, dtype=float)
     m = np.asarray(m, dtype=complex)
@@ -130,7 +131,7 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     d1, d2 = dens.values()
     valid = ok1 & ok2
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safe1 = np.where(valid, d1, np.inf)
         safe2 = np.where(valid, d2, np.inf)
         c1g = (e_eg * j * phase_minus + omega * delta_e) / safe1
@@ -158,7 +159,9 @@ def amplitude_arrays(
 
     Returns ``(c, valid)`` where c has shape (*S, 5) ordered as
     :class:`AmplitudeState` and valid flags points whose denominators are
-    safely away from zero.  Invalid points carry NaN amplitudes.
+    safely away from zero.  Invalid points carry NaN amplitudes.  A valid
+    point whose occupations are not finite has NaN statistics in
+    :func:`stats_arrays`, and is invalid in a sweep.
     """
     c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
     c = np.stack(
@@ -179,27 +182,39 @@ def _g2(p1, p2):
         )
 
 
-def _stats(p0g, p1g, p0e, p2g, p1e) -> dict[str, np.ndarray]:
-    """The statistics of :func:`stats_arrays` from the five |c|**2, in the
-    basis order of :class:`AmplitudeState`, the norm summed in that order."""
-    norm = p0g + p1g + p0e + p2g + p1e
-    with np.errstate(divide="ignore", invalid="ignore"):
+def _stats(c0g, c1g, c0e, c2g, c1e) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The statistics of :func:`stats_arrays` from the five amplitudes, in
+    the basis order of :class:`AmplitudeState`, the norm summed in that
+    order, and where the occupations are finite.
+
+    A point whose norm or photon number ``n_full`` is not finite (an
+    amplitude that is not finite, or an occupation that overflows) has no
+    statistics: every one is NaN there, and nothing warns.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p0g, p1g, p0e, p2g, p1e = (np.abs(c) ** 2 for c in (c0g, c1g, c0e, c2g, c1e))
+        norm = p0g + p1g + p0e + p2g + p1e
         p1 = (p1g + p1e) / norm
         p2 = p2g / norm
-    return {
-        "p1": p1,
-        "p2": p2,
-        "g2": _g2(p1, p2),
-        "n_paper": p1g,
-        "n_full": p1g + p1e + 2.0 * p2g,
-        "norm": norm,
-    }
+        stats = {
+            "p1": p1,
+            "p2": p2,
+            "g2": _g2(p1, p2),
+            "n_paper": p1g,
+            "n_full": p1g + p1e + 2.0 * p2g,
+            "norm": norm,
+        }
+    # n_full counts |c2g|^2 twice, so it can overflow where the norm does not.
+    finite = np.isfinite(norm) & np.isfinite(stats["n_full"])
+    if not finite.all():
+        stats = {name: np.where(finite, v, np.nan) for name, v in stats.items()}
+    return stats, finite
 
 
 def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized photon statistics for stacked amplitude vectors (*S, 5)."""
-    p = np.abs(c) ** 2
-    return _stats(*p.transpose(-1, *range(p.ndim - 1)))
+    """Vectorized photon statistics for stacked amplitude vectors (*S, 5);
+    NaN where an occupation is not finite."""
+    return _stats(*np.moveaxis(c, -1, 0))[0]
 
 
 def _stats_from_parameters(
@@ -208,17 +223,20 @@ def _stats_from_parameters(
     """``stats_arrays(amplitude_arrays(...)[0])`` and ``valid`` in one pass.
 
     No (*S, 5) stack is built; both evaluate :func:`_stats`, so the results
-    are bit-identical, and invalid points are NaN in every statistic.
+    are bit-identical.  ``valid`` is where the denominators are regular and
+    the occupations finite; it is the one rule for a point's validity, and
+    every statistic is NaN wherever it is False.
 
     ``out`` maps some of the statistics to float arrays the inputs
     broadcast to, such as the rows of a sweep grid; exactly those are
     written, straight into them, and invalid points are masked there.
     Without it, every statistic gets an array of the inputs' common shape.
     """
-    c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    c1g, c0e, c2g, c1e, regular = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    stats, finite = _stats(1.0, c1g, c0e, c2g, c1e)
+    valid = regular & finite
     if out is None:
         out = {name: np.empty(valid.shape) for name in _STAT_NAMES}
-    stats = _stats(1.0, *(np.abs(c) ** 2 for c in (c1g, c0e, c2g, c1e)))
     invalid = None if valid.all() else ~valid
     for name, target in out.items():
         np.copyto(target, stats[name])
@@ -245,20 +263,28 @@ def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
 
 
 def photon_stats(state: AmplitudeState) -> PhotonStats:
-    """Occupations and g2 of an amplitude state, exactly as defined."""
-    vec = state.as_vector()
-    if not np.all(np.isfinite(vec.view(float))):
-        raise ValueError("photon_stats requires finite amplitudes")
-    if float(np.sum(np.abs(vec) ** 2)) == 0.0:
+    """Occupations and g2 of an amplitude state, exactly as defined.
+
+    Raises NumericalFailure when an amplitude is not finite or an
+    occupation overflows.
+    """
+    # One-element arrays, so every operation is the one a grid does.
+    stats, finite = _stats(*state.as_vector()[:, None])
+    if not finite[0]:
+        raise NumericalFailure(
+            "photon statistics need finite occupations: an amplitude is not "
+            "finite or an occupation overflows"
+        )
+    s = {name: float(v[0]) for name, v in stats.items()}
+    if s["norm"] == 0.0:
         return PhotonStats(0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
-    s = stats_arrays(vec)
     return PhotonStats(
-        p1=float(s["p1"]),
-        p2=float(s["p2"]),
-        g2=float(s["g2"]),
-        n_cavity_paper=float(s["n_paper"]),
-        n_cavity_full=float(s["n_full"]),
-        norm=float(s["norm"]),
+        p1=s["p1"],
+        p2=s["p2"],
+        g2=s["g2"],
+        n_cavity_paper=s["n_paper"],
+        n_cavity_full=s["n_full"],
+        norm=s["norm"],
     )
 
 
@@ -268,7 +294,11 @@ def steady_stats(
     j: float | None = None,
     theta: float | None = None,
 ) -> PhotonStats:
-    """Convenience: derive the effective model and evaluate its steady stats."""
+    """Convenience: derive the effective model and evaluate its steady stats.
+
+    Raises a NumericalFailure (a SingularDenominator, or occupations that
+    are not finite) exactly where a sweep marks the one point ``valid = false``.
+    """
     eff = derive_effective(params, j=j, theta=theta)
     return photon_stats(analytic_amplitudes(eff, params.e_eg))
 

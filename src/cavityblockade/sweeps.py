@@ -70,6 +70,9 @@ class SweepAxis:
             )
         for bound in (self.minimum, self.maximum):
             _require_finite(f"axis {self.name}: bounds", bound)
+        # Python floats: a span that overflows is inf, without a warning.
+        span = float(self.maximum) - float(self.minimum)
+        _require_finite(f"axis {self.name}: span maximum - minimum", span)
         if self.count < 2:
             raise ConfigError(f"axis {self.name}: need at least 2 points")
 
@@ -131,11 +134,13 @@ class SweepResult:
     """The grids of one sweep, keyed by direction, each of ``spec.shape``.
 
     ``stats`` maps the five statistics of ``STAT_COLUMNS`` to arrays of
-    their own, and ``valid`` is one too.  ``j_used``, ``theta_used`` and
-    ``delta_c_opt`` are read-only views that broadcast the derived
-    couplings, or the optimizer's reduced grid, to the sweep grid; copy one
-    before writing to it.  ``delta_c_opt`` is None unless
-    ``spec.optimal_j_theta``.
+    their own, and ``valid`` is one too: a point is invalid where a
+    steady-state denominator is singular, an occupation is not finite, or
+    a joint solve has no root, and every statistic is NaN there.
+    ``j_used``, ``theta_used`` and ``delta_c_opt`` are read-only views that
+    broadcast the derived couplings, or the optimizer's reduced grid, to
+    the sweep grid; copy one before writing to it.  ``delta_c_opt`` is None
+    unless ``spec.optimal_j_theta``.
     """
 
     spec: SweepSpec
@@ -210,26 +215,6 @@ def _axis_overrides(spec: SweepSpec) -> dict[str, np.ndarray]:
     return {spec.axis1.name: v1[:, None], spec.axis2.name: v2[None, :]}
 
 
-def _solve_optimal_grid(
-    params: SystemParams, grid: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-    """Joint-optimal (J, theta) per grid point, solved over a grid without
-    delta_c (it drops out of a joint solve).  The arrays keep the shape of
-    that reduced grid; they broadcast against the sweep grid.  The last
-    item lists the regime conditions the reduced grid violates."""
-    from . import optimizer
-
-    consts, violated = _derive(params, grid)
-    j, theta, dc_opt, ok = optimizer.solve_optimal_arrays(
-        consts["e_eg"],
-        consts["omega"],
-        consts["g_shift"],
-        consts["delta_e"],
-        consts["kappa"],
-    )
-    return j, theta, dc_opt, ok, violated
-
-
 def _evaluate_direction(
     params: SystemParams, spec: SweepSpec, jobs: int | None
 ) -> tuple[
@@ -244,12 +229,17 @@ def _evaluate_direction(
     delta_c = grid.pop("delta_c", None)
 
     dc_opt = None
-    solver_ok = None
     violated = []
     if spec.optimal_j_theta:
-        j_arr, theta_arr, dc_opt, solver_ok, violated = _solve_optimal_grid(params, grid)
-        grid["J"] = j_arr
-        grid["theta"] = theta_arr
+        from . import optimizer
+
+        # The joint solve runs on the grid without delta_c, which drops out
+        # of it; its arrays broadcast against the sweep grid.  A column with
+        # no root has J = NaN, a point the evaluator marks invalid.
+        consts, violated = _derive(params, grid)
+        grid["J"], grid["theta"], dc_opt = optimizer.solve_optimal_arrays(
+            *(consts[key] for key in ("e_eg", "omega", "g_shift", "delta_e", "kappa"))
+        )
         if delta_c is None:
             # Without a detuning axis the natural operating point is the
             # per-point optimal detuning itself.
@@ -282,13 +272,11 @@ def _evaluate_direction(
             for a in inputs
         )
         m, n = _denominators(delta_c, kappa, g_shift, delta_e)
-        with np.errstate(invalid="ignore"):
-            # Blocks cover disjoint rows, so threads never write the same cell.
-            _, ok = steady_state._stats_from_parameters(
-                omega, m, n, delta_e, j, theta, e_eg,
-                out={name: whole[rows] for name, whole in stat_out.items()},
-            )
-        valid[rows] = ok
+        # Blocks cover disjoint rows, so threads never write the same cell.
+        _, valid[rows] = steady_state._stats_from_parameters(
+            omega, m, n, delta_e, j, theta, e_eg,
+            out={name: whole[rows] for name, whole in stat_out.items()},
+        )
 
     n_rows = spec.axis1.count
     points = math.prod(full_shape)
@@ -305,8 +293,6 @@ def _evaluate_direction(
     else:
         for rows in chunks:
             evaluate(rows)
-    if solver_ok is not None:
-        valid &= solver_ok
     return stat_out, valid, j_used, theta_used, dc_opt, violated
 
 

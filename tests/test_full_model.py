@@ -9,6 +9,7 @@ from cavityblockade import cli
 from cavityblockade import full_model as fm
 from cavityblockade import optimizer
 from cavityblockade import params as P
+from cavityblockade import steady_state
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::cavityblockade.params.RegimeWarning"
@@ -473,6 +474,17 @@ class TestValidation:
             report = fm.validate_effective(p)
         assert not report.passed
         assert report.g2_full > 10.0 * report.g2_effective
+
+    def test_no_effective_statistics_fails_before_the_full_model(self):
+        # e_he**2 overflows in delta_eg, which the full model reads; the
+        # effective model's J**2 overflows first, as in ``g2``.
+        p = dataclasses.replace(P.reference_params(), e_he=1e200)
+        with pytest.raises(steady_state.SingularDenominator, match="not finite"):
+            fm.validate_effective(p)
+        # Occupations that overflow fail the same way too.
+        p = dataclasses.replace(P.reference_params(), b_in=1e150)
+        with pytest.raises(P.NumericalFailure, match="finite occupations"):
+            fm.validate_effective(p)
 
     def test_argument_validation(self):
         p = P.reference_params()

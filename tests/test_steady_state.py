@@ -224,9 +224,23 @@ class TestSingularities:
             "steady-state denominator J^2 - M*delta_e is not finite (magnitude inf)"
         )
 
+    def test_overflowing_photon_number(self):
+        # At b_in = 3.1e77 the norm is 1.2e308, but n_full counts |c2g|^2
+        # twice and overflows: the point has no statistics on either path.
+        p = dataclasses.replace(P.reference_params(), b_in=3.1e77)
+        state = steady_state.analytic_amplitudes(P.derive_effective(p), p.e_eg)
+        assert math.isfinite(state.norm_squared())
+        with pytest.raises(P.NumericalFailure, match="finite occupations"):
+            steady_state.steady_stats(p)
+        result = detuning_sweep(p, -1.0, 1.0, 3)
+        assert result.values1[1] == p.delta_c
+        assert not result.valid[P.Direction.FORWARD][1]
+
     def test_array_path_masks_instead_of_raising(self):
         # The scalar path raises exactly where the grid marks a point
-        # invalid; elsewhere, on finite inputs, it gives the grid's finite
+        # invalid: a SingularDenominator where amplitude_arrays flags it, a
+        # NumericalFailure from photon_stats where only the occupations are
+        # not finite.  Elsewhere, on finite inputs, it gives the grid's finite
         # amplitudes.  The seeded grid holds boundary and non-finite points.
         hand_built = np.broadcast_arrays(
             0.01,
@@ -242,7 +256,8 @@ class TestSingularities:
             with np.errstate(all="ignore"):
                 c, valid = steady_state.amplitude_arrays(*args)
                 marked = steady_state._stats_from_parameters(*args)[1]
-            assert marked.tolist() == valid.tolist()
+                finite = np.isfinite(steady_state.stats_arrays(c)["norm"])
+            assert marked.tolist() == (valid & finite).tolist()
             for point in np.ndindex(valid.shape):
                 omega, m, n, delta_e, j, theta, e_eg = (a[point].item() for a in args)
                 eff = P.EffectiveParams(
@@ -254,7 +269,12 @@ class TestSingularities:
                         steady_state.analytic_amplitudes(eff, e_eg)
                     continue
                 with np.errstate(all="ignore"):
-                    vector = steady_state.analytic_amplitudes(eff, e_eg).as_vector()
+                    state = steady_state.analytic_amplitudes(eff, e_eg)
+                if not marked[point]:
+                    with pytest.raises(P.NumericalFailure, match="finite occupations"):
+                        steady_state.photon_stats(state)
+                    continue
+                vector = state.as_vector()
                 if all(math.isfinite(abs(a[point])) for a in args):
                     assert np.all(np.isfinite(vector.view(float)))
                     assert np.allclose(vector, c[point], rtol=1e-12, atol=0.0)
@@ -367,7 +387,9 @@ class TestFusedEvaluator:
             c, valid = steady_state.amplitude_arrays(*args)
             want = steady_state.stats_arrays(c)
             got, got_valid = steady_state._stats_from_parameters(*args)
-        assert got_valid.tolist() == valid.tolist()
+        # Where the denominators are regular, the occupations decide; the
+        # norm is NaN wherever they are not finite.
+        assert got_valid.tolist() == (valid & np.isfinite(want["norm"])).tolist()
         assert set(got) == set(want)
         for name in want:
             assert got[name].shape == want[name].shape, name
@@ -375,18 +397,20 @@ class TestFusedEvaluator:
             assert got[name].tobytes() == want[name].tobytes(), name
         # The grid really holds each kind of point.
         assert 40 <= (~valid).sum() < valid.size
-        finite = valid & np.isfinite(want["norm"])
-        assert np.isnan(want["g2"][finite]).any()
-        assert (want["g2"][finite] >= 0.0).any()
+        assert (valid & ~got_valid).any()
+        assert np.isnan(want["g2"][got_valid]).any()
+        assert (want["g2"][got_valid] >= 0.0).any()
         for name in want:
-            assert np.isnan(got[name][~valid]).all(), name
+            assert np.isnan(got[name][~got_valid]).all(), name
 
 
 def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
     """The evaluator as it was before it stopped broadcasting up front:
     every input expanded to the full grid first, then the same operations,
     and each statistic masked by one ``np.where``.  A denominator that is
-    not finite is singular, as it is in the evaluator."""
+    not finite is singular, and a point whose norm or photon number is not
+    finite is invalid, as they are in the evaluator.  Returns the statistics,
+    ``valid``, the two denominators and where they are regular."""
     omega, m, n, delta_e, j, theta, e_eg = np.broadcast_arrays(
         np.asarray(omega, dtype=float),
         np.asarray(m, dtype=complex),
@@ -400,14 +424,14 @@ def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
     phase_plus = np.conj(phase_minus)
     d1 = j**2 - m * delta_e
     d2 = j**2 - m * n
-    valid = (
+    regular = (
         np.isfinite(d1)
         & np.isfinite(d2)
         & (np.abs(d1) > steady_state.SINGULAR_TOL)
         & (np.abs(d2) > steady_state.SINGULAR_TOL)
     )
-    safe1 = np.where(valid, d1, 1.0)
-    safe2 = np.where(valid, d2, 1.0)
+    safe1 = np.where(regular, d1, 1.0)
+    safe2 = np.where(regular, d2, 1.0)
     c1g = (e_eg * j * phase_minus + omega * delta_e) / safe1
     c0e = (e_eg * m + omega * j * phase_plus) / safe1
     c2g = (
@@ -434,7 +458,9 @@ def full_broadcast_stats(omega, m, n, delta_e, j, theta, e_eg):
         "n_full": p1g + p1e + 2.0 * p2g,
         "norm": norm,
     }
-    return {k: np.where(valid, v, np.nan) for k, v in stats.items()}, valid, d1, d2
+    valid = regular & np.isfinite(norm) & np.isfinite(stats["n_full"])
+    masked = {k: np.where(valid, v, np.nan) for k, v in stats.items()}
+    return masked, valid, d1, d2, regular
 
 
 #: Shapes of the seven inputs (omega, m, n, delta_e, j, theta, e_eg) on an
@@ -493,11 +519,13 @@ class TestMixedShapeEvaluator:
     def test_bit_identical_to_full_broadcast(self, seed, layout):
         args = mixed_case(seed, layout)
         with np.errstate(all="ignore"):
-            want, valid, d1, d2 = full_broadcast_stats(*args)
+            want, valid, _, _, regular = full_broadcast_stats(*args)
             got, got_valid = steady_state._stats_from_parameters(*args)
             c, amp_valid = steady_state.amplitude_arrays(*args)
         assert got_valid.shape == valid.shape == c.shape[:-1]
-        assert got_valid.tolist() == valid.tolist() == amp_valid.tolist()
+        assert got_valid.tolist() == valid.tolist()
+        # amplitude_arrays flags the denominators only.
+        assert amp_valid.tolist() == regular.tolist()
         for name in want:
             assert got[name].shape == want[name].shape, name
             # Bits, NaN payloads and signed zeros included.
@@ -509,7 +537,7 @@ class TestMixedShapeEvaluator:
             for seed in (21, 22):
                 args = mixed_case(seed, layout)
                 with np.errstate(all="ignore"):
-                    want, valid, d1, d2 = full_broadcast_stats(*args)
+                    want, valid, d1, d2, regular = full_broadcast_stats(*args)
                     occupation = want["p1"] + 2.0 * want["p2"]
                 tol = steady_state.SINGULAR_TOL
                 kinds |= {
@@ -519,7 +547,7 @@ class TestMixedShapeEvaluator:
                         ("d2", ((np.abs(d2) <= tol) & (np.abs(d1) > tol)).any()),
                         ("floor", (valid & (occupation < steady_state.G2_OCCUPATION_FLOOR)).any()),
                         ("g2", (valid & np.isfinite(want["g2"])).any()),
-                        ("nonfinite", (valid & ~np.isfinite(want["norm"])).any()),
+                        ("nonfinite", (regular & ~valid).any()),
                     ]
                     if hit
                 }

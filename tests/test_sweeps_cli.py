@@ -129,6 +129,12 @@ class TestSweepAxis:
         with pytest.raises(ConfigError, match="bounds must be finite"):
             sweeps.SweepAxis("delta_c", *bounds, 5)
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (np.float64(-1e308), 1e308)])
+    def test_overflowing_span(self, bounds):
+        # linspace would warn and fill the axis with NaN.
+        with pytest.raises(ConfigError, match="span maximum - minimum must be finite"):
+            sweeps.SweepAxis("delta_c", *bounds, 3)
+
 
 class TestSweepSpec:
     def axis(self, name="delta_c"):
@@ -197,6 +203,40 @@ class TestRunSweep:
         result = sweeps.run_sweep(spec, reference_params())
         for direction in spec.directions:
             assert tuple(result.stats[direction]) == sweeps.STAT_COLUMNS
+
+    @pytest.mark.parametrize(
+        "axis1, axis2, overrides, optimal",
+        [
+            (("delta_e", -1.0, 1.0, 5), None, {}, True),
+            (("delta_e", -1.0, 1.0, 5), ("delta_c", -2.0, 2.0, 4), {}, True),
+            (("b_in", 0.01, 1e150, 4), None, {}, False),
+            (("e_eg", 0.0, 1e200, 3), ("J", -1.0, 1.0, 3), {}, False),
+            (("delta_e", -1.0, 1.0, 3), ("J", -1.0, 1.0, 3), {"theta": 0.2}, False),
+        ],
+        ids=["joint", "joint-2d", "overflowing-drive", "overflowing-microwave", "singular"],
+    )
+    def test_every_statistic_is_nan_where_invalid(self, axis1, axis2, overrides, optimal):
+        # The evaluator's NaN is the only mask: a joint solve without a root
+        # at delta_e = 0, occupations that overflow, and J = 0 = delta_e.
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis(*axis1),
+            axis2=None if axis2 is None else sweeps.SweepAxis(*axis2),
+            overrides=overrides,
+            optimal_j_theta=optimal,
+        )
+        result = sweeps.run_sweep(spec, reference_params())
+        for direction in spec.directions:
+            valid = result.valid[direction]
+            assert valid.shape == spec.shape
+            assert valid.any() and not valid.all()
+            for name in sweeps.STAT_COLUMNS:
+                assert np.isnan(result.stats[direction][name][~valid]).all(), name
+            if optimal:
+                # Exactly the delta_e = 0 row has no root.
+                no_root = np.isnan(result.j_used[direction])
+                rows = no_root.reshape(len(result.values1), -1).any(axis=1)
+                assert rows.tolist() == (result.values1 == 0.0).tolist()
+                assert (~valid)[no_root].all()
 
     def test_overflowing_coupling_marks_points_invalid(self):
         # J**2 overflows: every point is singular, as the scalar path says.
@@ -1030,9 +1070,30 @@ class TestScalarPathEqualsGridPath:
 
     SAMPLE = [random_params(np.random.default_rng(1000 + i)) for i in range(200)]
 
+    #: Draws of SAMPLE moved to the edges of the steady state, each with its
+    #: J: J = 0 = delta_e (a singular first denominator), J**2 overflowing,
+    #: occupations that overflow from the cavity or the microwave drive,
+    #: amplitudes that overflow outright, a drive just short of
+    #: overflowing, and no drive at all (g2 below the occupation floor).
+    EDGES = [
+        (dataclasses.replace(params, **fields), {"j": j})
+        for (params, _), (fields, j) in zip(
+            SAMPLE,
+            [
+                ({"delta_e": 0.0}, 0.0),
+                ({}, 1e200),
+                ({"b_in": 1e150}, 0.5),
+                ({"e_eg": 1e200}, 0.5),
+                ({"b_in": 1e200}, 0.5),
+                ({"b_in": 1e60}, 0.5),
+                ({"b_in": 0.0, "e_eg": 0.0}, 0.5),
+            ],
+        )
+    ]
+
     def test_same_numbers_and_conditions(self):
         conditions = []
-        for params, couplings in self.SAMPLE:
+        for params, couplings in self.SAMPLE + self.EDGES:
             eff, scalar = recording(lambda: derive_effective(params, **couplings))
             expected = conditions_by_definition(params, couplings.get("j"))
             assert regime_conditions(scalar) == expected, (params, couplings)
@@ -1064,18 +1125,37 @@ class TestScalarPathEqualsGridPath:
         # derive_effective wraps theta into (-pi, pi] and the grid path does
         # not, so only inside that interval are the two g2 values pinned
         # bit for bit.  With theta given, phi_eg enters nothing, so the
-        # first point of a phi_eg axis is the one point.
+        # first point of a phi_eg axis is the one point.  steady_stats
+        # raises exactly where that cell is invalid, and gives every
+        # statistic of the cell, bit for bit, everywhere else.
         rng = np.random.default_rng(2500)
-        for params, _ in self.SAMPLE:
-            j, theta = float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-math.pi, math.pi))
-            point = steady_state.steady_stats(params, j=j, theta=theta).g2
+        points = [
+            (params, float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-math.pi, math.pi)))
+            for params, _ in self.SAMPLE
+        ]
+        points += [(params, couplings["j"], 0.3) for params, couplings in self.EDGES]
+        valid = []
+        for params, j, theta in points:
             spec = sweeps.SweepSpec(
                 axis1=sweeps.SweepAxis("phi_eg", 0.0, 1e-3, 2),
                 overrides={"J": j, "theta": theta},
                 directions=(params.direction,),
             )
-            grid = sweeps.run_sweep(spec, params).stats[params.direction]["g2"][0]
-            assert bits(point) == bits(grid), (params, j, theta)
+            result = sweeps.run_sweep(spec, params)
+            valid.append(bool(result.valid[params.direction][0]))
+            if not valid[-1]:
+                with pytest.raises(NumericalFailure):
+                    steady_state.steady_stats(params, j=j, theta=theta)
+                continue
+            point = steady_state.steady_stats(params, j=j, theta=theta)
+            for name, value in zip(
+                sweeps.STAT_COLUMNS,
+                (point.p1, point.p2, point.g2, point.n_cavity_paper, point.n_cavity_full),
+            ):
+                grid = result.stats[params.direction][name][0]
+                assert bits(value) == bits(grid), (params, j, theta, name)
+        # Every random draw is valid; the edges hold five invalid points.
+        assert valid == [True] * len(self.SAMPLE) + [False] * 5 + [True] * 2
 
     def test_sample_reaches_the_edge_cases(self):
         params = [p for p, _ in self.SAMPLE]
@@ -1341,6 +1421,9 @@ class TestCliSubprocess:
         # output that the program does not flush before it ends is lost.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        # A RuntimeWarning that a verb leaks fails the run, as it does in
+        # the suite's own process.
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
         return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
     def run(self, *args: str):
@@ -1353,11 +1436,12 @@ class TestCliSubprocess:
             (["optimize", "--e-eg", "0"], 2),
             (["sweep", "--axis1", "delta_c,0,1"], 1),
             (["figure", "fig2b"], 0),
+            (["sweep", "--axis1", "delta_c,-1e308,1e308,3"], 1),
         ],
-        ids=["g2", "optimize-no-root", "bad-axis", "figure-fig2b"],
+        ids=["g2", "optimize-no-root", "bad-axis", "figure-fig2b", "overflowing-span"],
     )
     def test_program_output_equals_in_process(self, tmp_path, capsys, argv, code):
-        if argv[0] == "figure":
+        if argv[0] in ("figure", "sweep"):
             argv = [*argv, "--out", str(tmp_path)]
         proc = self.run(*argv)
         assert (proc.stdout, proc.stderr, proc.returncode) == in_process(argv, capsys)
@@ -1374,6 +1458,40 @@ class TestCliSubprocess:
             "numerical failure: steady-state denominator J^2 - M*delta_e "
             "is not finite (magnitude inf)",
         ]
+        # Occupations that overflow, from either drive, and a J whose square
+        # overflows while the full model's delta_eg would raise: each exits
+        # 2 with the one line the scalar path gives, and no numpy warning.
+        singular = proc.stderr.splitlines()[-1]
+        overflow = (
+            "numerical failure: photon statistics need finite occupations: "
+            "an amplitude is not finite or an occupation overflows"
+        )
+        for argv, failure in [
+            (["g2", "--b-in", "1e150"], overflow),
+            (["g2", "--e-eg", "1e200"], overflow),
+            (["g2", "--b-in", "1e200"], overflow),
+            (["validate-full", "--b-in", "1e150"], overflow),
+            (["validate-full", "--e-he", "1e200"], singular),
+            (
+                ["nonreciprocal", "--b-in", "1e150"],
+                "numerical failure: the (J, theta) scan produced no valid points",
+            ),
+        ]:
+            proc = self.run(*argv)
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            *warned, last = proc.stderr.splitlines()
+            assert last == failure, argv
+            assert all(line.startswith("RegimeWarning: ") for line in warned), argv
+
+    def test_overflowing_sweep_points_are_invalid_rows(self, tmp_path):
+        proc = self.run(
+            "sweep", "--axis1", "delta_c,-1,1,3", "--b-in", "1e150", "--out", str(tmp_path)
+        )
+        assert proc.returncode == 0
+        assert all(line.startswith("RegimeWarning: ") for line in proc.stderr.splitlines())
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[4:]
+        assert len(rows) == 6
+        assert all(row.endswith(",,,,,,false") for row in rows)
 
     def test_closed_stdout_exits_as_before(self):
         # Started with stdout closed, sys.stdout is None: the flush is
