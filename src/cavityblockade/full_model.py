@@ -2,36 +2,42 @@
 
 The model is built straight from the rotating-frame detunings of
 ``SystemParams``: delta_c, delta_p, the bare delta_eg and the upper-leg
-delta_he (Raman resonant unless set), with no lab frequencies.  Its
-Hamiltonian keeps two explicitly time-dependent phases, e^{-i delta_p t} on
-the cavity-atom coupling and e^{+i (delta_he + delta_eg) t} on the
-|h> <-> |e> drive.  Cavity loss enters as -i kappa/2 per photon;
-spontaneous emission of |h> is excluded, consistent with the
-large-detuning regime where |h> is barely populated.
+delta_he (Raman resonant unless set), with no lab frequencies.  It is
+written in the frame that rephases every |h> state by delta_p, where only
+the |h> <-> |e> drive rotates, at the beat omega = delta_he + delta_eg -
+delta_p:
 
-Rephasing every |h> state by delta_p, x(t) = U(t) y(t) with U(t) =
-e^{i delta_p t} on |h> and 1 elsewhere, removes the first phase: y obeys
-i dy/dt = H'(t) y with H'(t) = U^dagger H(t) U + delta_p on the |h>
-diagonal, in which only the drive still rotates, at omega = delta_he +
-delta_eg - delta_p.  U moves no population, so ``FullModel.steady_mode``
-solves for the long-time state of y directly:
+    H'(t) = H0 + e^{i omega t} A + e^{-i omega t} A^dagger,
+    H0 = (delta_c - i kappa/2) a^dag a + delta_eg s_ee + delta_p s_hh
+         + (E_eg e^{i phi_eg} s_eg + h.c.) + (Omega a^dag + h.c.)
+         + g (a^dag s_gh + h.c.),
+    A = E_he e^{i phi_he} s_he,
+
+with s_ij = |i><j| on the atom and Omega = sqrt(kappa_in) b_in e^{i phi_p}.
+Cavity loss enters as -i kappa/2 per photon; spontaneous emission of |h> is
+excluded, consistent with the large-detuning regime where |h> is barely
+populated.  The lab frame, where the coupling keeps its phase
+e^{-i delta_p t}, follows as H(t) = U(t) (H'(t) - delta_p P_h) U(t)^dagger
+with U(t) = e^{i delta_p t} on every |h> state and 1 elsewhere: x = U y
+maps solutions of H' onto those of H.  U moves no population, so
+``FullModel.steady_mode`` solves for the long-time state of y directly:
 
 - Raman resonant, omega = 0 (the default of ``SystemParams``): H' =
-  H(0) + delta_p P_h is static, and the long-time state is its eigenvector
+  H0 + A + A^dagger is static, and the long-time state is its eigenvector
   whose eigenvalue has the largest imaginary part.
 - Otherwise H' has the period T = 2 pi/|omega|, and the long-time state is
   the Floquet mode of largest growth rate (Shirley, Phys. Rev. 138, B979
-  (1965)).  With H'(t) = H0 + e^{i omega t} A + e^{-i omega t} A^dagger,
-  A the |h> <- |e> drive and H0 the rest, a mode y(t) = e^{-i eps t}
-  sum_m phi_m e^{i m omega t} solves eps phi_m = (H0 + m omega) phi_m +
-  A phi_{m-1} + A^dagger phi_{m+1}: an eigenproblem of the block-tridiagonal
-  Fourier matrix K over the harmonics |m| <= H, grown until the mode's
-  weight on the outermost ones is negligible.  No time step is involved.
+  (1965)).  A mode y(t) = e^{-i eps t} sum_m phi_m e^{i m omega t} solves
+  eps phi_m = (H0 + m omega) phi_m + A phi_{m-1} + A^dagger phi_{m+1}: an
+  eigenproblem of the block-tridiagonal Fourier matrix K over the
+  harmonics |m| <= H, grown until the mode's weight on the outermost ones
+  is negligible.  No time step is involved.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -62,18 +68,33 @@ def state_index(n: int, level: str) -> int:
     return 3 * n + LEVELS.index(level)
 
 
-class FullModel:
-    """Dense time-dependent generator for the truncated three-level model.
+@functools.lru_cache(maxsize=None)
+def _operators(n_max: int) -> tuple[np.ndarray, ...]:
+    """a^dag, a^dag a, s_ee, s_hh, s_eg, s_he and a^dag s_gh on the
+    ``state_index`` basis |n> (x) |level>, read-only."""
+    g, e, h = atom = np.eye(3)  # the LEVELS
+    photons = np.eye(n_max + 1)
+    create = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), -1)
+    ops = (
+        np.kron(create, atom),
+        np.kron(np.diag(np.arange(n_max + 1.0)), atom),
+        *(np.kron(photons, np.outer(*ij)) for ij in [(e, e), (h, h), (e, g), (h, e)]),
+        np.kron(create, np.outer(g, h)),
+    )
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
-    Built straight from the detunings of ``params``: delta_c, delta_p,
-    ``params.delta_eg`` and ``params.delta_he_effective``, with the cavity
-    drive Omega = sqrt(kappa_in) b_in.  The matrix splits into a static part
-    (detunings, decay, cavity drive, microwave) plus two rotating blocks
-    whose phases are the only time dependence; ``hamiltonian`` reassembles
-    the sum at any t.  ``raman_resonant`` records whether the beat vanishes,
-    |delta_he + delta_eg - delta_p| <= RAMAN_TOL * max(1, |delta_p|,
-    |delta_he|, |delta_eg|); then the rephased H' is static (see the module
-    docstring).
+
+class FullModel:
+    """The truncated three-level model, held as the parts H0 and A of H'(t)
+    (module docstring), from the detunings of ``params``: delta_c, delta_p,
+    ``params.delta_eg`` and ``params.delta_he_effective``.
+
+    ``hamiltonian`` forms H'(t), or the lab-frame H(t) derived from it, and
+    ``run`` integrates H(t).  ``beat`` is omega, and ``raman_resonant``
+    records whether it vanishes, |omega| <= RAMAN_TOL * max(1, |delta_p|,
+    |delta_he|, |delta_eg|); then H' is static.
     """
 
     def __init__(self, params: SystemParams, n_max: int = 2) -> None:
@@ -81,70 +102,46 @@ class FullModel:
             raise ValueError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
         self.params = params
         self.n_max = n_max
-        self.dim = dim = 3 * (n_max + 1)
+        self.dim = 3 * (n_max + 1)
         delta_eg = params.delta_eg
         delta_he = params.delta_he_effective
 
-        static = np.zeros((dim, dim), dtype=complex)
-        cavity_block = np.zeros((dim, dim), dtype=complex)
-        atom_block = np.zeros((dim, dim), dtype=complex)
-
-        half_loss = 0.5j * params.kappa
-        drive = math.sqrt(params.kappa_in) * params.b_in * cmath.exp(1j * params.phi_p)
+        create, number, s_ee, s_hh, s_eg, s_he, create_gh = _operators(n_max)
         microwave = params.e_eg * cmath.exp(1j * params.phi_eg)
+        drive = math.sqrt(params.kappa_in) * params.b_in * cmath.exp(1j * params.phi_p)
+        self._h0 = (
+            (params.delta_c - 0.5j * params.kappa) * number
+            + delta_eg * s_ee
+            + params.delta_p * s_hh
+            + microwave * s_eg
+            + microwave.conjugate() * s_eg.T
+            + drive * create
+            + drive.conjugate() * create.T
+            + params.g * (create_gh + create_gh.T)
+        )
+        # A = E_he e^{i phi_he} s_he placed, so its zeros are +0: signs move ties.
         pump = params.e_he * cmath.exp(1j * params.phi_he)
-
-        for n in range(n_max + 1):
-            for level in LEVELS:
-                k = state_index(n, level)
-                static[k, k] = params.delta_c * n - half_loss * n
-                if level == "e":
-                    static[k, k] += delta_eg
-            # microwave E_eg |e><g| + h.c., photon-number diagonal
-            static[state_index(n, "e"), state_index(n, "g")] += microwave
-            static[state_index(n, "g"), state_index(n, "e")] += microwave.conjugate()
-            # |h><e| drive, rotating at delta_he + delta_eg
-            atom_block[state_index(n, "h"), state_index(n, "e")] = pump
-            if n < n_max:
-                # cavity drive Omega a^dag + h.c.
-                root = math.sqrt(n + 1)
-                for level in LEVELS:
-                    hi = state_index(n + 1, level)
-                    lo = state_index(n, level)
-                    static[hi, lo] += drive * root
-                    static[lo, hi] += drive.conjugate() * root
-                # g a^dag |g><h|, rotating at -delta_p
-                cavity_block[state_index(n + 1, "g"), state_index(n, "h")] = (
-                    params.g * root
-                )
-
-        self._static = static
-        self._cavity = cavity_block
-        self._atom = atom_block
-        # H0 of the |h>-rephased frame, where the cavity coupling is static.
-        p_h = np.diag(np.tile(np.array(LEVELS) == "h", n_max + 1).astype(float))
-        self._h0 = static + params.delta_p * p_h + cavity_block + cavity_block.conj().T
-        self.delta2 = delta_he + delta_eg
+        self._drive = np.where(s_he != 0.0, pump, 0j)
+        self.beat = delta_he + delta_eg - params.delta_p
         scale = max(1.0, abs(params.delta_p), abs(delta_he), abs(delta_eg))
-        self.raman_resonant = abs(self.delta2 - params.delta_p) <= RAMAN_TOL * scale
+        self.raman_resonant = abs(self.beat) <= RAMAN_TOL * scale
 
     def hamiltonian(self, t: float, frame: bool = False) -> np.ndarray:
-        """Non-Hermitian H(t) including the -i kappa/2 photon decay; with
-        ``frame``, H'(t) of the |h>-rephased frame."""
+        """Non-Hermitian lab-frame H(t) including the -i kappa/2 photon
+        decay; with ``frame``, H'(t) of the |h>-rephased frame."""
         return self._hamiltonians(np.array([t], dtype=float), frame)[0]
 
     def _hamiltonians(self, times: np.ndarray, frame: bool = False) -> np.ndarray:
         """``hamiltonian`` for a vector of times, shape (T, dim, dim)."""
-        delta_p = self.params.delta_p
+        phase = np.exp(1j * self.beat * times)[:, None, None]
+        out = self._h0 + phase * self._drive + np.conj(phase) * self._drive.conj().T
         if frame:
-            out, rotating = self._h0[None], [(self._atom, self.delta2 - delta_p)]
-        else:
-            out = self._static[None]
-            rotating = [(self._cavity, -delta_p), (self._atom, self.delta2)]
-        for block, rate in rotating:
-            phase = np.exp(1j * rate * times)[:, None, None]
-            out = out + phase * block[None] + np.conj(phase) * block.conj().T[None]
-        return out
+            return out
+        # H(t) = U (H'(t) - delta_p P_h) U^dagger, U = e^{i delta_p t} on |h>.
+        delta_p = self.params.delta_p
+        _, _, _, s_hh, *_ = _operators(self.n_max)
+        u = np.exp(1j * delta_p * np.multiply.outer(times, s_hh.diagonal()))
+        return u[:, :, None] * (out - delta_p * s_hh) * u[:, None, :].conj()
 
     def run(
         self,
@@ -222,9 +219,9 @@ class FullModel:
         """
         h0, omega, harmonics = self._h0, 0.0, 0
         if self.raman_resonant:
-            h0 = h0 + self._atom + self._atom.conj().T
+            h0 = h0 + self._drive + self._drive.conj().T
         else:
-            omega = self.delta2 - self.params.delta_p
+            omega = self.beat
             period = TAU / abs(omega)
             if period > 100.0 / self.params.kappa:
                 raise ValueError(
@@ -237,8 +234,8 @@ class FullModel:
             i = np.arange(m.size)
             k = np.zeros((m.size, self.dim, m.size, self.dim), dtype=complex)
             k[i, :, i, :] = h0 + (m * omega)[:, None, None] * np.eye(self.dim)
-            k[i[1:], :, i[:-1], :] = self._atom
-            k[i[:-1], :, i[1:], :] = self._atom.conj().T
+            k[i[1:], :, i[:-1], :] = self._drive
+            k[i[:-1], :, i[1:], :] = self._drive.conj().T
             lam, vec = np.linalg.eig(k.reshape(m.size * self.dim, -1))
             # Unit eigenvectors: column j of weight is mode j's share per harmonic.
             weight = (np.abs(vec) ** 2).reshape(m.size, self.dim, -1).sum(axis=1)
@@ -268,11 +265,8 @@ def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
 def photon_occupations(states: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
     """Normalized P_n(t) summed over atomic levels, keyed by photon number."""
     prob = np.abs(states) ** 2
-    norm = prob.sum(axis=-1)
-    out = {}
-    for n in range(n_max + 1):
-        out[n] = prob[..., 3 * n : 3 * n + 3].sum(axis=-1) / norm
-    return out
+    per_n = prob.reshape(prob.shape[:-1] + (n_max + 1, 3)).sum(axis=-1)
+    return dict(enumerate(np.moveaxis(per_n / prob.sum(axis=-1)[..., None], -1, 0)))
 
 
 @dataclass(frozen=True)

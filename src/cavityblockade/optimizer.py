@@ -141,16 +141,17 @@ def _positive_zeros(coef: np.ndarray) -> np.ndarray:
 
 def _cancellation_roots(
     e, omega, g_shift, delta_e, kappa, delta_c=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Every canonical real cancellation root of each column.
 
     Takes 1-D arrays of the system constants, with ``delta_c`` the fixed
     cavity detuning of each column or None for a joint solve, and returns
-    (J, theta, delta_c_opt, |c2g|), each of shape (K, 15).  A row lists its
-    column's roots in selection order (smallest |J| first, then theta
-    closest to 0, positive theta first) and is NaN after the last one.
-    Columns with the microwave drive off, or with delta_e = 0 on a joint
-    solve, have no roots.
+    (J, theta, delta_c_opt, |c2g|), each of shape (K, 15), and ``overflow``
+    of shape (K,).  A row lists its column's roots in selection order
+    (smallest |J| first, then theta closest to 0, positive theta first) and
+    is NaN after the last one.  Columns with the microwave drive off, or
+    with delta_e = 0 on a joint solve, have no roots; so do the columns
+    whose resultant is not finite, which ``overflow`` marks.
     """
     fix_delta_c = delta_c is not None
     e, omega, g_shift, delta_e, kappa = (
@@ -175,7 +176,8 @@ def _cancellation_roots(
         resultant = np.zeros((e.shape[0], 6))
         resultant[:, :5] = _poly_mul(d, d)
         resultant[:, 1:] -= _poly_mul(u, u.conj()).real
-    solvable = (e[:, 0] != 0.0) & np.all(np.isfinite(resultant), axis=1)
+    overflow = ~np.all(np.isfinite(resultant), axis=1)
+    solvable = (e[:, 0] != 0.0) & ~overflow
     s = np.full((e.shape[0], 5), np.nan)
     s[solvable] = _positive_zeros(resultant[solvable])
 
@@ -213,7 +215,7 @@ def _cancellation_roots(
     return tuple(
         np.where(root, np.take_along_axis(x, order, axis=1), np.nan)
         for x in (jj, theta, dc, residual)
-    )
+    ) + (overflow,)
 
 
 def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalPoint]:
@@ -223,7 +225,8 @@ def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalP
     otherwise it follows each root as delta_c = G + J^2/delta_e.  Roots are
     canonical (theta in [-pi/2, pi/2], the equivalent (-J, theta + pi) folded
     onto it) and sorted by the selection rule: smallest |J| first, ties
-    broken by theta closest to zero.
+    broken by theta closest to zero.  Raises NumericalFailure where the
+    drives are so strong that the resultant overflows.
     """
     if params.e_eg == 0.0:
         raise NoRealSolution(
@@ -237,13 +240,19 @@ def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalP
             "for delta_e = 0"
         )
     c, _ = _derive(params, {})
-    j, theta, dc, residual = (
+    j, theta, dc, residual, overflow = (
         row[0]
         for row in _cancellation_roots(
             *([c[k]] for k in ("e_eg", "omega", "g_shift", "delta_e", "kappa")),
             [c["delta_c"]] if fix_delta_c else None,
         )
     )
+    if overflow:
+        raise NumericalFailure(
+            f"the degree-{8 if fix_delta_c else 10} resultant of the cancellation "
+            "condition overflows at these drive strengths, so its real roots "
+            "cannot be computed"
+        )
     return [
         OptimalPoint(
             J=float(j[i]),
@@ -278,14 +287,14 @@ def solve_optimal_arrays(
     at once with the cavity detuning free (a joint solve), and applies the
     selection rule of :func:`solve_optimal`.  Returns (J, theta,
     delta_c_opt), NaN in columns without a real root (microwave off,
-    delta_e = 0, or none exists).  :func:`find_roots` solves at a fixed
-    cavity detuning.
+    delta_e = 0, a resultant that overflows, or none exists).
+    :func:`find_roots` solves at a fixed cavity detuning.
     """
     consts = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa))
     )
     shape = consts[0].shape
-    j, theta, dc, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
+    j, theta, dc, _, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
     # Copies of the first column, so the results do not keep the (K, 15)
     # root tables alive.
     return tuple(x[:, 0].copy().reshape(shape) for x in (j, theta, dc))

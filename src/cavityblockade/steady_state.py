@@ -158,12 +158,12 @@ def amplitude_arrays(
     """Steady amplitudes for broadcastable parameter arrays.
 
     Returns ``(c, valid)`` where c has shape (*S, 5) ordered as
-    :class:`AmplitudeState` and valid flags points whose denominators are
-    safely away from zero.  Invalid points carry NaN amplitudes.  A valid
-    point whose occupations are not finite has NaN statistics in
-    :func:`stats_arrays`, and is invalid in a sweep.
+    :class:`AmplitudeState`.  ``valid`` is the rule of the sweeps: the
+    denominators are regular and the occupations finite.  Invalid points
+    carry NaN amplitudes.
     """
-    c1g, c0e, c2g, c1e, valid = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    c1g, c0e, c2g, c1e, regular = _amplitudes(omega, m, n, delta_e, j, theta, e_eg)
+    valid = regular & _stats(1.0, c1g, c0e, c2g, c1e)[1]
     c = np.stack(
         [np.ones_like(c1g), c1g, c0e, c2g, c1e],
         axis=-1,
@@ -249,8 +249,9 @@ def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
     """Closed-form steady state with c0g = 1.
 
     Raises SingularDenominator when J**2 - M*delta_e or J**2 - M*N is
-    within SINGULAR_TOL of zero, exactly where :func:`amplitude_arrays`
-    flags the point invalid.
+    within SINGULAR_TOL of zero, and the NumericalFailure of
+    :func:`photon_stats` when an occupation is not finite: exactly where
+    :func:`amplitude_arrays` flags the point invalid.
     """
     inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
     c1g, c0e, c2g, c1e, valid = (a.item() for a in _amplitudes(*inputs))
@@ -259,7 +260,9 @@ def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
         dens, oks = _amplitude_denominators(m, eff.N, eff.delta_e, j)
         which = next(name for name, ok in zip(dens, oks) if not ok)
         raise SingularDenominator(which, float(np.abs(dens[which])))
-    return AmplitudeState(c0g=1 + 0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=math.inf)
+    state = AmplitudeState(c0g=1 + 0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=math.inf)
+    photon_stats(state)
+    return state
 
 
 def photon_stats(state: AmplitudeState) -> PhotonStats:
@@ -275,17 +278,10 @@ def photon_stats(state: AmplitudeState) -> PhotonStats:
             "photon statistics need finite occupations: an amplitude is not "
             "finite or an occupation overflows"
         )
-    s = {name: float(v[0]) for name, v in stats.items()}
-    if s["norm"] == 0.0:
+    if stats["norm"][0] == 0.0:
         return PhotonStats(0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
-    return PhotonStats(
-        p1=s["p1"],
-        p2=s["p2"],
-        g2=s["g2"],
-        n_cavity_paper=s["n_paper"],
-        n_cavity_full=s["n_full"],
-        norm=s["norm"],
-    )
+    # The fields of PhotonStats are the statistics, in their order.
+    return PhotonStats(*(float(stats[name][0]) for name in _STAT_NAMES))
 
 
 def steady_stats(

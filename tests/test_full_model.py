@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -226,6 +227,77 @@ class TestModelStructure:
             fm.FullModel(bare_params(), n_max=0)
         assert fm.FullModel(bare_params(), n_max=1).dim == 6
         assert fm.FullModel(bare_params(), n_max=4).dim == 15
+
+
+class TestBitPins:
+    """sha256 of H'(t) and of ``steady_mode``'s states and gap at seeded
+    points: for each n_max from 1 to 4, a Raman-resonant draw, two draws 3
+    and -20 off resonance and an undriven point.  The digests were recorded
+    before H' was assembled as its operator sum; they pin every entry and
+    its order."""
+
+    PINS = [
+        ("3fe384229ab0948e4465638488fd82dbec848d0310018b1dd90ff2777c182b58",
+         "f25f3e29f2c1ea798b55fc0bbab611f403884b3fa1a059559839d3db1f707540"),
+        ("2a812835f1b690f22194d0e251857a2330dcc4dca2bc0a1fea3568e57542a5ef",
+         "e76fa20f5a8d2a77ffc36dda29c359c52b3443eddecde83b827c92a5fa628db6"),
+        ("3c25b0e5a0794f397baff6132016d3bc4739647845b2496b9affcba43d8f9ea3",
+         "5289cd77a6b93937f605d6c7f953e8b5d9e5701ebd7975cec4ca84ceb0520705"),
+        ("9a709b5642ee5700db8b563e3476c18e6d2d3f95eb7e24b3947447a6d4acb91e",
+         "0a3fe174a79be254805c092047df0d6a7845c80786fcb847e21db0088337646e"),
+        ("a662b4c4590780213ac78bfcee2ac486b3d1cdaab05f2f687d338d8a4dd65799",
+         "4ad3d6e0dabb7fafc609e082ec6b54733d8ac88287e37c24ca51aa883b203d07"),
+        ("bf665434fd63f6421b847f1e9516e3c83263700b91e7fddc4c93b359a1090b4f",
+         "93b8c885ae54261924d926a45fe2dcf15b43d4086dbcc2f682255cb7d6c90180"),
+        ("0f32cab490e4916207644e9aee1c704acbe469625ad5038115ae29d0aa298ea5",
+         "b3b7cd837007fbb23a1a638620213f1dda122cd2740f15450c4b8460688148b5"),
+        ("9e276fc3337ef5256eebb55a09769525ea136ccddd307ab26921064d5f6a80ab",
+         "129c3ade5e093069c8fab8818e7ea805384a5f5ada78e0f6fbb2c275da4af4d3"),
+        ("63c4fd589e7962b4983b7b56767edf2199c21c6345e894938ed62091b8cfb785",
+         "50f83abfaf1c8c87c45d309ef869852243cbcdc98c43bda1871ffe4dc20cf14a"),
+        ("749948aa3292916596b84c49c9bcf5a55c583eedf42d16a60054ae8f93d3a45b",
+         "4889ea8cc20ace984e1984eb408028dcfa6d1d31b2ac3019e0e7417878da92b7"),
+        ("93e8100b0943a3c7446627d5d0c2b04c91fac86e1b29f853983746772a707ac5",
+         "5b3229b5af1e6044d4fcfd51816e1a88d8bce04ddb680b67c4951484adf5469e"),
+        ("4d811efd9ff73b5adaedc433948abd48ca2d0f600633dd90ba91a63a66fa6ee4",
+         "11cda55df3c596868ed6afca5341bf2fe6a25500746870448660c829b8db3851"),
+        ("1e2f881d5d88d73d0cdd585482165581ea077e2670ac1301b9523e35476fb909",
+         "17bc5e29d87e276245103d44e9f9f9232daf8f9bda919b284ed7f0014171a450"),
+        ("631e81095e43c0ce65c2fc41871f8b5f22731b1d546d3e82da2d3e8ea753ebd0",
+         "e67cffe7531d99d21b658a5ff34586ffa356ef7dcbf553775e2f6dd097cad764"),
+        ("d2c38326e86dcf40ae09f450160e3987d65791aaea4cd9aa832c807898d456a5",
+         "4b515048cae4c6d4a7f791faffedeb3640562af54c902c672d11fb46a88dbe45"),
+        ("b98ac7b9c7d829732ea6b1b75a7f8c167e007c9be9094bba1d224e624162810f",
+         "435884644433260f14d5798df59997751af0ab2785159a936c54e68b96232e99"),
+    ]
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(2033)
+        for n_max in (1, 2, 3, 4):
+            for offset in (None, 3.0, -20.0):
+                p = random_resonant_params(rng)
+                if offset is not None:
+                    p = raman_offset(p, offset)
+                yield p, n_max, float(rng.uniform(0, 10))
+            # Undriven off resonance: A = 0 and the Floquet modes tie, so the
+            # signs of A's zero entries decide which one eig returns.
+            undriven = dataclasses.replace(
+                p, e_he=0.0, b_in=0.0, phi_he=3.0, delta_he=None
+            )
+            yield raman_offset(undriven, 3.0), n_max, 1.0
+
+    def test_hamiltonian_and_steady_mode_bits(self):
+        got = []
+        for p, n_max, t in self.points():
+            model = fm.FullModel(p, n_max)
+            h = model.hamiltonian(t, frame=True)
+            states, gap = model.steady_mode()
+            got.append((
+                hashlib.sha256(h.tobytes()).hexdigest(),
+                hashlib.sha256(states.tobytes() + np.float64(gap).tobytes()).hexdigest(),
+            ))
+        assert got == self.PINS
 
 
 class TestRun:

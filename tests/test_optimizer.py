@@ -173,6 +173,28 @@ class TestArraySolve:
         assert np.isfinite(j).tolist() == [True, False]
         assert math.isnan(theta[1]) and math.isnan(dc[1])
 
+    def test_overflowing_resultant(self):
+        # The resultant grows as the eighth power of the drives, so at
+        # b_in = 1e40 it overflows although the root J ~ 22.4 b_in is finite.
+        # The scalar solve says so; the array solve masks only that column.
+        base = dataclasses.replace(P.reference_params(), b_in=1e40)
+        for fix_delta_c, degree in ((False, 10), (True, 8)):
+            with pytest.raises(P.NumericalFailure) as err:
+                optimizer.find_roots(base, fix_delta_c)
+            assert not isinstance(err.value, optimizer.NoRealSolution)
+            assert str(err.value) == (
+                f"the degree-{degree} resultant of the cancellation condition "
+                "overflows at these drive strengths, so its real roots cannot "
+                "be computed"
+            )
+        omega = math.sqrt(base.kappa_in) * np.array([base.b_in, 0.02])
+        j, theta, dc = optimizer.solve_optimal_arrays(
+            base.e_eg, omega, base.g**2 / base.delta_p, base.delta_e, base.kappa
+        )
+        assert np.isfinite(j).tolist() == [False, True]
+        assert math.isnan(theta[0]) and math.isnan(dc[0])
+        assert j[1] == optimizer.solve_optimal(P.reference_params()).J
+
     def test_backward_detuning_grid_solved_on_every_column(self):
         base = dataclasses.replace(
             P.reference_params(), direction=P.Direction.BACKWARD

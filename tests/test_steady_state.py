@@ -228,20 +228,46 @@ class TestSingularities:
         # At b_in = 3.1e77 the norm is 1.2e308, but n_full counts |c2g|^2
         # twice and overflows: the point has no statistics on either path.
         p = dataclasses.replace(P.reference_params(), b_in=3.1e77)
-        state = steady_state.analytic_amplitudes(P.derive_effective(p), p.e_eg)
-        assert math.isfinite(state.norm_squared())
+        eff = P.derive_effective(p)
+        inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, p.e_eg
+        c1g, c0e, c2g, c1e, regular = (
+            a.item() for a in steady_state._amplitudes(*inputs)
+        )
+        state = steady_state.AmplitudeState(1 + 0j, c1g, c0e, c2g, c1e)
+        assert regular and math.isfinite(state.norm_squared())
+        with pytest.raises(P.NumericalFailure, match="finite occupations"):
+            steady_state.analytic_amplitudes(eff, p.e_eg)
         with pytest.raises(P.NumericalFailure, match="finite occupations"):
             steady_state.steady_stats(p)
         result = detuning_sweep(p, -1.0, 1.0, 3)
         assert result.values1[1] == p.delta_c
         assert not result.valid[P.Direction.FORWARD][1]
 
+    def test_amplitude_arrays_share_the_evaluator_rule(self):
+        # The reference point at b_in = 1e200 and J = 0.5: its denominators
+        # are regular but c2g overflows.  amplitude_arrays, the sweep's
+        # evaluator and the scalar path all call it invalid.
+        p = dataclasses.replace(P.reference_params(), b_in=1e200)
+        consts = P.effective_arrays(p, {"J": 0.5})
+        args = [consts[k] for k in P._AMPLITUDE_INPUTS]
+        c, valid = steady_state.amplitude_arrays(*args)
+        assert not valid and not steady_state._stats_from_parameters(*args)[1]
+        assert np.all(np.isnan(c.real))
+        with pytest.raises(P.NumericalFailure) as err:
+            steady_state.analytic_amplitudes(P.derive_effective(p, j=0.5), p.e_eg)
+        assert not isinstance(err.value, steady_state.SingularDenominator)
+        assert str(err.value) == (
+            "photon statistics need finite occupations: an amplitude is not "
+            "finite or an occupation overflows"
+        )
+
     def test_array_path_masks_instead_of_raising(self):
         # The scalar path raises exactly where the grid marks a point
-        # invalid: a SingularDenominator where amplitude_arrays flags it, a
-        # NumericalFailure from photon_stats where only the occupations are
-        # not finite.  Elsewhere, on finite inputs, it gives the grid's finite
-        # amplitudes.  The seeded grid holds boundary and non-finite points.
+        # invalid: a SingularDenominator where a denominator is not regular,
+        # the NumericalFailure of photon_stats where only the occupations
+        # are not finite.  Elsewhere, on finite inputs, it gives the grid's
+        # finite amplitudes.  The seeded grid holds boundary and non-finite
+        # points.
         hand_built = np.broadcast_arrays(
             0.01,
             np.array([complex(0.3, -0.5), complex(0.3, -0.5)]),
@@ -256,8 +282,8 @@ class TestSingularities:
             with np.errstate(all="ignore"):
                 c, valid = steady_state.amplitude_arrays(*args)
                 marked = steady_state._stats_from_parameters(*args)[1]
-                finite = np.isfinite(steady_state.stats_arrays(c)["norm"])
-            assert marked.tolist() == (valid & finite).tolist()
+                regular = steady_state._amplitudes(*args)[4]
+            assert marked.tolist() == valid.tolist()
             for point in np.ndindex(valid.shape):
                 omega, m, n, delta_e, j, theta, e_eg = (a[point].item() for a in args)
                 eff = P.EffectiveParams(
@@ -265,15 +291,14 @@ class TestSingularities:
                 )
                 if not valid[point]:
                     assert np.all(np.isnan(c[point].real))
-                    with pytest.raises(steady_state.SingularDenominator):
+                    if regular[point]:
+                        failure = pytest.raises(P.NumericalFailure, match="finite occupations")
+                    else:
+                        failure = pytest.raises(steady_state.SingularDenominator)
+                    with np.errstate(all="ignore"), failure:
                         steady_state.analytic_amplitudes(eff, e_eg)
                     continue
-                with np.errstate(all="ignore"):
-                    state = steady_state.analytic_amplitudes(eff, e_eg)
-                if not marked[point]:
-                    with pytest.raises(P.NumericalFailure, match="finite occupations"):
-                        steady_state.photon_stats(state)
-                    continue
+                state = steady_state.analytic_amplitudes(eff, e_eg)
                 vector = state.as_vector()
                 if all(math.isfinite(abs(a[point])) for a in args):
                     assert np.all(np.isfinite(vector.view(float)))
@@ -387,17 +412,18 @@ class TestFusedEvaluator:
             c, valid = steady_state.amplitude_arrays(*args)
             want = steady_state.stats_arrays(c)
             got, got_valid = steady_state._stats_from_parameters(*args)
-        # Where the denominators are regular, the occupations decide; the
-        # norm is NaN wherever they are not finite.
-        assert got_valid.tolist() == (valid & np.isfinite(want["norm"])).tolist()
+            regular = steady_state._amplitudes(*args)[4]
+        # One rule: where the denominators are regular, the occupations
+        # decide.
+        assert got_valid.tolist() == valid.tolist()
         assert set(got) == set(want)
         for name in want:
             assert got[name].shape == want[name].shape, name
             # Bits, NaN payloads and signed zeros included.
             assert got[name].tobytes() == want[name].tobytes(), name
         # The grid really holds each kind of point.
-        assert 40 <= (~valid).sum() < valid.size
-        assert (valid & ~got_valid).any()
+        assert 40 <= (~regular).sum() < valid.size
+        assert (regular & ~valid).any()
         assert np.isnan(want["g2"][got_valid]).any()
         assert (want["g2"][got_valid] >= 0.0).any()
         for name in want:
@@ -524,8 +550,8 @@ class TestMixedShapeEvaluator:
             c, amp_valid = steady_state.amplitude_arrays(*args)
         assert got_valid.shape == valid.shape == c.shape[:-1]
         assert got_valid.tolist() == valid.tolist()
-        # amplitude_arrays flags the denominators only.
-        assert amp_valid.tolist() == regular.tolist()
+        # amplitude_arrays applies the same rule.
+        assert amp_valid.tolist() == valid.tolist()
         for name in want:
             assert got[name].shape == want[name].shape, name
             # Bits, NaN payloads and signed zeros included.

@@ -1458,13 +1458,19 @@ class TestCliSubprocess:
             "numerical failure: steady-state denominator J^2 - M*delta_e "
             "is not finite (magnitude inf)",
         ]
-        # Occupations that overflow, from either drive, and a J whose square
-        # overflows while the full model's delta_eg would raise: each exits
-        # 2 with the one line the scalar path gives, and no numpy warning.
+        # Occupations that overflow, from either drive, a J whose square
+        # overflows while the full model's delta_eg would raise, and drives
+        # that overflow the root solver's resultant: each exits 2 with the
+        # one line the scalar path gives, and no numpy warning.
         singular = proc.stderr.splitlines()[-1]
         overflow = (
             "numerical failure: photon statistics need finite occupations: "
             "an amplitude is not finite or an occupation overflows"
+        )
+        resultant = (
+            "numerical failure: the degree-{} resultant of the cancellation "
+            "condition overflows at these drive strengths, so its real roots "
+            "cannot be computed"
         )
         for argv, failure in [
             (["g2", "--b-in", "1e150"], overflow),
@@ -1472,10 +1478,8 @@ class TestCliSubprocess:
             (["g2", "--b-in", "1e200"], overflow),
             (["validate-full", "--b-in", "1e150"], overflow),
             (["validate-full", "--e-he", "1e200"], singular),
-            (
-                ["nonreciprocal", "--b-in", "1e150"],
-                "numerical failure: the (J, theta) scan produced no valid points",
-            ),
+            (["optimize", "--b-in", "1e40"], resultant.format(10)),
+            (["nonreciprocal", "--b-in", "1e150"], resultant.format(8)),
         ]:
             proc = self.run(*argv)
             assert (proc.returncode, proc.stdout) == (2, ""), argv
