@@ -323,7 +323,9 @@ def validate_effective(
     model = FullModel(params, n_max)
     states, gap = model.steady_mode()
     occ = photon_occupations(states, n_max)
-    g2_full = float(steady_state._g2(np.mean(occ[1]), np.mean(occ[2])))
+    # The period averages as one-element arrays, which _g2 computes on.
+    p1, p2 = (occ[n].mean(keepdims=True) for n in (1, 2))
+    g2_full = steady_state._g2(p1, p2).item()
     diff = abs(g2_full - g2_effective)
     if g2_effective == 0.0:
         rel_diff = 0.0 if diff == 0.0 else math.inf

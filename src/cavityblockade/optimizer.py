@@ -345,16 +345,18 @@ def nonreciprocal_point(
         roots = []
     in_window = [r for r in roots if abs(r.J) <= j_limit]
     if in_window:
-        best = max(
-            in_window,
-            key=lambda r: _direction_g2(at_target, Direction.BACKWARD, r.J, r.theta)[0],
-        )
+        # The ranking pass's backward g2 and conditions are the winner's own.
+        ranked = [
+            (_direction_g2(at_target, Direction.BACKWARD, r.J, r.theta), r)
+            for r in in_window
+        ]
+        (g2_b, violated_b), best = max(ranked, key=lambda item: item[0][0])
         j_best, theta_best = best.J, best.theta
     else:
         j_best, theta_best = _scan_forward_g2(at_target, j_limit)
+        g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
 
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
-    g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
     _warn_regime(violated + violated_b, 2)
     contrast = (
         math.log10(g2_b / g2_f)

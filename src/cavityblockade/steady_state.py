@@ -99,6 +99,31 @@ def _amplitude_denominators(m, n, delta_e, j):
     return dens, [np.isfinite(d) & (np.abs(d) > SINGULAR_TOL) for d in dens.values()]
 
 
+def _as_arrays(values, dtypes):
+    """The broadcast shape of ``values``, and the values as arrays of
+    ``dtypes`` with every 0-d one made a one-element array.
+
+    numpy returns a scalar from an operation on 0-d operands and computes
+    on scalars with its scalar arithmetic, whose complex products and
+    squares round differently from the array loops of a grid; so a point is
+    computed as the one-element grid it is, and its numbers are those of its
+    cell in any grid.  :func:`_at_shape` views a result back at the inputs'
+    shape.
+    """
+    shape = np.broadcast(*values).shape
+    arrays = [np.asarray(v, dtype=t) for v, t in zip(values, dtypes)]
+    return shape, [a.reshape(1) if a.ndim == 0 else a for a in arrays]
+
+
+def _at_shape(a, shape):
+    """A result computed on :func:`_as_arrays` inputs, at their broadcast
+    ``shape``: itself if it has that shape, else a read-only view, 0-d for
+    a point."""
+    if a.shape == shape:
+        return a
+    return np.broadcast_to(a, shape) if shape else a.reshape(())
+
+
 def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     """The four excited amplitudes (c1g, c0e, c2g, c1e) and ``valid``.
 
@@ -107,22 +132,17 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
     denominators only where J, M, N and delta_e do), so a 2-D grid whose
     axes enter separately pays full-grid work only where they meet.  Every
     operation is the one a full-grid evaluation would do, in the same
-    order, so the values are bit-identical.  The returned arrays are
-    broadcast (read-only views) to the common shape of the inputs.
+    order, on arrays (:func:`_as_arrays`), so the values are bit-identical
+    to any grid's cell.  The returned arrays are broadcast (read-only views)
+    to the common shape of the inputs.
 
     Invalid points divide by an infinite denominator, so their amplitudes
     are zero (or NaN); the callers mask them.  An amplitude of a valid point
     may overflow to inf, without a warning; :func:`_stats` marks it.
     """
-    omega = np.asarray(omega, dtype=float)
-    m = np.asarray(m, dtype=complex)
-    n = np.asarray(n, dtype=complex)
-    delta_e = np.asarray(delta_e, dtype=float)
-    j = np.asarray(j, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    e_eg = np.asarray(e_eg, dtype=float)
-    shape = np.broadcast_shapes(
-        omega.shape, m.shape, n.shape, delta_e.shape, j.shape, theta.shape, e_eg.shape
+    shape, (omega, m, n, delta_e, j, theta, e_eg) = _as_arrays(
+        (omega, m, n, delta_e, j, theta, e_eg),
+        (float, complex, complex, float, float, float, float),
     )
     phase_minus = np.exp(-1j * theta)
     phase_plus = np.conj(phase_minus)
@@ -143,7 +163,7 @@ def _amplitudes(omega, m, n, delta_e, j, theta, e_eg):
         c1e = (
             (e_eg * m + omega * j * phase_plus) * c1g + omega * m * c0e
         ) / safe2
-    return tuple(np.broadcast_to(a, shape) for a in (c1g, c0e, c2g, c1e, valid))
+    return tuple(_at_shape(a, shape) for a in (c1g, c0e, c2g, c1e, valid))
 
 
 def amplitude_arrays(
@@ -173,8 +193,9 @@ def amplitude_arrays(
 
 
 def _g2(p1, p2):
-    """2 P2/(P1 + 2 P2)^2, NaN where P1 + 2 P2 < G2_OCCUPATION_FLOOR, for
-    arrays or numpy scalars (which square by the C library's pow)."""
+    """2 P2/(P1 + 2 P2)^2, NaN where P1 + 2 P2 < G2_OCCUPATION_FLOOR, on
+    arrays of ndim >= 1: a point is handed over as one element
+    (:func:`_as_arrays`)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         occupation = p1 + 2.0 * p2
         return np.where(
@@ -182,17 +203,19 @@ def _g2(p1, p2):
         )
 
 
-def _stats(c0g, c1g, c0e, c2g, c1e) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _stats(*amplitudes) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The statistics of :func:`stats_arrays` from the five amplitudes, in
     the basis order of :class:`AmplitudeState`, the norm summed in that
-    order, and where the occupations are finite.
+    order, and where the occupations are finite; computed on arrays
+    (:func:`_as_arrays`) and viewed at the amplitudes' broadcast shape.
 
     A point whose norm or photon number ``n_full`` is not finite (an
     amplitude that is not finite, or an occupation that overflows) has no
     statistics: every one is NaN there, and nothing warns.
     """
+    shape, amplitudes = _as_arrays(amplitudes, [complex] * len(amplitudes))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p0g, p1g, p0e, p2g, p1e = (np.abs(c) ** 2 for c in (c0g, c1g, c0e, c2g, c1e))
+        p0g, p1g, p0e, p2g, p1e = (np.abs(c) ** 2 for c in amplitudes)
         norm = p0g + p1g + p0e + p2g + p1e
         p1 = (p1g + p1e) / norm
         p2 = p2g / norm
@@ -208,7 +231,8 @@ def _stats(c0g, c1g, c0e, c2g, c1e) -> tuple[dict[str, np.ndarray], np.ndarray]:
     finite = np.isfinite(norm) & np.isfinite(stats["n_full"])
     if not finite.all():
         stats = {name: np.where(finite, v, np.nan) for name, v in stats.items()}
-    return stats, finite
+    stats = {name: _at_shape(v, shape) for name, v in stats.items()}
+    return stats, _at_shape(finite, shape)
 
 
 def stats_arrays(c: np.ndarray) -> dict[str, np.ndarray]:
@@ -245,6 +269,24 @@ def _stats_from_parameters(
     return out, valid
 
 
+def _steady_point(
+    eff: EffectiveParams, e_eg: float
+) -> tuple[AmplitudeState, PhotonStats]:
+    """The closed-form steady state of one point and its statistics, from
+    one pass of the grid evaluator; raises as :func:`analytic_amplitudes`."""
+    inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
+    c1g, c0e, c2g, c1e, valid = _amplitudes(*inputs)
+    if not valid:
+        m, j = np.asarray(eff.M, dtype=complex), np.asarray(eff.J, dtype=float)
+        dens, oks = _amplitude_denominators(m, eff.N, eff.delta_e, j)
+        which = next(name for name, ok in zip(dens, oks) if not ok)
+        raise SingularDenominator(which, float(np.abs(dens[which])))
+    stats = _photon_stats(*_stats(1.0, c1g, c0e, c2g, c1e))
+    c1g, c0e, c2g, c1e = (a.item() for a in (c1g, c0e, c2g, c1e))
+    state = AmplitudeState(c0g=1 + 0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=math.inf)
+    return state, stats
+
+
 def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
     """Closed-form steady state with c0g = 1.
 
@@ -253,16 +295,20 @@ def analytic_amplitudes(eff: EffectiveParams, e_eg: float) -> AmplitudeState:
     :func:`photon_stats` when an occupation is not finite: exactly where
     :func:`amplitude_arrays` flags the point invalid.
     """
-    inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
-    c1g, c0e, c2g, c1e, valid = (a.item() for a in _amplitudes(*inputs))
-    if not valid:
-        m, j = np.asarray(eff.M, dtype=complex), np.asarray(eff.J, dtype=float)
-        dens, oks = _amplitude_denominators(m, eff.N, eff.delta_e, j)
-        which = next(name for name, ok in zip(dens, oks) if not ok)
-        raise SingularDenominator(which, float(np.abs(dens[which])))
-    state = AmplitudeState(c0g=1 + 0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e, t=math.inf)
-    photon_stats(state)
-    return state
+    return _steady_point(eff, e_eg)[0]
+
+
+def _photon_stats(stats: dict[str, np.ndarray], finite: np.ndarray) -> PhotonStats:
+    """The PhotonStats of one point's :func:`_stats`."""
+    if not finite:
+        raise NumericalFailure(
+            "photon statistics need finite occupations: an amplitude is not "
+            "finite or an occupation overflows"
+        )
+    if stats["norm"] == 0.0:
+        return PhotonStats(0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
+    # The fields of PhotonStats are the statistics, in their order.
+    return PhotonStats(*(float(stats[name]) for name in _STAT_NAMES))
 
 
 def photon_stats(state: AmplitudeState) -> PhotonStats:
@@ -271,17 +317,7 @@ def photon_stats(state: AmplitudeState) -> PhotonStats:
     Raises NumericalFailure when an amplitude is not finite or an
     occupation overflows.
     """
-    # One-element arrays, so every operation is the one a grid does.
-    stats, finite = _stats(*state.as_vector()[:, None])
-    if not finite[0]:
-        raise NumericalFailure(
-            "photon statistics need finite occupations: an amplitude is not "
-            "finite or an occupation overflows"
-        )
-    if stats["norm"][0] == 0.0:
-        return PhotonStats(0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
-    # The fields of PhotonStats are the statistics, in their order.
-    return PhotonStats(*(float(stats[name][0]) for name in _STAT_NAMES))
+    return _photon_stats(*_stats(*state.as_vector()))
 
 
 def steady_stats(
@@ -294,9 +330,11 @@ def steady_stats(
 
     Raises a NumericalFailure (a SingularDenominator, or occupations that
     are not finite) exactly where a sweep marks the one point ``valid = false``.
+    For theta in (-pi, pi], which ``derive_effective`` leaves as it is, every
+    statistic equals bit for bit the point's cell in any sweep.
     """
     eff = derive_effective(params, j=j, theta=theta)
-    return photon_stats(analytic_amplitudes(eff, params.e_eg))
+    return _steady_point(eff, params.e_eg)[1]
 
 
 #: The statistics of :func:`stats_arrays` a sweep can map, in the order the

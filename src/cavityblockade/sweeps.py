@@ -40,15 +40,18 @@ STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
 #: temporaries of any sweep to a few hundred kilobytes.
 _CHUNK_POINTS = 1 << 12
 
-#: Only a grid of more points than this is spread over worker threads;
-#: a smaller one (every figure preset) runs on the calling thread.
-_POOL_POINTS = 1 << 16
-
 #: Points per block when worker threads share a grid.  Each block makes
 #: the same few dozen numpy calls whatever its size, and threads hand the
 #: GIL back and forth between calls, so smaller blocks make threads slower
 #: than one.
 _POOL_CHUNK_POINTS = 1 << 14
+
+#: Only a grid of more points than this, eight pool blocks, is spread over
+#: worker threads; a smaller one (every figure preset) runs on the calling
+#: thread.  On a 2-CPU host, a J x theta grid in both directions took
+#: 36.5 ms on one thread and 47.2 ms on two at 331 x 331 (seven blocks),
+#: and 42.6 against 39.7 ms at 361 x 361 (nine blocks).
+_POOL_POINTS = 8 * _POOL_CHUNK_POINTS
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ def run_sweep(
     direction at full grid size; ``j_used``, ``theta_used`` and
     ``delta_c_opt`` are read-only views, as large only as the axes they
     vary along.  ``jobs`` is an upper bound on worker threads: a grid of
-    at most 2**16 points runs on the calling thread, a larger one with
+    at most 2**17 points runs on the calling thread, a larger one with
     ``jobs > 1`` on ``min(jobs, blocks)`` threads in blocks of about 2**14
     points.  Every point is computed independently, so the arrays are identical
     whatever the blocking and the thread count.  Each regime condition

@@ -1,7 +1,12 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +239,23 @@ class TestBitPins:
     points: for each n_max from 1 to 4, a Raman-resonant draw, two draws 3
     and -20 off resonance and an undriven point.  The digests were recorded
     before H' was assembled as its operator sum; they pin every entry and
-    its order."""
+    its order.
+
+    ``steady_mode``'s eig rounds by the OpenBLAS thread count: the digests
+    were recorded with two threads, and with one the off-resonance draws at
+    n_max 3 and 4 differ.  The count is fixed when numpy loads, so those
+    digests are computed in a child process started with two threads."""
+
+    STEADY_CHILD = """
+import hashlib, json
+import numpy as np
+import test_full_model as t
+digests = []
+for p, n_max, _ in t.TestBitPins.points():
+    states, gap = t.fm.FullModel(p, n_max).steady_mode()
+    digests.append(hashlib.sha256(states.tobytes() + np.float64(gap).tobytes()).hexdigest())
+print(json.dumps(digests))
+"""
 
     PINS = [
         ("3fe384229ab0948e4465638488fd82dbec848d0310018b1dd90ff2777c182b58",
@@ -288,15 +309,23 @@ class TestBitPins:
             yield raman_offset(undriven, 3.0), n_max, 1.0
 
     def test_hamiltonian_and_steady_mode_bits(self):
+        paths = (Path(fm.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "2",
+            "PYTHONPATH": os.pathsep.join(map(str, paths)),
+        }
+        child = subprocess.run(
+            [sys.executable, "-c", self.STEADY_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert child.returncode == 0, child.stderr
         got = []
-        for p, n_max, t in self.points():
-            model = fm.FullModel(p, n_max)
-            h = model.hamiltonian(t, frame=True)
-            states, gap = model.steady_mode()
-            got.append((
-                hashlib.sha256(h.tobytes()).hexdigest(),
-                hashlib.sha256(states.tobytes() + np.float64(gap).tobytes()).hexdigest(),
-            ))
+        for (p, n_max, t), steady in zip(self.points(), json.loads(child.stdout)):
+            h = fm.FullModel(p, n_max).hamiltonian(t, frame=True)
+            got.append((hashlib.sha256(h.tobytes()).hexdigest(), steady))
         assert got == self.PINS
 
 

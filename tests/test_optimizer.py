@@ -416,13 +416,31 @@ class TestNonreciprocalPoint:
             if abs(r.J) <= 5.0
         ]
         backward = dataclasses.replace(at_target, direction=P.Direction.BACKWARD)
-        assert report.g2_backward == pytest.approx(
-            max(
-                steady_state.steady_stats(backward, j=r.J, theta=r.theta).g2
-                for r in window
-            ),
-            rel=1e-12,
+        # A point computes as its one-element grid, so the two paths agree
+        # bit for bit.
+        assert report.g2_backward == max(
+            steady_state.steady_stats(backward, j=r.J, theta=r.theta).g2
+            for r in window
         )
+
+    def test_evaluates_each_window_root_once(self, monkeypatch):
+        # The ranking pass's backward g2 is the report's: the winner's is not
+        # evaluated again.
+        p = P.reference_params()
+        window = [
+            r for r in optimizer.find_roots(p, fix_delta_c=True) if abs(r.J) <= 5.0
+        ]
+        assert len(window) > 1
+        calls = []
+        direction_g2 = optimizer._direction_g2
+        monkeypatch.setattr(
+            optimizer,
+            "_direction_g2",
+            lambda *args: calls.append(args[1]) or direction_g2(*args),
+        )
+        optimizer.nonreciprocal_point(p, 0.0)
+        assert calls.count(P.Direction.BACKWARD) == len(window)
+        assert calls.count(P.Direction.FORWARD) == 1
 
     # A seeded draw of the blockade-solve benchmark, rounded: no forward root
     # lies in |J| <= 5 at the target, so the point comes from the scan.

@@ -98,7 +98,7 @@ def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     assert loaded == sorted(modules)
     # np.unique imports numpy.ma on first use in numpy 2.4.
     assert not numpy_ma
-    # sweep runs a grid of at most 2**16 points on the calling thread,
+    # sweep runs a grid of at most 2**17 points on the calling thread,
     # whatever --jobs allows, and figure accepts --jobs but runs every
     # preset there, so no verb here imports the thread pool.
     assert not futures

@@ -92,6 +92,16 @@ class TestPhotonStats:
         with pytest.raises(ValueError, match="finite"):
             steady_state.photon_stats(state)
 
+    def test_steady_stats_evaluates_the_statistics_once(self, monkeypatch):
+        # Its statistics come from the pass that checks the amplitudes.
+        calls = []
+        stats = steady_state._stats
+        monkeypatch.setattr(
+            steady_state, "_stats", lambda *c: calls.append(c) or stats(*c)
+        )
+        steady_state.steady_stats(P.reference_params(), j=0.3, theta=0.2)
+        assert len(calls) == 1
+
 
 class TestBlockadePoint:
     def test_two_photon_amplitude_cancelled(self):

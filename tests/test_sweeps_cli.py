@@ -390,13 +390,13 @@ class TestRunSweep:
         spec = sweeps.SweepSpec(
             # delta_e = 0 on row 131 has no root: a masked row.
             axis1=sweeps.SweepAxis("delta_e", -1.0, 1.0, 263),
-            axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 257),
+            axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, 521),
             optimal_j_theta=True,
         )
-        rows_per_block = max(1, sweeps._CHUNK_POINTS // 257)
+        rows_per_block = max(1, sweeps._CHUNK_POINTS // 521)
         assert 263 % rows_per_block != 0
-        assert 263 % max(1, sweeps._POOL_CHUNK_POINTS // 257) != 0
-        assert 263 * 257 > sweeps._POOL_POINTS
+        assert 263 % max(1, sweeps._POOL_CHUNK_POINTS // 521) != 0
+        assert 263 * 521 > sweeps._POOL_POINTS
         serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
         threaded = sweeps.run_sweep(spec, reference_params(), jobs=2)
         for d in spec.directions:
@@ -417,10 +417,10 @@ class TestRunSweep:
         base = reference_params()
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("delta_c", -4.0, 4.0, 303),
-            axis2=sweeps.SweepAxis("e_he", 1.0, 60.0, 221),
+            axis2=sweeps.SweepAxis("e_he", 1.0, 60.0, 441),
             overrides={"J": 0.5, "theta": 0.3},
         )
-        assert 303 * 221 > sweeps._POOL_POINTS
+        assert 303 * 441 > sweeps._POOL_POINTS
         line = sweeps.SweepSpec(
             axis1=spec.axis1, overrides={"J": 0.5, "theta": 0.3}
         )
@@ -429,7 +429,7 @@ class TestRunSweep:
         for d in spec.directions:
             assert grid.valid[d].all()
             for name, values in column.stats[d].items():
-                want = np.repeat(values[:, None], 221, axis=1)
+                want = np.repeat(values[:, None], 441, axis=1)
                 assert grid.stats[d][name].tobytes() == want.tobytes(), name
 
     def test_observable_grid_accessor(self):
@@ -1124,38 +1124,63 @@ class TestScalarPathEqualsGridPath:
     def test_same_g2_for_theta_in_the_wrapped_interval(self):
         # derive_effective wraps theta into (-pi, pi] and the grid path does
         # not, so only inside that interval are the two g2 values pinned
-        # bit for bit.  With theta given, phi_eg enters nothing, so the
-        # first point of a phi_eg axis is the one point.  steady_stats
-        # raises exactly where that cell is invalid, and gives every
-        # statistic of the cell, bit for bit, everywhere else.
+        # bit for bit.  The point is the first cell of three grids, in both
+        # directions: a phi_eg axis (with theta given, phi_eg enters
+        # nothing, so every amplitude input stays 0-d), a delta_c axis
+        # (M and N vary) and a J x theta map (J and the phase vary).
+        # steady_stats raises exactly where the cell is invalid, and gives
+        # every statistic of each cell, bit for bit, everywhere else; so
+        # does nonreciprocal_point's per-direction g2 (inf where invalid).
         rng = np.random.default_rng(2500)
         points = [
             (params, float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-math.pi, math.pi)))
             for params, _ in self.SAMPLE
         ]
         points += [(params, couplings["j"], 0.3) for params, couplings in self.EDGES]
+        both = (Direction.FORWARD, Direction.BACKWARD)
         valid = []
         for params, j, theta in points:
-            spec = sweeps.SweepSpec(
-                axis1=sweeps.SweepAxis("phi_eg", 0.0, 1e-3, 2),
-                overrides={"J": j, "theta": theta},
-                directions=(params.direction,),
-            )
-            result = sweeps.run_sweep(spec, params)
-            valid.append(bool(result.valid[params.direction][0]))
-            if not valid[-1]:
-                with pytest.raises(NumericalFailure):
-                    steady_state.steady_stats(params, j=j, theta=theta)
-                continue
-            point = steady_state.steady_stats(params, j=j, theta=theta)
-            for name, value in zip(
-                sweeps.STAT_COLUMNS,
-                (point.p1, point.p2, point.g2, point.n_cavity_paper, point.n_cavity_full),
-            ):
-                grid = result.stats[params.direction][name][0]
-                assert bits(value) == bits(grid), (params, j, theta, name)
+            couplings = {"J": j, "theta": theta}
+            specs = [
+                sweeps.SweepSpec(
+                    axis1=sweeps.SweepAxis("phi_eg", 0.0, 1e-3, 2),
+                    overrides=couplings,
+                    directions=both,
+                ),
+                sweeps.SweepSpec(
+                    axis1=sweeps.SweepAxis("delta_c", params.delta_c, params.delta_c + 1.0, 2),
+                    overrides=couplings,
+                    directions=both,
+                ),
+                sweeps.SweepSpec(
+                    axis1=sweeps.SweepAxis("J", j, j + max(1.0, abs(j)), 2),
+                    axis2=sweeps.SweepAxis("theta", theta, theta + 1e-3, 2),
+                    directions=both,
+                ),
+            ]
+            results = [sweeps.run_sweep(spec, params) for spec in specs]
+            for direction in both:
+                at = dataclasses.replace(params, direction=direction)
+                ok = {bool(result.valid[direction].flat[0]) for result in results}
+                assert len(ok) == 1, (params, j, theta, direction)
+                valid.append(ok.pop())
+                g2 = optimizer._direction_g2(params, direction, j, theta)[0]
+                if not valid[-1]:
+                    with pytest.raises(NumericalFailure):
+                        steady_state.steady_stats(at, j=j, theta=theta)
+                    assert g2 == math.inf
+                    continue
+                point = steady_state.steady_stats(at, j=j, theta=theta)
+                values = (
+                    point.p1, point.p2, point.g2, point.n_cavity_paper, point.n_cavity_full
+                )
+                assert bits(g2) == bits(point.g2), (params, j, theta, direction)
+                for result, name in zip(results, ("phi_eg", "delta_c", "J x theta")):
+                    for stat, value in zip(sweeps.STAT_COLUMNS, values):
+                        cell = result.stats[direction][stat].flat[0]
+                        assert bits(value) == bits(cell), (params, j, theta, name, stat)
         # Every random draw is valid; the edges hold five invalid points.
-        assert valid == [True] * len(self.SAMPLE) + [False] * 5 + [True] * 2
+        assert valid == [True] * 2 * len(self.SAMPLE) + [False] * 10 + [True] * 4
 
     def test_sample_reaches_the_edge_cases(self):
         params = [p for p, _ in self.SAMPLE]
