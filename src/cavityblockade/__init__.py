@@ -58,7 +58,6 @@ _EXPORTS = {
     "steady_stats": "steady_state",
     "vacuum_state": "dynamics",
     "validate_effective": "full_model",
-    "wrap_angle": "params",
     "write_sweep_csv": "sweeps",
 }
 

@@ -44,7 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+def _add_param_flags(
+    parser: argparse.ArgumentParser, *, direction: bool = True
+) -> None:
+    """``--config`` and a flag per config-file key; ``--direction`` only
+    with ``direction``, for the verbs that evaluate one direction."""
     parser.add_argument(
         "--config",
         type=Path,
@@ -55,7 +59,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
     for name in _FLOAT_FIELDS:
         group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    group.add_argument("--direction", choices=[d.value for d in Direction])
+    if direction:
+        group.add_argument("--direction", choices=[d.value for d in Direction])
 
 
 def _params_from_args(args: argparse.Namespace) -> SystemParams:
@@ -221,8 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, help="override the drive phase directly")
     p.set_defaults(func=_cmd_g2)
 
-    p = sub.add_parser("sweep", help="evaluate statistics over a parameter grid")
-    _add_param_flags(p)
+    # Without abbreviations, so that --direction is no prefix of --directions.
+    p = sub.add_parser(
+        "sweep", help="evaluate statistics over a parameter grid", allow_abbrev=False
+    )
+    _add_param_flags(p, direction=False)
     p.add_argument("--axis1", required=True, help="axis as 'name,min,max,n'")
     p.add_argument("--axis2", help="optional second axis as 'name,min,max,n'")
     p.add_argument(
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "nonreciprocal", help="find a working point with one-way blockade"
     )
-    _add_param_flags(p)
+    _add_param_flags(p, direction=False)
     p.add_argument(
         "--target-delta-c",
         type=float,

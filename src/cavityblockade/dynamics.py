@@ -32,9 +32,6 @@ import numpy as np
 from .params import EffectiveParams
 from .steady_state import SQRT2, AmplitudeState
 
-#: Order of the amplitude components in every vector/matrix in this module.
-BASIS_LABELS = ("c0g", "c1g", "c0e", "c2g", "c1e")
-
 _NORM_EPS = 1e-12
 
 #: Steady-test windows advanced per matrix product: :func:`evolve` fills a
@@ -123,7 +120,7 @@ def generator(
     j_minus = j * np.exp(-1j * theta)
     j_plus = j * np.exp(1j * theta)
     a = np.zeros(shape + (5, 5), dtype=complex)
-    # Row order and column order follow BASIS_LABELS.
+    # Row order and column order follow the components of AmplitudeState.
     if not hold_c0g:
         a[..., 0, 1] = omega
         a[..., 0, 2] = e_eg
@@ -484,7 +481,6 @@ def steady_rk4(
 
 __all__ = [
     "AmplitudeState",
-    "BASIS_LABELS",
     "IntegratorConfig",
     "NonFiniteState",
     "Trajectory",

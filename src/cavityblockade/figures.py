@@ -126,25 +126,35 @@ def fig2b(out: Path) -> list[str]:
     return _line_figure(res, out, "fig2b", "n_paper", "n (leading order)")
 
 
-def fig3a(out: Path) -> list[str]:
+def _optimum_figure(
+    out: Path, name: str, axis: sweeps.SweepAxis, xlabel: str, *, overlay: bool = False
+) -> list[str]:
+    """The forward g2 over ``axis`` x delta_c at the optimal (J, theta) of
+    each point, and the optimum along ``axis`` in ``<name>_optimum.csv``;
+    ``overlay`` draws the optimal delta_c over the heatmap."""
     res = _direction_sweep(
-        sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_2D),
+        axis,
         axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
         directions=(Direction.FORWARD,),
     )
     d = Direction.FORWARD
     dc_opt = res.delta_c_opt[d][:, 0]
     files = _heatmap_figure(
-        res, out, "fig3a", d, "delta_e / kappa", overlay=(res.values1, dc_opt)
+        res, out, name, d, xlabel, overlay=(res.values1, dc_opt) if overlay else None
     )
     files.append(
         _table_csv(
-            out / "fig3a_optimum.csv",
-            ["delta_e", "J", "theta", "delta_c_opt"],
+            out / f"{name}_optimum.csv",
+            [axis.name, "J", "theta", "delta_c_opt"],
             [res.values1, res.j_used[d][:, 0], res.theta_used[d][:, 0], dc_opt],
         )
     )
     return files
+
+
+def fig3a(out: Path) -> list[str]:
+    axis = sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_2D)
+    return _optimum_figure(out, "fig3a", axis, "delta_e / kappa", overlay=True)
 
 
 def fig3b(out: Path) -> list[str]:
@@ -218,26 +228,8 @@ def fig3d(out: Path) -> list[str]:
 
 
 def fig5a(out: Path) -> list[str]:
-    res = _direction_sweep(
-        sweeps.SweepAxis("g", 2.0, 14.0, GRID_2D),
-        axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
-        directions=(Direction.FORWARD,),
-    )
-    d = Direction.FORWARD
-    files = _heatmap_figure(res, out, "fig5a", d, "g / kappa")
-    files.append(
-        _table_csv(
-            out / "fig5a_optimum.csv",
-            ["g", "J", "theta", "delta_c_opt"],
-            [
-                res.values1,
-                res.j_used[d][:, 0],
-                res.theta_used[d][:, 0],
-                res.delta_c_opt[d][:, 0],
-            ],
-        )
-    )
-    return files
+    axis = sweeps.SweepAxis("g", 2.0, 14.0, GRID_2D)
+    return _optimum_figure(out, "fig5a", axis, "g / kappa")
 
 
 def fig5b(out: Path) -> list[str]:

@@ -11,10 +11,11 @@ elimination of the far-detuned upper level |h> gives the Stark shift
 G = g**2/delta_p and the Raman coupling J = g*e_he/delta_p; with the drive
 Omega = sqrt(kappa_in)*b_in and the denominators M and N (:func:`_denominators`)
 these are every coefficient of the closed-form steady state.  The same
-routine checks the four regime conditions of :data:`_REGIME`.  It runs on
-floats and on arrays alike: :func:`derive_effective` is its view at one
-point, warning with the measured ratio, and :func:`effective_arrays` its view
-over a grid, warning once per violated condition.  The optimizer and the
+routine checks the inputs by the rules of :class:`SystemParams`
+(:func:`_check_inputs`) and the four regime conditions of :data:`_REGIME`.
+It runs on floats and on arrays alike: :func:`derive_effective` is its view
+at one point, warning with the measured ratio, and :func:`effective_arrays`
+its view over a grid, warning once per violated condition.  The optimizer and the
 sweeps call :func:`_derive` directly and decide themselves when to warn, all
 through :func:`_warn_regime`.
 """
@@ -64,12 +65,6 @@ class ConfigError(ValueError):
 class NumericalFailure(ValueError):
     """Well-formed inputs on which a solve has no answer: a singular
     denominator, no real root, an undefined optimal detuning."""
-
-
-def wrap_angle(theta: float) -> float:
-    """Reduce an angle to the canonical interval (-pi, pi]."""
-    r = math.remainder(theta, TAU)
-    return math.pi if r <= -math.pi else r
 
 
 def _require_finite(name: str, value) -> None:
@@ -130,19 +125,7 @@ class SystemParams:
             _require_finite(f.name, value)
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if self.kappa1 <= 0.0 or self.kappa2 <= 0.0:
-            raise ValueError("mirror decay rates kappa1, kappa2 must be positive")
-        mismatch = abs(self.kappa1 + self.kappa2 - 2.0 * self.kappa)
-        if mismatch > KAPPA_SUM_TOL * self.kappa:
-            raise ValueError(
-                "kappa1 + kappa2 must equal 2*kappa "
-                f"(got {self.kappa1} + {self.kappa2} != {2 * self.kappa})"
-            )
-        for name in ("g", "e_he", "e_eg", "b_in"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_inputs(vars(self))
 
     @property
     def kappa_in(self) -> float:
@@ -178,6 +161,28 @@ _FLOAT_FIELDS = tuple(
 OVERRIDE_NAMES = tuple(f for f in _FLOAT_FIELDS if f != "delta_he") + ("J", "theta")
 
 
+def _any(hit) -> bool:
+    """``np.any``, without its call overhead on the bools of one point."""
+    return bool(hit.any()) if isinstance(hit, np.ndarray) else bool(hit)
+
+
+def _check_inputs(v: Mapping[str, object]) -> None:
+    """ConfigError unless the rates and amplitudes of ``v`` obey the rules of
+    :class:`SystemParams` at every point: kappa, kappa1, kappa2 > 0, kappa1 +
+    kappa2 = 2 kappa within :data:`KAPPA_SUM_TOL`, and g, e_he, e_eg, b_in
+    >= 0.  Each value is a float at one point or an array over a grid."""
+    kappa, kappa1, kappa2 = v["kappa"], v["kappa1"], v["kappa2"]
+    if _any(kappa <= 0.0):
+        raise ConfigError("kappa must be positive")
+    if _any((kappa1 <= 0.0) | (kappa2 <= 0.0)):
+        raise ConfigError("mirror decay rates kappa1, kappa2 must be positive")
+    if _any(abs(kappa1 + kappa2 - 2.0 * kappa) > KAPPA_SUM_TOL * kappa):
+        raise ConfigError("kappa1 + kappa2 must equal 2*kappa")
+    for name in ("g", "e_he", "e_eg", "b_in"):
+        if _any(v[name] < 0.0):
+            raise ConfigError(f"{name} must be non-negative")
+
+
 def _check_overrides(overrides: Mapping[str, object]) -> None:
     """ConfigError unless every name is one of :data:`OVERRIDE_NAMES` and
     every value is finite."""
@@ -206,7 +211,7 @@ class EffectiveParams:
     delta_e  effective detuning of the intermediate level
     G        photon-number-dependent Stark shift, g**2/delta_p
     J        Raman coupling between |1,g>-like and |0,e>-like states
-    theta    single gauge-invariant drive phase, reduced to (-pi, pi]
+    theta    single gauge-invariant drive phase, as given (not wrapped)
     omega    cavity drive amplitude sqrt(kappa_in)*b_in
     M        complex single-photon denominator delta_c - i*kappa/2 - G
     N        complex dressed denominator delta_c - i*kappa/2 + delta_e
@@ -265,11 +270,6 @@ _REGIME = (
 )
 
 
-def _any(hit) -> bool:
-    """``np.any``, without its call overhead on the bools of one point."""
-    return bool(hit.any()) if isinstance(hit, np.ndarray) else bool(hit)
-
-
 def _ratio(num, den):
     """|num|/den where den > 0, NaN elsewhere; no regime condition holds on
     a NaN ratio.  Python numbers stay Python numbers."""
@@ -299,7 +299,9 @@ def _derive(
     arrays that broadcast against each other.  Overriding kappa1 (or kappa2)
     alone slides the opposite mirror to keep the total kappa fixed; an
     overridden J implies the upper-leg drive e_he = |J| delta_p / g (none
-    where g = 0), and theta overrides phi_p - phi_he - phi_eg, unwrapped.
+    where g = 0), and theta overrides phi_p - phi_he - phi_eg.  ConfigError
+    unless the rates and amplitudes keep the rules of :class:`SystemParams`
+    at every point (:func:`_check_inputs`).
 
     Returns the coefficients by name (:data:`_AMPLITUDE_INPUTS`, plus
     ``g_shift``, ``kappa``, ``delta_c`` and the upper-leg drive ``e_he``)
@@ -308,11 +310,10 @@ def _derive(
     on floats, so one point costs a few microseconds.
     """
     v = vars(params) | overrides
+    v["kappa1"], v["kappa2"] = _slide_mirrors(v, overrides)
+    _check_inputs(v)
 
-    kappa = v["kappa"]
-    kappa1, kappa2 = _slide_mirrors(v, overrides)
-    if _any((kappa <= 0.0) | (kappa1 <= 0.0) | (kappa2 <= 0.0)):
-        raise ConfigError("decay rates must stay positive over the grid")
+    kappa, kappa1, kappa2 = v["kappa"], v["kappa1"], v["kappa2"]
     delta_p = v["delta_p"]
     if _any(delta_p == 0.0):
         raise ZeroDivisionError("delta_p must be nonzero for the adiabatic elimination")
@@ -385,9 +386,9 @@ def derive_effective(
     phase combination phi_p - phi_he - phi_eg.  Both must be finite.
 
     Emits RegimeWarning when the elimination or the weak-driving truncation
-    is not justified; the numbers are still produced.  The values are those
-    :func:`effective_arrays` gives for the one point, bit for bit, with
-    theta wrapped.
+    is not justified; the numbers are still produced.  The values, theta
+    included, are those :func:`effective_arrays` gives for the one point,
+    bit for bit.
     """
     overrides = {}
     if j is not None:
@@ -401,7 +402,7 @@ def derive_effective(
         delta_e=c["delta_e"],
         G=c["g_shift"],
         J=c["j"],
-        theta=wrap_angle(c["theta"]),
+        theta=c["theta"],
         omega=float(c["omega"]),
         M=c["m"],
         N=c["n"],
@@ -594,5 +595,4 @@ __all__ = [
     "params_from_mapping",
     "parse_config",
     "reference_params",
-    "wrap_angle",
 ]

@@ -329,9 +329,9 @@ def steady_stats(
     """Convenience: derive the effective model and evaluate its steady stats.
 
     Raises a NumericalFailure (a SingularDenominator, or occupations that
-    are not finite) exactly where a sweep marks the one point ``valid = false``.
-    For theta in (-pi, pi], which ``derive_effective`` leaves as it is, every
-    statistic equals bit for bit the point's cell in any sweep.
+    are not finite) exactly where a sweep marks the one point ``valid = false``,
+    and elsewhere every statistic equals bit for bit the point's cell in any
+    sweep.
     """
     eff = derive_effective(params, j=j, theta=theta)
     return _steady_point(eff, params.e_eg)[1]

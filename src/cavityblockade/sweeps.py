@@ -165,7 +165,8 @@ def _config_text(spec: SweepSpec, base: SystemParams) -> bytes:
     """The text ``config_hash`` digests: the repr of ``(spec, base)`` with
     every real number a Python float and every count a Python int, so a
     grid hashes the same however its numbers were typed (``-1``, ``-1.0``
-    or ``np.float64(-1.0)``)."""
+    or ``np.float64(-1.0)``), and with the base's direction forward, since
+    ``spec.directions`` alone names the directions a sweep runs."""
 
     def axis(a: SweepAxis | None) -> SweepAxis | None:
         if a is None:
@@ -185,6 +186,7 @@ def _config_text(spec: SweepSpec, base: SystemParams) -> bytes:
     )
     base = dataclasses.replace(
         base,
+        direction=Direction.FORWARD,
         **{
             name: float(v)
             for name in _FLOAT_FIELDS
@@ -232,14 +234,15 @@ def _evaluate_direction(
     delta_c = grid.pop("delta_c", None)
 
     dc_opt = None
-    violated = []
     if spec.optimal_j_theta:
         from . import optimizer
 
         # The joint solve runs on the grid without delta_c, which drops out
         # of it; its arrays broadcast against the sweep grid.  A column with
-        # no root has J = NaN, a point the evaluator marks invalid.
-        consts, violated = _derive(params, grid)
+        # no root has J = NaN, a point the evaluator marks invalid.  The
+        # regime conditions of this grid, whose e_he is the configured one
+        # that no cell uses, are dropped; the cells' grid below checks them.
+        consts, _ = _derive(params, grid)
         grid["J"], grid["theta"], dc_opt = optimizer.solve_optimal_arrays(
             *(consts[key] for key in ("e_eg", "omega", "g_shift", "delta_e", "kappa"))
         )
@@ -250,8 +253,7 @@ def _evaluate_direction(
     if delta_c is None:
         delta_c = params.delta_c
 
-    consts, grid_violated = _derive(params, grid)
-    violated += grid_violated
+    consts, violated = _derive(params, grid)
     full_shape = spec.shape
     # Read-only views: J and theta vary along fewer axes than the grid, as
     # does delta_c_opt, and nothing writes to them.

@@ -717,18 +717,30 @@ class TestCli:
         assert cli.main(["validate-full", "--delta-p", "10"]) == 0
         assert "pass = false" in capsys.readouterr().out
 
+    @staticmethod
+    def fig6d_report(capsys, phi_p: str) -> dict[str, str]:
+        argv = [
+            "validate-full", "--e-he", "39.64000042264327",
+            "--phi-p", phi_p, "--delta-c", "2.5", "--n-max", "3",
+        ]
+        assert cli.main(argv) == 0
+        return dict(
+            line.split(" = ") for line in capsys.readouterr().out.splitlines() if line
+        )
+
     def test_exact_root_reports_inf_and_exits_0(self, capsys):
         # fig6d's working point, J = -3.964 carried by a pi shift of theta,
         # where the effective g2 is exactly 0.0.
-        argv = [
-            "validate-full", "--e-he", "39.64000042264327",
-            "--phi-p", "4.307737685990058", "--delta-c", "2.5", "--n-max", "3",
-        ]
-        assert cli.main(argv) == 0
-        values = dict(
-            line.split(" = ") for line in capsys.readouterr().out.splitlines() if line
-        )
+        values = self.fig6d_report(capsys, "-1.9754476211895282")
         assert values["g2_effective"] == "0.0"
         assert values["rel_diff"] == "inf"
+        assert values["pass"] == "false"
+        assert float(values["g2_full"]) == pytest.approx(0.07272759273, rel=1e-6)
+
+    def test_root_phase_plus_two_pi_reports_round_off_and_exits_0(self, capsys):
+        # The same phase plus 2 pi: theta is taken as given, not wrapped, so
+        # the effective g2 is round-off rather than exactly 0.0.
+        values = self.fig6d_report(capsys, "4.307737685990058")
+        assert 0.0 < float(values["g2_effective"]) < 1e-29
         assert values["pass"] == "false"
         assert float(values["g2_full"]) == pytest.approx(0.07272759273, rel=1e-6)

@@ -50,16 +50,6 @@ class TestDeriveEffective:
         assert eff.M.real == pytest.approx(p.delta_c - eff.G, abs=1e-15)
         assert eff.N.real == pytest.approx(p.delta_c + p.delta_e, abs=1e-15)
 
-    def test_theta_reduced_to_halfopen_interval(self):
-        p = P.SystemParams(phi_p=2.5 * math.pi)
-        eff = P.derive_effective(p)
-        assert -math.pi < eff.theta <= math.pi
-        assert eff.theta == pytest.approx(0.5 * math.pi)
-
-    def test_theta_boundary_maps_to_plus_pi(self):
-        assert P.wrap_angle(-math.pi) == math.pi
-        assert P.wrap_angle(3.0 * math.pi) == pytest.approx(math.pi)
-
     def test_gauge_combination_only(self):
         base = P.SystemParams(phi_p=0.3, phi_he=-0.4, phi_eg=1.1)
         shifted = dataclasses.replace(

@@ -28,8 +28,8 @@ from cavityblockade.params import (
     SystemParams,
     derive_effective,
     effective_arrays,
+    params_from_mapping,
     reference_params,
-    wrap_angle,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -82,6 +82,29 @@ class TestEffectiveArrays:
         # kappa1 = 2.5 slides kappa2 to -0.5.
         with pytest.raises(ConfigError, match="positive"):
             effective_arrays(reference_params(), {"kappa1": 2.5})
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("b_in", [0.02, -0.02]),
+            ("g", [10.0, -10.0]),
+            ("e_eg", [-0.02, 0.0]),
+            ("e_he", [-5.0, 5.0]),
+            ("kappa", [1.0, 0.5]),
+            ("kappa", [1.0, -1.0]),
+            ("kappa1", [0.2, 2.5]),
+            ("kappa2", [0.0, 1.8]),
+        ],
+    )
+    def test_grid_keeps_the_rules_of_a_point(self, name, values):
+        # The grid refuses a value that SystemParams refuses, with its words.
+        base = reference_params()
+        with pytest.raises(ConfigError) as point:
+            for value in values:
+                params_from_mapping({name: value}, base=base)
+        with pytest.raises(ConfigError) as grid:
+            effective_arrays(base, {name: np.array(values)})
+        assert str(grid.value) == str(point.value)
 
     def test_delta_p_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -565,6 +588,21 @@ class TestConfigHash:
             return sweeps._provenance(spec, base)["config_hash"]
 
         assert config(number) == config(float)
+
+    def test_base_direction_does_not_enter(self, tmp_path):
+        # spec.directions names the directions a sweep runs; a base that a
+        # config file sets to backward hashes and writes as a forward one.
+        spec = sweeps.SweepSpec(axis1=sweeps.SweepAxis("delta_c", -1.0, 2.0, 5))
+        forward = reference_params()
+        backward = dataclasses.replace(forward, direction=Direction.BACKWARD)
+        written = []
+        for base in (forward, backward):
+            path = tmp_path / base.direction.value / "sweep.csv"
+            path.parent.mkdir()
+            sweeps.write_sweep_csv(sweeps.run_sweep(spec, base), path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert b"# config_hash = d59280699656be9b\n" in written[0]
 
 
 class TestSweepCsv:
@@ -1109,7 +1147,7 @@ class TestScalarPathEqualsGridPath:
                 assert bits(eff.omega) == bits(consts["omega"])
                 assert bits(eff.G) == bits(consts["g_shift"])
                 assert bits(eff.J) == bits(consts["j"])
-                assert eff.theta == wrap_angle(float(consts["theta"]))
+                assert bits(eff.theta) == bits(consts["theta"])
                 assert regime_conditions(grid) == expected, (params, overrides)
             conditions.append(expected)
         for name in (
@@ -1121,19 +1159,18 @@ class TestScalarPathEqualsGridPath:
             assert any(name in s for s in conditions), name
             assert any(name not in s for s in conditions), name
 
-    def test_same_g2_for_theta_in_the_wrapped_interval(self):
-        # derive_effective wraps theta into (-pi, pi] and the grid path does
-        # not, so only inside that interval are the two g2 values pinned
-        # bit for bit.  The point is the first cell of three grids, in both
-        # directions: a phi_eg axis (with theta given, phi_eg enters
-        # nothing, so every amplitude input stays 0-d), a delta_c axis
-        # (M and N vary) and a J x theta map (J and the phase vary).
+    def test_same_statistics_as_the_grid_cell(self):
+        # Neither path wraps theta, so the point and its cell give the same
+        # bits for any finite theta.  The point is the first cell of three
+        # grids, in both directions: a phi_eg axis (with theta given, phi_eg
+        # enters nothing, so every amplitude input stays 0-d), a delta_c
+        # axis (M and N vary) and a J x theta map (J and the phase vary).
         # steady_stats raises exactly where the cell is invalid, and gives
         # every statistic of each cell, bit for bit, everywhere else; so
         # does nonreciprocal_point's per-direction g2 (inf where invalid).
         rng = np.random.default_rng(2500)
         points = [
-            (params, float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-math.pi, math.pi)))
+            (params, float(rng.uniform(-6.0, 6.0)), float(rng.uniform(-10.0, 10.0)))
             for params, _ in self.SAMPLE
         ]
         points += [(params, couplings["j"], 0.3) for params, couplings in self.EDGES]
@@ -1206,6 +1243,41 @@ class TestCliInProcess:
         assert float(kv["p2"]) == stats.p2
         assert float(kv["n_paper"]) == stats.n_cavity_paper
         assert float(kv["n_full"]) == stats.n_cavity_full
+
+    @pytest.mark.parametrize(
+        "axis, flag",
+        [
+            ("b_in,-0.02,0.02,3", ["--b-in", "-0.02"]),
+            ("g,-10,10,3", ["--g", "-10"]),
+            ("e_eg,-0.02,0.02,3", ["--e-eg", "-0.02"]),
+            ("e_he,-5,5,3", ["--e-he", "-5"]),
+            ("kappa,0.5,2,3", ["--kappa", "0.5"]),
+        ],
+    )
+    def test_sweep_refuses_what_a_point_refuses(self, tmp_path, capsys, axis, flag):
+        assert cli.main(["g2", *flag]) == 1
+        point = capsys.readouterr()
+        argv = ["sweep", "--axis1", axis, "--J", "0.3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        grid = capsys.readouterr()
+        assert point.err.startswith("error: ") and point.err.count("\n") == 1
+        assert grid.err == point.err
+        assert grid.out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("axis", ["kappa1,0.2,1.8,3", "kappa2,0.2,1.8,3"])
+    def test_sweep_slides_a_mirror_axis(self, tmp_path, axis):
+        argv = ["sweep", "--axis1", axis, "--J", "0.3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[4:]
+        assert len(rows) == 6 and all(row.endswith(",true") for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--axis1", "delta_c,0,1,2"], ["nonreciprocal"]]
+    )
+    def test_all_direction_verbs_take_no_direction(self, capsys, argv):
+        # sweep runs --directions and nonreciprocal both directions.
+        assert cli.main([*argv, "--direction", "backward"]) == 1
+        assert "unrecognized arguments: --direction backward" in capsys.readouterr().err
 
     def test_g2_with_direct_couplings(self, capsys):
         assert cli.main(["g2", "--J", "0.5", "--theta", "0.3"]) == 0
@@ -1603,13 +1675,18 @@ class TestCliSubprocess:
         [
             ([], ["|delta_p/g|", "|delta_he/e_he|"]),
             (["--directions", "forward"], ["|delta_p/g|"]),
+            # The configured e_he = 20 enters no cell: the forward root
+            # J = 0.2736 keeps |delta_he/e_he| > 10 and the backward root
+            # J = 1.3275 does not.
+            (["--directions", "forward", "--e-he", "20"], ["|delta_p/g|"]),
+            (["--e-he", "20"], ["|delta_p/g|", "|delta_he/e_he|"]),
         ],
     )
     def test_optimal_sweep_warns_each_condition_once(
         self, tmp_path, directions, conditions
     ):
-        # The solver grid and the evaluation grid, in each direction, break
-        # the same |delta_p/g| condition; it is printed once.
+        # The evaluation grid, in each direction, breaks the same
+        # |delta_p/g| condition; it is printed once.
         proc = self.run(
             "sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", *directions,
             "--out", str(tmp_path),
