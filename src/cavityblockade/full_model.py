@@ -1,11 +1,13 @@
 """Un-eliminated three-level model used as an oracle for the effective one.
 
-The model is built straight from the rotating-frame detunings of
-``SystemParams``: delta_c, delta_p, the bare delta_eg and the upper-leg
-delta_he (Raman resonant unless set), with no lab frequencies.  It is
-written in the frame that rephases every |h> state by delta_p, where only
-the |h> <-> |e> drive rotates, at the beat omega = delta_he + delta_eg -
-delta_p:
+The model is built straight from the rotating-frame detunings: delta_c,
+delta_p, and the bare delta_eg and upper-leg delta_he (Raman resonant
+unless set) that ``params._derive`` forms from the inputs, with no lab
+frequencies.  It takes from ``_derive`` only these input relations and the
+drive Omega, never the eliminated G or J, so it stays an independent check
+of the elimination.  It is written in the frame that rephases every |h>
+state by delta_p, where only the |h> <-> |e> drive rotates, at the beat
+omega = delta_he + delta_eg - delta_p:
 
     H'(t) = H0 + e^{i omega t} A + e^{-i omega t} A^dagger,
     H0 = (delta_c - i kappa/2) a^dag a + delta_eg s_ee + delta_p s_hh
@@ -39,13 +41,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import steady_state
-from .params import TAU, RegimeWarning, SystemParams, _Report
+from .params import TAU, NumericalFailure, SystemParams, _Report, _derive
 
 LEVELS = ("g", "e", "h")
 
@@ -54,7 +55,6 @@ LEVELS = ("g", "e", "h")
 RAMAN_TOL = 1e-12
 
 MAX_N_MAX = 4
-VALIDATE_REGIME_MIN = 5.0
 
 #: Steps per block of generator matrices assembled at once by the RK4 run.
 _BLOCK_STEPS = 4096
@@ -88,8 +88,10 @@ def _operators(n_max: int) -> tuple[np.ndarray, ...]:
 
 class FullModel:
     """The truncated three-level model, held as the parts H0 and A of H'(t)
-    (module docstring), from the detunings of ``params``: delta_c, delta_p,
-    ``params.delta_eg`` and ``params.delta_he_effective``.
+    (module docstring), from delta_c and delta_p of ``params`` and the
+    delta_eg, delta_he and Omega that ``params._derive`` forms from them.
+    NumericalFailure where an entry of H0 is not finite; A's one entry,
+    at most e_he in size, always is.
 
     ``hamiltonian`` forms H'(t), or the lab-frame H(t) derived from it, and
     ``run`` integrates H(t).  ``beat`` is omega, and ``raman_resonant``
@@ -103,22 +105,25 @@ class FullModel:
         self.params = params
         self.n_max = n_max
         self.dim = 3 * (n_max + 1)
-        delta_eg = params.delta_eg
-        delta_he = params.delta_he_effective
+        c, _ = _derive(params, {})
+        delta_eg, delta_he = c["delta_eg"], c["delta_he"]
 
         create, number, s_ee, s_hh, s_eg, s_he, create_gh = _operators(n_max)
         microwave = params.e_eg * cmath.exp(1j * params.phi_eg)
-        drive = math.sqrt(params.kappa_in) * params.b_in * cmath.exp(1j * params.phi_p)
-        self._h0 = (
-            (params.delta_c - 0.5j * params.kappa) * number
-            + delta_eg * s_ee
-            + params.delta_p * s_hh
-            + microwave * s_eg
-            + microwave.conjugate() * s_eg.T
-            + drive * create
-            + drive.conjugate() * create.T
-            + params.g * (create_gh + create_gh.T)
-        )
+        drive = float(c["omega"]) * cmath.exp(1j * params.phi_p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._h0 = (
+                (params.delta_c - 0.5j * params.kappa) * number
+                + delta_eg * s_ee
+                + params.delta_p * s_hh
+                + microwave * s_eg
+                + microwave.conjugate() * s_eg.T
+                + drive * create
+                + drive.conjugate() * create.T
+                + params.g * (create_gh + create_gh.T)
+            )
+        if not np.isfinite(self._h0).all():
+            raise NumericalFailure("the three-level Hamiltonian is not finite at these inputs")
         # A = E_he e^{i phi_he} s_he placed, so its zeros are +0: signs move ties.
         pump = params.e_he * cmath.exp(1j * params.phi_he)
         self._drive = np.where(s_he != 0.0, pump, 0j)
@@ -305,19 +310,13 @@ def validate_effective(
     g2_effective is 0.0, it is inf unless g2_full is 0.0 too.  Where the
     effective model has no statistics, this raises what
     ``steady_state.steady_stats`` raises, before it builds the full model.
+    Its regime warnings are those of ``steady_stats``, one per violated
+    condition, |delta_p/g| <= 10 among them.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
-    if params.g != 0.0 and abs(params.delta_p / params.g) <= VALIDATE_REGIME_MIN:
-        warnings.warn(
-            f"|delta_p/g| = {abs(params.delta_p / params.g):.3g} <= "
-            f"{VALIDATE_REGIME_MIN:g}; adiabatic elimination is unreliable here",
-            RegimeWarning,
-            stacklevel=2,
-        )
-
     g2_effective = steady_state.steady_stats(params).g2
 
     model = FullModel(params, n_max)

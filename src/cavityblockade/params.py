@@ -10,7 +10,10 @@ The effective model is derived in one place, :func:`_derive`: adiabatic
 elimination of the far-detuned upper level |h> gives the Stark shift
 G = g**2/delta_p and the Raman coupling J = g*e_he/delta_p; with the drive
 Omega = sqrt(kappa_in)*b_in and the denominators M and N (:func:`_denominators`)
-these are every coefficient of the closed-form steady state.  The same
+these are every coefficient of the closed-form steady state.  It also forms
+the bare detunings of the un-eliminated model, delta_eg = delta_e +
+e_he**2/delta_p and the upper-leg delta_he (Raman resonant, delta_p -
+delta_eg, unless set), which ``full_model`` reads.  The same
 routine checks the inputs by the rules of :class:`SystemParams`
 (:func:`_check_inputs`) and the four regime conditions of :data:`_REGIME`.
 It runs on floats and on arrays alike: :func:`derive_effective` is its view
@@ -88,7 +91,8 @@ class SystemParams:
     delta_he   detuning of the atomic drive on the upper leg; None means
                "Raman resonant", i.e. delta_p - delta_eg is assumed
     delta_e    effective detuning of the intermediate level, an independent
-               input (see ``delta_eg`` for the bare-level relation)
+               input; the bare detuning delta_eg = delta_e + e_he**2/delta_p
+               follows from it (:func:`_derive`)
     delta_c    cavity detuning from the drive
     e_he       amplitude of the optical drive on the upper atomic leg
     e_eg       amplitude of the microwave drive between the ground levels
@@ -131,24 +135,6 @@ class SystemParams:
     def kappa_in(self) -> float:
         """Decay rate of the driven mirror."""
         return self.kappa1 if self.direction is Direction.FORWARD else self.kappa2
-
-    @property
-    def delta_eg(self) -> float:
-        """Bare two-level detuning implied by delta_e: delta_e + e_he**2/delta_p.
-
-        Documented for reference only; ``delta_e`` is always the independent
-        input and is never recomputed from this relation.
-        """
-        if self.delta_p == 0.0:
-            raise ZeroDivisionError("delta_p must be nonzero")
-        return self.delta_e + self.e_he**2 / self.delta_p
-
-    @property
-    def delta_he_effective(self) -> float:
-        """delta_he if supplied, else the Raman-resonant value delta_p - delta_eg."""
-        if self.delta_he is not None:
-            return self.delta_he
-        return self.delta_p - self.delta_eg
 
 
 _FLOAT_FIELDS = tuple(
@@ -215,6 +201,9 @@ class EffectiveParams:
     omega    cavity drive amplitude sqrt(kappa_in)*b_in
     M        complex single-photon denominator delta_c - i*kappa/2 - G
     N        complex dressed denominator delta_c - i*kappa/2 + delta_e
+
+    Readers work from M and N themselves: Re M + G need not round back to
+    the input delta_c.
     """
 
     delta_e: float
@@ -224,14 +213,6 @@ class EffectiveParams:
     omega: float
     M: complex
     N: complex
-
-    @property
-    def kappa(self) -> float:
-        return -2.0 * self.M.imag
-
-    @property
-    def delta_c(self) -> float:
-        return self.M.real + self.G
 
 
 class _Condition(NamedTuple):
@@ -304,9 +285,10 @@ def _derive(
     at every point (:func:`_check_inputs`).
 
     Returns the coefficients by name (:data:`_AMPLITUDE_INPUTS`, plus
-    ``g_shift``, ``kappa``, ``delta_c`` and the upper-leg drive ``e_he``)
-    and, for each regime condition some point violates, the condition and
-    its value at every point.  Plain operators keep a point given as floats
+    ``g_shift``, ``kappa``, ``delta_c``, the upper-leg drive ``e_he``, and
+    the bare detunings ``delta_eg`` and ``delta_he`` of the configured e_he,
+    not of the e_he an overridden J implies) and, for each regime condition
+    some point violates, the condition and its value at every point.  Plain operators keep a point given as floats
     on floats, so one point costs a few microseconds.
     """
     v = vars(params) | overrides
@@ -319,12 +301,12 @@ def _derive(
         raise ZeroDivisionError("delta_p must be nonzero for the adiabatic elimination")
 
     g, e_he, delta_e = v["g"], v["e_he"], v["delta_e"]
-    if params.delta_he is not None:
-        delta_he = params.delta_he
-    else:
-        # The Raman-resonant detuning delta_p - delta_eg, with delta_eg
-        # taken from the configured e_he.
-        delta_he = delta_p - (delta_e + e_he * e_he / delta_p)
+    # The bare detuning and the Raman-resonant upper leg, from the
+    # configured e_he.  Squares are products: a float's ** 2 goes through
+    # the C library's pow, which can round differently from numpy's exact
+    # square of an array.
+    delta_eg = delta_e + e_he * e_he / delta_p
+    delta_he = delta_p - delta_eg if params.delta_he is None else params.delta_he
     if "J" in overrides:
         j = v["J"]
         e_he = _ratio(j * delta_p, g)
@@ -335,8 +317,6 @@ def _derive(
     kappa_in = kappa1 if params.direction is Direction.FORWARD else kappa2
     omega = np.sqrt(kappa_in) * v["b_in"]
     e_eg, delta_c = v["e_eg"], v["delta_c"]
-    # Squares are products: a float's ** 2 goes through the C library's pow,
-    # which can round differently from numpy's exact square of an array.
     g_shift = g * g / delta_p
     m, n = _denominators(delta_c, kappa, g_shift, delta_e)
     consts = {
@@ -351,6 +331,8 @@ def _derive(
         "kappa": kappa,
         "delta_c": delta_c,
         "e_he": e_he,
+        "delta_eg": delta_eg,
+        "delta_he": delta_he,
     }
     values = (_ratio(delta_p, g), _ratio(delta_he, e_he), omega / kappa, e_eg / kappa)
     violated = [

@@ -29,15 +29,15 @@ class EnergyPair:
 def eigenenergies(eff: EffectiveParams, n: int) -> EnergyPair:
     """Exact eigenvalues of the {|n, g>, |n-1, e>} block.
 
-    Uses only the dispersive (real) parts of ``eff``; dissipation does not
-    enter the level positions.
+    Uses only the dispersive (real) parts of ``eff``, through Re M =
+    delta_c - G; dissipation does not enter the level positions.
     """
     if n < 1:
         raise ValueError(f"photon number n must be >= 1, got {n}")
-    delta_c = eff.delta_c
-    mean = 0.5 * ((2 * n - 1) * delta_c + eff.delta_e - n * eff.G)
-    gap = n * eff.G - delta_c + eff.delta_e
-    half = 0.5 * math.sqrt(4.0 * n * eff.J**2 + gap**2)
+    shift = eff.M.real
+    mean = 0.5 * ((2 * n - 1) * shift + (n - 1) * eff.G + eff.delta_e)
+    gap = (n - 1) * eff.G - shift + eff.delta_e
+    half = 0.5 * math.sqrt(4.0 * n * eff.J * eff.J + gap * gap)
     return EnergyPair(n=n, eps_plus=mean + half, eps_minus=mean - half)
 
 

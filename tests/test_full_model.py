@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CHILD_WARNINGS
 
 from cavityblockade import cli
 from cavityblockade import full_model as fm
@@ -137,7 +138,7 @@ def random_resonant_params(rng):
 class TestModelStructure:
     def test_pure_decay_rates(self):
         p = bare_params(delta_c=0.0)
-        assert p.delta_c == 0.0 and p.delta_eg == 0.0
+        assert p.delta_c == 0.0 and p.delta_e + p.e_he * p.e_he / p.delta_p == 0.0
         model = fm.FullModel(p)
         rng = np.random.default_rng(1)
         state = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
@@ -164,8 +165,9 @@ class TestModelStructure:
             e_eg=0.01,
             b_in=0.02,
         )
-        assert p.delta_eg == 0.5
-        assert p.delta_he_effective + p.delta_eg == p.delta_p
+        delta_eg = p.delta_e + p.e_he * p.e_he / p.delta_p
+        assert delta_eg == 0.5
+        assert (p.delta_p - delta_eg) + delta_eg == p.delta_p
         model = fm.FullModel(p)
         assert model.raman_resonant
         h0 = model.hamiltonian(0.0, frame=True)
@@ -224,6 +226,24 @@ class TestModelStructure:
         assert fm.FullModel(raman_offset(base, 0.9e-10)).raman_resonant
         assert not fm.FullModel(raman_offset(base, 1.1e-10)).raman_resonant
         assert not fm.FullModel(raman_offset(base, -1e-9)).raman_resonant
+
+    def test_bare_detuning_is_the_derived_one(self):
+        # e_he**2 through the C library's pow rounds one ulp away from
+        # e_he * e_he here; the full model reads _derive's product.
+        p = dataclasses.replace(P.reference_params(), e_he=20.059112069609753)
+        k = fm.state_index(0, "e")
+        delta_eg = fm.FullModel(p).hamiltonian(0.0, frame=True)[k, k].real
+        assert delta_eg == p.delta_e + p.e_he * p.e_he / p.delta_p
+        assert delta_eg == P.effective_arrays(p, {})["delta_eg"]
+
+    @pytest.mark.parametrize(
+        "inputs", [{"e_he": 1e200}, {"e_he": 1e10, "delta_p": 1e-300}], ids=["e_he", "delta_p"]
+    )
+    def test_non_finite_hamiltonian_is_numerical_failure(self, inputs):
+        # delta_eg = delta_e + e_he**2/delta_p overflows in both.
+        p = dataclasses.replace(P.reference_params(), **inputs)
+        with pytest.raises(P.NumericalFailure, match="not finite"):
+            fm.FullModel(p)
 
     def test_n_max_bounds(self):
         with pytest.raises(ValueError, match=r"n_max must be in \[1, 4\], got 5"):
@@ -313,6 +333,7 @@ print(json.dumps(digests))
         env = {
             **os.environ,
             "OPENBLAS_NUM_THREADS": "2",
+            "PYTHONWARNINGS": CHILD_WARNINGS,
             "PYTHONPATH": os.pathsep.join(map(str, paths)),
         }
         child = subprocess.run(
@@ -410,10 +431,11 @@ class TestRun:
 
 
 def raman_offset(base: P.SystemParams, offset: float) -> P.SystemParams:
-    """``base`` with the upper-leg drive ``offset`` from Raman resonance."""
-    return dataclasses.replace(
-        base, delta_he=base.delta_he_effective + offset
-    )
+    """``base`` with the upper-leg drive ``offset`` from Raman resonance,
+    delta_he = delta_p - delta_eg + offset with delta_eg = delta_e +
+    e_he**2/delta_p."""
+    delta_eg = base.delta_e + base.e_he * base.e_he / base.delta_p
+    return dataclasses.replace(base, delta_he=base.delta_p - delta_eg + offset)
 
 
 def g2_of(states: np.ndarray, n_max: int) -> float:
@@ -570,15 +592,20 @@ class TestValidation:
         assert report.gap == 0.0 and report.settle_time == math.inf
 
     def test_breakdown_is_loud(self):
+        # The effective model's |delta_p/g| <= 10 rule is the one check of
+        # the ratio: it warns once.
         p = dataclasses.replace(P.reference_params(), delta_p=10.0)
-        with pytest.warns(P.RegimeWarning, match="unreliable"):
+        with pytest.warns(P.RegimeWarning) as caught:
             report = fm.validate_effective(p)
+        ratio = [str(w.message) for w in caught if "|delta_p/g|" in str(w.message)]
+        assert ratio == ["|delta_p/g| = 1 <= 10; adiabatic elimination is marginal"]
         assert not report.passed
         assert report.g2_full > 10.0 * report.g2_effective
 
     def test_no_effective_statistics_fails_before_the_full_model(self):
-        # e_he**2 overflows in delta_eg, which the full model reads; the
-        # effective model's J**2 overflows first, as in ``g2``.
+        # e_he * e_he overflows in delta_eg, which would make the full
+        # model's H0 non-finite; the effective model's J**2 overflows
+        # first, as in ``g2``.
         p = dataclasses.replace(P.reference_params(), e_he=1e200)
         with pytest.raises(steady_state.SingularDenominator, match="not finite"):
             fm.validate_effective(p)

@@ -139,6 +139,29 @@ class TestFixedDetuning:
         for r in roots:
             assert abs(cancellation_polynomial(p, r.J, r.theta, 2.5)) < 1e-13
 
+    # Per reference delta_c, each forward root's (J, |delta_he/e_he|,
+    # backward g2): the small-|J| branch is in regime, the large-|J| one
+    # is not.
+    BRANCHES = [
+        (0.0, [(0.16178313820767565, 62.1, 0.71331), (4.735377490690859, 2.12, 47.488)]),
+        (1.57, [(0.27038193377644254, 37.2, 1.3240), (-4.029435665948046, 2.49, 31.967)]),
+        (2.5, [(0.25275445274028513, 39.8, 1.1414), (-3.964000042264327, 2.54, 30.582)]),
+    ]
+
+    @pytest.mark.parametrize("delta_c, branches", BRANCHES)
+    def test_two_branches(self, delta_c, branches):
+        p = dataclasses.replace(P.reference_params(), delta_c=delta_c)
+        roots = optimizer.find_roots(p, fix_delta_c=True)
+        assert [r.J for r in roots] == pytest.approx([b[0] for b in branches], abs=1e-9)
+        backward = dataclasses.replace(p, direction=P.Direction.BACKWARD)
+        for r, (_, ratio, g2) in zip(roots, branches):
+            # The Raman delta_he = delta_p - delta_eg takes the configured
+            # e_he = 0, as _derive does; the drive is the e_he J implies.
+            c = P.effective_arrays(p, {"J": r.J})
+            assert float(f"{abs(c['delta_he'] / c['e_he']):.3g}") == ratio
+            stats = steady_state.steady_stats(backward, j=r.J, theta=r.theta)
+            assert stats.g2 == pytest.approx(g2, rel=1e-4)
+
     def test_fixed_solve_echoes_target(self):
         p = dataclasses.replace(P.reference_params(), delta_c=2.5)
         point = optimizer.solve_optimal(p, fix_delta_c=True)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import CHILD_WARNINGS
 
 import cavityblockade
 
@@ -35,7 +36,7 @@ def run_python(code: str, *args: str, cwd=None) -> str:
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONWARNINGS": CHILD_WARNINGS},
         cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import CHILD_WARNINGS
 
 from cavityblockade import params as P
 
@@ -130,15 +131,18 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="direction"):
             P.SystemParams(direction="forward")
 
+    @pytest.mark.filterwarnings("ignore::cavityblockade.params.RegimeWarning")
     def test_delta_eg_relation(self):
         p = P.SystemParams(delta_e=-0.5, e_he=30.0, delta_p=100.0)
-        assert p.delta_eg == -0.5 + 30.0**2 / 100.0
+        assert P.effective_arrays(p, {})["delta_eg"] == -0.5 + 30.0 * 30.0 / 100.0
 
+    @pytest.mark.filterwarnings("ignore::cavityblockade.params.RegimeWarning")
     def test_delta_he_defaults_to_raman_resonance(self):
         p = P.SystemParams(delta_e=-0.5, e_he=30.0, delta_p=100.0)
-        assert p.delta_he_effective == p.delta_p - p.delta_eg
+        c = P.effective_arrays(p, {})
+        assert c["delta_he"] == p.delta_p - c["delta_eg"]
         q = dataclasses.replace(p, delta_he=17.0)
-        assert q.delta_he_effective == 17.0
+        assert P.effective_arrays(q, {})["delta_he"] == 17.0
 
     def test_kappa_in_by_direction(self):
         p = P.SystemParams(kappa1=0.2, kappa2=1.8)
@@ -252,7 +256,7 @@ def scipy_modules_after(code: str) -> str:
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": CHILD_WARNINGS},
         check=True,
     )
     return proc.stdout

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CHILD_WARNINGS
 
 from cavityblockade import cli, figures, optimizer, steady_state, svgplot, sweeps
 from cavityblockade.params import (
@@ -1090,11 +1091,15 @@ def conditions_by_definition(params: SystemParams, j: float | None) -> set[str]:
     found = set()
     if params.g > 0.0 and abs(params.delta_p / params.g) <= 10.0:
         found.add("adiabatic elimination")
+    # The Raman-resonant delta_he takes the configured e_he, not J's.
+    delta_he = params.delta_he
+    if delta_he is None:
+        delta_he = params.delta_p - (params.delta_e + params.e_he * params.e_he / params.delta_p)
     if j is None:
         e_he = params.e_he
     else:
         e_he = abs(j) * abs(params.delta_p) / params.g if params.g > 0.0 else 0.0
-    if e_he > 0.0 and abs(params.delta_he_effective / e_he) <= 10.0:
+    if e_he > 0.0 and abs(delta_he / e_he) <= 10.0:
         found.add("upper-leg detuning")
     if math.sqrt(params.kappa_in) * params.b_in / params.kappa >= 0.1:
         found.add("weak cavity drive")
@@ -1518,9 +1523,9 @@ class TestCliSubprocess:
         # output that the program does not flush before it ends is lost.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-        # A RuntimeWarning that a verb leaks fails the run, as it does in
-        # the suite's own process.
-        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+        # A numpy warning that a verb leaks fails the run, as it does in the
+        # suite's own process.
+        env["PYTHONWARNINGS"] = CHILD_WARNINGS
         return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
     def run(self, *args: str):
@@ -1543,6 +1548,16 @@ class TestCliSubprocess:
         proc = self.run(*argv)
         assert (proc.stdout, proc.stderr, proc.returncode) == in_process(argv, capsys)
         assert proc.returncode == code
+
+    def test_full_model_warns_once_about_the_detuning_ratio(self):
+        # validate-full's one |delta_p/g| line is the one g2 writes.
+        lines = [
+            [line for line in self.run(*argv).stderr.splitlines() if "|delta_p/g|" in line]
+            for argv in (["validate-full", "--g", "25"], ["g2", "--g", "25"])
+        ]
+        assert lines[0] == lines[1] == [
+            "RegimeWarning: |delta_p/g| = 4 <= 10; adiabatic elimination is marginal"
+        ]
 
     def test_overflowing_coupling_is_one_numerical_failure_line(self):
         proc = self.run("g2", "--J", "1e200")
