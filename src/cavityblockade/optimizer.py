@@ -40,6 +40,9 @@ C2G_RESIDUAL_TOL = 1e-10
 #: Points a side of :func:`nonreciprocal_point`'s coarse (J, theta) map.
 _SCAN_POINTS = 161
 
+#: Columns per root solve in :func:`solve_optimal_arrays`; bounds its tables.
+_SOLVE_COLUMNS = 1 << 10
+
 
 class NoRealSolution(NumericalFailure):
     """No real (J, theta) satisfies the cancellation condition."""
@@ -283,21 +286,23 @@ def solve_optimal_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise selected cancellation roots over arrays of system constants.
 
-    Broadcasts every constant to a common shape, solves every column exactly
-    at once with the cavity detuning free (a joint solve), and applies the
-    selection rule of :func:`solve_optimal`.  Returns (J, theta,
-    delta_c_opt), NaN in columns without a real root (microwave off,
-    delta_e = 0, a resultant that overflows, or none exists).
-    :func:`find_roots` solves at a fixed cavity detuning.
+    Broadcasts every constant to a common shape, solves each column exactly
+    and alone, ``_SOLVE_COLUMNS`` columns a call, with the cavity detuning
+    free (a joint solve), and applies the selection rule of
+    :func:`solve_optimal`.  Returns (J, theta, delta_c_opt), NaN in columns
+    without a real root (microwave off, delta_e = 0, a resultant that
+    overflows, or none exists).  :func:`find_roots` fixes the detuning.
     """
     consts = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (e, omega, g_shift, delta_e, kappa))
     )
-    shape = consts[0].shape
-    j, theta, dc, _, _ = _cancellation_roots(*(v.reshape(-1) for v in consts))
-    # Copies of the first column, so the results do not keep the (K, 15)
-    # root tables alive.
-    return tuple(x[:, 0].copy().reshape(shape) for x in (j, theta, dc))
+    out = np.empty((3, consts[0].size))
+    for start in range(0, consts[0].size, _SOLVE_COLUMNS):
+        block = slice(start, start + _SOLVE_COLUMNS)
+        roots = _cancellation_roots(*(v.flat[block] for v in consts))
+        # The first column of each (K, 15) root table is the selected root.
+        out[:, block] = [x[:, 0] for x in roots[:3]]
+    return tuple(out.reshape((3,) + consts[0].shape))
 
 
 def nonreciprocal_point(
@@ -310,16 +315,17 @@ def nonreciprocal_point(
 
     Of the exact forward cancellation roots at the target cavity detuning
     with |J| <= ``j_limit``, returns the one with the largest backward g2.
-    Only when no root lies in that window does it scan the (J, theta) plane
-    on a 161 x 161 grid for the least forward g2 in the region where the
+    Only when no root lies in that window does it sweep J x theta on a
+    161 x 161 grid for the least forward g2 in the region where the
     backward direction is bunched (g2 > 1), or anywhere when that region is
-    empty, and then rescan the window of two cells either side of that point
-    twice, each time on a 41 x 41 grid under the same rule and with
-    |J| <= ``j_limit``.  Raises ValueError when ``j_limit`` is not finite
-    and positive.  Warns NotNonreciprocal when the final point does not
-    separate the two directions, that is unless forward g2 < 1 < backward
-    g2, and a RegimeWarning, worded as :func:`derive_effective` words it,
-    for each regime condition the point violates in either direction.
+    empty, and then resweep the window of two cells either side of that
+    point twice, each time on a 41 x 41 grid under the same rule and with
+    |J| <= ``j_limit``.  Raises ValueError, root or not, unless ``j_limit``
+    is positive and 2 ``j_limit`` (the scan's J span) finite.  Warns
+    NotNonreciprocal when the final point does not separate the two
+    directions, that is unless forward g2 < 1 < backward g2, and a
+    RegimeWarning, worded as :func:`derive_effective` words it, for each
+    regime condition the point violates in either direction.
 
     The scan asks of the backward direction only g2 > 1, with no margin, so
     its point may sit on the edge of the bunched region: on 83 seeded
@@ -335,8 +341,8 @@ def nonreciprocal_point(
     fig6d (contrast 2.84).  fig6c's J = 4.735 lies outside the elimination
     regime, where it warns |delta_he/e_he| = 2.12.
     """
-    if not (math.isfinite(j_limit) and j_limit > 0.0):
-        raise ValueError(f"j_limit must be finite and positive, got {j_limit!r}")
+    if not (math.isfinite(2.0 * j_limit) and j_limit > 0.0):
+        raise ValueError(f"j_limit must be positive and 2 j_limit finite, got {j_limit!r}")
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)
     try:
@@ -382,15 +388,18 @@ def nonreciprocal_point(
 
 
 def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, float]:
-    """Least forward g2 on a (J, theta) scan, in the backward-bunched region
-    when it exists, refined by two 41 x 41 rescans of +-2 cells around it."""
+    """Least forward g2 on a J x theta sweep, in the backward-bunched region
+    when it exists, refined by two 41 x 41 resweeps of +-2 cells around it;
+    each direction's map is one unwarned ``sweeps._evaluate_direction``."""
+    from . import sweeps
     j_range, theta_range = (-j_limit, j_limit), (-math.pi, math.pi)
     for side in (_SCAN_POINTS, 41, 41):
-        j_values = np.linspace(*j_range, side)
-        theta_values = np.linspace(*theta_range, side)
-        grid = (j_values[:, None], theta_values[None, :])
+        spec = sweeps.SweepSpec(
+            sweeps.SweepAxis("J", *j_range, side), sweeps.SweepAxis("theta", *theta_range, side)
+        )
+        j_values, theta_values = spec.axis1.values(), spec.axis2.values()
         fwd, bwd = (
-            _g2_at(replace(at_target, direction=d), *grid)[0]
+            sweeps._evaluate_direction(replace(at_target, direction=d), spec, None)[0]["g2"]
             for d in (Direction.FORWARD, Direction.BACKWARD)
         )
         # g2 is NaN at every invalid point.
@@ -409,19 +418,12 @@ def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, fl
     return float(j), float(theta)
 
 
-def _g2_at(params: SystemParams, j, theta):
-    """g2 at couplings (J, theta), its validity and the regime conditions
-    violated there."""
-    c, violated = _derive(params, {"J": j, "theta": theta})
-    stats, ok = steady_state._stats_from_parameters(*(c[k] for k in _AMPLITUDE_INPUTS))
-    return stats["g2"], ok, violated
-
-
 def _direction_g2(params: SystemParams, direction: Direction, j, theta):
-    """g2 in one drive direction (inf at a singular point), and the regime
-    conditions violated there."""
-    g2, valid, violated = _g2_at(replace(params, direction=direction), j, theta)
-    return (float(g2) if bool(np.all(valid)) else math.inf), violated
+    """g2 in one drive direction at couplings (J, theta) (inf at a singular
+    point), and the regime conditions violated there."""
+    c, violated = _derive(replace(params, direction=direction), {"J": j, "theta": theta})
+    stats, valid = steady_state._stats_from_parameters(*(c[k] for k in _AMPLITUDE_INPUTS))
+    return (float(stats["g2"]) if bool(valid) else math.inf), violated
 
 
 __all__ = [

@@ -76,8 +76,11 @@ class SweepAxis:
         # Python floats: a span that overflows is inf, without a warning.
         span = float(self.maximum) - float(self.minimum)
         _require_finite(f"axis {self.name}: span maximum - minimum", span)
-        if self.count < 2:
-            raise ConfigError(f"axis {self.name}: need at least 2 points")
+        try:
+            if operator.index(self.count) < 2:
+                raise ConfigError(f"axis {self.name}: need at least 2 points")
+        except TypeError:
+            raise ConfigError(f"axis {self.name}: count must be an integer") from None
 
     def values(self) -> np.ndarray:
         return np.linspace(self.minimum, self.maximum, self.count)
@@ -306,19 +309,19 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the analytic steady state over the requested grid.
 
-    The grid is evaluated in blocks of whole rows, about 2**12 points each,
-    written straight into the result arrays, so the memory a sweep needs
-    beyond its result is bounded by the block, not the grid.  The result
-    holds the five statistics of ``STAT_COLUMNS`` and ``valid`` per
-    direction at full grid size; ``j_used``, ``theta_used`` and
-    ``delta_c_opt`` are read-only views, as large only as the axes they
-    vary along.  ``jobs`` is an upper bound on worker threads: a grid of
-    at most 2**17 points runs on the calling thread, a larger one with
-    ``jobs > 1`` on ``min(jobs, blocks)`` threads in blocks of about 2**14
-    points.  Every point is computed independently, so the arrays are identical
-    whatever the blocking and the thread count.  Each regime condition
-    some point violates is warned once per sweep, whatever the directions
-    and the grids it is checked on.
+    The grid is evaluated in blocks of whole rows, about 2**12 points each
+    (an ``optimal_j_theta`` joint solve in 2**10 columns), written into the
+    result, so the memory a sweep needs beyond it is bounded by the block,
+    not the grid.  The result holds the five statistics of ``STAT_COLUMNS``
+    and ``valid`` per direction at full grid size; ``j_used``,
+    ``theta_used`` and ``delta_c_opt`` are read-only views, as large only as
+    the axes they vary along.  ``jobs`` is an upper bound on worker threads:
+    a grid of at most 2**17 points runs on the calling thread, a larger one
+    with ``jobs > 1`` on ``min(jobs, blocks)`` threads in blocks of about
+    2**14 points.  Every point is computed independently, so the arrays are
+    identical whatever the blocking and the thread count.  Each regime
+    condition some point violates is warned once per sweep, whatever the
+    directions and the grids it is checked on.
     """
     results = [
         _evaluate_direction(dataclasses.replace(base, direction=direction), spec, jobs)

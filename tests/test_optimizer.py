@@ -162,6 +162,33 @@ class TestFixedDetuning:
             stats = steady_state.steady_stats(backward, j=r.J, theta=r.theta)
             assert stats.g2 == pytest.approx(g2, rel=1e-4)
 
+    def test_in_regime_branch_has_a_one_way_window(self):
+        # Along delta_c = 1.00, 1.01, ..., 2.00 the small-|J| forward root
+        # stays in regime, and its backward g2 crosses 1 between 1.17 and
+        # 1.18 and peaks at 1.57.
+        ref = P.reference_params()
+        backward_g2 = {}
+        for k in range(101):
+            delta_c = round(1.0 + k / 100, 2)
+            p = dataclasses.replace(ref, delta_c=delta_c)
+            roots = optimizer.find_roots(p, fix_delta_c=True)
+            assert len(roots) == 2, delta_c
+            small = roots[0]
+            c = P.effective_arrays(p, {"J": small.J})
+            assert abs(c["delta_he"] / c["e_he"]) > 35.0, delta_c
+            backward = dataclasses.replace(p, direction=P.Direction.BACKWARD)
+            backward_g2[delta_c] = steady_state.steady_stats(
+                backward, j=small.J, theta=small.theta
+            ).g2
+        assert [dc for dc, g2 in backward_g2.items() if g2 > 1.0] == [
+            round(1.18 + k / 100, 2) for k in range(83)
+        ]
+        assert backward_g2[1.17] == pytest.approx(0.98434, rel=1e-4)
+        assert backward_g2[1.18] == pytest.approx(1.00303, rel=1e-4)
+        assert max(backward_g2, key=backward_g2.get) == 1.57
+        for delta_c, g2 in ((1.56, 1.32395), (1.57, 1.32403), (1.58, 1.32388)):
+            assert backward_g2[delta_c] == pytest.approx(g2, rel=1e-4)
+
     def test_fixed_solve_echoes_target(self):
         p = dataclasses.replace(P.reference_params(), delta_c=2.5)
         point = optimizer.solve_optimal(p, fix_delta_c=True)
@@ -232,6 +259,51 @@ class TestArraySolve:
         assert theta[-1] == pytest.approx(-0.011313, abs=1e-6)
         at_three = dataclasses.replace(base, delta_e=3.0)
         assert abs(cancellation_polynomial(at_three, j[-1], theta[-1], dc[-1])) < 1e-12
+
+    def draws(self, count):
+        """(E, Omega, G, delta_e, kappa) of ``count`` seeded columns; about
+        one in ten has the microwave drive off, and so no root."""
+        rng = np.random.default_rng(7)
+        e = rng.uniform(0.005, 0.02, count)
+        return (
+            np.where(rng.random(count) < 0.1, 0.0, e),
+            rng.uniform(0.01, 0.03, count),
+            rng.uniform(0.5, 2.0, count),
+            rng.uniform(-3.0, 3.0, count),
+            rng.uniform(0.5, 1.5, count),
+        )
+
+    def test_solves_at_most_a_block_of_columns_a_call(self, monkeypatch):
+        sizes = []
+        roots = optimizer._cancellation_roots
+        monkeypatch.setattr(
+            optimizer,
+            "_cancellation_roots",
+            lambda *args: sizes.append(len(args[0])) or roots(*args),
+        )
+        block = optimizer._SOLVE_COLUMNS
+        j, _, _ = optimizer.solve_optimal_arrays(*self.draws(2 * block + 1))
+        assert j.shape == (2 * block + 1,)
+        assert sizes == [block, block, 1]
+
+    def test_blocks_match_one_column_solves_bit_for_bit(self, monkeypatch):
+        block = optimizer._SOLVE_COLUMNS
+        count = 3 * block + 7
+        consts = self.draws(count)
+        blocked = np.stack(optimizer.solve_optimal_arrays(*consts))
+        assert 0 < np.isfinite(blocked[0]).sum() < count
+        # Every column against one solve of all columns at once ...
+        monkeypatch.setattr(optimizer, "_SOLVE_COLUMNS", count)
+        assert blocked.tobytes() == np.stack(optimizer.solve_optimal_arrays(*consts)).tobytes()
+        # ... and the first and last column of each block, plus a seeded
+        # sample, against one-column solves.
+        edges = [
+            k for start in range(0, count, block) for k in (start, min(start + block, count) - 1)
+        ]
+        sample = np.random.default_rng(8).choice(count, 48, replace=False).tolist()
+        for k in edges + sample:
+            one = np.stack(optimizer.solve_optimal_arrays(*(v[k] for v in consts)))
+            assert one.tobytes() == blocked[:, k].tobytes(), k
 
 
 def _draw(rng):
@@ -390,14 +462,20 @@ class TestNonreciprocalPoint:
             (dict(j_limit=-1.0), "j_limit"),
             (dict(j_limit=math.inf), "j_limit"),
             (dict(j_limit=math.nan), "j_limit"),
+            # Finite, but the scan's J span, 2 j_limit, overflows.
+            (dict(j_limit=1e308), "j_limit"),
         ],
-        ids=["j_limit-0", "j_limit-negative", "j_limit-inf", "j_limit-nan"],
+        ids=["j_limit-0", "j_limit-negative", "j_limit-inf", "j_limit-nan", "j_limit-span-inf"],
     )
     def test_rejects_bad_settings_also_at_a_root(self, kwargs, message):
         # The reference point has forward roots at delta_c = 0, so no map is
-        # drawn; the settings are checked all the same.
-        with pytest.raises(ValueError, match=message):
-            optimizer.nonreciprocal_point(P.reference_params(), 0.0, **kwargs)
+        # drawn; the settings are checked all the same, and as on the
+        # no-root draw, whose point comes from the maps.
+        no_root = dataclasses.replace(P.reference_params(), **self.NO_ROOT)
+        for p, target in ((P.reference_params(), 0.0), (no_root, self.NO_ROOT_TARGET)):
+            with pytest.raises(ValueError, match=message) as raised:
+                optimizer.nonreciprocal_point(p, target, **kwargs)
+            assert raised.type is ValueError
 
     def test_resonant_target(self):
         base = P.reference_params()
@@ -491,8 +569,9 @@ class TestNonreciprocalPoint:
         assert report.g2_forward < 1.0 < report.g2_backward
         assert abs(j) <= j_limit
         assert (report.J, report.theta) == (j, theta)
-        got = (j, theta, report.g2_forward, report.g2_backward)
-        assert got == pytest.approx(self.NO_ROOT_POINTS[j_limit], rel=1e-12)
+        # Exact: the maps are sweeps, whose cells compute each point as
+        # its one-element grid, as the report's g2 does.
+        assert (j, theta, report.g2_forward, report.g2_backward) == self.NO_ROOT_POINTS[j_limit]
         # The finer maps only improve on the best bunched point of the coarse
         # 161 x 161 map.
         scan = j_theta_sweep(at_target, (-j_limit, j_limit), optimizer._SCAN_POINTS)

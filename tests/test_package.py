@@ -68,6 +68,16 @@ VERBS = {
     "optimize": (["optimize"], BASE + ["optimizer"]),
     "optimize-fixed": (["optimize", "--fix-delta-c", "--delta-c", "2.5"], BASE + ["optimizer"]),
     "nonreciprocal": (["nonreciprocal"], BASE + ["optimizer"]),
+    # No forward root lies in |J| <= 5 at this target, so the point comes
+    # from (J, theta) maps, which the sweep engine draws.
+    "nonreciprocal-no-root": (
+        [
+            "nonreciprocal", "--kappa1", "0.5919", "--kappa2", "1.4081", "--g", "8.011",
+            "--delta-e", "-0.7073", "--e-eg", "0.0059", "--b-in", "0.0228",
+            "--target-delta-c", "-0.7264",
+        ],
+        BASE + ["optimizer", "sweeps"],
+    ),
     "validate-full": (["validate-full"], BASE + ["full_model"]),
     "sweep": (
         ["sweep", "--axis1", "delta_c,-4,4,41", "--optimal-j-theta", "--jobs", "2"],

@@ -148,6 +148,12 @@ class TestSweepAxis:
         with pytest.raises(ConfigError, match="at least 2"):
             sweeps.SweepAxis("delta_c", 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "5"])
+    def test_count_that_is_not_an_integer(self, count):
+        # linspace would raise TypeError from run_sweep, not a ValueError.
+        with pytest.raises(ConfigError, match="axis J: count must be an integer"):
+            sweeps.SweepAxis("J", 0.0, 1.0, count)
+
     @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0)])
     def test_infinite_bounds(self, bounds):
         with pytest.raises(ConfigError, match="bounds must be finite"):
