@@ -7,13 +7,15 @@ rendering.  Grids and axis ranges are fixed so reruns are bit-identical.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import svgplot, sweeps
-from .params import FIGURE_NAMES, ConfigError, Direction, implied_e_he, reference_params
+from .params import FIGURE_NAMES, ConfigError, Direction, RegimeWarning
+from .params import implied_e_he, reference_params
 
 
 class UnknownFigure(ConfigError, KeyError):
@@ -38,38 +40,6 @@ def _write(path: Path, text: str) -> str:
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
     lines = [",".join(header), *sweeps._csv_rows(np.column_stack(columns), True)]
     return _write(path, "\n".join(lines) + "\n")
-
-
-def _direction_sweep(
-    axis: sweeps.SweepAxis,
-    *,
-    overrides: dict[str, float] | None = None,
-    directions: tuple[Direction, ...] = (Direction.FORWARD, Direction.BACKWARD),
-    observable: str = "g2",
-    optimal: bool = True,
-    axis2: sweeps.SweepAxis | None = None,
-) -> sweeps.SweepResult:
-    spec = sweeps.SweepSpec(
-        axis1=axis,
-        axis2=axis2,
-        overrides=overrides or {},
-        directions=directions,
-        observable=observable,
-        optimal_j_theta=optimal,
-    )
-    return run_quiet(sweeps.run_sweep, spec, _BASE)
-
-
-def run_quiet(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with RegimeWarnings silenced: a preset's
-    grids and points lie where the figure needs them, regime or not."""
-    import warnings
-
-    from .params import RegimeWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return fn(*args, **kwargs)
 
 
 def _line_figure(
@@ -115,14 +85,15 @@ def _heatmap_figure(
 
 
 def fig2a(out: Path) -> list[str]:
-    res = _direction_sweep(sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D))
+    axis = sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D)
+    res = sweeps.run_sweep(sweeps.SweepSpec(axis, optimal_j_theta=True), _BASE)
     return _line_figure(res, out, "fig2a", "g2", _G2_LABEL)
 
 
 def fig2b(out: Path) -> list[str]:
-    res = _direction_sweep(
-        sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D), observable="n_paper"
-    )
+    axis = sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D)
+    spec = sweeps.SweepSpec(axis, observable="n_paper", optimal_j_theta=True)
+    res = sweeps.run_sweep(spec, _BASE)
     return _line_figure(res, out, "fig2b", "n_paper", "n (leading order)")
 
 
@@ -132,12 +103,14 @@ def _optimum_figure(
     """The forward g2 over ``axis`` x delta_c at the optimal (J, theta) of
     each point, and the optimum along ``axis`` in ``<name>_optimum.csv``;
     ``overlay`` draws the optimal delta_c over the heatmap."""
-    res = _direction_sweep(
-        axis,
-        axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
-        directions=(Direction.FORWARD,),
-    )
     d = Direction.FORWARD
+    spec = sweeps.SweepSpec(
+        axis,
+        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
+        directions=(d,),
+        optimal_j_theta=True,
+    )
+    res = sweeps.run_sweep(spec, _BASE)
     dc_opt = res.delta_c_opt[d][:, 0]
     files = _heatmap_figure(
         res, out, name, d, xlabel, overlay=(res.values1, dc_opt) if overlay else None
@@ -158,11 +131,10 @@ def fig3a(out: Path) -> list[str]:
 
 
 def fig3b(out: Path) -> list[str]:
-    res = _direction_sweep(
-        sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_1D),
-        directions=(Direction.FORWARD,),
-    )
     d = Direction.FORWARD
+    axis = sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_1D)
+    spec = sweeps.SweepSpec(axis, directions=(d,), optimal_j_theta=True)
+    res = sweeps.run_sweep(spec, _BASE)
     e_he = implied_e_he(res.j_used[d], _BASE)
     files = [
         _table_csv(
@@ -183,24 +155,22 @@ def _microwave_pair(observable: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """delta_c grid plus on/off curves at the microwave-on optimal (J, theta).
 
     The microwave-off system has no exact cancellation point, so both curves
-    share the drive-on optimum; only e_eg changes.
+    share the drive-on optimum; only e_eg changes, along the sweep's second
+    axis: its columns are e_eg = 0 and the reference e_eg.
     """
     from . import optimizer
 
     point = optimizer.solve_optimal(_BASE)
-    axis = sweeps.SweepAxis("delta_c", -1.0, 2.0, GRID_1D)
-    curves = []
-    for e_eg in (_BASE.e_eg, 0.0):
-        res = _direction_sweep(
-            axis,
-            overrides={"J": point.J, "theta": point.theta, "e_eg": e_eg},
-            directions=(Direction.FORWARD,),
-            observable=observable,
-            optimal=False,
-        )
-        curves.append(res.stats[Direction.FORWARD][observable])
-        grid = res.values1
-    return grid, curves[0], curves[1]
+    spec = sweeps.SweepSpec(
+        sweeps.SweepAxis("delta_c", -1.0, 2.0, GRID_1D),
+        sweeps.SweepAxis("e_eg", 0.0, _BASE.e_eg, 2),
+        overrides={"J": point.J, "theta": point.theta},
+        directions=(Direction.FORWARD,),
+        observable=observable,
+    )
+    res = sweeps.run_sweep(spec, _BASE)
+    off, on = res.stats[Direction.FORWARD][observable].T
+    return res.values1, on, off
 
 
 def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> list[str]:
@@ -233,30 +203,32 @@ def fig5a(out: Path) -> list[str]:
 
 
 def fig5b(out: Path) -> list[str]:
-    res = _direction_sweep(
-        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D), overrides={"g": 6.7}
-    )
+    axis = sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D)
+    spec = sweeps.SweepSpec(axis, overrides={"g": 6.7}, optimal_j_theta=True)
+    res = sweeps.run_sweep(spec, _BASE)
     return _line_figure(res, out, "fig5b", "g2", _G2_LABEL)
 
 
 def fig5c(out: Path) -> list[str]:
-    res = _direction_sweep(
+    spec = sweeps.SweepSpec(
         sweeps.SweepAxis("kappa1", 0.02, 1.98, GRID_2D),
-        axis2=sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
+        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_2D),
         overrides={"g": 6.7},
         directions=(Direction.FORWARD,),
+        optimal_j_theta=True,
     )
+    res = sweeps.run_sweep(spec, _BASE)
     return _heatmap_figure(res, out, "fig5c", Direction.FORWARD, "kappa1 / kappa")
 
 
 def _j_theta_figure(out: Path, name: str, direction: Direction) -> list[str]:
-    res = _direction_sweep(
+    spec = sweeps.SweepSpec(
         sweeps.SweepAxis("J", -3.0, 3.0, GRID_2D),
-        axis2=sweeps.SweepAxis("theta", -math.pi, math.pi, GRID_2D),
+        sweeps.SweepAxis("theta", -math.pi, math.pi, GRID_2D),
         overrides={"delta_c": 0.0},
         directions=(direction,),
-        optimal=False,
     )
+    res = sweeps.run_sweep(spec, _BASE)
     return _heatmap_figure(res, out, name, direction, "J / kappa", ylabel="theta")
 
 
@@ -271,12 +243,10 @@ def fig6b(out: Path) -> list[str]:
 def _nonreciprocal_figure(out: Path, name: str, target: float) -> list[str]:
     from . import optimizer
 
-    j, theta, report = run_quiet(optimizer.nonreciprocal_point, _BASE, target)
-    res = _direction_sweep(
-        sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D),
-        overrides={"J": j, "theta": theta},
-        optimal=False,
-    )
+    j, theta, report = optimizer.nonreciprocal_point(_BASE, target)
+    axis = sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D)
+    spec = sweeps.SweepSpec(axis, overrides={"J": j, "theta": theta})
+    res = sweeps.run_sweep(spec, _BASE)
     files = _line_figure(res, out, name, "g2", _G2_LABEL)
     files.append(_write(out / f"{name}_point.txt", report.as_text()))
     return files
@@ -301,7 +271,8 @@ def figure(name: str, out_dir) -> list[str]:
 
     Returns the written file names.  Every preset starts from the
     reference working point, and its grids are small enough to run on the
-    calling thread.
+    calling thread.  RegimeWarnings are silenced: a preset's grids and
+    points lie where the figure needs them, regime or not.
     """
     try:
         builder = _BUILDERS[name]
@@ -311,7 +282,9 @@ def figure(name: str, out_dir) -> list[str]:
         ) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return builder(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return builder(out)
 
 
 __all__ = ["UnknownFigure", "figure"]

@@ -43,6 +43,10 @@ _SCAN_POINTS = 161
 #: Columns per root solve in :func:`solve_optimal_arrays`; bounds its tables.
 _SOLVE_COLUMNS = 1 << 10
 
+#: The coefficients of :func:`_derive` that :func:`_cancellation_roots`
+#: takes, in its argument order.
+_ROOT_INPUTS = ("e_eg", "omega", "g_shift", "delta_e", "kappa")
+
 
 class NoRealSolution(NumericalFailure):
     """No real (J, theta) satisfies the cancellation condition."""
@@ -246,7 +250,7 @@ def find_roots(params: SystemParams, fix_delta_c: bool = False) -> list[OptimalP
     j, theta, dc, residual, overflow = (
         row[0]
         for row in _cancellation_roots(
-            *([c[k]] for k in ("e_eg", "omega", "g_shift", "delta_e", "kappa")),
+            *([c[k]] for k in _ROOT_INPUTS),
             [c["delta_c"]] if fix_delta_c else None,
         )
     )

@@ -24,8 +24,11 @@ SINGULAR_TOL = 1e-10
 #: Below this total photonic occupation g2 is reported as undefined (NaN).
 G2_OCCUPATION_FLOOR = 1e-30
 
+#: The statistics a sweep keeps, in the order of its CSV columns.
+STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
+
 #: The statistics of :func:`stats_arrays`, in its order.
-_STAT_NAMES = ("p1", "p2", "g2", "n_paper", "n_full", "norm")
+_STAT_NAMES = STAT_COLUMNS + ("norm",)
 
 
 class SingularDenominator(NumericalFailure):

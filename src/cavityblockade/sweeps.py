@@ -31,9 +31,7 @@ from .params import (
     _require_finite,
     _warn_regime,
 )
-from .steady_state import OBSERVABLES
-
-STAT_COLUMNS = ("p1", "p2", "g2", "n_paper", "n_full")
+from .steady_state import OBSERVABLES, STAT_COLUMNS
 
 #: Grid points per evaluation block: whole rows of the first axis, at
 #: least one row, at most about this many points.  It bounds the
@@ -247,7 +245,7 @@ def _evaluate_direction(
         # that no cell uses, are dropped; the cells' grid below checks them.
         consts, _ = _derive(params, grid)
         grid["J"], grid["theta"], dc_opt = optimizer.solve_optimal_arrays(
-            *(consts[key] for key in ("e_eg", "omega", "g_shift", "delta_e", "kappa"))
+            *(consts[key] for key in optimizer._ROOT_INPUTS)
         )
         if delta_c is None:
             # Without a detuning axis the natural operating point is the

@@ -189,6 +189,27 @@ class TestFixedDetuning:
         for delta_c, g2 in ((1.56, 1.32395), (1.57, 1.32403), (1.58, 1.32388)):
             assert backward_g2[delta_c] == pytest.approx(g2, rel=1e-4)
 
+    def test_large_branch_backward_g2_rises_with_abs_j(self):
+        # Along delta_c = -2.00, -1.75, ..., 2.50 the backward g2 of the
+        # larger-|J| forward root rises strictly with |J|, so toward the
+        # j_limit edge of nonreciprocal_point's window.
+        ref = P.reference_params()
+        larger = {}
+        for k in range(19):
+            delta_c = -2.0 + 0.25 * k
+            p = dataclasses.replace(ref, delta_c=delta_c)
+            big = max(optimizer.find_roots(p, fix_delta_c=True), key=lambda r: abs(r.J))
+            backward = dataclasses.replace(p, direction=P.Direction.BACKWARD)
+            g2 = steady_state.steady_stats(backward, j=big.J, theta=big.theta).g2
+            larger[delta_c] = (big.J, g2)
+        by_abs_j = sorted(larger.values(), key=lambda point: abs(point[0]))
+        g2s = [g2 for _, g2 in by_abs_j]
+        assert all(a < b for a, b in zip(g2s, g2s[1:]))
+        pins = ((-2.0, 5.897657, 82.0319), (0.0, 4.735377, 47.4882), (2.25, -3.938573, 30.1655))
+        for delta_c, j, g2 in pins:
+            assert larger[delta_c][0] == pytest.approx(j, abs=1e-6)
+            assert larger[delta_c][1] == pytest.approx(g2, rel=1e-5)
+
     def test_fixed_solve_echoes_target(self):
         p = dataclasses.replace(P.reference_params(), delta_c=2.5)
         point = optimizer.solve_optimal(p, fix_delta_c=True)
@@ -582,6 +603,53 @@ class TestNonreciprocalPoint:
             & (scan.stats[P.Direction.BACKWARD]["g2"] > 1.0)
         )
         assert report.g2_forward <= np.min(fwd[bunched])
+
+    def test_window_edge_sets_where_the_contrast_peaks(self):
+        # The larger-|J| root, the one of larger backward g2, is taken while
+        # |J| <= j_limit = 5; just past the edge only the small root is in
+        # the window, and it is not one-way.
+        ref = P.reference_params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", optimizer.NotNonreciprocal)
+            j, _, report = optimizer.nonreciprocal_point(ref, -0.47)
+        assert j == pytest.approx(4.99535, abs=1e-5)
+        assert report.g2_backward == pytest.approx(54.195, rel=1e-4)
+        at_edge = dataclasses.replace(ref, delta_c=-0.48)
+        assert abs(optimizer.find_roots(at_edge, fix_delta_c=True)[-1].J) > 5.0
+        with pytest.warns(optimizer.NotNonreciprocal):
+            j, _, report = optimizer.nonreciprocal_point(ref, -0.48)
+        assert j == pytest.approx(0.17629, abs=1e-5)
+        assert report.g2_backward == pytest.approx(0.77888, rel=1e-4)
+
+    def test_microwave_off_takes_the_scan(self, monkeypatch):
+        # find_roots raises NoRealSolution with e_eg = 0, so the point
+        # comes from the maps; it is not one-way.
+        p = dataclasses.replace(P.reference_params(), e_eg=0.0)
+        with pytest.raises(optimizer.NoRealSolution):
+            optimizer.find_roots(p, fix_delta_c=True)
+        scans = []
+        scan = optimizer._scan_forward_g2
+        monkeypatch.setattr(
+            optimizer, "_scan_forward_g2", lambda *args: scans.append(args) or scan(*args)
+        )
+        with pytest.warns(optimizer.NotNonreciprocal):
+            j, theta, report = optimizer.nonreciprocal_point(p, 0.0)
+        assert len(scans) == 1
+        assert j == pytest.approx(0.019375, rel=1e-9)
+        assert report.g2_forward == pytest.approx(1.0005353018707406, rel=1e-9)
+        assert report.g2_backward == pytest.approx(1.000015342849529, rel=1e-9)
+
+    def test_occupation_below_the_floor_has_no_contrast(self):
+        # At b_in = 1e-20 the occupations fall below G2_OCCUPATION_FLOOR, so
+        # g2 is NaN in both directions and the contrast is NaN too.
+        p = dataclasses.replace(P.reference_params(), b_in=1e-20)
+        with pytest.warns(optimizer.NotNonreciprocal):
+            j, theta, report = optimizer.nonreciprocal_point(p, 0.0)
+        stats = steady_state.steady_stats(dataclasses.replace(p, delta_c=0.0), j=j, theta=theta)
+        assert stats.p1 + 2.0 * stats.p2 < steady_state.G2_OCCUPATION_FLOOR
+        assert math.isnan(report.g2_forward)
+        assert math.isnan(report.g2_backward)
+        assert math.isnan(report.contrast)
 
     def test_symmetric_cavity_warns_and_has_no_contrast(self):
         p = dataclasses.replace(P.reference_params(), kappa1=1.0, kappa2=1.0)

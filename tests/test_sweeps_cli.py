@@ -836,6 +836,19 @@ class TestFigures:
         off_min = np.nanmin(off)
         assert 1e-2 < off_min < 1.0
 
+    @pytest.mark.parametrize("name", ["fig3c", "fig3d"])
+    def test_microwave_pair_is_one_sweep(self, name, tmp_path, monkeypatch):
+        # The off and on curves are the two e_eg columns of one sweep.
+        specs = []
+        run_sweep = sweeps.run_sweep
+        monkeypatch.setattr(
+            sweeps, "run_sweep", lambda spec, base: specs.append(spec) or run_sweep(spec, base)
+        )
+        figures.figure(name, tmp_path)
+        assert len(specs) == 1
+        assert specs[0].axis2 == sweeps.SweepAxis("e_eg", 0.0, reference_params().e_eg, 2)
+        assert specs[0].axis2.values().tolist() == [0.0, 0.01]
+
 
 def decode_embedded_png(svg_text: str) -> np.ndarray:
     marker = "base64,"
@@ -1052,9 +1065,15 @@ class TestRegimePolicy:
         )
         assert "weak cavity drive" in backward - forward
 
-    def test_figure_presets_stay_quiet(self, tmp_path):
-        # fig6c places its point where nonreciprocal_point warns.
-        assert regime_messages(lambda: figures.figure("fig6c", tmp_path)) == []
+    @pytest.mark.parametrize("name", figures.FIGURE_NAMES)
+    def test_figure_presets_stay_quiet(self, name, tmp_path):
+        # figure() silences RegimeWarning around the whole preset: fig6c
+        # places its point where nonreciprocal_point warns.  No other
+        # warning is raised either.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            figures.figure(name, tmp_path)
+        assert [str(w.message) for w in record] == []
 
 
 def random_params(rng: np.random.Generator) -> tuple[SystemParams, dict[str, float]]:
