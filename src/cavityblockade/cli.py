@@ -195,7 +195,7 @@ def _cmd_validate_full(args: argparse.Namespace) -> int:
     from .full_model import validate_effective
 
     params = _params_from_args(args)
-    report = validate_effective(params, tolerance=args.tolerance, n_max=args.n_max)
+    report = validate_effective(params, n_max=args.n_max)
     sys.stdout.write(report.as_text())
     return 0
 
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "when it prints pass = false.",
     )
     _add_param_flags(p)
-    p.add_argument("--tolerance", type=float, default=0.2)
     p.add_argument("--n-max", dest="n_max", type=int, default=2)
     p.set_defaults(func=_cmd_validate_full)
 

@@ -56,6 +56,9 @@ RAMAN_TOL = 1e-12
 
 MAX_N_MAX = 4
 
+#: ``validate_effective`` passes a point whose rel_diff is below this.
+PASS_REL_DIFF = 0.2
+
 #: Steps per block of generator matrices assembled at once by the RK4 run.
 _BLOCK_STEPS = 4096
 
@@ -281,8 +284,9 @@ class ValidationReport(_Report):
     ``passed`` avoids shadowing the keyword; the key=value serialization
     still emits it as ``pass``.  ``gap`` is the rate at which the full
     model's runner-up mode falls behind its steady state, and
-    ``settle_time`` = ln(10/tolerance)/gap the time it takes to fall by a
-    factor tolerance/10 (inf when the gap is 0).
+    ``settle_time`` = ln(10/PASS_REL_DIFF)/gap the time it takes to fall by
+    a factor PASS_REL_DIFF/10 (inf when the gap is 0).  ``passed`` is
+    rel_diff < ``PASS_REL_DIFF``.
     """
 
     g2_full: float
@@ -294,9 +298,7 @@ class ValidationReport(_Report):
     settle_time: float
 
 
-def validate_effective(
-    params: SystemParams, tolerance: float = 0.2, *, n_max: int = 2
-) -> ValidationReport:
+def validate_effective(params: SystemParams, *, n_max: int = 2) -> ValidationReport:
     """Solve the full model's steady state and compare its g2 with the
     analytic one.
 
@@ -313,8 +315,6 @@ def validate_effective(
     Its regime warnings are those of ``steady_stats``, one per violated
     condition, |delta_p/g| <= 10 among them.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
     g2_effective = steady_state.steady_stats(params).g2
@@ -334,10 +334,10 @@ def validate_effective(
         g2_full=g2_full,
         g2_effective=g2_effective,
         rel_diff=rel_diff,
-        passed=bool(rel_diff < tolerance),
+        passed=bool(rel_diff < PASS_REL_DIFF),
         n_max=n_max,
         gap=gap,
-        settle_time=math.log(10.0 / tolerance) / gap if gap > 0.0 else math.inf,
+        settle_time=math.log(10.0 / PASS_REL_DIFF) / gap if gap > 0.0 else math.inf,
     )
 
 

@@ -35,7 +35,11 @@ from . import steady_state
 from .params import Direction, NumericalFailure, SystemParams
 from .params import _AMPLITUDE_INPUTS, _denominators, _derive, _Report, _warn_regime
 
+#: Largest |c2g|/|c1g|^2 of an accepted root: its g2 is below 2e-20.
 C2G_RESIDUAL_TOL = 1e-10
+
+#: Largest |J| of :func:`nonreciprocal_point`'s roots and (J, theta) maps.
+J_LIMIT = 5.0
 
 #: Points a side of :func:`nonreciprocal_point`'s coarse (J, theta) map.
 _SCAN_POINTS = 161
@@ -129,10 +133,9 @@ def _positive_zeros(coef: np.ndarray) -> np.ndarray:
         companion[:, :, -1] = -coef[sel, :d] / coef[sel, d, None]
         zeros[sel, :d] = np.linalg.eigvals(companion)
     # One of each conjugate pair: a tangent real zero splits into a pair with
-    # imaginary parts of order sqrt(eps).
-    near_real = (zeros.imag >= 0.0) & (
-        np.abs(zeros.imag) <= 1e-6 * np.maximum(1.0, np.abs(zeros.real))
-    )
+    # imaginary parts of order sqrt(eps) of its size, judged by that size
+    # alone, since at weak drive every zero lies far below 1.
+    near_real = (zeros.imag >= 0.0) & (np.abs(zeros.imag) <= 1e-6 * np.abs(zeros))
     s = np.where(near_real, zeros.real, np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(4):
@@ -156,9 +159,10 @@ def _cancellation_roots(
     (J, theta, delta_c_opt, |c2g|), each of shape (K, 15), and ``overflow``
     of shape (K,).  A row lists its column's roots in selection order
     (smallest |J| first, then theta closest to 0, positive theta first) and
-    is NaN after the last one.  Columns with the microwave drive off, or
-    with delta_e = 0 on a joint solve, have no roots; so do the columns
-    whose resultant is not finite, which ``overflow`` marks.
+    is NaN after the last one.  A real zero of the resultant is a root where
+    |c2g| < ``C2G_RESIDUAL_TOL`` |c1g|^2.  Columns with the microwave drive
+    off, or with delta_e = 0 on a joint solve, have no roots; so do the
+    columns whose resultant is not finite, which ``overflow`` marks.
     """
     fix_delta_c = delta_c is not None
     e, omega, g_shift, delta_e, kappa = (
@@ -212,11 +216,11 @@ def _cancellation_roots(
         jj, theta = _canonical(np.repeat(j, 3, axis=1), z)
         dc = np.broadcast_to(d0, jj.shape) if fix_delta_c else g_shift + jj**2 / delta_e
         m, n = _denominators(dc, kappa, g_shift, delta_e)
-        _, _, c2g, _, valid = steady_state._amplitudes(
+        c1g, _, c2g, _, valid = steady_state._amplitudes(
             omega, m, n, delta_e, jj, theta, e
         )
         residual = np.abs(c2g)
-        root = valid & (residual < C2G_RESIDUAL_TOL)
+        root = valid & (residual < C2G_RESIDUAL_TOL * np.abs(c1g) ** 2)
     order = np.lexsort((theta < 0.0, np.abs(theta), np.where(root, np.abs(jj), np.inf)))
     root = np.take_along_axis(root, order, axis=1)
     return tuple(
@@ -310,26 +314,22 @@ def solve_optimal_arrays(
 
 
 def nonreciprocal_point(
-    params: SystemParams,
-    target_delta_c: float,
-    *,
-    j_limit: float = 5.0,
+    params: SystemParams, target_delta_c: float
 ) -> tuple[float, float, NonreciprocityReport]:
     """Working point (J, theta) for one-way blockade at a target detuning.
 
     Of the exact forward cancellation roots at the target cavity detuning
-    with |J| <= ``j_limit``, returns the one with the largest backward g2.
+    with |J| <= ``J_LIMIT``, returns the one with the largest backward g2.
     Only when no root lies in that window does it sweep J x theta on a
     161 x 161 grid for the least forward g2 in the region where the
     backward direction is bunched (g2 > 1), or anywhere when that region is
     empty, and then resweep the window of two cells either side of that
     point twice, each time on a 41 x 41 grid under the same rule and with
-    |J| <= ``j_limit``.  Raises ValueError, root or not, unless ``j_limit``
-    is positive and 2 ``j_limit`` (the scan's J span) finite.  Warns
-    NotNonreciprocal when the final point does not separate the two
-    directions, that is unless forward g2 < 1 < backward g2, and a
-    RegimeWarning, worded as :func:`derive_effective` words it, for each
-    regime condition the point violates in either direction.
+    |J| <= ``J_LIMIT``.  Warns NotNonreciprocal when the final point does
+    not separate the two directions, that is unless forward g2 < 1 <
+    backward g2, and a RegimeWarning, worded as :func:`derive_effective`
+    words it, for each regime condition the point violates in either
+    direction.
 
     The scan asks of the backward direction only g2 > 1, with no margin, so
     its point may sit on the edge of the bunched region: on 83 seeded
@@ -345,27 +345,21 @@ def nonreciprocal_point(
     fig6d (contrast 2.84).  fig6c's J = 4.735 lies outside the elimination
     regime, where it warns |delta_he/e_he| = 2.12.
     """
-    if not (math.isfinite(2.0 * j_limit) and j_limit > 0.0):
-        raise ValueError(f"j_limit must be positive and 2 j_limit finite, got {j_limit!r}")
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)
     try:
         roots = find_roots(forward, fix_delta_c=True)
     except NoRealSolution:
         roots = []
-    in_window = [r for r in roots if abs(r.J) <= j_limit]
-    if in_window:
-        # The ranking pass's backward g2 and conditions are the winner's own.
-        ranked = [
-            (_direction_g2(at_target, Direction.BACKWARD, r.J, r.theta), r)
-            for r in in_window
-        ]
-        (g2_b, violated_b), best = max(ranked, key=lambda item: item[0][0])
-        j_best, theta_best = best.J, best.theta
-    else:
-        j_best, theta_best = _scan_forward_g2(at_target, j_limit)
-        g2_b, violated_b = _direction_g2(at_target, Direction.BACKWARD, j_best, theta_best)
-
+    candidates = [(r.J, r.theta) for r in roots if abs(r.J) <= J_LIMIT] or [
+        _scan_forward_g2(at_target)
+    ]
+    # Window roots, or else the scan's point, are ranked in one pass, whose
+    # backward g2 and conditions are the winner's own.
+    (g2_b, violated_b), (j_best, theta_best) = max(
+        ((_direction_g2(at_target, Direction.BACKWARD, *jt), jt) for jt in candidates),
+        key=lambda item: item[0][0],
+    )
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
     _warn_regime(violated + violated_b, 2)
     contrast = (
@@ -391,12 +385,12 @@ def nonreciprocal_point(
     return j_best, theta_best, report
 
 
-def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, float]:
+def _scan_forward_g2(at_target: SystemParams) -> tuple[float, float]:
     """Least forward g2 on a J x theta sweep, in the backward-bunched region
     when it exists, refined by two 41 x 41 resweeps of +-2 cells around it;
     each direction's map is one unwarned ``sweeps._evaluate_direction``."""
     from . import sweeps
-    j_range, theta_range = (-j_limit, j_limit), (-math.pi, math.pi)
+    j_range, theta_range = (-J_LIMIT, J_LIMIT), (-math.pi, math.pi)
     for side in (_SCAN_POINTS, 41, 41):
         spec = sweeps.SweepSpec(
             sweeps.SweepAxis("J", *j_range, side), sweeps.SweepAxis("theta", *theta_range, side)
@@ -416,7 +410,7 @@ def _scan_forward_g2(at_target: SystemParams, j_limit: float) -> tuple[float, fl
         j, theta = j_values[i], theta_values[k]
         dj = 2.0 * (j_values[1] - j_values[0])
         dtheta = 2.0 * (theta_values[1] - theta_values[0])
-        j_range = (max(j - dj, -j_limit), min(j + dj, j_limit))
+        j_range = (max(j - dj, -J_LIMIT), min(j + dj, J_LIMIT))
         theta_range = (theta - dtheta, theta + dtheta)
     j, theta = _canonical(j, np.exp(-1j * theta))
     return float(j), float(theta)

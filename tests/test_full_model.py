@@ -616,9 +616,6 @@ class TestValidation:
 
     def test_argument_validation(self):
         p = P.reference_params()
-        for tolerance in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tolerance"):
-                fm.validate_effective(p, tolerance=tolerance)
         # Without two-photon states g2 cannot be measured, only misreported as 0.
         with pytest.raises(ValueError, match="n_max must be at least 2"):
             fm.validate_effective(p, n_max=1)
@@ -711,14 +708,12 @@ class TestCli:
             "numerical failure: full-model state became non-finite near t = 1.000\n"
         )
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
-    def test_non_finite_tolerance_exits_1(self, tolerance, capsys):
-        assert cli.main(["validate-full", "--tolerance", tolerance]) == 1
+    def test_tolerance_is_not_an_option(self, capsys):
+        # The pass bound is full_model.PASS_REL_DIFF, not a setting.
+        assert cli.main(["validate-full", "--tolerance", "0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: tolerance must be positive and finite, got {tolerance}\n"
-        )
+        assert captured.err == "error: unrecognized arguments: --tolerance 0.1\n"
 
     def test_step_is_not_an_option(self, capsys):
         assert cli.main(["validate-full", "--dt", "1e-3"]) == 1

@@ -1469,6 +1469,17 @@ class TestCliInProcess:
         assert cli.main(["optimize", "--delta-e", "0"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
 
+    def test_strong_drive_root_of_large_g2_is_refused(self, capsys):
+        # At b_in = 1e10 the resultant's zero J = 2.2e11 leaves |c2g| = 3.7e-20
+        # but g2 = 2500: a root must cancel c2g against |c1g|^2.
+        assert cli.main(["optimize", "--b-in", "1e10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "numerical failure: the cancellation condition has no real root "
+            "(J, theta) here"
+        )
+
     @pytest.mark.parametrize(
         "exc, code",
         [
