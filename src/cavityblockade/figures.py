@@ -38,8 +38,8 @@ def _write(path: Path, text: str) -> str:
 
 
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header), *sweeps._csv_rows(np.column_stack(columns), True)]
-    return _write(path, "\n".join(lines) + "\n")
+    rows = sweeps._csv_rows(np.column_stack(columns), True)
+    return sweeps._write_lines(path, [",".join(header)], rows, len(header))
 
 
 def _line_figure(

@@ -111,12 +111,28 @@ def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _companion_zeros(coef: np.ndarray) -> np.ndarray:
+    """Zeros of polynomials of degree d, one per row of ascending
+    coefficients (K, d + 1) with a nonzero last one: companion eigenvalues,
+    complex even where all are real."""
+    d = coef.shape[1] - 1
+    companion = np.zeros((coef.shape[0], d, d))
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -coef[:, :d] / coef[:, d, None]
+    return np.linalg.eigvals(companion).astype(complex)
+
+
 def _positive_zeros(coef: np.ndarray) -> np.ndarray:
     """Positive real zeros of real polynomials, one per row of ascending
     coefficients (K, n), NaN-padded to shape (K, n - 1).
 
     The eigenvalues of each companion matrix are polished by Newton steps on
-    the polynomial itself.
+    the polynomial itself.  A companion matrix resolves a zero only to about
+    eps times the row's largest, so where some fall below ``1e-8`` of it (at
+    weak drive the zeros in J^2 span about 1/b_in^4), those are taken from
+    the reversed polynomial instead, whose zeros are their reciprocals: the
+    k smallest become one over its k largest.  A row with a zero constant
+    term has no reversed companion and keeps the one-sided solve.
     """
     coef = coef / np.max(np.abs(coef), axis=-1, keepdims=True)
     rows, n = coef.shape
@@ -127,11 +143,20 @@ def _positive_zeros(coef: np.ndarray) -> np.ndarray:
     # np.ma.is_masked, whose first use imports numpy.ma (15-19 ms), a large
     # share of a one-shot CLI process.
     for d in sorted(set(degree[degree > 0].tolist())):
-        sel = degree == d
-        companion = np.zeros((int(sel.sum()), d, d))
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        companion[:, :, -1] = -coef[sel, :d] / coef[sel, d, None]
-        zeros[sel, :d] = np.linalg.eigvals(companion)
+        sel = np.flatnonzero(degree == d)
+        z = _companion_zeros(coef[sel, : d + 1])
+        size = np.abs(z)
+        lost = size < 1e-8 * size.max(axis=1, keepdims=True)
+        two = np.flatnonzero(lost.any(axis=1) & (coef[sel, 0] != 0.0))
+        if two.size:
+            w = _companion_zeros(coef[sel[two], d::-1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # Its smallest zeros, the large ones lost, may round to 0.
+                small = 1.0 / np.take_along_axis(w, np.argsort(-np.abs(w), axis=1), axis=1)
+            rest = np.take_along_axis(z[two], np.argsort(size[two], axis=1), axis=1)
+            k = lost[two].sum(axis=1, keepdims=True)
+            z[two] = np.where(np.arange(d) < k, small, rest)
+        zeros[sel, :d] = z
     # One of each conjugate pair: a tangent real zero splits into a pair with
     # imaginary parts of order sqrt(eps) of its size, judged by that size
     # alone, since at weak drive every zero lies far below 1.

@@ -10,9 +10,11 @@ of every other quantity.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -356,18 +358,18 @@ def _csv_rows(table: np.ndarray, ok) -> Iterator[str]:
     ``ok`` broadcasts against the table; cells where it is False are empty.
     A row whose cells are all valid and finite is formatted by one C-level
     list repr: each float's repr is the one ``_fmt`` writes, and none
-    contains ", ".  Any other row goes cell by cell.  Rows are formatted one
-    at a time, so a large grid is never held as Python objects all at once.
+    contains ", ".  Any other row goes cell by cell.  One ``tolist`` makes a
+    block of about ``_CHUNK_POINTS`` cells Python floats, never a whole grid.
     """
     ok = np.broadcast_to(ok, table.shape)
     clean = (ok & np.isfinite(table)).all(axis=1)
-    for row, good, fast in zip(table, ok, clean.tolist()):
-        # tolist hands repr and _fmt Python floats, not numpy scalars.
-        cells = row.tolist()
-        if fast:
-            yield repr(cells)[1:-1].replace(", ", ",")
-        else:
-            yield ",".join([_fmt(v) if g else "" for v, g in zip(cells, good.tolist())])
+    for at in range(0, len(table), per := max(1, _CHUNK_POINTS // table.shape[1])):
+        rows = slice(at, at + per)
+        for cells, good, fast in zip(table[rows].tolist(), ok[rows], clean[rows].tolist()):
+            if fast:
+                yield repr(cells)[1:-1].replace(", ", ",")
+            else:
+                yield ",".join([_fmt(v) if g else "" for v, g in zip(cells, good.tolist())])
 
 
 def _preamble(result: SweepResult) -> list[str]:
@@ -385,41 +387,44 @@ def _preamble(result: SweepResult) -> list[str]:
     return lines
 
 
+def _write_lines(path: Path, head: list[str], rows: Iterator[str], cells: int) -> str:
+    """Write ``head`` and ``rows`` of ``cells`` cells, about ``_CHUNK_POINTS`` cells a write."""
+    with path.open("w") as fh:
+        fh.write("\n".join(head) + "\n")
+        while block := list(itertools.islice(rows, max(1, _CHUNK_POINTS // cells))):
+            fh.write("\n".join(block) + "\n")
+    return path.name
+
+
+def _sweep_rows(result: SweepResult) -> Iterator[str]:
+    n = result.spec.axis1.count
+    for d, at in itertools.product(result.spec.directions, range(0, n, _CHUNK_POINTS)):
+        rows, ok = slice(at, at + _CHUNK_POINTS), result.valid[d][at : at + _CHUNK_POINTS]
+        table = np.column_stack([result.stats[d][name][rows] for name in STAT_COLUMNS])
+        stats, label = _csv_rows(table, ok[:, None]), d.value
+        for x, row, good in zip(result.values1[rows].tolist(), stats, ok.tolist()):
+            yield f"{_fmt(x)},{label},{row},{'true' if good else 'false'}"
+
+
 def write_sweep_csv(result: SweepResult, path) -> list[str]:
     """Serialize a sweep; 1-D grids go to one file, 2-D to one per direction.
 
     Returns the written file names.  Invalid or non-finite values are
     left as empty cells; the ``valid`` column makes the mask explicit.
     """
-    import pathlib
-
-    path = pathlib.Path(path)
+    path = Path(path)
     if result.spec.axis2 is None:
-        lines = _preamble(result)
-        header = [result.spec.axis1.name, "direction"] + list(STAT_COLUMNS) + ["valid"]
-        lines.append(",".join(header))
-        axis = [_fmt(x) for x in result.values1.tolist()]
-        for direction in result.spec.directions:
-            ok = result.valid[direction]
-            table = np.column_stack([result.stats[direction][name] for name in STAT_COLUMNS])
-            stats = _csv_rows(table, ok[:, None])
-            flags = ["true" if good else "false" for good in ok.tolist()]
-            for x, row, flag in zip(axis, stats, flags):
-                lines.append(f"{x},{direction.value},{row},{flag}")
-        path.write_text("\n".join(lines) + "\n")
-        return [path.name]
-
-    written = []
-    for direction in result.spec.directions:
-        target = path.with_name(f"{path.stem}_{direction.value}{path.suffix}")
-        lines = _preamble(result)
-        lines.append(f"# observable = {result.spec.observable}")
-        with target.open("w") as fh:
-            fh.write("\n".join(lines) + "\n")
-            for line in _csv_rows(result.observable_grid(direction), result.valid[direction]):
-                fh.write(line + "\n")
-        written.append(target.name)
-    return written
+        header = [result.spec.axis1.name, "direction", *STAT_COLUMNS, "valid"]
+        head = [*_preamble(result), ",".join(header)]
+        return [_write_lines(path, head, _sweep_rows(result), len(header))]
+    head = [*_preamble(result), f"# observable = {result.spec.observable}"]
+    return [
+        _write_lines(
+            path.with_name(f"{path.stem}_{d.value}{path.suffix}"), head,
+            _csv_rows(result.observable_grid(d), result.valid[d]), result.spec.axis2.count,
+        )
+        for d in result.spec.directions
+    ]
 
 
 __all__ = [

@@ -410,25 +410,43 @@ class TestCompleteness:
         for (lo, hi), r in zip(crossings, roots):
             assert lo <= abs(r.J) <= hi
 
+    def test_zero_end_coefficients_keep_the_degree_rule(self):
+        # Ascending coefficients, six a row.  A zero constant term makes 0 a
+        # zero, which has no reciprocal, so that row keeps the one-sided
+        # solve; a zero leading term lowers the degree, and the reversed
+        # solve that recovers 1e-20 runs at that lower degree.
+        fromroots = np.polynomial.polynomial.polyfromroots
+        coef = np.array(
+            [fromroots([0.0, 1.0, 2.0, 4.0, 8.0]), [*fromroots([1e-20, 1.0, 3.0, 5.0]), 0.0]]
+        )
+        zeros = optimizer._positive_zeros(coef)
+        assert zeros.shape == (2, 5)
+        for row, want in zip(zeros, ([1.0, 2.0, 4.0, 8.0], [1e-20, 1.0, 3.0, 5.0])):
+            assert np.sort(row[np.isfinite(row)]) == pytest.approx(want, rel=1e-12)
+
     # J of every root at the reference point with delta_c = 0, from the
-    # independent resultant solve of bench/oracles.cancellation_roots.
+    # independent resultant solve of bench/oracles.cancellation_roots.  Its
+    # zeros in J^2 span about 1/b_in^4, so from b_in = 1e-10 down a one-sided
+    # companion solve loses the small joint ones.  At b_in = 1e-15 the oracle's
+    # own solve keeps only the large joint root; the two small ones are its
+    # roots at 1e-12 scaled by 1e-3, as they scale with b_in.
     @pytest.mark.parametrize(
         "b_in, fix_delta_c, oracle_j",
         [
             (1e-5, True, [7.64851012e-05, 9.2450254e-04]),
             (1e-5, False, [1.71141224e-04, -4.13171346e-04, 559.017218]),
-            pytest.param(
-                1e-10,
-                False,
-                [1.71141234e-09, -4.13171488e-09, 55901699.4],
-                marks=pytest.mark.xfail(
-                    reason="the resultant's zeros in J^2 span about 1e33, more than "
-                    "its companion matrix resolves; needs the scale-free solve of "
-                    "ROADMAP item 12"
-                ),
-            ),
+            (1e-10, True, [7.64851002e-10, 9.24502654e-09]),
+            (1e-10, False, [1.71141234e-09, -4.13171488e-09, 55901699.4]),
+            (1e-12, True, [7.64851002e-12, 9.24502654e-11]),
+            (1e-12, False, [1.71141234e-11, -4.13171488e-11, 5.59016994e09]),
+            (1e-15, True, [7.64851002e-15, 9.24502654e-14]),
+            (1e-15, False, [1.71141234e-14, -4.13171488e-14, 5.59016994e12]),
         ],
-        ids=["fixed-1e-5", "joint-1e-5", "joint-1e-10"],
+        ids=[
+            f"{kind}-{b}"
+            for b in ("1e-5", "1e-10", "1e-12", "1e-15")
+            for kind in ("fixed", "joint")
+        ],
     )
     def test_weak_drive_roots_match_the_oracle(self, b_in, fix_delta_c, oracle_j):
         # Each root once: a complex zero far below 1 is not taken as real.

@@ -515,7 +515,8 @@ MEMORY_SPECS = {
 
 
 class TestBoundedMemory:
-    """201 x 201 grids, the size of every 2-D figure preset."""
+    """201 x 201 grids, the size of every 2-D figure preset, and a long 1-D
+    CSV write."""
 
     @pytest.mark.parametrize("spec", MEMORY_SPECS.values(), ids=MEMORY_SPECS.keys())
     def test_sweep_peak_is_its_result_plus_a_block(self, spec):
@@ -529,6 +530,22 @@ class TestBoundedMemory:
         assert held > 5 * 8 * points
         assert held <= 5 * 8 * points + points + 24 * 1024, held
         assert above <= 1 * MB, (held, above)
+
+    def test_one_dimensional_csv_write_peak(self, tmp_path):
+        # Two directions of 100 001 points, a 27.5 MB file: joined whole
+        # before its write, it peaks 101.8 MB above the result.
+        spec = sweeps.SweepSpec(
+            axis1=sweeps.SweepAxis("delta_c", -4.0, 4.0, 100_001),
+            overrides={"J": 0.3, "theta": 0.2},
+        )
+        result = sweeps.run_sweep(spec, reference_params(), jobs=1)
+        path = tmp_path / "scan.csv"
+        names, held, above = traced(lambda: sweeps.write_sweep_csv(result, path))
+        assert names == ["scan.csv"]
+        assert held + above <= 1 * MB, (held, above)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cb042fa26c3d4ad5a423164205a6773b67f0ce0ce4d0e647f93180999b0e9453"
+        )
 
     @pytest.mark.parametrize(
         "name, digests",
