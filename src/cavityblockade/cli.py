@@ -97,17 +97,11 @@ def _parse_axis(text: str):
 
 
 def _jobs(text: str) -> int:
-    """The ``--jobs`` count of sweep and figure: an integer of at least 1."""
+    """The ``--jobs`` count of sweep and figure, checked but unused: an
+    integer of at least 1."""
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: ``sweep``'s default ``--jobs``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cmd_g2(args: argparse.Namespace) -> int:
@@ -148,7 +142,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         observable=args.observable,
         optimal_j_theta=args.optimal_j_theta,
     )
-    result = sweeps.run_sweep(spec, params, jobs=args.jobs or _usable_cpus())
+    result = sweeps.run_sweep(spec, params)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=_jobs,
-        help="worker count (default: the CPUs this process may run on)",
+        help="accepted for compatibility only: every grid runs on the calling thread",
     )
     p.set_defaults(func=_cmd_sweep)
 
@@ -291,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=_jobs,
-        help="accepted for symmetry with sweep; every preset grid is small "
-        "enough to run on the calling thread",
+        help="accepted for compatibility only: every grid runs on the calling thread",
     )
     p.set_defaults(func=_cmd_figure)
 

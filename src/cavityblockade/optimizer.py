@@ -422,7 +422,7 @@ def _scan_forward_g2(at_target: SystemParams) -> tuple[float, float]:
         )
         j_values, theta_values = spec.axis1.values(), spec.axis2.values()
         fwd, bwd = (
-            sweeps._evaluate_direction(replace(at_target, direction=d), spec, None)[0]["g2"]
+            sweeps._evaluate_direction(replace(at_target, direction=d), spec)[0]["g2"]
             for d in (Direction.FORWARD, Direction.BACKWARD)
         )
         # g2 is NaN at every invalid point.

@@ -40,19 +40,6 @@ from .steady_state import OBSERVABLES, STAT_COLUMNS
 #: temporaries of any sweep to a few hundred kilobytes.
 _CHUNK_POINTS = 1 << 12
 
-#: Points per block when worker threads share a grid.  Each block makes
-#: the same few dozen numpy calls whatever its size, and threads hand the
-#: GIL back and forth between calls, so smaller blocks make threads slower
-#: than one.
-_POOL_CHUNK_POINTS = 1 << 14
-
-#: Only a grid of more points than this, eight pool blocks, is spread over
-#: worker threads; a smaller one (every figure preset) runs on the calling
-#: thread.  On a 2-CPU host, a J x theta grid in both directions took
-#: 36.5 ms on one thread and 47.2 ms on two at 331 x 331 (seven blocks),
-#: and 42.6 against 39.7 ms at 361 x 361 (nine blocks).
-_POOL_POINTS = 8 * _POOL_CHUNK_POINTS
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -224,7 +211,7 @@ def _axis_overrides(spec: SweepSpec) -> dict[str, np.ndarray]:
 
 
 def _evaluate_direction(
-    params: SystemParams, spec: SweepSpec, jobs: int | None
+    params: SystemParams, spec: SweepSpec
 ) -> tuple[
     dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list
 ]:
@@ -272,7 +259,9 @@ def _evaluate_direction(
     stat_out = {name: np.empty(full_shape) for name in STAT_COLUMNS}
     valid = np.empty(full_shape, dtype=bool)
 
-    def evaluate(rows: slice) -> None:
+    per = max(1, _CHUNK_POINTS // math.prod(full_shape[1:]))
+    for at in range(0, spec.axis1.count, per):
+        rows = slice(at, at + per)
         # Only an array that varies along the first axis is cut; the others
         # broadcast against the block as they are.
         delta_c, kappa, g_shift, omega, delta_e, j, theta, e_eg = (
@@ -280,27 +269,10 @@ def _evaluate_direction(
             for a in inputs
         )
         m, n = _denominators(delta_c, kappa, g_shift, delta_e)
-        # Blocks cover disjoint rows, so threads never write the same cell.
         _, valid[rows] = steady_state._stats_from_parameters(
             omega, m, n, delta_e, j, theta, e_eg,
             out={name: whole[rows] for name, whole in stat_out.items()},
         )
-
-    n_rows = spec.axis1.count
-    points = math.prod(full_shape)
-    pooled = points > _POOL_POINTS and (jobs or 1) > 1
-    per = max(1, (_POOL_CHUNK_POINTS if pooled else _CHUNK_POINTS) // (points // n_rows))
-    chunks = [slice(i, min(i + per, n_rows)) for i in range(0, n_rows, per)]
-    workers = min(jobs, len(chunks)) if pooled else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Reading every result re-raises an exception from a worker.
-            list(pool.map(evaluate, chunks))
-    else:
-        for rows in chunks:
-            evaluate(rows)
     return stat_out, valid, j_used, theta_used, dc_opt, violated
 
 
@@ -315,16 +287,14 @@ def run_sweep(
     not the grid.  The result holds the five statistics of ``STAT_COLUMNS``
     and ``valid`` per direction at full grid size; ``j_used``,
     ``theta_used`` and ``delta_c_opt`` are read-only views, as large only as
-    the axes they vary along.  ``jobs`` is an upper bound on worker threads:
-    a grid of at most 2**17 points runs on the calling thread, a larger one
-    with ``jobs > 1`` on ``min(jobs, blocks)`` threads in blocks of about
-    2**14 points.  Every point is computed independently, so the arrays are
-    identical whatever the blocking and the thread count.  Each regime
-    condition some point violates is warned once per sweep, whatever the
-    directions and the grids it is checked on.
+    the axes they vary along.  Every grid runs on the calling thread, and
+    every point is computed independently, so the arrays are identical
+    whatever the blocking.  ``jobs`` is accepted for compatibility only and
+    has no effect.  Each regime condition some point violates is warned
+    once per sweep, whatever the directions and the grids it is checked on.
     """
     results = [
-        _evaluate_direction(dataclasses.replace(base, direction=direction), spec, jobs)
+        _evaluate_direction(dataclasses.replace(base, direction=direction), spec)
         for direction in spec.directions
     ]
     stats, valid, j_used, theta_used, dc_opt, violated = (

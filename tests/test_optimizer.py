@@ -143,24 +143,42 @@ class TestFixedDetuning:
     # backward g2): the small-|J| branch is in regime, the large-|J| one
     # is not.
     BRANCHES = [
-        (0.0, [(0.16178313820767565, 62.1, 0.71331), (4.735377490690859, 2.12, 47.488)]),
-        (1.57, [(0.27038193377644254, 37.2, 1.3240), (-4.029435665948046, 2.49, 31.967)]),
-        (2.5, [(0.25275445274028513, 39.8, 1.1414), (-3.964000042264327, 2.54, 30.582)]),
+        (0.0, [(0.16178313820767565, 62.1, 0.7133108081466081),
+               (4.735377490690859, 2.12, 47.4881846655698)]),
+        (1.57, [(0.27038193377644254, 37.2, 1.3240254855730669),
+                (-4.029435665948046, 2.49, 31.966803889651537)]),
+        (2.5, [(0.25275445274028513, 39.8, 1.1414321373026086),
+               (-3.964000042264327, 2.54, 30.581866868400507)]),
     ]
 
     @pytest.mark.parametrize("delta_c, branches", BRANCHES)
     def test_two_branches(self, delta_c, branches):
         p = dataclasses.replace(P.reference_params(), delta_c=delta_c)
         roots = optimizer.find_roots(p, fix_delta_c=True)
+        assert len(roots) == 2
+        assert all(abs(r.J) <= optimizer.J_LIMIT for r in roots)
         assert [r.J for r in roots] == pytest.approx([b[0] for b in branches], abs=1e-9)
+        small, large = roots
+        assert 0.16 <= abs(small.J) <= 0.28 and 3.96 <= abs(large.J) <= 4.74
         backward = dataclasses.replace(p, direction=P.Direction.BACKWARD)
-        for r, (_, ratio, g2) in zip(roots, branches):
+        for r, (_, ratio, g2), in_regime in zip(roots, branches, (True, False)):
             # The Raman delta_he = delta_p - delta_eg takes the configured
             # e_he = 0, as _derive does; the drive is the e_he J implies.
             c = P.effective_arrays(p, {"J": r.J})
-            assert float(f"{abs(c['delta_he'] / c['e_he']):.3g}") == ratio
+            margin = abs(c["delta_he"] / c["e_he"])
+            assert (margin > 10.0) == in_regime
+            assert float(f"{margin:.3g}") == ratio
             stats = steady_state.steady_stats(backward, j=r.J, theta=r.theta)
-            assert stats.g2 == pytest.approx(g2, rel=1e-4)
+            assert stats.g2 == pytest.approx(g2, rel=1e-9)
+
+    @pytest.mark.parametrize("delta_c, branches", BRANCHES)
+    def test_nonreciprocal_point_takes_the_large_branch(self, delta_c, branches):
+        # Both roots lie in the window, and the out-of-regime one has the
+        # larger backward g2.
+        j, _, report = optimizer.nonreciprocal_point(P.reference_params(), delta_c)
+        large_j, _, large_g2 = branches[1]
+        assert j == pytest.approx(large_j, abs=1e-9)
+        assert report.g2_backward == pytest.approx(large_g2, rel=1e-9)
 
     def test_in_regime_branch_has_a_one_way_window(self):
         # Along delta_c = 1.00, 1.01, ..., 2.00 the small-|J| forward root

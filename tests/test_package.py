@@ -109,13 +109,31 @@ def test_each_verb_loads_only_its_own_modules(verb, tmp_path):
     assert loaded == sorted(modules)
     # np.unique imports numpy.ma on first use in numpy 2.4.
     assert not numpy_ma
-    # sweep runs a grid of at most 2**17 points on the calling thread,
-    # whatever --jobs allows, and figure accepts --jobs but runs every
-    # preset there, so no verb here imports the thread pool.
+    # Every grid runs on the calling thread, whatever --jobs says, so no
+    # verb imports a thread pool.
     assert not futures
     # The sweep config hash uses CPython's built-in SHA-256: OpenSSL's
     # libcrypto costs a few megabytes of resident memory.
     assert not openssl
+
+
+def test_large_sweep_ignores_jobs(tmp_path):
+    # Above 2**17 points too, --jobs 2 starts no thread pool and writes the
+    # bytes of --jobs 1.
+    assert 363 * 363 > 1 << 17
+    axes = ["--axis1", "J,-2,2,363", "--axis2", "theta,-3,3,363", "--delta-c", "0"]
+    written = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        argv = ["sweep", *axes, "--jobs", jobs, "--out", str(out)]
+        code, _, _, futures, _ = json.loads(
+            run_python(VERB_CHILD, *argv).strip().splitlines()[-1]
+        )
+        assert code == 0
+        assert not futures
+        written[jobs] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(written["1"]) == 2
+    assert written["2"] == written["1"]
 
 
 def test_bare_import_loads_no_submodule():

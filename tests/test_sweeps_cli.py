@@ -356,21 +356,22 @@ class TestRunSweep:
                     equal_nan=True,
                 )
 
-    def test_chunked_grid_matches_one_evaluation(self):
+    def test_chunked_grid_matches_one_evaluation(self, monkeypatch):
         base = reference_params()
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("J", -3.0, 3.0, 301),
             axis2=sweeps.SweepAxis("theta", -3.2, 3.2, 301),
             overrides={"delta_c": 0.0},
         )
-        # 301 x 301 points span two chunks, the second a partial one.
+        # 301 x 301 points span many blocks, the last a partial one.
         assert 301 * 301 > sweeps._CHUNK_POINTS > 301
-        serial = sweeps.run_sweep(spec, base, jobs=1)
-        threaded = sweeps.run_sweep(spec, base, jobs=2)
+        blocks = sweeps.run_sweep(spec, base)
+        monkeypatch.setattr(sweeps, "_CHUNK_POINTS", 301 * 301)
+        one_block = sweeps.run_sweep(spec, base)
         for direction in spec.directions:
             grid = {
-                "J": serial.values1[:, None],
-                "theta": serial.values2[None, :],
+                "J": blocks.values1[:, None],
+                "theta": blocks.values2[None, :],
                 "delta_c": np.asarray(0.0),
             }
             consts = effective_arrays(
@@ -382,41 +383,15 @@ class TestRunSweep:
                     for key in ("omega", "m", "n", "delta_e", "j", "theta", "e_eg")
                 )
             )
-            for result in (serial, threaded):
+            for result in (blocks, one_block):
                 assert result.valid[direction].tolist() == ok.tolist()
                 for name, values in result.stats[direction].items():
                     assert values.tobytes() == whole[name].tobytes()
 
-    def test_threads_fill_every_row(self):
-        # One row per chunk, more threads than cores and a short switch
-        # interval: every row must still land in its own place.
-        spec = sweeps.SweepSpec(
-            axis1=sweeps.SweepAxis("J", -2.0, 2.0, 6),
-            axis2=sweeps.SweepAxis("theta", -3.0, 3.0, 40000),
-            overrides={"delta_c": 0.0},
-            directions=(Direction.FORWARD,),
-        )
-        # A block is whole rows, at least one: here exactly one.  The grid
-        # is large enough for the pool.
-        assert sweeps._CHUNK_POINTS < 2 * 40000
-        assert sweeps._POOL_CHUNK_POINTS < 2 * 40000
-        assert 6 * 40000 > sweeps._POOL_POINTS
-        serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = sweeps.run_sweep(spec, reference_params(), jobs=8)
-        finally:
-            sys.setswitchinterval(interval)
-        d = Direction.FORWARD
-        assert threaded.valid[d].tolist() == serial.valid[d].tolist()
-        for name, values in serial.stats[d].items():
-            assert threaded.stats[d][name].tobytes() == values.tobytes(), name
-
-    def test_block_boundaries_identical_across_jobs(self):
+    def test_block_boundaries_identical_across_jobs(self, monkeypatch):
         # An optimal-(J, theta) grid whose row count is not a multiple of
         # the block, with inputs of shape (rows, 1), (1, columns), the full
-        # grid and scalars, large enough for the pool.
+        # grid and scalars: its blocks, with jobs=2, against one block.
         spec = sweeps.SweepSpec(
             # delta_e = 0 on row 131 has no root: a masked row.
             axis1=sweeps.SweepAxis("delta_e", -1.0, 1.0, 263),
@@ -425,22 +400,20 @@ class TestRunSweep:
         )
         rows_per_block = max(1, sweeps._CHUNK_POINTS // 521)
         assert 263 % rows_per_block != 0
-        assert 263 % max(1, sweeps._POOL_CHUNK_POINTS // 521) != 0
-        assert 263 * 521 > sweeps._POOL_POINTS
-        serial = sweeps.run_sweep(spec, reference_params(), jobs=1)
-        threaded = sweeps.run_sweep(spec, reference_params(), jobs=2)
+        blocks = sweeps.run_sweep(spec, reference_params(), jobs=2)
+        monkeypatch.setattr(sweeps, "_CHUNK_POINTS", 263 * 521)
+        one_block = sweeps.run_sweep(spec, reference_params(), jobs=1)
         for d in spec.directions:
-            assert threaded.valid[d].tobytes() == serial.valid[d].tobytes()
-            assert not serial.valid[d].all() and serial.valid[d].any()
-            for name, values in serial.stats[d].items():
-                assert threaded.stats[d][name].tobytes() == values.tobytes(), name
+            assert blocks.valid[d].tobytes() == one_block.valid[d].tobytes()
+            assert not one_block.valid[d].all() and one_block.valid[d].any()
+            for name, values in one_block.stats[d].items():
+                assert blocks.stats[d][name].tobytes() == values.tobytes(), name
             for field in ("j_used", "theta_used", "delta_c_opt"):
-                got = getattr(threaded, field)[d]
+                got = getattr(blocks, field)[d]
                 assert got.shape == spec.shape
-                assert got.tobytes() == getattr(serial, field)[d].tobytes(), field
+                assert got.tobytes() == getattr(one_block, field)[d].tobytes(), field
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_axis_entering_no_term_fills_every_cell(self, jobs):
+    def test_axis_entering_no_term_fills_every_cell(self):
         # With J fixed, e_he enters no statistic: every input varies along
         # the rows or not at all, and each block's (rows, 1) statistics
         # must fill every column.
@@ -450,12 +423,12 @@ class TestRunSweep:
             axis2=sweeps.SweepAxis("e_he", 1.0, 60.0, 441),
             overrides={"J": 0.5, "theta": 0.3},
         )
-        assert 303 * 441 > sweeps._POOL_POINTS
+        assert 303 * 441 > sweeps._CHUNK_POINTS
         line = sweeps.SweepSpec(
             axis1=spec.axis1, overrides={"J": 0.5, "theta": 0.3}
         )
-        grid = sweeps.run_sweep(spec, base, jobs=jobs)
-        column = sweeps.run_sweep(line, base, jobs=1)
+        grid = sweeps.run_sweep(spec, base)
+        column = sweeps.run_sweep(line, base)
         for d in spec.directions:
             assert grid.valid[d].all()
             for name, values in column.stats[d].items():
@@ -1420,8 +1393,7 @@ class TestCliInProcess:
         rc = cli.main(["sweep", "--axis1", "delta_c,0,1,5", "--jobs", "0"])
         assert rc == 1
         assert "--jobs" in capsys.readouterr().err
-        # figure checks --jobs too, though its presets run on the calling
-        # thread.
+        # figure checks --jobs too, though no grid uses it.
         rc = cli.main(["figure", "fig2a", "--out", str(tmp_path), "--jobs", "0"])
         assert rc == 1
         assert "--jobs" in capsys.readouterr().err
@@ -1448,29 +1420,6 @@ class TestCliInProcess:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write output: ")
         assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
-    def test_sweep_jobs_default_to_usable_cpus(
-        self, monkeypatch, tmp_path, capsys, affinity
-    ):
-        # The default counts the CPUs this process may run on, not the
-        # machine's, and falls back to cpu_count where affinity is unknown.
-        seen = []
-        run_sweep = sweeps.run_sweep
-
-        def recording(spec, params, jobs):
-            seen.append(jobs)
-            return run_sweep(spec, params, jobs=jobs)
-
-        monkeypatch.setattr(sweeps, "run_sweep", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        argv = ["sweep", "--axis1", "delta_c,0,1,5", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        assert seen == [3 if affinity else 64]
 
     def test_no_microwave_root_is_numerical_failure(self, capsys):
         assert cli.main(["optimize", "--e-eg", "0"]) == 2
