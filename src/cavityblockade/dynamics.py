@@ -19,6 +19,12 @@ rounding, not bit for bit, and stop, or fail, at the same step or window.
 A state is finite when the modulus of every amplitude is finite; a run
 fails with :class:`NonFiniteState` at its first state that is not,
 unless it stopped steady before.
+
+:func:`evolve` evaluates the steady test's margins at every 32nd step
+only.  A bound on how far one step of S can move them, with a slack for
+the rounding of the stored states, rules out the steps between where a
+sample fails by more than that; the exact test runs on the other steps,
+so a run stops at the same step as with the test at every step.
 """
 
 from __future__ import annotations
@@ -43,6 +49,18 @@ _CHUNK_WINDOWS = 16
 #: modulus of every amplitude is finite.
 _FINITE_BOUND = 1e300
 
+#: :func:`evolve` screens its steady test at every this many rows and runs
+#: the exact test only where a bound on the steps between cannot rule it
+#: out (see :func:`_first_steady`).
+_SAMPLE_ROWS = 32
+
+#: The most, relative to a bound on the rows it stores, by which a chunk of
+#: :func:`evolve` departs from the exact iteration of its step map: 2^-40,
+#: about 8000 unit roundoffs.  Measured in extended precision, the departure
+#: stays below 20 of them over 40 seeded runs and below 1 at the reference
+#: point.
+_ROW_ROUNDING = 2.0**-40
+
 
 class NonFiniteState(ArithmeticError):
     """An amplitude became NaN or infinite during integration."""
@@ -63,10 +81,10 @@ class IntegratorConfig:
     amplitudes, and a default run there ends unsteady at ``t_max`` although
     the large amplitudes settled long before; :attr:`Trajectory.slowest_decay`
     says how fast they did.  The test is decided at exactly the step the
-    step-by-step iteration decides it: :func:`evolve` screens a chunk of
-    windows with one amplitude's test only to skip the steps at which none
-    can pass, and :func:`steady_rk4` stops after the first window at which
-    every set has passed, even when that window is inside its chunk.
+    step-by-step iteration decides it: :func:`evolve` skips only steps that
+    a bound from the test's margins at every 32nd step proves fail, and
+    :func:`steady_rk4` stops after the first window at which every set has
+    passed, even when that window is inside its chunk.
     With ``hold_c0g`` the ground amplitude is frozen at its initial value,
     which is the bookkeeping behind the perturbative steady state.
     """
@@ -241,24 +259,94 @@ class Trajectory(Sequence[AmplitudeState]):
         return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3] + sq[..., 4]
 
 
-def _first_steady(cur: np.ndarray, prev: np.ndarray, ss_tol: float) -> int | None:
+def _first_steady(
+    cur: np.ndarray, prev: np.ndarray, ss_tol: float, k: int, limit: float | np.ndarray
+) -> int | None:
     """The first row of ``cur`` that passes the steady test against the row
     of ``prev`` a window earlier, or None if none does.
 
-    The test takes the largest ratio over all amplitudes, so no row passes
-    where one amplitude fails.  The rows are screened with the amplitude of
-    the largest ratio in the last row, and the five-amplitude test runs only
-    from the first row where that amplitude passes.
+    The rows fall in gaps of ``_SAMPLE_ROWS``, each led by its sample row.
+    A row fails the test where some amplitude's margin
+    |d_m| - ss_tol (|c_m| + 1e-12) is positive (d = cur - prev, c = cur);
+    where amplitude k's margin at a sample exceeds ``limit`` (one value, or
+    one a sample; see :func:`_screen_limits`), it is positive at every row
+    of the gap, and the five-amplitude test runs on the other gaps only.
+    An infinite or NaN limit rules out no gap.
     """
-    last = np.abs(cur[-1] - prev[-1]) / (np.abs(cur[-1]) + _NORM_EPS)
-    k = int(np.argmax(last))
-    c = cur[:, k]
-    passed = np.abs(c - prev[:, k]) / (np.abs(c) + _NORM_EPS) < ss_tol
-    if not passed.any():
+    c = cur[::_SAMPLE_ROWS, k]
+    margin = np.abs(c - prev[::_SAMPLE_ROWS, k])
+    margin -= ss_tol * np.abs(c)
+    ruled = margin > limit
+    if ruled.all():
         return None
-    first = int(np.argmax(passed))
-    passed = _window_steady(cur[first:], prev[first:], ss_tol)
-    return first + int(np.argmax(passed)) if passed.any() else None
+    gaps = np.flatnonzero(~ruled)
+    rows = (gaps[:, None] * _SAMPLE_ROWS + np.arange(_SAMPLE_ROWS)).reshape(-1)
+    if rows[-1] >= len(cur):
+        rows = rows[rows < len(cur)]
+    # np.take, not cur[rows]: the same rows, gathered faster.
+    passed = _window_steady(
+        np.take(cur, rows, axis=0), np.take(prev, rows, axis=0), ss_tol
+    )
+    return int(rows[np.argmax(passed)]) if passed.any() else None
+
+
+def _screen_limits(
+    ends: np.ndarray, lift: np.ndarray, ss_tol: float, reach: float, rounding: float
+) -> tuple[int, np.ndarray]:
+    """The amplitude k to screen a chunk's rows with, and the limit its
+    margin must exceed at a sample in each window (see :func:`_first_steady`).
+
+    ``ends`` are the window boundary rows b_0, b_1, ... from the last one
+    before the chunk's first tested row, and ``lift`` is [I, (S - I)^T] for
+    the step map S.  A stored row of window i is S^j b_i, with its partner a
+    window earlier S^j b_(i-1), and p, the largest row sum of |S^j| over a
+    window, bounds it.  From a sample s, over the steps t < ``_SAMPLE_ROWS``
+    of its gap, margin m falls by at most the sum of |(S^t u)_m| +
+    ss_tol |(S^t v)_m| with u = (S - I) d(s) = S^j (S - I)(b_i - b_(i-1))
+    and v = (S - I) c(s) = S^j (S - I) b_i.  With q the largest row sum of
+    |S^t| over the gap, that is at most ``reach`` = ``_SAMPLE_ROWS`` q p
+    times the largest entry of |(S - I)(b_i - b_(i-1))| + ss_tol |(S - I) b_i|.
+    ``rounding`` times the largest ||b_i||_inf bounds what the rounding of
+    the stored rows adds (see :func:`_screen_constants`).  Entry i - 1 of
+    the limits is window i's.  The amplitude is the one with the largest
+    margin at the last boundary row.
+    """
+    lifted = ends @ lift
+    size = np.abs(lifted)
+    change = np.abs(lifted[1:] - lifted[:-1])
+    change[:, 5:] += ss_tol * size[1:, 5:]
+    limits = change[:, 5:].max(axis=1)
+    limits *= reach
+    limits += ss_tol * _NORM_EPS + rounding * float(size[:, :5].max())
+    margins = (change[-1, :5] - ss_tol * size[-1, :5]).tolist()
+    return margins.index(max(margins)), limits
+
+
+def _screen_constants(
+    step: np.ndarray, powers: np.ndarray, ss_tol: float
+) -> tuple[float, float]:
+    """``reach`` and ``rounding`` of :func:`_screen_limits` for a run with
+    step map S and step powers S, ..., S^w (``powers``).
+
+    The row sums of |Re| + |Im| over the powers bound p (which is at least
+    1, for S^0) and, over the first ``_SAMPLE_ROWS`` - 1 powers, q; with
+    w < ``_SAMPLE_ROWS`` - 1, q is at most p^ceil((_SAMPLE_ROWS - 1) / w).
+    A stored row departs from the exact iteration of S from its window's
+    boundary row, and a boundary row from S^w times the one before, by at
+    most E = ``_ROW_ROUNDING`` p max ||b_i||_inf.  The rows of a gap, which
+    may cross into the next window, and their partners then depart from
+    the exact iteration from the sample by at most (1 + 2 q) E, and (S - I)
+    of a sample's d and c by at most ||S - I||_inf 2E beyond the bound on
+    it; a margin takes 2 + ss_tol times such a departure.
+    """
+    sums = np.abs(powers.view(float)).reshape(-1, 10) @ np.ones(10)
+    p = max(float(sums.max()), 1.0)
+    near = max(float(sums[: 5 * (_SAMPLE_ROWS - 1)].max()), 1.0)
+    q = float(np.float64(near) ** math.ceil((_SAMPLE_ROWS - 1) / len(powers)))
+    reach = _SAMPLE_ROWS * q * p
+    beta = float(np.abs(step - np.eye(5)).sum(axis=1).max())
+    departs = 1.0 + 2.0 * q + 2.0 * beta * reach
+    return reach, _ROW_ROUNDING * p * (2.0 + ss_tol) * departs
 
 
 def evolve(
@@ -305,7 +393,12 @@ def _fill_states(
     windows' starts x, S^w x, S^2w x, ... from one, every state from the
     stacked starts times the step powers S, ..., S^w laid end to end.  A
     chunk that :func:`_chunk_finite` cannot clear is refilled by
-    :func:`_plain_iteration`.  The working arrays (the step powers, the
+    :func:`_plain_iteration`.  The steady test samples a chunk's rows with
+    the one amplitude and limit :func:`_screen_limits` takes from its window
+    boundary rows, and runs in full on the gaps between samples that the
+    limit cannot rule out (:func:`_first_steady`); in a refilled chunk, and
+    in the one after it, whose partner rows a window earlier the refilled
+    one holds, it rules out none.  The working arrays (the step powers, the
     steady test's temporaries) are freed when this returns, before
     :func:`evolve` allocates the times.
     """
@@ -324,6 +417,10 @@ def _fill_states(
     fill = powers.reshape(-1, 5).T
     # Each state of a chunk is x_i @ fill, five complex products summed.
     scale = _product_scale(powers)
+    lift = np.concatenate((np.eye(5), (step - np.eye(5)).T), axis=1)
+    reach, rounding = _screen_constants(step, powers, cfg.ss_tol)
+    last_cleared = True
+    windows = {}  # the window of each sample, by the chunk's tested span
     for start in range(0, n_steps, _CHUNK_WINDOWS * width):
         stop = min(start + _CHUNK_WINDOWS * width, n_steps)
         whole, rest = divmod(stop - start, width)
@@ -340,17 +437,35 @@ def _fill_states(
         # A window's stored boundary row is the state it started from.
         states[start + width : stop : width] = x[1:]
         end = stop  # the last finite step of the chunk
-        if not _chunk_finite(x, scale):
+        cleared = _chunk_finite(x, scale)
+        if not cleared:
             finite = _plain_iteration(step, states[start], states[start + 1 : stop + 1])
             if not finite.all():
                 end = start + int(np.argmin(finite))
         lo = max(start + 1, wsteps)
         if lo <= end:
+            base = max(start - wsteps, 0)
+            k, limits = _screen_limits(
+                states[base : end + 1 : wsteps], lift, cfg.ss_tol, reach, rounding
+            )
+            # Counted from the second boundary row; every full chunk after
+            # the first has the same span.
+            span = (lo - base, end + 1 - base)
+            if span not in windows:
+                windows[span] = np.arange(*span, _SAMPLE_ROWS) // wsteps - 1
+            limit = limits[windows[span]]
+            if not (cleared and last_cleared):
+                limit = math.inf
             first = _first_steady(
-                states[lo : end + 1], states[lo - wsteps : end + 1 - wsteps], cfg.ss_tol
+                states[lo : end + 1],
+                states[lo - wsteps : end + 1 - wsteps],
+                cfg.ss_tol,
+                k,
+                limit,
             )
             if first is not None:
                 return lo + first
+        last_cleared = cleared
         if end < stop:
             raise NonFiniteState(
                 f"non-finite amplitude at t = {t0 + (end + 1) * cfg.dt:.6g}; reduce dt"

@@ -424,9 +424,8 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(k * cfg.dt, abs=1e-12)
 
     def test_stops_on_the_plain_iteration_step_after_blocker_changes(self):
-        # The amplitude with the largest test ratio at a window's end, the
-        # one evolve screens the next window with, is not the same in
-        # every window before the stop.
+        # The amplitude with the largest test ratio at a window's end is not
+        # the same in every window before the stop.
         eff = make_eff(0.75, -0.06, 0.83, 0.53, 0.83, omega=0.02)
         cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=1.0, ss_tol=1e-6)
         want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
@@ -556,6 +555,55 @@ def steady_ratios(states, w):
     return np.abs(states[w:] - states[:-w]) / (np.abs(states[w:]) + 1e-12)
 
 
+def exhaustive_first_steady(cur, prev, ss_tol):
+    """Reference for ``dynamics._first_steady``: the screen it replaced.
+
+    One amplitude's test, that of the largest ratio in the last row, runs on
+    every row, and the five-amplitude test from the first row it passes.
+    """
+    last = np.abs(cur[-1] - prev[-1]) / (np.abs(cur[-1]) + 1e-12)
+    k = int(np.argmax(last))
+    c = cur[:, k]
+    passed = np.abs(c - prev[:, k]) / (np.abs(c) + 1e-12) < ss_tol
+    if not passed.any():
+        return None
+    first = int(np.argmax(passed))
+    passed = dynamics._window_steady(cur[first:], prev[first:], ss_tol)
+    return first + int(np.argmax(passed)) if passed.any() else None
+
+
+def check_screen(monkeypatch):
+    """Make every steady test of evolve check its answer against the
+    exhaustive screen, and that of a run started at each gap holding a
+    passing row, so no such gap is ruled out.  Returns the list of the
+    (answer, limit, rows, rows the exact test ran on) of each chunk's test."""
+    real, real_window = dynamics._first_steady, dynamics._window_steady
+    calls = []
+    exact = [0]
+
+    def counted(states, *args):
+        exact[0] += len(states)
+        return real_window(states, *args)
+
+    def checked(cur, prev, ss_tol, k, limit):
+        exact[0] = 0
+        got = real(cur, prev, ss_tol, k, limit)
+        calls.append((got, limit, len(cur), exact[0]))
+        assert got == exhaustive_first_steady(cur, prev, ss_tol)
+        rows = dynamics._SAMPLE_ROWS
+        passing = np.flatnonzero(dynamics._window_steady(cur, prev, ss_tol))
+        for gap in np.unique(passing // rows)[:8]:
+            first = passing[passing >= gap * rows][0]
+            rest = limit[gap:] if np.ndim(limit) else limit
+            tail = real(cur[gap * rows :], prev[gap * rows :], ss_tol, k, rest)
+            assert tail is not None and gap * rows + tail == first
+        return got
+
+    monkeypatch.setattr(dynamics, "_window_steady", counted)
+    monkeypatch.setattr(dynamics, "_first_steady", checked)
+    return calls
+
+
 def assert_same_run(initial, eff, e_eg, cfg):
     """evolve ends as the plain iteration does: the same outcome on the same
     step, every state within 1e-13 of the largest amplitude."""
@@ -608,25 +656,37 @@ class TestChunks:
         cfg = dataclasses.replace(cfg, ss_tol=tol)
         assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", k)
 
-    def test_screen_amplitude_changes_across_chunks(self):
+    def test_screen_amplitude_changes_across_chunks(self, monkeypatch):
         # The amplitude evolve screens a chunk with, the one with the largest
-        # test ratio at the chunk's last step, takes three values before the
-        # stop, and before it some step passes one amplitude's test but not
-        # another's.
-        eff = make_eff(0.75, -0.06, 0.83, 0.53, 0.83, omega=0.02)
+        # test margin |d| - tol |c| at the chunk's last window boundary (here
+        # its last step), takes three values before the stop, and before it
+        # some step passes one amplitude's test but not another's.
+        eff = make_eff(0.88, -0.01, 1.14, 0.97, -2.08, omega=0.02)
         cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=0.25, ss_tol=1e-6)
         want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
         w = cfg.window_steps
         span = self.C * w
         ratio = steady_ratios(want, w)
-        worst = [int(np.argmax(ratio[end - w])) for end in range(span, k, span)]
-        assert outcome == "steady" and len(worst) >= 10
-        assert len(set(worst)) >= 3
+        margin = np.abs(want[w:] - want[:-w]) - cfg.ss_tol * np.abs(want[w:])
+        chosen = [int(np.argmax(margin[end - w])) for end in range(span, k, span)]
+        assert outcome == "steady" and len(chosen) >= 10
+        assert len(set(chosen)) >= 3
         early = ratio[k - 1 - span : k - 1 - w]
         assert np.any(np.any(early < cfg.ss_tol, axis=1) & np.any(early >= cfg.ss_tol, axis=1))
         assert np.max(ratio[k - 1 - w]) > cfg.ss_tol * (1 + 1e-6)
         assert np.max(ratio[k - w]) < cfg.ss_tol * (1 - 1e-6)
+        real = dynamics._screen_limits
+        picked = []
+
+        def recorded(*args):
+            out = real(*args)
+            picked.append(out[0])
+            return out
+
+        monkeypatch.setattr(dynamics, "_screen_limits", recorded)
+        check_screen(monkeypatch)
         assert assert_same_run(dynamics.vacuum_state(), eff, 0.03, cfg) == ("steady", k)
+        assert picked[: len(chosen)] == chosen
 
     @pytest.mark.parametrize(
         "ss_window, t_max, hold",
@@ -942,6 +1002,180 @@ class TestChunks:
         assert str(got.value) == str(want.value) == (
             "non-finite amplitudes for parameter sets [1]; reduce dt"
         )
+
+
+class TestScreen:
+    """evolve samples its steady test's margins at every ``_SAMPLE_ROWS``-th
+    row of a chunk and bounds the rows between; it must find the first
+    passing row the exhaustive screen finds."""
+
+    R = dynamics._SAMPLE_ROWS
+    SPAN = TestChunks.C * 25
+
+    @pytest.mark.parametrize("hold", [True, False])
+    @pytest.mark.parametrize(
+        "where, k, t_max",
+        [
+            ("sample", 1201 + 3 * 32, 60.0),
+            ("gap", 1201 + 3 * 32 + 16, 60.0),
+            ("last", 1600, 60.0),
+            # 1260 steps: three chunks of 400, two windows of 25, then a
+            # 10-step rest window from step 1251.
+            ("rest", 1255, 25.2),
+        ],
+    )
+    def test_first_steady_row_matches_the_exhaustive_screen(
+        self, monkeypatch, hold, where, k, t_max
+    ):
+        cfg = dynamics.IntegratorConfig(
+            dt=2e-2, t_max=t_max, ss_window=0.5, ss_tol=NEVER_STEADY, hold_c0g=hold
+        )
+        w = cfg.window_steps
+        start = (k - 1) // self.SPAN * self.SPAN
+        # The chunk's first tested row, start + 1, leads its first gap.
+        offset = k - (start + 1)
+        assert {"sample": offset % self.R == 0, "gap": offset % self.R == self.R // 2,
+                "last": k == start + self.SPAN, "rest": k > start + 2 * w}[where]
+        want, _, n = plain_evolve(dynamics.vacuum_state(), TestChunks.FALLING, 0.03, cfg)
+        worst = np.max(steady_ratios(want, w), axis=1)
+        before = worst[: k - w].min()
+        assert worst[k - w] < before * (1 - 1e-4)
+        cfg = dataclasses.replace(cfg, ss_tol=math.sqrt(before * worst[k - w]))
+        calls = check_screen(monkeypatch)
+        run = assert_same_run(dynamics.vacuum_state(), TestChunks.FALLING, 0.03, cfg)
+        assert run == ("steady", k)
+        got, limit, _, _ = calls[-1]
+        assert got == offset and np.isfinite(limit).all()
+
+    def test_screen_matches_the_exhaustive_screen_on_seeded_runs(self, monkeypatch):
+        # Runs of a few chunks each that stop steady or reach t_max, from
+        # vacuum and from random states, with the ground amplitude held and
+        # free and windows of 1 to 300 steps.  The screen must rule out a
+        # good share of their rows, or this shows little.
+        calls = check_screen(monkeypatch)
+        rng = np.random.default_rng(43)
+        outcomes = []
+        for trial in range(24):
+            eff = make_eff(
+                rng.uniform(-1.0, 1.0),
+                rng.uniform(-1.0, 0.5),
+                rng.uniform(0.2, 1.5),
+                rng.uniform(0.0, 1.2),
+                rng.uniform(-math.pi, math.pi),
+                omega=rng.uniform(0.005, 0.1),
+            )
+            dt = rng.uniform(5e-3, 5e-2)
+            w = int(rng.integers(1, 301))
+            cfg = dynamics.IntegratorConfig(
+                dt=dt,
+                t_max=int(rng.integers(20 * w, 60 * w)) * dt,
+                ss_window=w * dt,
+                ss_tol=10.0 ** rng.uniform(-9.0, -3.0),
+                hold_c0g=bool(trial % 2),
+            )
+            initial = random_state(rng) if trial % 3 else dynamics.vacuum_state()
+            outcomes.append(assert_same_run(initial, eff, 0.03, cfg)[0])
+        assert min(outcomes.count(name) for name in ("steady", "t_max")) >= 5
+        got, limits, rows, exact = zip(*calls)
+        assert len(calls) > 50 and all(np.isfinite(limit).all() for limit in limits)
+        assert sum(exact) < 0.6 * sum(rows)
+
+    def test_refilled_chunk_rules_out_no_rows(self, monkeypatch):
+        # Decaying amplitudes near 1e299: no bound from them clears the
+        # first chunks, which the plain iteration refills, and the later
+        # ones take the products.  Neither a refilled chunk nor the next
+        # one, whose partner rows a window earlier lie in it, may rule out
+        # a row.
+        eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.0)
+        vec = 3e299 * (1.0 + np.random.default_rng(16).uniform(size=5) * (1 + 1j))
+        vec[0] = 0.0
+        initial = dynamics.AmplitudeState.from_vector(vec)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=40.0, ss_window=0.25, ss_tol=NEVER_STEADY)
+        cleared = []
+        real = dynamics._chunk_finite
+        monkeypatch.setattr(
+            dynamics, "_chunk_finite", lambda *a: cleared.append(real(*a)) or cleared[-1]
+        )
+        calls = check_screen(monkeypatch)
+        assert assert_same_run(initial, eff, 0.0, cfg) == ("t_max", 4000)
+        assert cleared == [False, False] + [True] * 8 and len(calls) == 10
+        for i, (_, limit, _, _) in enumerate(calls):
+            if i < 3:
+                assert np.isinf(limit).all()
+            else:
+                assert np.isfinite(limit).all()
+
+    @pytest.mark.parametrize("limit", [math.inf, math.nan])
+    def test_limit_that_is_not_finite_rules_out_no_rows(self, limit):
+        # Every sample fails by far, and the one passing row sits inside a
+        # gap; a finite limit rules its gap out, one that is not finite
+        # rules out nothing.
+        rng = np.random.default_rng(18)
+        prev = rng.normal(size=(200, 5)) + 1j * rng.normal(size=(200, 5))
+        cur = 1.5 * prev
+        cur[77] = prev[77]
+        assert exhaustive_first_steady(cur, prev, 1e-6) == 77
+        assert dynamics._first_steady(cur, prev, 1e-6, 2, 0.0) is None
+        assert dynamics._first_steady(cur, prev, 1e-6, 2, limit) == 77
+
+    def test_bounds_that_are_not_finite_give_no_finite_limit(self):
+        # A step map whose norm overflows the gap's spread, or boundary
+        # rows that are not finite, leave the screen no finite limit.
+        eff = make_eff(50.0, -0.5, 1.0, 0.3, 0.0, omega=0.01)
+        step = dynamics.rk4_propagator(dynamics.generator_from_effective(eff, 0.01), 1e12)
+        powers = dynamics._power_increments(step - np.eye(5), 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach, rounding = dynamics._screen_constants(step, powers, 1e-6)
+            lift = np.concatenate((np.eye(5), (step - np.eye(5)).T), axis=1)
+            ends = np.ones((4, 5), dtype=complex)
+            _, limits = dynamics._screen_limits(ends, lift, 1e-6, reach, rounding)
+            assert not math.isfinite(reach) and not np.isfinite(limits).any()
+            ends[2, 1] = complex(math.nan, 0.0)
+            _, limits = dynamics._screen_limits(ends, np.eye(5, 10), 1e-6, 1.0, 1e-12)
+        assert not np.isfinite(limits).any()
+
+    def test_exact_test_runs_on_at_most_one_row_in_32(self, monkeypatch):
+        # At the reference joint root, the time-domain workload's evolve, the
+        # five-amplitude test may run on at most 1/32 of the rows, and the
+        # screen may take the moduli of at most two amplitudes a sample row.
+        # An exhaustive screen, of one amplitude or five, fails this.
+        class CountingNumpy:
+            active = False
+            moduli = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, a, *args, **kwargs):
+                if self.active:
+                    self.moduli += np.size(a)
+                return np.abs(a, *args, **kwargs)
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(dynamics, "np", counting)
+        rows = {"tested": 0, "exact": 0}
+        real_first, real_window = dynamics._first_steady, dynamics._window_steady
+
+        def first(cur, *args):
+            rows["tested"] += len(cur)
+            counting.active = True
+            try:
+                return real_first(cur, *args)
+            finally:
+                counting.active = False
+
+        def window(states, *args):
+            rows["exact"] += len(states)
+            return real_window(states, *args)
+
+        monkeypatch.setattr(dynamics, "_first_steady", first)
+        monkeypatch.setattr(dynamics, "_window_steady", window)
+        _, point, working = blockade_point()
+        eff = P.derive_effective(working, j=point.J, theta=point.theta)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, working.e_eg)
+        assert not traj.steady and rows["tested"] == len(traj) - 1000
+        assert rows["exact"] <= rows["tested"] / 32
+        assert 0 < counting.moduli <= 2 * math.ceil(rows["tested"] / 32) + 10 * rows["exact"]
 
 
 class TestTrajectory:

@@ -336,23 +336,23 @@ class TestRunSweep:
             assert list(result.valid[direction]) == [True, True, False, True, True]
             assert math.isnan(result.stats[direction]["g2"][2])
 
-    def test_parallel_matches_serial(self):
+    def test_jobs_accepted_results_identical(self):
+        """``jobs=`` is accepted, and the results with three jobs are those
+        with one."""
         base = reference_params()
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("J", -2.0, 2.0, 9),
             axis2=sweeps.SweepAxis("theta", -3.0, 3.0, 7),
             overrides={"delta_c": 0.0},
         )
-        serial = sweeps.run_sweep(spec, base, jobs=1)
-        parallel = sweeps.run_sweep(spec, base, jobs=3)
+        one = sweeps.run_sweep(spec, base, jobs=1)
+        three = sweeps.run_sweep(spec, base, jobs=3)
         for direction in spec.directions:
-            assert np.array_equal(
-                serial.valid[direction], parallel.valid[direction]
-            )
+            assert np.array_equal(one.valid[direction], three.valid[direction])
             for name in sweeps.STAT_COLUMNS:
                 assert np.array_equal(
-                    serial.stats[direction][name],
-                    parallel.stats[direction][name],
+                    one.stats[direction][name],
+                    three.stats[direction][name],
                     equal_nan=True,
                 )
 
@@ -759,7 +759,9 @@ class TestSweepCsv:
         ]
         assert (tmp_path / "table.csv").read_text().splitlines() == expected
 
-    def test_parallel_csv_bytes_identical(self, tmp_path):
+    def test_jobs_accepted_csv_bytes_identical(self, tmp_path):
+        """``jobs=`` is accepted, and the CSV files written with three jobs
+        are byte for byte those written with one."""
         base = reference_params()
         spec = sweeps.SweepSpec(
             axis1=sweeps.SweepAxis("J", -2.0, 2.0, 9),
@@ -767,14 +769,14 @@ class TestSweepCsv:
             overrides={"delta_c": 0.0},
         )
         sweeps.write_sweep_csv(
-            sweeps.run_sweep(spec, base, jobs=1), tmp_path / "serial.csv"
+            sweeps.run_sweep(spec, base, jobs=1), tmp_path / "one.csv"
         )
         sweeps.write_sweep_csv(
-            sweeps.run_sweep(spec, base, jobs=3), tmp_path / "parallel.csv"
+            sweeps.run_sweep(spec, base, jobs=3), tmp_path / "three.csv"
         )
         for direction in ("forward", "backward"):
-            assert (tmp_path / f"serial_{direction}.csv").read_bytes() == (
-                tmp_path / f"parallel_{direction}.csv"
+            assert (tmp_path / f"one_{direction}.csv").read_bytes() == (
+                tmp_path / f"three_{direction}.csv"
             ).read_bytes()
 
 
