@@ -67,6 +67,7 @@ class NonFiniteState(ArithmeticError):
 
 
 def vacuum_state() -> AmplitudeState:
+    """The atom in |g> with no photon, c0g = 1 and every other amplitude 0, at t = 0."""
     return AmplitudeState(c0g=1.0, c1g=0.0, c0e=0.0, c2g=0.0, c1e=0.0, t=0.0)
 
 
@@ -164,6 +165,8 @@ def generator(
 def generator_from_effective(
     eff: EffectiveParams, e_eg: float, hold_c0g: bool = True
 ) -> np.ndarray:
+    """:func:`generator` at the coefficients of ``eff``, the drive ``e_eg``
+    and ``hold_c0g``."""
     return generator(
         eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg, hold_c0g
     )

@@ -38,8 +38,8 @@ def _write(path: Path, text: str) -> str:
 
 
 def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
-    rows = sweeps._csv_rows(np.column_stack(columns), True)
-    return sweeps._write_lines(path, [",".join(header)], rows, len(header))
+    rows = sweeps._csv_rows(columns, [True] * len(columns))
+    return sweeps._write_lines(path, [",".join(header)], rows)
 
 
 def _line_figure(

@@ -68,6 +68,7 @@ _EDGE_WEIGHT = 1e-12
 
 
 def state_index(n: int, level: str) -> int:
+    """The basis index of |n> (x) |level>, ``level`` one of ``LEVELS``."""
     return 3 * n + LEVELS.index(level)
 
 

@@ -52,6 +52,10 @@ def _nice_step(span: float) -> float:
 
 
 def linear_ticks(lo: float, hi: float) -> list[float]:
+    """About six ticks on [lo, hi], at multiples of 1, 2, 2.5 or 5 times a power of ten.
+
+    A range that is empty or not finite gets the one tick ``lo``.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
@@ -205,6 +209,13 @@ def _line_elements(
 
 @dataclass
 class LinePlot:
+    """Curves y(x) on shared axes, linear or (``log_y``) logarithmic in y.
+
+    :meth:`add_line` adds a curve, colored in turn from ``LINE_COLORS``;
+    :meth:`render` returns the SVG, its axes spanning every curve's finite
+    (and, on a log axis, positive) values, with a legend of the labeled ones.
+    """
+
     xlabel: str
     ylabel: str
     title: str = ""

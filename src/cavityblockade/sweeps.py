@@ -43,6 +43,9 @@ _CHUNK_POINTS = 1 << 12
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """``count`` evenly spaced values of the parameter ``name``, from
+    ``minimum`` to ``maximum`` inclusive: a system parameter, J or theta."""
+
     name: str
     minimum: float
     maximum: float
@@ -75,6 +78,15 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A 1-D grid over ``axis1`` or a 2-D one over ``axis1`` x ``axis2``.
+
+    ``overrides`` fix other parameters for the whole grid, ``directions``
+    names the drive directions evaluated, and ``observable`` the statistic
+    a 2-D CSV holds.  With ``optimal_j_theta`` every point takes J and theta
+    from the joint cancellation solve at its parameters and, unless delta_c
+    is an axis or an override, that solve's optimal delta_c.
+    """
+
     axis1: SweepAxis
     axis2: SweepAxis | None = None
     overrides: Mapping[str, float] = dataclasses.field(default_factory=dict)
@@ -111,6 +123,7 @@ class SweepSpec:
 
 
 def parse_directions(text: str) -> tuple[Direction, ...]:
+    """The directions named by ``forward``, ``backward`` or ``both``, in any case."""
     key = text.strip().lower()
     if key == "both":
         return (Direction.FORWARD, Direction.BACKWARD)
@@ -315,31 +328,29 @@ def run_sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    """One CSV cell: the shortest round-trip repr of a finite value, else empty."""
-    if not math.isfinite(x):
-        return ""
-    return repr(float(x))
+def _csv_rows(columns: list[np.ndarray], ok: list) -> Iterator[list[str]]:
+    """The CSV lines of a float table, one list per block of about
+    ``_CHUNK_POINTS`` cells, each cell by one rule.
 
-
-def _csv_rows(table: np.ndarray, ok) -> Iterator[str]:
-    """One CSV line per row of a 2-D float table, by the ``_fmt`` cell rule.
-
-    ``ok`` broadcasts against the table; cells where it is False are empty.
-    A row whose cells are all valid and finite is formatted by one C-level
-    list repr: each float's repr is the one ``_fmt`` writes, and none
-    contains ", ".  Any other row goes cell by cell.  One ``tolist`` makes a
-    block of about ``_CHUNK_POINTS`` cells Python floats, never a whole grid.
+    ``columns`` share their first axis, the rows: a 1-D array is one column,
+    a 2-D array several.  ``ok`` holds for each column True or a mask that
+    broadcasts against its rows.  A cell is the shortest round-trip ``repr``
+    of its value, or empty where ``ok`` is False or the value is not finite:
+    such a cell becomes NaN, and its row then drops the text ``nan``, which
+    no ``repr`` of a finite float contains.  Only one block at a time
+    becomes Python floats, never a whole grid.
     """
-    ok = np.broadcast_to(ok, table.shape)
-    clean = (ok & np.isfinite(table)).all(axis=1)
-    for at in range(0, len(table), per := max(1, _CHUNK_POINTS // table.shape[1])):
+    per = max(1, _CHUNK_POINTS // sum(math.prod(c.shape[1:]) for c in columns))
+    masks = [np.broadcast_to(g, c.shape) for c, g in zip(columns, ok)]
+    for at in range(0, len(columns[0]), per):
         rows = slice(at, at + per)
-        for cells, good, fast in zip(table[rows].tolist(), ok[rows], clean[rows].tolist()):
-            if fast:
-                yield repr(cells)[1:-1].replace(", ", ",")
-            else:
-                yield ",".join([_fmt(v) if g else "" for v, g in zip(cells, good.tolist())])
+        table = np.column_stack([c[rows] for c in columns])
+        good = np.column_stack([m[rows] for m in masks]) & np.isfinite(table)
+        cells = np.where(good, table, math.nan).tolist()
+        lines = [",".join(map(repr, row)) for row in cells]
+        for i in np.flatnonzero(~good.all(axis=1)).tolist():
+            lines[i] = lines[i].replace("nan", "")
+        yield lines
 
 
 def _preamble(result: SweepResult) -> list[str]:
@@ -351,29 +362,34 @@ def _preamble(result: SweepResult) -> list[str]:
     for key, axis in (("axis1", spec.axis1), ("axis2", spec.axis2)):
         if axis is not None:
             lines.append(
-                f"# {key} = {axis.name}, {_fmt(axis.minimum)}, "
-                f"{_fmt(axis.maximum)}, {axis.count}"
+                f"# {key} = {axis.name}, {float(axis.minimum)!r}, "
+                f"{float(axis.maximum)!r}, {axis.count}"
             )
     return lines
 
 
-def _write_lines(path: Path, head: list[str], rows: Iterator[str], cells: int) -> str:
-    """Write ``head`` and ``rows`` of ``cells`` cells, about ``_CHUNK_POINTS`` cells a write."""
+def _write_lines(path: Path, head: list[str], blocks: Iterator[list[str]]) -> str:
+    """Write ``head``, then each block of lines in one write."""
     with path.open("w") as fh:
-        fh.write("\n".join(head) + "\n")
-        while block := list(itertools.islice(rows, max(1, _CHUNK_POINTS // cells))):
-            fh.write("\n".join(block) + "\n")
+        for lines in itertools.chain([head], blocks):
+            fh.write("\n".join(lines) + "\n")
     return path.name
 
 
-def _sweep_rows(result: SweepResult) -> Iterator[str]:
-    n = result.spec.axis1.count
-    for d, at in itertools.product(result.spec.directions, range(0, n, _CHUNK_POINTS)):
-        rows, ok = slice(at, at + _CHUNK_POINTS), result.valid[d][at : at + _CHUNK_POINTS]
-        table = np.column_stack([result.stats[d][name][rows] for name in STAT_COLUMNS])
-        stats, label = _csv_rows(table, ok[:, None]), d.value
-        for x, row, good in zip(result.values1[rows].tolist(), stats, ok.tolist()):
-            yield f"{_fmt(x)},{label},{row},{'true' if good else 'false'}"
+def _sweep_rows(result: SweepResult) -> Iterator[list[str]]:
+    """The blocks of a 1-D file: per direction, the axis value and the
+    statistics by the ``_csv_rows`` rule, the direction after the axis
+    value and the ``valid`` flag last."""
+    for d in result.spec.directions:
+        valid, label = result.valid[d], f",{d.value},"
+        columns = [result.values1, *(result.stats[d][name] for name in STAT_COLUMNS)]
+        flags = iter(valid)  # zip draws a flag only for a line it has
+        for lines in _csv_rows(columns, [True, *[valid] * len(STAT_COLUMNS)]):
+            # No cell's text holds a comma, so the first one ends the axis value.
+            yield [
+                f"{line.replace(',', label, 1)},{'true' if good else 'false'}"
+                for line, good in zip(lines, flags)
+            ]
 
 
 def write_sweep_csv(result: SweepResult, path) -> list[str]:
@@ -386,12 +402,12 @@ def write_sweep_csv(result: SweepResult, path) -> list[str]:
     if result.spec.axis2 is None:
         header = [result.spec.axis1.name, "direction", *STAT_COLUMNS, "valid"]
         head = [*_preamble(result), ",".join(header)]
-        return [_write_lines(path, head, _sweep_rows(result), len(header))]
+        return [_write_lines(path, head, _sweep_rows(result))]
     head = [*_preamble(result), f"# observable = {result.spec.observable}"]
     return [
         _write_lines(
             path.with_name(f"{path.stem}_{d.value}{path.suffix}"), head,
-            _csv_rows(result.observable_grid(d), result.valid[d]), result.spec.axis2.count,
+            _csv_rows([result.observable_grid(d)], [result.valid[d]]),
         )
         for d in result.spec.directions
     ]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -222,6 +224,47 @@ def test_dir_lists_every_export():
     listed = dir(cavityblockade)
     assert set(cavityblockade.__all__) <= set(listed)
     assert set(SUBMODULES) <= set(listed)
+
+
+def own_docstring(obj) -> str | None:
+    """The docstring ``obj`` defines itself: not one a class inherits, nor
+    the ``Name(field: type, ...)`` text ``dataclasses`` makes up without one."""
+    if not inspect.isclass(obj):
+        return obj.__doc__
+    doc = vars(obj).get("__doc__")
+    if dataclasses.is_dataclass(obj):
+        made_up = obj.__name__ + str(inspect.signature(obj)).replace(" -> None", "")
+        if doc == made_up:
+            return None
+    return doc
+
+
+@pytest.mark.parametrize("short", SUBMODULES)
+def test_every_exported_class_and_function_has_its_own_docstring(short):
+    # The package's exports are its submodules' objects (tested above).
+    module = importlib.import_module(f"cavityblockade.{short}")
+    missing = [
+        name
+        for name in getattr(module, "__all__", ())
+        if inspect.isclass(obj := getattr(module, name)) or inspect.isfunction(obj)
+        if not (own_docstring(obj) or "").strip()
+    ]
+    assert not missing, f"{short}: no docstring for {missing}"
+
+
+def test_made_up_dataclass_text_is_no_docstring():
+    @dataclasses.dataclass
+    class Bare:
+        x: int
+
+    @dataclasses.dataclass
+    class Documented:
+        """A point."""
+
+        x: int
+
+    assert Bare.__doc__ and own_docstring(Bare) is None
+    assert own_docstring(Documented) == "A point."
 
 
 def test_unknown_name_raises_attribute_error():

@@ -749,6 +749,17 @@ class TestSweepCsv:
         for name in names:
             assert (tmp_path / name).read_text().splitlines()[5:] == expected
 
+    def test_no_repr_of_a_finite_float_holds_an_n(self):
+        # The premise of the cell rule: a row with an empty cell drops the
+        # text "nan", which must leave every finite cell's text whole.
+        rng = np.random.default_rng(7)
+        drawn = np.frombuffer(rng.bytes(8 * 100_100), dtype=np.float64)
+        edges = [0.0, -0.0, 5e-324, sys.float_info.max, 1e16, 1e-5]
+        values = drawn[np.isfinite(drawn)][: 100_000 - len(edges)].tolist() + edges
+        assert len(values) == 100_000
+        assert not [text for text in map(repr, values) if "n" in text]
+        assert all("n" in repr(x) for x in (math.nan, math.inf, -math.inf))
+
     def test_table_cells_match_the_per_cell_rule(self, tmp_path):
         columns = [np.roll(self.SPECIAL, k) for k in range(3)]
         columns += [np.roll(self.CLEAN, k) for k in range(2)]
