@@ -45,7 +45,6 @@ _EXPORTS = {
     "evolve": "dynamics",
     "figure": "figures",
     "find_roots": "optimizer",
-    "implied_e_he": "params",
     "load_config": "params",
     "mirror_swap": "params",
     "nonreciprocal_point": "optimizer",
@@ -58,6 +57,7 @@ _EXPORTS = {
     "steady_stats": "steady_state",
     "vacuum_state": "dynamics",
     "validate_effective": "full_model",
+    "with_coupling": "params",
     "write_sweep_csv": "sweeps",
 }
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import svgplot, sweeps
 from .params import FIGURE_NAMES, ConfigError, Direction, RegimeWarning
-from .params import implied_e_he, reference_params
+from .params import _derive, reference_params
 
 
 class UnknownFigure(ConfigError, KeyError):
@@ -135,7 +135,7 @@ def fig3b(out: Path) -> list[str]:
     axis = sweeps.SweepAxis("delta_e", -3.0, 3.0, GRID_1D)
     spec = sweeps.SweepSpec(axis, directions=(d,), optimal_j_theta=True)
     res = sweeps.run_sweep(spec, _BASE)
-    e_he = implied_e_he(res.j_used[d], _BASE)
+    e_he = _derive(_BASE, {"J": res.j_used[d]})[0]["e_he"]
     files = [
         _table_csv(
             out / "fig3b.csv",

@@ -364,11 +364,14 @@ def nonreciprocal_point(
     At an exact root the forward g2 is round-off, so the report's contrast
     means nothing there.  The fig6c and fig6d presets write this report at
     the reference point with targets 0 and 2.5; their g2_forward, 1.6e-31
-    and 2.6e-31, are such round-off.  The three-level model
-    (``full_model.validate_effective``, n_max = 3) gives forward g2 0.0465
-    and backward 73.45 at fig6c (contrast 3.20), and 0.0727 and 50.40 at
-    fig6d (contrast 2.84).  fig6c's J = 4.735 lies outside the elimination
-    regime, where it warns |delta_he/e_he| = 2.12.
+    and 2.6e-31, are such round-off.  The three-level model gives forward
+    g2 0.0465 and backward 73.45 at fig6c (contrast 3.20), and 0.0727 and
+    50.40 at fig6d (contrast 2.84), each the ``g2_full`` of
+    ``full_model.validate_effective(replace(with_coupling(at_target, J,
+    theta), direction=d), n_max=3)`` with ``at_target`` the reference point
+    at the target delta_c (:func:`params.with_coupling`).  fig6c's J = 4.735
+    lies outside the elimination regime, where it warns |delta_he/e_he| =
+    2.12.
     """
     at_target = replace(params, delta_c=float(target_delta_c))
     forward = replace(at_target, direction=Direction.FORWARD)

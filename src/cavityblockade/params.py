@@ -279,7 +279,7 @@ def _derive(
     ``overrides`` maps names of :data:`OVERRIDE_NAMES` to floats or to
     arrays that broadcast against each other.  Overriding kappa1 (or kappa2)
     alone slides the opposite mirror to keep the total kappa fixed; an
-    overridden J implies the upper-leg drive e_he = |J| delta_p / g (none
+    overridden J implies the upper-leg drive e_he = |J delta_p|/g (NaN
     where g = 0), and theta overrides phi_p - phi_he - phi_eg.  ConfigError
     unless the rates and amplitudes keep the rules of :class:`SystemParams`
     at every point (:func:`_check_inputs`).
@@ -408,16 +408,26 @@ def effective_arrays(
     return {k: np.asarray(v) for k, v in consts.items()}
 
 
-def implied_e_he(j, params: SystemParams):
-    """Upper-leg drive amplitude that realizes a given Raman coupling.
+def with_coupling(params: SystemParams, j: float, theta: float) -> SystemParams:
+    """``params`` with e_he and phi_p set so that the effective model has the
+    Raman coupling ``j`` and the phase ``theta``.
 
-    Back-solves e_he = |J*delta_p/g|, for a float or an array ``j``; the
-    sign of J is carried by a pi shift of theta, so the amplitude is
-    reported non-negative.
+    The three-level model takes e_he and phi_p, not J and theta; this is
+    their one encoding.  e_he = |J delta_p/g|, the value :func:`_derive`
+    gives for an overridden J.  The J it configures, g e_he/delta_p, then
+    has the sign of delta_p, which is the opposite of ``j``'s where J
+    delta_p < 0; a pi shift of theta there keeps J e^{-i theta}.  So phi_p =
+    theta + phi_he + phi_eg, plus pi where J delta_p < 0, not wrapped, as
+    :func:`_derive` takes theta as given.  ZeroDivisionError where g = 0.
     """
     if params.g == 0.0:
         raise ZeroDivisionError("cannot back-solve e_he when g = 0")
-    return _derive(params, {"J": j})[0]["e_he"]
+    j, theta = float(j), float(theta)
+    e_he = _derive(params, {"J": j})[0]["e_he"]
+    phi_p = theta + params.phi_he + params.phi_eg
+    if j * params.delta_p < 0.0:
+        phi_p += math.pi
+    return replace(params, e_he=e_he, phi_p=phi_p)
 
 
 def mirror_swap(params: SystemParams) -> SystemParams:
@@ -571,10 +581,10 @@ __all__ = [
     "SystemParams",
     "derive_effective",
     "effective_arrays",
-    "implied_e_he",
     "load_config",
     "mirror_swap",
     "params_from_mapping",
     "parse_config",
     "reference_params",
+    "with_coupling",
 ]

@@ -34,23 +34,11 @@ def bare_params(**kw) -> P.SystemParams:
     return P.SystemParams(**defaults)
 
 
-def encoded(j: float, theta: float, delta_c: float, **kw) -> P.SystemParams:
-    """The reference point at (J, theta, delta_c), encoded as e_he, phi_p
-    and delta_c; J < 0 is carried by a pi shift of theta."""
-    base = P.reference_params()
-    return dataclasses.replace(
-        base,
-        e_he=P.implied_e_he(j, base),
-        phi_p=theta + (math.pi if j < 0.0 else 0.0),
-        delta_c=delta_c,
-        **kw,
-    )
-
-
 def joint_root_params() -> P.SystemParams:
     """The reference point at its optimal joint root (J, theta, delta_c)."""
     point = optimizer.solve_optimal(P.reference_params())
-    return encoded(point.J, point.theta, point.delta_c_opt)
+    at_root = dataclasses.replace(P.reference_params(), delta_c=point.delta_c_opt)
+    return P.with_coupling(at_root, point.J, point.theta)
 
 
 def dim_of(n_max: int) -> int:
@@ -675,12 +663,34 @@ class TestBlockadePoints:
             p = joint_root_params()
         else:
             target = {"fig6c": 0.0, "fig6d": 2.5}[point]
-            j, theta, _ = optimizer.nonreciprocal_point(P.reference_params(), target)
-            p = encoded(j, theta, target, direction=direction)
+            at_target = dataclasses.replace(P.reference_params(), delta_c=target)
+            j, theta, _ = optimizer.nonreciprocal_point(at_target, target)
+            p = dataclasses.replace(
+                P.with_coupling(at_target, j, theta), direction=direction
+            )
         report = fm.validate_effective(p, n_max=3)
         assert report.g2_full == pytest.approx(g2_full, rel=1e-6)
         deeper = fm.validate_effective(p, n_max=4).g2_full
         assert deeper == pytest.approx(report.g2_full, rel=truncation)
+
+    @pytest.mark.parametrize(
+        "target, j_root, g2_full",
+        [(0.0, -4.6866, 0.04905068414), (2.5, -4.6399, 0.08595607054)],
+    )
+    def test_negative_delta_p_root_encodes_to_a_root(self, target, j_root, g2_full):
+        # With delta_p < 0 the configured J = g e_he/delta_p is negative, so
+        # a root with J < 0 needs no pi shift of theta.  Shifting by the sign
+        # of J alone encodes another point: effective g2 0.140 and 11.36,
+        # three-level g2 0.0555 and 16.7.
+        at_target = dataclasses.replace(
+            P.reference_params(), delta_p=-100.0, delta_c=target
+        )
+        j, theta, _ = optimizer.nonreciprocal_point(at_target, target)
+        assert j == pytest.approx(j_root, abs=1e-4)
+        p = P.with_coupling(at_target, j, theta)
+        assert steady_state.steady_stats(p).g2 < 1e-20
+        g2 = fm.validate_effective(p, n_max=3).g2_full
+        assert g2 == pytest.approx(g2_full, rel=1e-6)
 
 
 class TestCli:
@@ -739,10 +749,16 @@ class TestCli:
         assert cli.main(["validate-full", "--delta-p", "10"]) == 0
         assert "pass = false" in capsys.readouterr().out
 
-    @staticmethod
-    def fig6d_report(capsys, phi_p: str) -> dict[str, str]:
+    # fig6d's working point as validate-full flags: J = -3.964 carried by a
+    # pi shift of theta, and the same phase less 2 pi.
+    FIG6D_E_HE = "39.64000042264327"
+    FIG6D_PHI_P = "4.307737685990058"
+    FIG6D_PHI_P_WRAPPED = "-1.9754476211895282"
+
+    @classmethod
+    def fig6d_report(cls, capsys, phi_p: str) -> dict[str, str]:
         argv = [
-            "validate-full", "--e-he", "39.64000042264327",
+            "validate-full", "--e-he", cls.FIG6D_E_HE,
             "--phi-p", phi_p, "--delta-c", "2.5", "--n-max", "3",
         ]
         assert cli.main(argv) == 0
@@ -750,10 +766,17 @@ class TestCli:
             line.split(" = ") for line in capsys.readouterr().out.splitlines() if line
         )
 
+    def test_fig6d_flags_are_the_encoded_root(self):
+        at_target = dataclasses.replace(P.reference_params(), delta_c=2.5)
+        j, theta, _ = optimizer.nonreciprocal_point(at_target, 2.5)
+        p = P.with_coupling(at_target, j, theta)
+        assert float(self.FIG6D_E_HE) == p.e_he
+        assert float(self.FIG6D_PHI_P) == p.phi_p
+        assert float(self.FIG6D_PHI_P_WRAPPED) == p.phi_p - P.TAU
+
     def test_exact_root_reports_inf_and_exits_0(self, capsys):
-        # fig6d's working point, J = -3.964 carried by a pi shift of theta,
-        # where the effective g2 is exactly 0.0.
-        values = self.fig6d_report(capsys, "-1.9754476211895282")
+        # The wrapped phase, where the effective g2 is exactly 0.0.
+        values = self.fig6d_report(capsys, self.FIG6D_PHI_P_WRAPPED)
         assert values["g2_effective"] == "0.0"
         assert values["rel_diff"] == "inf"
         assert values["pass"] == "false"
@@ -762,7 +785,7 @@ class TestCli:
     def test_root_phase_plus_two_pi_reports_round_off_and_exits_0(self, capsys):
         # The same phase plus 2 pi: theta is taken as given, not wrapped, so
         # the effective g2 is round-off rather than exactly 0.0.
-        values = self.fig6d_report(capsys, "4.307737685990058")
+        values = self.fig6d_report(capsys, self.FIG6D_PHI_P)
         assert 0.0 < float(values["g2_effective"]) < 1e-29
         assert values["pass"] == "false"
         assert float(values["g2_full"]) == pytest.approx(0.07272759273, rel=1e-6)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -6,10 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import CHILD_WARNINGS
 
 from cavityblockade import params as P
+from cavityblockade import steady_state
 
 
 def quiet_effective(params, **kw):
@@ -180,6 +183,65 @@ class TestMirrorSwap:
         q = P.mirror_swap(p)
         assert q.kappa_in == p.kappa_in
         assert quiet_effective(q).omega == quiet_effective(p).omega
+
+
+class TestWithCoupling:
+    @pytest.mark.parametrize(
+        "delta_p, j, shifted",
+        [
+            (100.0, 2.0, False),
+            (100.0, -2.0, True),
+            (-100.0, 2.0, True),
+            (-100.0, -2.0, False),
+        ],
+    )
+    def test_pi_shift_where_j_delta_p_is_negative(self, delta_p, j, shifted):
+        p = P.SystemParams(g=10.0, delta_p=delta_p, phi_he=0.25, phi_eg=-1.5)
+        q = P.with_coupling(p, j, 3.0)
+        assert q.e_he == 20.0
+        # theta + pi is not wrapped, as _derive takes theta as given.
+        assert q.phi_p == 3.0 + 0.25 - 1.5 + (math.pi if shifted else 0.0)
+        assert dataclasses.replace(q, e_he=p.e_he, phi_p=p.phi_p) == p
+
+    def test_zero_coupling_raises(self):
+        with pytest.raises(ZeroDivisionError, match="g = 0"):
+            P.with_coupling(P.SystemParams(g=0.0), 1.0, 0.0)
+
+    def test_encoded_point_is_the_override_point(self):
+        # Seeded draws over both signs of delta_p and nonzero phi_he, phi_eg:
+        # the encoded point keeps J e^{-i theta} and its statistics are those
+        # of the j=/theta= override.
+        rng = np.random.default_rng(46)
+        for _ in range(2000):
+            p = P.SystemParams(
+                kappa1=(k1 := rng.uniform(0.1, 1.9)),
+                kappa2=2.0 - k1,
+                g=rng.uniform(0.5, 20.0),
+                delta_p=rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 500.0),
+                delta_e=rng.uniform(-2.0, 2.0),
+                delta_c=rng.uniform(-4.0, 4.0),
+                e_eg=rng.uniform(0.0, 0.05),
+                b_in=0.02,
+                phi_he=rng.uniform(-math.pi, math.pi),
+                phi_eg=rng.uniform(-math.pi, math.pi),
+                direction=rng.choice(list(P.Direction)),
+            )
+            j = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 10.0)
+            theta = rng.uniform(-math.pi, math.pi)
+            q = P.with_coupling(p, j, theta)
+            c = P._derive(q, {})[0]
+            coupling = j * cmath.exp(-1j * theta)
+            assert abs(c["j"] * cmath.exp(-1j * c["theta"]) - coupling) <= 1e-14 * abs(
+                coupling
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", P.RegimeWarning)
+                encoded = steady_state.steady_stats(q)
+                override = steady_state.steady_stats(p, j=j, theta=theta)
+            for name in ("p1", "p2", "g2", "n_cavity_paper", "n_cavity_full", "norm"):
+                assert getattr(encoded, name) == pytest.approx(
+                    getattr(override, name), rel=1e-12
+                ), name
 
 
 class TestConfigText:

@@ -190,10 +190,7 @@ class TestClosedForms:
 
     def test_encoded_drive_matches_override(self):
         base, point, working = blockade_point()
-        encoded = dataclasses.replace(
-            working, e_he=P.implied_e_he(point.J, working), phi_p=point.theta
-        )
-        a = steady_state.steady_stats(encoded)
+        a = steady_state.steady_stats(P.with_coupling(working, point.J, point.theta))
         b = steady_state.steady_stats(working, j=point.J, theta=point.theta)
         assert a.p1 == pytest.approx(b.p1, rel=1e-10)
         assert a.g2 == pytest.approx(b.g2, rel=1e-6) or (
@@ -335,9 +332,7 @@ class TestDetuningSweep:
 
     def test_forward_dip_location_on_grid(self):
         base, point, working = blockade_point()
-        encoded = dataclasses.replace(
-            base, e_he=P.implied_e_he(point.J, base), phi_p=point.theta
-        )
+        encoded = P.with_coupling(base, point.J, point.theta)
         out = detuning_sweep(encoded, -4.0, 2.0, 601)
         fwd = P.Direction.FORWARD
         ok = out.valid[fwd]
