@@ -59,9 +59,6 @@ MAX_N_MAX = 4
 #: ``validate_effective`` passes a point whose rel_diff is below this.
 PASS_REL_DIFF = 0.2
 
-#: Steps per block of generator matrices assembled at once by the RK4 run.
-_BLOCK_STEPS = 4096
-
 #: Share of the Floquet mode's weight on its two outermost harmonics at or
 #: below which ``FullModel.steady_mode`` stops adding harmonics.
 _EDGE_WEIGHT = 1e-12
@@ -98,9 +95,9 @@ class FullModel:
     at most e_he in size, always is.
 
     ``hamiltonian`` forms H'(t), or the lab-frame H(t) derived from it, and
-    ``run`` integrates H(t).  ``beat`` is omega, and ``raman_resonant``
-    records whether it vanishes, |omega| <= RAMAN_TOL * max(1, |delta_p|,
-    |delta_he|, |delta_eg|); then H' is static.
+    ``steady_mode`` solves for the long-time state.  ``beat`` is omega, and
+    ``raman_resonant`` records whether it vanishes, |omega| <= RAMAN_TOL *
+    max(1, |delta_p|, |delta_he|, |delta_eg|); then H' is static.
     """
 
     def __init__(self, params: SystemParams, n_max: int = 2) -> None:
@@ -138,72 +135,23 @@ class FullModel:
     def hamiltonian(self, t: float, frame: bool = False) -> np.ndarray:
         """Non-Hermitian lab-frame H(t) including the -i kappa/2 photon
         decay; with ``frame``, H'(t) of the |h>-rephased frame."""
-        return self._hamiltonians(np.array([t], dtype=float), frame)[0]
-
-    def _hamiltonians(self, times: np.ndarray, frame: bool = False) -> np.ndarray:
-        """``hamiltonian`` for a vector of times, shape (T, dim, dim)."""
+        # A one-element time array: the array arithmetic that the recorded
+        # digests of H'(t) (tests' TestBitPins) were taken with.
+        times = np.array([t], dtype=float)
         phase = np.exp(1j * self.beat * times)[:, None, None]
         out = self._h0 + phase * self._drive + np.conj(phase) * self._drive.conj().T
         if frame:
-            return out
+            return out[0]
         # H(t) = U (H'(t) - delta_p P_h) U^dagger, U = e^{i delta_p t} on |h>.
         delta_p = self.params.delta_p
         _, _, _, s_hh, *_ = _operators(self.n_max)
         u = np.exp(1j * delta_p * np.multiply.outer(times, s_hh.diagonal()))
-        return u[:, :, None] * (out - delta_p * s_hh) * u[:, None, :].conj()
+        return (u[:, :, None] * (out - delta_p * s_hh) * u[:, None, :].conj())[0]
 
-    def run(
-        self,
-        t_end: float,
-        dt: float = 1e-3,
-        *,
-        initial: np.ndarray | None = None,
-        collect_from: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fixed-step RK4 integration from |0, g>.
-
-        Returns (final_state, collect_times, collected_states); collection
-        starts at ``collect_from`` (None collects nothing) and never
-        includes step 0.  Generator matrices are pre-assembled on the
-        half-step grid in blocks and the steps run one by one.  Raises
-        ArithmeticError once the state is no longer finite.
-        """
-        if dt <= 0.0 or t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
-        dim = self.dim
-        if initial is None:
-            state = np.zeros(dim, dtype=complex)
-            state[state_index(0, "g")] = 1.0
-        else:
-            state = np.asarray(initial, dtype=complex).copy()
-            if state.shape != (dim,):
-                raise ValueError(f"initial state must have shape ({dim},)")
-
-        n_steps = int(round(t_end / dt))
-        first_collect = n_steps + 1
-        if collect_from is not None:
-            first_collect = max(1, int(math.ceil(collect_from / dt)))
-        collected = []
-        half = dt / 2.0
-        for start in range(0, n_steps, _BLOCK_STEPS):
-            stop = min(start + _BLOCK_STEPS, n_steps)
-            times = start * dt + half * np.arange(2 * (stop - start) + 1)
-            gen = -1j * self._hamiltonians(times)
-            for k in range(stop - start):
-                state = _rk4_step(gen[2 * k : 2 * k + 3], state, dt)
-                if start + k + 1 >= first_collect:
-                    collected.append(state[None])
-            if not np.all(np.isfinite(state)):
-                raise ArithmeticError(
-                    f"full-model state became non-finite near t = {stop * dt:.3f}"
-                )
-        times = dt * np.arange(first_collect, n_steps + 1)
-        states = (
-            np.concatenate(collected)
-            if collected
-            else np.zeros((0, dim), dtype=complex)
-        )
-        return state, times, states
+    def run(self, *args, **kwargs):
+        """Kept only as the name the benchmark's tracer wraps: the model has
+        no time integrator, and its long-time state is ``steady_mode``."""
+        raise NotImplementedError("FullModel has no integrator; use steady_mode")
 
     def steady_mode(self) -> tuple[np.ndarray, float]:
         """The long-time state in the |h>-rephased frame, and the rate at
@@ -259,18 +207,6 @@ class FullModel:
         return states, float(lam[top].imag - lam[second].imag)
 
 
-def _rk4_step(gen: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = A(t) x from generators A at t,
-    t + dt/2 and t + dt; ``x`` may be a vector or a matrix of columns."""
-    a0, a1, a2 = gen
-    half = dt / 2.0
-    k1 = a0 @ x
-    k2 = a1 @ (x + half * k1)
-    k3 = a1 @ (x + half * k2)
-    k4 = a2 @ (x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def photon_occupations(states: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
     """Normalized P_n(t) summed over atomic levels, keyed by photon number."""
     prob = np.abs(states) ** 2
@@ -304,8 +240,9 @@ def validate_effective(params: SystemParams, *, n_max: int = 2) -> ValidationRep
     analytic one.
 
     P1 and P2 come from ``FullModel.steady_mode``, averaged over its samples
-    of one beat period off Raman resonance.  ``n_max`` must be 2 to 4: g2
-    needs the two-photon states.  ``g2_full`` is the two-photon formula
+    of one beat period off Raman resonance.  ``n_max`` must be 2 to
+    ``MAX_N_MAX``: g2 needs the two-photon states.  That is checked first,
+    before any work.  ``g2_full`` is the two-photon formula
     2 P2/(P1 + 2 P2)^2 over n <= 2, NaN below the 1e-30 occupation floor: at
     the reference joint root with n_max = 3 it is 1.985e-3, where
     <n(n-1)>/<n>^2 over every photon number is 2.392e-3.  ``rel_diff`` is
@@ -316,8 +253,10 @@ def validate_effective(params: SystemParams, *, n_max: int = 2) -> ValidationRep
     Its regime warnings are those of ``steady_stats``, one per violated
     condition, |delta_p/g| <= 10 among them.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2 to measure g2, got {n_max}")
+    if not 2 <= n_max <= MAX_N_MAX:
+        raise ValueError(
+            f"n_max must be in [2, {MAX_N_MAX}] to measure g2, got {n_max}"
+        )
     g2_effective = steady_state.steady_stats(params).g2
 
     model = FullModel(params, n_max)

@@ -81,8 +81,10 @@ def assemble_hamiltonian(p: P.SystemParams, n_max: int, t: float) -> np.ndarray:
 
 
 def reference_run(p, n_max, t_end, dt, initial=None, collect_from=None):
-    """Per-step RK4 on the independently assembled H(t), with the
-    collection rule of FullModel.run (step 0 is never collected)."""
+    """Per-step RK4 on the independently assembled H(t) from ``initial``
+    (|0, g> when None): (final state, times, states), the states collected
+    from the first step at or after ``collect_from`` (None collects none;
+    step 0 never is)."""
     n_steps = int(round(t_end / dt))
     first = n_steps + 1
     if collect_from is not None:
@@ -233,6 +235,11 @@ class TestModelStructure:
         with pytest.raises(P.NumericalFailure, match="not finite"):
             fm.FullModel(p)
 
+    def test_run_is_a_stub(self):
+        # The name stays for the benchmark's tracer; there is no integrator.
+        with pytest.raises(NotImplementedError, match="steady_mode"):
+            fm.FullModel(P.reference_params()).run(1.0)
+
     def test_n_max_bounds(self):
         with pytest.raises(ValueError, match=r"n_max must be in \[1, 4\], got 5"):
             fm.FullModel(bare_params(), n_max=5)
@@ -338,84 +345,33 @@ print(json.dumps(digests))
         assert got == self.PINS
 
 
-class TestRun:
-    def test_norm_never_grows(self):
-        model = fm.FullModel(joint_root_params())
-        _, _, states = model.run(30.0, 1e-3, collect_from=0.0)
-        norms = np.sum(np.abs(states) ** 2, axis=-1)
-        assert float(np.max(norms)) <= 1.0 + 1e-6
-        assert np.all(np.diff(norms) <= 1e-12)
+class TestLossOnly:
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    @pytest.mark.parametrize("detuned", [False, True], ids=["joint-root", "detuned"])
+    def test_cavity_loss_is_the_only_loss(self, n_max, detuned):
+        # The anti-Hermitian part of H'(t) and of the lab-frame H(t) is
+        # -(kappa/2) a^dag a, which is negative semidefinite: cavity loss is
+        # the only loss, and no state's norm can grow.
+        p = joint_root_params()
+        if detuned:
+            p = raman_offset(p, 3.0)
+        model = fm.FullModel(p, n_max)
+        assert model.raman_resonant is not detuned
+        _, number, *_ = fm._operators(n_max)
+        loss = -0.5 * p.kappa * number
+        for t in (0.0, 0.37, 2.9, 117.0):
+            for frame in (True, False):
+                h = model.hamiltonian(t, frame=frame)
+                bound = 1e-12 * np.linalg.norm(h, 2)
+                assert np.max(np.abs((h - h.conj().T) / 2j - loss)) <= bound
 
-    def test_collection_window(self):
-        model = fm.FullModel(bare_params(b_in=0.02))
-        final, times, states = model.run(1.0, 0.1, collect_from=0.5)
-        assert times.tolist() == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-        assert states.shape == (6, model.dim)
-        assert np.array_equal(states[-1], final)
 
-    def test_no_collection_by_default(self):
-        model = fm.FullModel(bare_params(b_in=0.02))
-        final, times, states = model.run(0.5, 0.1)
-        assert times.shape == (0,)
-        assert states.shape == (0, model.dim)
-        assert final.shape == (model.dim,)
-
-    def test_argument_validation(self):
-        model = fm.FullModel(bare_params())
-        with pytest.raises(ValueError, match="positive"):
-            model.run(1.0, 0.0)
-        with pytest.raises(ValueError, match="shape"):
-            model.run(1.0, 0.1, initial=np.zeros(4, dtype=complex))
-
-    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
-    @pytest.mark.parametrize("explicit_initial", [False, True])
-    def test_run_matches_per_step_rk4(self, n_max, explicit_initial, monkeypatch):
-        # Short blocks so 600 steps span several, the last one partial.
-        monkeypatch.setattr(fm, "_BLOCK_STEPS", 64)
-        rng = np.random.default_rng(40 + n_max)
-        resonant = random_resonant_params(rng)
-        detuned = bare_params(g=10.0, e_he=1.5, e_eg=0.2, b_in=0.3)
-        dim = dim_of(n_max)
-        initial = None
-        if explicit_initial:
-            initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            initial /= np.linalg.norm(initial)
-        t_end, dt = 0.6, 1e-3
-        for p, is_resonant in ((resonant, True), (detuned, False)):
-            model = fm.FullModel(p, n_max)
-            assert model.raman_resonant is is_resonant
-            want_final, want_times, want_states = reference_run(
-                p, n_max, t_end, dt, initial, collect_from=0.0
-            )
-            scale = float(np.max(np.abs(want_states)))
-            for collect_from, first in ((None, 601), (0.0, 1), (0.2505, 251)):
-                final, times, states = model.run(
-                    t_end, dt, initial=initial, collect_from=collect_from
-                )
-                assert np.array_equal(times, want_times[first - 1 :])
-                assert states.shape == (601 - first, dim)
-                assert np.max(np.abs(final - want_final)) <= 1e-12 * scale
-                if len(states):
-                    assert np.max(np.abs(states - want_states[first - 1 :])) <= 1e-12 * scale
-                    assert np.array_equal(states[-1], final)
-
-    @pytest.mark.parametrize("collect_from", [None, 0.0, 50.0])
-    def test_unstable_step_raises(self, collect_from):
-        resonant = P.reference_params()
-        detuned = bare_params(g=10.0, e_he=1.5, b_in=0.3)
-        for p, is_resonant in ((resonant, True), (detuned, False)):
-            model = fm.FullModel(p)
-            assert model.raman_resonant is is_resonant
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ArithmeticError, match="non-finite"):
-                    model.run(100.0, 0.5, collect_from=collect_from)
-
-    def test_photon_occupations_normalized(self):
-        rng = np.random.default_rng(3)
-        states = rng.normal(size=(17, 9)) + 1j * rng.normal(size=(17, 9))
-        occ = fm.photon_occupations(states, n_max=2)
-        total = occ[0] + occ[1] + occ[2]
-        assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
+def test_photon_occupations_normalized():
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(17, 9)) + 1j * rng.normal(size=(17, 9))
+    occ = fm.photon_occupations(states, n_max=2)
+    total = occ[0] + occ[1] + occ[2]
+    assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
 
 def raman_offset(base: P.SystemParams, offset: float) -> P.SystemParams:
@@ -515,10 +471,6 @@ class TestValidation:
     @pytest.mark.parametrize("n_max", [2, 3])
     @pytest.mark.parametrize("offset", [3.0, -20.0, 0.5])
     def test_off_resonance_truncation_converged(self, offset, n_max, monkeypatch):
-        def no_step(*args):
-            raise AssertionError("steady_mode took an RK4 step")
-
-        monkeypatch.setattr(fm, "_rk4_step", no_step)
         model = fm.FullModel(raman_offset(E_HE_2, offset), n_max)
         (g2, gap), (more_g2, more_gap) = one_more_harmonic(model, monkeypatch)
         assert g2 == pytest.approx(more_g2, rel=1e-10, abs=0.0)
@@ -605,8 +557,10 @@ class TestValidation:
     def test_argument_validation(self):
         p = P.reference_params()
         # Without two-photon states g2 cannot be measured, only misreported as 0.
-        with pytest.raises(ValueError, match="n_max must be at least 2"):
-            fm.validate_effective(p, n_max=1)
+        for n_max in (1, 5):
+            message = rf"n_max must be in \[2, 4\] to measure g2, got {n_max}"
+            with pytest.raises(ValueError, match=message):
+                fm.validate_effective(p, n_max=n_max)
 
     def test_report_text_shape(self):
         report = fm.ValidationReport(

@@ -1574,6 +1574,13 @@ class TestCliSubprocess:
             "RegimeWarning: |delta_p/g| = 4 <= 10; adiabatic elimination is marginal"
         ]
 
+    def test_full_model_refuses_n_max_before_any_work(self):
+        # The effective solve, and its regime warning, never run.
+        proc = self.run("validate-full", "--n-max", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: n_max must be in [2, 4] to measure g2, got 5\n"
+
     def test_overflowing_coupling_is_one_numerical_failure_line(self):
         proc = self.run("g2", "--J", "1e200")
         assert proc.returncode == 2
