@@ -20,11 +20,15 @@ A state is finite when the modulus of every amplitude is finite; a run
 fails with :class:`NonFiniteState` at its first state that is not,
 unless it stopped steady before.
 
-:func:`evolve` evaluates the steady test's margins at every 32nd step
-only.  A bound on how far one step of S can move them, with a slack for
-the rounding of the stored states, rules out the steps between where a
-sample fails by more than that; the exact test runs on the other steps,
-so a run stops at the same step as with the test at every step.
+:func:`evolve` fills a long run in chunks that double from 16 windows up
+to 128, so it costs its products plus a few chunk passes.  It evaluates
+the steady test's margins at every 32nd step only, each on the amplitude
+of the largest margin at its window's boundary row.  A bound on how far one
+step of S can move them, with a slack for the rounding of the stored
+states, rules out the steps between where a sample fails by more than
+that; the exact test runs on the other steps in order, a few at a time, to
+the first that passes, so a run stops at the same step as with the test at
+every step.
 """
 
 from __future__ import annotations
@@ -40,10 +44,17 @@ from .steady_state import SQRT2, AmplitudeState
 
 _NORM_EPS = 1e-12
 
-#: Steady-test windows advanced per matrix product: :func:`evolve` fills a
-#: chunk of this many windows' states at once, :func:`steady_rk4` finds this
-#: many window ends at once.
+#: Steady-test windows advanced per matrix product.  :func:`evolve` fills
+#: its first chunk of this many windows' states at once and doubles each
+#: later chunk up to ``_MAX_CHUNK_WINDOWS``.  :func:`steady_rk4` finds this
+#: many window ends at once in every chunk: its batched window increments
+#: grow with the chunk, and doubling its chunks too made the benchmark's
+#: 32-set batch 2.2 times slower (2.8 ms against 1.2 ms, one BLAS thread on
+#: a shared 2-CPU host).
 _CHUNK_WINDOWS = 16
+
+#: The longest chunk of :func:`evolve`, in windows.
+_MAX_CHUNK_WINDOWS = 8 * _CHUNK_WINDOWS
 
 #: A chunk's bound on its states' real and imaginary parts below which the
 #: modulus of every amplitude is finite.
@@ -56,9 +67,10 @@ _SAMPLE_ROWS = 32
 
 #: The most, relative to a bound on the rows it stores, by which a chunk of
 #: :func:`evolve` departs from the exact iteration of its step map: 2^-40,
-#: about 8000 unit roundoffs.  Measured in extended precision, the departure
-#: stays below 20 of them over 40 seeded runs and below 1 at the reference
-#: point.
+#: about 8000 unit roundoffs.  Measured in extended precision at the chunks
+#: of 16 to 128 windows, the departure stays below 2.7 of them over 40
+#: seeded runs (dt 1e-3 to 3e-2, windows of 50 to 1500 steps) and below 0.2
+#: at the reference point and 1 kappa off it.
 _ROW_ROUNDING = 2.0**-40
 
 
@@ -84,8 +96,10 @@ class IntegratorConfig:
     says how fast they did.  The test is decided at exactly the step the
     step-by-step iteration decides it: :func:`evolve` skips only steps that
     a bound from the test's margins at every 32nd step proves fail, and
-    :func:`steady_rk4` stops after the first window at which every set has
-    passed, even when that window is inside its chunk.
+    runs the exact test on the others in order up to the first that passes,
+    however long its chunk; :func:`steady_rk4` stops after the first window
+    at which every set has passed, even when that window is inside its
+    chunk.
     With ``hold_c0g`` the ground amplitude is frozen at its initial value,
     which is the bookkeeping behind the perturbative steady state.
     """
@@ -263,7 +277,11 @@ class Trajectory(Sequence[AmplitudeState]):
 
 
 def _first_steady(
-    cur: np.ndarray, prev: np.ndarray, ss_tol: float, k: int, limit: float | np.ndarray
+    cur: np.ndarray,
+    prev: np.ndarray,
+    ss_tol: float,
+    k: int | np.ndarray,
+    limit: float | np.ndarray,
 ) -> int | None:
     """The first row of ``cur`` that passes the steady test against the row
     of ``prev`` a window earlier, or None if none does.
@@ -271,33 +289,42 @@ def _first_steady(
     The rows fall in gaps of ``_SAMPLE_ROWS``, each led by its sample row.
     A row fails the test where some amplitude's margin
     |d_m| - ss_tol (|c_m| + 1e-12) is positive (d = cur - prev, c = cur);
-    where amplitude k's margin at a sample exceeds ``limit`` (one value, or
-    one a sample; see :func:`_screen_limits`), it is positive at every row
-    of the gap, and the five-amplitude test runs on the other gaps only.
-    An infinite or NaN limit rules out no gap.
+    where amplitude k's margin at a sample exceeds ``limit`` (k and the
+    limit one value, or one a sample; see :func:`_screen_limits`), it is
+    positive at every row of the gap.  The five-amplitude test runs on the
+    other gaps in order, on 1, 1, 2, 4, ... of them at a time, and stops at
+    the first that holds a passing row, so it tests fewer than twice the
+    gaps from the first it could not rule out up to that row's.  An
+    infinite or NaN limit rules out no gap.
     """
-    c = cur[::_SAMPLE_ROWS, k]
-    margin = np.abs(c - prev[::_SAMPLE_ROWS, k])
+    # The flat index of each sample's amplitude in cur and in prev.
+    samples = np.arange(0, 5 * len(cur), 5 * _SAMPLE_ROWS)
+    samples += k
+    c = np.take(cur, samples)
+    margin = np.abs(c - np.take(prev, samples))
     margin -= ss_tol * np.abs(c)
-    ruled = margin > limit
-    if ruled.all():
-        return None
-    gaps = np.flatnonzero(~ruled)
-    rows = (gaps[:, None] * _SAMPLE_ROWS + np.arange(_SAMPLE_ROWS)).reshape(-1)
-    if rows[-1] >= len(cur):
-        rows = rows[rows < len(cur)]
-    # np.take, not cur[rows]: the same rows, gathered faster.
-    passed = _window_steady(
-        np.take(cur, rows, axis=0), np.take(prev, rows, axis=0), ss_tol
-    )
-    return int(rows[np.argmax(passed)]) if passed.any() else None
+    gaps = np.flatnonzero(~(margin > limit))
+    offsets = np.arange(_SAMPLE_ROWS)
+    done, take = 0, 1
+    while done < len(gaps):
+        rows = (gaps[done : done + take, None] * _SAMPLE_ROWS + offsets).reshape(-1)
+        if rows[-1] >= len(cur):
+            rows = rows[rows < len(cur)]
+        passed = _window_steady(
+            np.take(cur, rows, axis=0), np.take(prev, rows, axis=0), ss_tol
+        )
+        if passed.any():
+            return int(rows[np.argmax(passed)])
+        done += take
+        take = done
+    return None
 
 
 def _screen_limits(
     ends: np.ndarray, lift: np.ndarray, ss_tol: float, reach: float, rounding: float
-) -> tuple[int, np.ndarray]:
-    """The amplitude k to screen a chunk's rows with, and the limit its
-    margin must exceed at a sample in each window (see :func:`_first_steady`).
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each window of a chunk, the amplitude to screen its rows with and
+    the limit its margin must exceed at a sample (see :func:`_first_steady`).
 
     ``ends`` are the window boundary rows b_0, b_1, ... from the last one
     before the chunk's first tested row, and ``lift`` is [I, (S - I)^T] for
@@ -311,18 +338,19 @@ def _screen_limits(
     times the largest entry of |(S - I)(b_i - b_(i-1))| + ss_tol |(S - I) b_i|.
     ``rounding`` times the largest ||b_i||_inf bounds what the rounding of
     the stored rows adds (see :func:`_screen_constants`).  Entry i - 1 of
-    the limits is window i's.  The amplitude is the one with the largest
-    margin at the last boundary row.
+    both arrays is window i's.  Its amplitude is the one with the largest
+    margin |b_i - b_(i-1)| - ss_tol |b_i| at its boundary row b_i; any
+    amplitude will do, since the limit bounds the fall of every margin.
     """
     lifted = ends @ lift
     size = np.abs(lifted)
     change = np.abs(lifted[1:] - lifted[:-1])
+    margins = change[:, :5] - ss_tol * size[1:, :5]
     change[:, 5:] += ss_tol * size[1:, 5:]
     limits = change[:, 5:].max(axis=1)
     limits *= reach
     limits += ss_tol * _NORM_EPS + rounding * float(size[:, :5].max())
-    margins = (change[-1, :5] - ss_tol * size[-1, :5]).tolist()
-    return margins.index(max(margins)), limits
+    return margins.argmax(axis=1), limits
 
 
 def _screen_constants(
@@ -392,28 +420,40 @@ def _fill_states(
     """Fill ``states`` row by row from its first under the RK4 step map;
     return the step of a steady stop, or None if the run fills every row.
 
-    A chunk of up to ``_CHUNK_WINDOWS`` windows takes two products: the
-    windows' starts x, S^w x, S^2w x, ... from one, every state from the
-    stacked starts times the step powers S, ..., S^w laid end to end.  A
-    chunk that :func:`_chunk_finite` cannot clear is refilled by
-    :func:`_plain_iteration`.  The steady test samples a chunk's rows with
-    the one amplitude and limit :func:`_screen_limits` takes from its window
-    boundary rows, and runs in full on the gaps between samples that the
-    limit cannot rule out (:func:`_first_steady`); in a refilled chunk, and
-    in the one after it, whose partner rows a window earlier the refilled
-    one holds, it rules out none.  The working arrays (the step powers, the
-    steady test's temporaries) are freed when this returns, before
-    :func:`evolve` allocates the times.
+    A chunk of windows takes two products: the windows' starts x, S^w x,
+    S^2w x, ... from one, every state from the stacked starts times the
+    step powers S, ..., S^w laid end to end.  The first chunk holds
+    ``_CHUNK_WINDOWS`` windows and each later one twice the one before, up
+    to ``_MAX_CHUNK_WINDOWS``, so a 200-window run takes four chunks (16,
+    32, 64 and 88 windows); the window increments are built up to the
+    longest chunk the run takes.  A chunk that :func:`_chunk_finite` cannot
+    clear is refilled by :func:`_plain_iteration`.  The steady test samples
+    a chunk's rows, each with the amplitude and limit that
+    :func:`_screen_limits` takes for its window from the window boundary
+    rows, and runs in full, in order, on the gaps between samples that the
+    limit cannot rule out, to the first that passes (:func:`_first_steady`);
+    in a refilled chunk, and in the one after it, whose partner rows a
+    window earlier the refilled one holds, it rules out none.  The working
+    arrays (the step powers, the steady test's temporaries) are freed when
+    this returns, before :func:`evolve` allocates the times.
     """
     n_steps = len(states) - 1
     wsteps = cfg.window_steps
     width = min(wsteps, n_steps)
-    starts = np.empty((_CHUNK_WINDOWS, 5), dtype=complex)
+    # Each chunk's windows; the last may end in a partial window.
+    counts = []
+    left, size = -(-n_steps // width), _CHUNK_WINDOWS
+    while left > 0:
+        counts.append(min(size, left))
+        left -= size
+        size = min(2 * size, _MAX_CHUNK_WINDOWS)
+    longest = max(counts + [_CHUNK_WINDOWS])
+    starts = np.empty((longest, 5), dtype=complex)
     powers = _power_increments(step - np.eye(5), width)
     # The windows' starts x, W x, W^2 x, ... (W = S^w) come from W^i - I,
     # exact to rounding of the increments; the states inside a window from
     # the powers themselves.
-    grow = _power_increments(powers[-1], _CHUNK_WINDOWS - 1)
+    grow = _power_increments(powers[-1], longest - 1)
     powers.reshape(width, 25)[:, ::6] += 1.0
     # fill[c, 5j + r] is S^(j+1)[r, c] (a view, no copy), so x @ fill holds
     # the window's states from x laid end to end, row by row.
@@ -424,12 +464,13 @@ def _fill_states(
     reach, rounding = _screen_constants(step, powers, cfg.ss_tol)
     last_cleared = True
     windows = {}  # the window of each sample, by the chunk's tested span
-    for start in range(0, n_steps, _CHUNK_WINDOWS * width):
-        stop = min(start + _CHUNK_WINDOWS * width, n_steps)
+    stop = 0
+    for count in counts:
+        start, stop = stop, min(stop + count * width, n_steps)
         whole, rest = divmod(stop - start, width)
-        x = starts[: whole + (rest > 0)]
+        x = starts[:count]
         x[0] = states[start]
-        np.matmul(grow[: len(x) - 1], x[0], out=x[1:])
+        np.matmul(grow[: count - 1], x[0], out=x[1:])
         x[1:] += x[0]
         if whole:
             rows = states[start + 1 : start + 1 + whole * width]
@@ -448,11 +489,11 @@ def _fill_states(
         lo = max(start + 1, wsteps)
         if lo <= end:
             base = max(start - wsteps, 0)
-            k, limits = _screen_limits(
+            ks, limits = _screen_limits(
                 states[base : end + 1 : wsteps], lift, cfg.ss_tol, reach, rounding
             )
-            # Counted from the second boundary row; every full chunk after
-            # the first has the same span.
+            # Counted from the second boundary row; every capped chunk but
+            # the last has the same span.
             span = (lo - base, end + 1 - base)
             if span not in windows:
                 windows[span] = np.arange(*span, _SAMPLE_ROWS) // wsteps - 1
@@ -463,7 +504,7 @@ def _fill_states(
                 states[lo : end + 1],
                 states[lo - wsteps : end + 1 - wsteps],
                 cfg.ss_tol,
-                k,
+                ks[windows[span]],
                 limit,
             )
             if first is not None:

@@ -555,6 +555,19 @@ def steady_ratios(states, w):
     return np.abs(states[w:] - states[:-w]) / (np.abs(states[w:]) + 1e-12)
 
 
+def chunk_edges(cfg):
+    """The steps at which evolve's chunks start under ``cfg``, and its last
+    step: the first chunk holds 16 windows and each later one twice the one
+    before, up to 128."""
+    n_steps = math.ceil(cfg.t_max / cfg.dt - 1e-12)
+    w = cfg.window_steps
+    edges, size = [0], 16
+    while edges[-1] < n_steps:
+        edges.append(min(edges[-1] + size * w, n_steps))
+        size = min(2 * size, 128)
+    return edges
+
+
 def exhaustive_first_steady(cur, prev, ss_tol):
     """Reference for ``dynamics._first_steady``: the screen it replaced.
 
@@ -591,11 +604,13 @@ def check_screen(monkeypatch):
         calls.append((got, limit, len(cur), exact[0]))
         assert got == exhaustive_first_steady(cur, prev, ss_tol)
         rows = dynamics._SAMPLE_ROWS
+        k, limit = np.broadcast_arrays(k, limit)
         passing = np.flatnonzero(dynamics._window_steady(cur, prev, ss_tol))
         for gap in np.unique(passing // rows)[:8]:
             first = passing[passing >= gap * rows][0]
-            rest = limit[gap:] if np.ndim(limit) else limit
-            tail = real(cur[gap * rows :], prev[gap * rows :], ss_tol, k, rest)
+            tail = real(
+                cur[gap * rows :], prev[gap * rows :], ss_tol, k[gap:], limit[gap:]
+            )
             assert tail is not None and gap * rows + tail == first
         return got
 
@@ -622,9 +637,11 @@ def assert_same_run(initial, eff, e_eg, cfg):
 
 
 class TestChunks:
-    """evolve fills ``_CHUNK_WINDOWS`` steady-test windows per matrix product
-    and steady_rk4 finds that many window ends per batched product; neither
-    may move a stop, an outcome or an error from the plain iteration's."""
+    """evolve fills its first ``_CHUNK_WINDOWS`` steady-test windows per
+    matrix product and doubles each later chunk up to 128 windows (chunk
+    edges at 16, 48, 112, 240, 368, ... windows); steady_rk4 finds
+    ``_CHUNK_WINDOWS`` window ends per batched product.  Neither may move a
+    stop, an outcome or an error from the plain iteration's."""
 
     C = dynamics._CHUNK_WINDOWS
     # From step w on, the largest test ratio of this run falls at every step
@@ -636,18 +653,22 @@ class TestChunks:
     @pytest.mark.parametrize(
         "offset",
         [
-            1,  # the first step after a chunk boundary
+            # The chunk of 64 windows from the edge at 48 windows, step 1200.
+            1,  # the first step after the chunk boundary
             12,  # inside the chunk's first window
             25,  # the end of the first window: the second window's start row
             75,  # another window's start row inside the chunk
             186,  # inside the chunk, off every window boundary
-            400,  # the chunk's last step: the next chunk's start row
+            400,  # a window's start row 16 windows in
+            987,  # deep in the chunk's second half, off every window boundary
+            1600,  # the chunk's last step: the next chunk's start row
         ],
     )
     def test_steady_stop_placed_in_a_chunk(self, offset):
         cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=60.0, ss_window=0.5, ss_tol=NEVER_STEADY)
         w = cfg.window_steps
         assert (w, self.C * w) == (25, 400)
+        assert chunk_edges(cfg)[2:4] == [3 * self.C * w, 3 * self.C * w + 1600]
         want, _, _ = plain_evolve(dynamics.vacuum_state(), self.FALLING, 0.03, cfg)
         worst = np.max(steady_ratios(want, w), axis=1)
         assert np.all(worst[1:] < worst[:-1] * (1 - 4e-4))
@@ -657,10 +678,11 @@ class TestChunks:
         assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", k)
 
     def test_screen_amplitude_changes_across_chunks(self, monkeypatch):
-        # The amplitude evolve screens a chunk with, the one with the largest
-        # test margin |d| - tol |c| at the chunk's last window boundary (here
-        # its last step), takes three values before the stop, and before it
-        # some step passes one amplitude's test but not another's.
+        # The amplitude evolve screens a window's samples with, the one with
+        # the largest test margin |d| - tol |c| at the window's boundary row,
+        # takes three values before the stop, which lies past the fourth
+        # chunk's start, and before it some step passes one amplitude's test
+        # but not another's.
         eff = make_eff(0.88, -0.01, 1.14, 0.97, -2.08, omega=0.02)
         cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=200.0, ss_window=0.25, ss_tol=1e-6)
         want, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 0.03, cfg)
@@ -668,33 +690,119 @@ class TestChunks:
         span = self.C * w
         ratio = steady_ratios(want, w)
         margin = np.abs(want[w:] - want[:-w]) - cfg.ss_tol * np.abs(want[w:])
-        chosen = [int(np.argmax(margin[end - w])) for end in range(span, k, span)]
-        assert outcome == "steady" and len(chosen) >= 10
-        assert len(set(chosen)) >= 3
+        chosen = {row: int(np.argmax(margin[row - w])) for row in range(w, k, w)}
+        edges = chunk_edges(cfg)
+        assert outcome == "steady" and k > edges[3]
+        assert len(set(chosen.values())) >= 3
         early = ratio[k - 1 - span : k - 1 - w]
         assert np.any(np.any(early < cfg.ss_tol, axis=1) & np.any(early >= cfg.ss_tol, axis=1))
         assert np.max(ratio[k - 1 - w]) > cfg.ss_tol * (1 + 1e-6)
         assert np.max(ratio[k - w]) < cfg.ss_tol * (1 - 1e-6)
         real = dynamics._screen_limits
-        picked = []
+        picked, calls = {}, []
 
         def recorded(*args):
             out = real(*args)
-            picked.append(out[0])
+            # Entry i of a chunk's amplitudes is its window i + 1's, counted
+            # from the last boundary row before the chunk's first tested row.
+            base = max(edges[len(calls)] - w, 0)
+            calls.append(out[0])
+            for i, amplitude in enumerate(out[0].tolist()):
+                picked.setdefault(base + (i + 1) * w, []).append(amplitude)
             return out
 
         monkeypatch.setattr(dynamics, "_screen_limits", recorded)
         check_screen(monkeypatch)
         assert assert_same_run(dynamics.vacuum_state(), eff, 0.03, cfg) == ("steady", k)
-        assert picked[: len(chosen)] == chosen
+        assert len(calls) >= 4
+        assert {row: picked[row] for row in chosen} == {
+            row: [amplitude] * len(picked[row]) for row, amplitude in chosen.items()
+        }
+
+    @classmethod
+    def falling_stop(cls, cfg, k):
+        """``cfg`` with the tolerance that stops the FALLING run at step k."""
+        want, _, _ = plain_evolve(dynamics.vacuum_state(), cls.FALLING, 0.03, cfg)
+        w = cfg.window_steps
+        worst = np.max(steady_ratios(want, w), axis=1)
+        assert np.all(worst[1:] < worst[:-1] * (1 - 4e-4))
+        return dataclasses.replace(cfg, ss_tol=math.sqrt(worst[k - 1 - w] * worst[k - w]))
+
+    @staticmethod
+    def counting(monkeypatch, name, size=lambda args: len(args[0])):
+        """Record ``size`` of the arguments of each call of the dynamics
+        function ``name``: by default, the length of the first."""
+        real, calls = getattr(dynamics, name), []
+        monkeypatch.setattr(
+            dynamics, name, lambda *args: calls.append(size(args)) or real(*args)
+        )
+        return calls
+
+    def test_benchmark_run_of_200_windows_screens_four_chunks(self, monkeypatch):
+        # The time-domain workload's evolve at the reference joint root: 200
+        # windows of 1000 steps, unsteady, in chunks of 16, 32, 64 and 88
+        # windows; the first chunk's tests start at its second window.
+        filled = self.counting(monkeypatch, "_chunk_finite")
+        tested = self.counting(monkeypatch, "_first_steady")
+        _, point, working = blockade_point()
+        eff = P.derive_effective(working, j=point.J, theta=point.theta)
+        traj = dynamics.evolve(dynamics.vacuum_state(), eff, working.e_eg)
+        assert not traj.steady and len(traj) == 200_001
+        assert filled == [16, 32, 64, 88]
+        assert tested == [15_001, 32_000, 64_000, 88_000]
+
+    def test_stop_in_the_first_chunk_fills_one_chunk(self, monkeypatch):
+        cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=60.0, ss_window=0.5, ss_tol=NEVER_STEADY)
+        cfg = self.falling_stop(cfg, 300)
+        filled = self.counting(monkeypatch, "_chunk_finite")
+        grown = self.counting(monkeypatch, "_power_increments", lambda args: args[1])
+        assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", 300)
+        # The step powers of a window, then the window increments of the
+        # longest chunk the run could take, 64 of its 120 windows; a run of
+        # 16 windows takes the first chunk's 15.
+        assert filled == [self.C] and grown == [25, 63]
+        grown.clear()
+        cfg = dataclasses.replace(cfg, t_max=8.0, ss_tol=NEVER_STEADY)
+        assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("t_max", 400)
+        assert filled == [self.C] * 2 and grown == [25, self.C - 1]
+
+    @pytest.mark.parametrize("edge", [16, 48, 112, 240])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_steady_stop_on_a_doubled_chunk_edge(self, edge, side):
+        # Windows of 5 steps, so the edges fall at steps 80, 240, 560 and
+        # 1200; the stop at the edge is the chunk's last step.
+        cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=60.0, ss_window=0.1, ss_tol=NEVER_STEADY)
+        k = 5 * edge + side
+        assert 5 * edge in chunk_edges(cfg)
+        cfg = self.falling_stop(cfg, k)
+        assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", k)
+
+    def test_run_reaches_capped_chunks(self, monkeypatch):
+        # Windows of 2 steps: chunks of 16, 32, 64 and 128 windows, then
+        # three more of 128 (steps 480-1248), and the stop 37 steps into the
+        # next, each screen checked against the exhaustive one.
+        cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=40.0, ss_window=0.04, ss_tol=NEVER_STEADY)
+        k = 1248 + 37
+        assert chunk_edges(cfg)[4:8] == [480, 736, 992, 1248]
+        cfg = self.falling_stop(cfg, k)
+        calls = check_screen(monkeypatch)
+        assert assert_same_run(dynamics.vacuum_state(), self.FALLING, 0.03, cfg) == ("steady", k)
+        rows = [n for _, _, n, _ in calls]
+        assert rows[:7] == [31, 64, 128, 256, 256, 256, 256] and len(calls) == 8
+        assert calls[-1][0] == 36 and all(got is None for got, _, _, _ in calls[:-1])
 
     @pytest.mark.parametrize(
         "ss_window, t_max, hold",
         [
-            # Four whole chunks of 480 steps, then four windows and a
-            # 10-step partial one.
+            # Whole chunks of 16 and 32 windows of 30 steps (1440 steps),
+            # then twenty windows and a 10-step partial one.
             (0.3, 20.5, True),
             (0.3, 20.5, False),
+            # Whole chunks of 16, 32 and 64 windows of 10 steps (1120
+            # steps), then a 5-step partial window; and four whole chunks
+            # ending on the edge at 240 windows.
+            (0.1, 11.25, True),
+            (0.1, 24.0, False),
             # Runs inside the first chunk of 1600 steps: one window, nine
             # and a partial one, fifteen.
             (1.0, 1.0, True),
@@ -716,10 +824,14 @@ class TestChunks:
         eff = make_eff(50.0, -0.5, 1.0, 0.3, 0.0, omega=0.01)
         cfg = dynamics.IntegratorConfig(dt=dt, t_max=2000.0, ss_window=10 * dt)
         _, outcome, k = plain_evolve(dynamics.vacuum_state(), eff, 1e-9, cfg)
-        span = self.C * cfg.window_steps
-        chunk, offset = divmod(k - 1, span)
+        # Step 203 or 197 of windows of 10 steps: inside the chunk of 32
+        # windows from step 160 to 480, off every window boundary.
+        edges = chunk_edges(cfg)
+        chunk = int(np.searchsorted(edges, k - 1, side="right")) - 1
+        offset = k - 1 - edges[chunk]
         assert outcome == "nonfinite" and chunk >= 1
-        assert 0 < offset < span - 1 and offset % cfg.window_steps != 0
+        assert 0 < offset < edges[chunk + 1] - edges[chunk] - 1
+        assert offset % cfg.window_steps != 0
         assert assert_same_run(dynamics.vacuum_state(), eff, 1e-9, cfg) == ("nonfinite", k)
 
     def test_steady_stop_wins_over_a_later_overflow_in_the_chunk(self):
@@ -1010,17 +1122,20 @@ class TestScreen:
     passing row the exhaustive screen finds."""
 
     R = dynamics._SAMPLE_ROWS
-    SPAN = TestChunks.C * 25
 
     @pytest.mark.parametrize("hold", [True, False])
     @pytest.mark.parametrize(
         "where, k, t_max",
         [
+            # In the chunk of 64 windows of 25 steps from step 1200.
             ("sample", 1201 + 3 * 32, 60.0),
             ("gap", 1201 + 3 * 32 + 16, 60.0),
+            # The last step of its first 16 windows.
             ("last", 1600, 60.0),
-            # 1260 steps: three chunks of 400, two windows of 25, then a
-            # 10-step rest window from step 1251.
+            # The last step of the chunk of 32 windows from step 400.
+            ("end", 1200, 60.0),
+            # 1260 steps: chunks of 400 and 800 steps, two windows of 25,
+            # then a 10-step rest window from step 1251.
             ("rest", 1255, 25.2),
         ],
     )
@@ -1031,11 +1146,14 @@ class TestScreen:
             dt=2e-2, t_max=t_max, ss_window=0.5, ss_tol=NEVER_STEADY, hold_c0g=hold
         )
         w = cfg.window_steps
-        start = (k - 1) // self.SPAN * self.SPAN
+        edges = chunk_edges(cfg)
+        start = edges[int(np.searchsorted(edges, k, side="left")) - 1]
         # The chunk's first tested row, start + 1, leads its first gap.
         offset = k - (start + 1)
+        assert start == (400 if where == "end" else 1200)
         assert {"sample": offset % self.R == 0, "gap": offset % self.R == self.R // 2,
-                "last": k == start + self.SPAN, "rest": k > start + 2 * w}[where]
+                "last": k == start + TestChunks.C * w, "end": k in edges,
+                "rest": k > start + 2 * w}[where]
         want, _, n = plain_evolve(dynamics.vacuum_state(), TestChunks.FALLING, 0.03, cfg)
         worst = np.max(steady_ratios(want, w), axis=1)
         before = worst[: k - w].min()
@@ -1055,7 +1173,7 @@ class TestScreen:
         calls = check_screen(monkeypatch)
         rng = np.random.default_rng(43)
         outcomes = []
-        for trial in range(24):
+        for trial in range(30):
             eff = make_eff(
                 rng.uniform(-1.0, 1.0),
                 rng.uniform(-1.0, 0.5),
@@ -1082,10 +1200,10 @@ class TestScreen:
 
     def test_refilled_chunk_rules_out_no_rows(self, monkeypatch):
         # Decaying amplitudes near 1e299: no bound from them clears the
-        # first chunks, which the plain iteration refills, and the later
-        # ones take the products.  Neither a refilled chunk nor the next
-        # one, whose partner rows a window earlier lie in it, may rule out
-        # a row.
+        # first two chunks (steps 0-400 and 400-1200), which the plain
+        # iteration refills, and the later ones (1200-2800 and 2800-4000)
+        # take the products.  Neither a refilled chunk nor the next one,
+        # whose partner rows a window earlier lie in it, may rule out a row.
         eff = make_eff(0.5, 0.0, 0.5, 1.0, 0.3, omega=0.0)
         vec = 3e299 * (1.0 + np.random.default_rng(16).uniform(size=5) * (1 + 1j))
         vec[0] = 0.0
@@ -1098,12 +1216,46 @@ class TestScreen:
         )
         calls = check_screen(monkeypatch)
         assert assert_same_run(initial, eff, 0.0, cfg) == ("t_max", 4000)
-        assert cleared == [False, False] + [True] * 8 and len(calls) == 10
+        assert cleared == [False, False, True, True] and len(calls) == 4
         for i, (_, limit, _, _) in enumerate(calls):
             if i < 3:
                 assert np.isinf(limit).all()
             else:
                 assert np.isfinite(limit).all()
+
+    def test_exact_test_stops_at_the_first_passing_gap(self, monkeypatch):
+        # A stop 75 steps into the chunk of 64 windows from step 1200, after
+        # which every row passes: the exact test may run on at most twice
+        # the gaps from the first it could not rule out up to the stop's,
+        # not on the rest of the chunk.
+        cfg = dynamics.IntegratorConfig(dt=2e-2, t_max=60.0, ss_window=0.5, ss_tol=NEVER_STEADY)
+        k = 1200 + 75
+        cfg = TestChunks.falling_stop(cfg, k)
+        real_first, real_window = dynamics._first_steady, dynamics._window_steady
+        calls = []
+
+        def first(cur, prev, ss_tol, amplitude, limit):
+            calls.append([cur, prev, amplitude, limit, 0])
+            return real_first(cur, prev, ss_tol, amplitude, limit)
+
+        def window(states, *args):
+            calls[-1][-1] += len(states)
+            return real_window(states, *args)
+
+        monkeypatch.setattr(dynamics, "_first_steady", first)
+        monkeypatch.setattr(dynamics, "_window_steady", window)
+        assert assert_same_run(dynamics.vacuum_state(), TestChunks.FALLING, 0.03, cfg) == ("steady", k)
+        cur, prev, amplitude, limit, exact = calls[-1]
+        assert np.isfinite(limit).all()
+        samples = np.arange(0, len(cur), self.R)
+        amplitude = np.broadcast_to(amplitude, samples.shape)
+        c = cur[samples, amplitude]
+        ruled = np.abs(c - prev[samples, amplitude]) - cfg.ss_tol * np.abs(c) > limit
+        stop_gap = (k - 1201) // self.R
+        first_open = int(np.argmin(ruled))
+        assert first_open <= stop_gap and not ruled[stop_gap:].any()
+        assert 0 < exact <= 2 * self.R * (stop_gap - first_open + 1)
+        assert len(cur) == 1600
 
     @pytest.mark.parametrize("limit", [math.inf, math.nan])
     def test_limit_that_is_not_finite_rules_out_no_rows(self, limit):
