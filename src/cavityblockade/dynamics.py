@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .params import EffectiveParams
+from .params import EffectiveParams, _point_inputs
 from .steady_state import SQRT2, AmplitudeState
 
 _NORM_EPS = 1e-12
@@ -181,9 +181,7 @@ def generator_from_effective(
 ) -> np.ndarray:
     """:func:`generator` at the coefficients of ``eff``, the drive ``e_eg``
     and ``hold_c0g``."""
-    return generator(
-        eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg, hold_c0g
-    )
+    return generator(*_point_inputs(eff, e_eg), hold_c0g)
 
 
 def rk4_propagator(a: np.ndarray, dt: float) -> np.ndarray:
@@ -260,10 +258,6 @@ class Trajectory(Sequence[AmplitudeState]):
                 self.times[index], self.amplitudes[index], self.steady, self.slowest_decay
             )
         return AmplitudeState.from_vector(self.amplitudes[index], self.times[index])
-
-    def __iter__(self) -> Iterator[AmplitudeState]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def final(self) -> AmplitudeState:
@@ -463,7 +457,6 @@ def _fill_states(
     lift = np.concatenate((np.eye(5), (step - np.eye(5)).T), axis=1)
     reach, rounding = _screen_constants(step, powers, cfg.ss_tol)
     last_cleared = True
-    windows = {}  # the window of each sample, by the chunk's tested span
     stop = 0
     for count in counts:
         start, stop = stop, min(stop + count * width, n_steps)
@@ -492,19 +485,16 @@ def _fill_states(
             ks, limits = _screen_limits(
                 states[base : end + 1 : wsteps], lift, cfg.ss_tol, reach, rounding
             )
-            # Counted from the second boundary row; every capped chunk but
-            # the last has the same span.
-            span = (lo - base, end + 1 - base)
-            if span not in windows:
-                windows[span] = np.arange(*span, _SAMPLE_ROWS) // wsteps - 1
-            limit = limits[windows[span]]
+            # The window of each sample, counted from the second boundary row.
+            window = np.arange(lo - base, end + 1 - base, _SAMPLE_ROWS) // wsteps - 1
+            limit = limits[window]
             if not (cleared and last_cleared):
                 limit = math.inf
             first = _first_steady(
                 states[lo : end + 1],
                 states[lo - wsteps : end + 1 - wsteps],
                 cfg.ss_tol,
-                ks[windows[span]],
+                ks[window],
                 limit,
             )
             if first is not None:
@@ -579,22 +569,11 @@ def steady_rk4(
     first such window: the plain window-by-window iteration's rule.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    single = isinstance(effs, EffectiveParams)
-    eff_list = [effs] if single else list(effs)
+    eff_list = [effs] if isinstance(effs, EffectiveParams) else list(effs)
     if not eff_list:
         return np.zeros((0, 5), dtype=complex), np.zeros(0, dtype=bool)
 
-    stack = lambda attr: np.array([getattr(e, attr) for e in eff_list])
-    a = generator(
-        stack("omega"),
-        stack("M"),
-        stack("N"),
-        stack("delta_e"),
-        stack("J"),
-        stack("theta"),
-        e_eg,
-        cfg.hold_c0g,
-    )
+    a = generator(*np.array([_point_inputs(e, e_eg) for e in eff_list]).T, cfg.hold_c0g)
     wsteps = cfg.window_steps
     step = rk4_propagator(a, cfg.dt)
     window = np.linalg.matrix_power(step, wsteps)

@@ -151,8 +151,9 @@ def fig3b(out: Path) -> list[str]:
     return files
 
 
-def _microwave_pair(observable: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """delta_c grid plus on/off curves at the microwave-on optimal (J, theta).
+def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> list[str]:
+    """``name``'s CSV and SVG: ``observable`` over delta_c with the microwave
+    on and off, at the microwave-on optimal (J, theta).
 
     The microwave-off system has no exact cancellation point, so both curves
     share the drive-on optimum; only e_eg changes, along the sweep's second
@@ -169,12 +170,8 @@ def _microwave_pair(observable: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
         observable=observable,
     )
     res = sweeps.run_sweep(spec, _BASE)
+    grid = res.values1
     off, on = res.stats[Direction.FORWARD][observable].T
-    return res.values1, on, off
-
-
-def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> list[str]:
-    grid, on, off = _microwave_pair(observable)
     files = [
         _table_csv(
             out / f"{name}.csv",

@@ -215,6 +215,13 @@ class EffectiveParams:
     N: complex
 
 
+def _point_inputs(eff: EffectiveParams, e_eg: float) -> tuple:
+    """The coefficients of ``eff`` and the microwave drive ``e_eg`` in the
+    argument order (omega, M, N, delta_e, J, theta, e_eg) of
+    ``steady_state._amplitudes`` and ``dynamics.generator``."""
+    return eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
+
+
 class _Condition(NamedTuple):
     """A validity condition of the effective model, violated where
     ``violated(value, bound)`` holds; ``point`` formats the message at one

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import EffectiveParams, NumericalFailure, SystemParams, derive_effective
+from .params import _point_inputs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,8 +278,7 @@ def _steady_point(
 ) -> tuple[AmplitudeState, PhotonStats]:
     """The closed-form steady state of one point and its statistics, from
     one pass of the grid evaluator; raises as :func:`analytic_amplitudes`."""
-    inputs = eff.omega, eff.M, eff.N, eff.delta_e, eff.J, eff.theta, e_eg
-    c1g, c0e, c2g, c1e, valid = _amplitudes(*inputs)
+    c1g, c0e, c2g, c1e, valid = _amplitudes(*_point_inputs(eff, e_eg))
     if not valid:
         m, j = np.asarray(eff.M, dtype=complex), np.asarray(eff.J, dtype=float)
         dens, oks = _amplitude_denominators(m, eff.N, eff.delta_e, j)

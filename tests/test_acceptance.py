@@ -276,6 +276,18 @@ def test_criterion_7_full_model_validation():
     decoupled = full_model.validate_effective(decoupled_params)
     deeper = full_model.validate_effective(base, n_max=3)
     change = abs(deeper.g2_full - preset.g2_full) / abs(preset.g2_full)
+    # The reference joint root, where J != 0 and the effective g2 is a
+    # round-off zero: brightness is the check there.  Measured P1 7.94755e-5
+    # against 7.94398e-5, 4.50e-4 relative.
+    point = optimizer.solve_optimal(base)
+    at_root = P.with_coupling(
+        dataclasses.replace(base, delta_c=point.delta_c_opt), point.J, point.theta
+    )
+    states, _ = full_model.FullModel(at_root, 3).steady_mode()
+    root_p1_full = float(full_model.photon_occupations(states, 3)[1].mean())
+    root_p1_effective = steady_state.steady_stats(at_root).p1
+    root_p1_diff = abs(root_p1_full - root_p1_effective) / root_p1_effective
+    root_g2_full = full_model.validate_effective(at_root, n_max=3).g2_full
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -283,6 +295,7 @@ def test_criterion_7_full_model_validation():
         and preset.rel_diff < 0.2
         and decoupled.rel_diff < 1e-6
         and change < 1e-3
+        and root_p1_diff < 5e-4
         and elapsed < 120.0
     )
     report(
@@ -291,6 +304,9 @@ def test_criterion_7_full_model_validation():
         f"preset rel_diff = {preset.rel_diff:.4f} < 0.2; decoupled (g = 0, "
         f"drives off, b_in = 5e-4) rel_diff = {decoupled.rel_diff:.2e} < 1e-6; "
         f"n_max 2 -> 3 changes g2_full by {change:.2e} < 1e-3 relative; "
+        f"joint root (n_max = 3) P1 full {root_p1_full:.6g} vs effective "
+        f"{root_p1_effective:.6g}, {root_p1_diff:.2e} < 5e-4 relative, "
+        f"g2_full = {root_g2_full:.6g}; "
         f"{elapsed:.1f}s < 120s",
     )
 

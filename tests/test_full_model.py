@@ -647,6 +647,94 @@ class TestBlockadePoints:
         assert g2 == pytest.approx(g2_full, rel=1e-6)
 
 
+def weak_drive_amplitudes(p: P.SystemParams, n_max: int = 3) -> np.ndarray:
+    """The weak-drive limit of the three-level steady state, from
+    ``FullModel``'s own static H' on Raman resonance.
+
+    H' splits by the excitation number N = n + [level is e or h] into the
+    part that keeps N (cavity, detunings, g and the e_he drive) and the two
+    weak drives, Omega a^dag and E_eg s_eg, that raise it by one.  From
+    |0, g> with amplitude 1, c_N = -H_NN^-1 V c_(N-1) for the blocks N = 1
+    {|1g>, |0e>, |0h>} and N = 2 {|2g>, |1e>, |1h>}; every other amplitude
+    is 0.
+    """
+    model = fm.FullModel(p, n_max)
+    assert model.raman_resonant
+    h = model.hamiltonian(0.0, frame=True)
+    number = np.array(
+        [n + (level != "g") for n in range(n_max + 1) for level in fm.LEVELS]
+    )
+    c = np.zeros(model.dim, dtype=complex)
+    c[fm.state_index(0, "g")] = 1.0
+    for k in (1, 2):
+        block, below = number == k, number == k - 1
+        drive = h[np.ix_(block, below)] @ c[below]
+        c[block] = -np.linalg.solve(h[np.ix_(block, block)], drive)
+    return c
+
+
+def one_way_params(target: float, direction: P.Direction) -> P.SystemParams:
+    """The reference point at delta_c = ``target`` with the couplings of its
+    one-way working point, driven in ``direction`` (fig6c: 0, fig6d: 2.5)."""
+    at_target = dataclasses.replace(P.reference_params(), delta_c=target)
+    j, theta, _ = optimizer.nonreciprocal_point(at_target, target)
+    return dataclasses.replace(P.with_coupling(at_target, j, theta), direction=direction)
+
+
+class TestWeakDriveLimit:
+    """The three-level model's weak-drive limit, two block solves of H'."""
+
+    def test_first_block_is_the_effective_model(self):
+        # Measured: c0e to 1.6e-16 relative, |c1g| with difference 0.  The
+        # drive phases make c1g agree only in modulus (a gauge).
+        p = joint_root_params()
+        c = weak_drive_amplitudes(p)
+        eff = steady_state.analytic_amplitudes(P.derive_effective(p), p.e_eg)
+        c0e = c[fm.state_index(0, "e")]
+        assert abs(c0e - eff.c0e) <= 1e-15 * abs(eff.c0e)
+        c1g = c[fm.state_index(1, "g")]
+        assert abs(c1g) == pytest.approx(abs(eff.c1g), rel=1e-15, abs=0.0)
+
+    def test_joint_root_is_drive_order(self):
+        # Eig gives 1.98501e-3 here (TestBlockadePoints), so nearly all of
+        # it is drive order.
+        g2 = g2_of(weak_drive_amplitudes(joint_root_params())[None], 3)
+        assert g2 == pytest.approx(4.1811e-4, rel=1e-4)
+
+    # (delta_c of the one-way point, direction, g2 of the weak-drive limit
+    # relative to eig at n_max = 3, minus 1).  Measured -3.8616e-5,
+    # -1.0473e-4, -7.4862e-4 and -9.5256e-4.
+    AGAINST_EIG = [
+        (0.0, P.Direction.FORWARD, -3.8616e-5),
+        (0.0, P.Direction.BACKWARD, -1.0473e-4),
+        (2.5, P.Direction.FORWARD, -7.4862e-4),
+        (2.5, P.Direction.BACKWARD, -9.5256e-4),
+    ]
+
+    @pytest.mark.parametrize(
+        "target, direction, rel",
+        AGAINST_EIG,
+        ids=[f"{'fig6c' if t == 0.0 else 'fig6d'}-{d.value}" for t, d, _ in AGAINST_EIG],
+    )
+    def test_matches_eig_at_the_one_way_points(self, target, direction, rel):
+        p = one_way_params(target, direction)
+        weak = g2_of(weak_drive_amplitudes(p)[None], 3)
+        eig = fm.validate_effective(p, n_max=3).g2_full
+        assert weak / eig - 1.0 == pytest.approx(rel, rel=1e-3)
+
+    def test_difference_to_eig_falls_as_the_drive_squared(self):
+        # Scaling b_in and e_eg by 0.1 at fig6c forward cuts the difference
+        # to eig by a factor of 99.84.
+        p = one_way_params(0.0, P.Direction.FORWARD)
+        weaker = dataclasses.replace(p, b_in=0.1 * p.b_in, e_eg=0.1 * p.e_eg)
+        gaps = [
+            g2_of(weak_drive_amplitudes(q)[None], 3)
+            - fm.validate_effective(q, n_max=3).g2_full
+            for q in (p, weaker)
+        ]
+        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.05)
+
+
 class TestCli:
     def test_slow_beat_exits_1(self, capsys):
         argv = ["validate-full", "--e-he", "2", "--delta-c", "0", "--delta-he", "100.45"]
