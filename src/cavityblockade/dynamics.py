@@ -264,10 +264,7 @@ class Trajectory(Sequence[AmplitudeState]):
         return self[-1]
 
     def norm_squared(self) -> np.ndarray:
-        # np.sum(axis=-1) adds the five amplitudes in this same order, but
-        # reduces a 5-long axis slowly (see _window_steady).
-        sq = np.abs(self.amplitudes) ** 2
-        return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3] + sq[..., 4]
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
 
 
 def _first_steady(

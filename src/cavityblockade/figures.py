@@ -28,7 +28,7 @@ GRID_2D = 201
 #: The working point every preset starts from.
 _BASE = reference_params()
 
-_G2_LABEL = "g2(0)"
+_LABELS = {"g2": "g2(0)", "n_paper": "n (leading order)"}
 _DC_LABEL = "delta_c / kappa"
 
 
@@ -42,17 +42,12 @@ def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
     return sweeps._write_lines(path, [",".join(header)], rows)
 
 
-def _line_figure(
-    result: sweeps.SweepResult,
-    out: Path,
-    name: str,
-    observable: str,
-    ylabel: str,
-) -> list[str]:
+def _line_figure(result: sweeps.SweepResult, out: Path, name: str) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
+    ylabel = _LABELS[result.spec.observable]
     plot = svgplot.LinePlot(xlabel=_DC_LABEL, ylabel=ylabel, log_y=True, title=name)
     for direction in result.spec.directions:
-        y = result.stats[direction][observable]
+        y = result.observable_grid(direction)
         plot.add_line(result.values1, y, direction.value)
     files.append(_write(out / f"{name}.svg", plot.render()))
     return files
@@ -62,13 +57,13 @@ def _heatmap_figure(
     result: sweeps.SweepResult,
     out: Path,
     name: str,
-    direction: Direction,
     xlabel: str,
     *,
     ylabel: str = _DC_LABEL,
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
+    (direction,) = result.spec.directions
     heat = svgplot.Heatmap(
         x=result.values1,
         y=result.values2,
@@ -87,14 +82,14 @@ def _heatmap_figure(
 def fig2a(out: Path) -> list[str]:
     axis = sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D)
     res = sweeps.run_sweep(sweeps.SweepSpec(axis, optimal_j_theta=True), _BASE)
-    return _line_figure(res, out, "fig2a", "g2", _G2_LABEL)
+    return _line_figure(res, out, "fig2a")
 
 
 def fig2b(out: Path) -> list[str]:
     axis = sweeps.SweepAxis("delta_c", -4.0, 2.0, GRID_1D)
     spec = sweeps.SweepSpec(axis, observable="n_paper", optimal_j_theta=True)
     res = sweeps.run_sweep(spec, _BASE)
-    return _line_figure(res, out, "fig2b", "n_paper", "n (leading order)")
+    return _line_figure(res, out, "fig2b")
 
 
 def _optimum_figure(
@@ -113,7 +108,7 @@ def _optimum_figure(
     res = sweeps.run_sweep(spec, _BASE)
     dc_opt = res.delta_c_opt[d][:, 0]
     files = _heatmap_figure(
-        res, out, name, d, xlabel, overlay=(res.values1, dc_opt) if overlay else None
+        res, out, name, xlabel, overlay=(res.values1, dc_opt) if overlay else None
     )
     files.append(
         _table_csv(
@@ -151,7 +146,7 @@ def fig3b(out: Path) -> list[str]:
     return files
 
 
-def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> list[str]:
+def _microwave_figure(out: Path, name: str, observable: str) -> list[str]:
     """``name``'s CSV and SVG: ``observable`` over delta_c with the microwave
     on and off, at the microwave-on optimal (J, theta).
 
@@ -179,7 +174,9 @@ def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> lis
             [grid, on, off],
         )
     ]
-    plot = svgplot.LinePlot(xlabel=_DC_LABEL, ylabel=ylabel, log_y=True, title=name)
+    plot = svgplot.LinePlot(
+        xlabel=_DC_LABEL, ylabel=_LABELS[observable], log_y=True, title=name
+    )
     plot.add_line(grid, on, "e_eg = %g" % _BASE.e_eg)
     plot.add_line(grid, off, "e_eg = 0", dashed=True)
     files.append(_write(out / f"{name}.svg", plot.render()))
@@ -187,11 +184,11 @@ def _microwave_figure(out: Path, name: str, observable: str, ylabel: str) -> lis
 
 
 def fig3c(out: Path) -> list[str]:
-    return _microwave_figure(out, "fig3c", "g2", _G2_LABEL)
+    return _microwave_figure(out, "fig3c", "g2")
 
 
 def fig3d(out: Path) -> list[str]:
-    return _microwave_figure(out, "fig3d", "n_paper", "n (leading order)")
+    return _microwave_figure(out, "fig3d", "n_paper")
 
 
 def fig5a(out: Path) -> list[str]:
@@ -203,7 +200,7 @@ def fig5b(out: Path) -> list[str]:
     axis = sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D)
     spec = sweeps.SweepSpec(axis, overrides={"g": 6.7}, optimal_j_theta=True)
     res = sweeps.run_sweep(spec, _BASE)
-    return _line_figure(res, out, "fig5b", "g2", _G2_LABEL)
+    return _line_figure(res, out, "fig5b")
 
 
 def fig5c(out: Path) -> list[str]:
@@ -215,7 +212,7 @@ def fig5c(out: Path) -> list[str]:
         optimal_j_theta=True,
     )
     res = sweeps.run_sweep(spec, _BASE)
-    return _heatmap_figure(res, out, "fig5c", Direction.FORWARD, "kappa1 / kappa")
+    return _heatmap_figure(res, out, "fig5c", "kappa1 / kappa")
 
 
 def _j_theta_figure(out: Path, name: str, direction: Direction) -> list[str]:
@@ -226,7 +223,7 @@ def _j_theta_figure(out: Path, name: str, direction: Direction) -> list[str]:
         directions=(direction,),
     )
     res = sweeps.run_sweep(spec, _BASE)
-    return _heatmap_figure(res, out, name, direction, "J / kappa", ylabel="theta")
+    return _heatmap_figure(res, out, name, "J / kappa", ylabel="theta")
 
 
 def fig6a(out: Path) -> list[str]:
@@ -244,7 +241,7 @@ def _nonreciprocal_figure(out: Path, name: str, target: float) -> list[str]:
     axis = sweeps.SweepAxis("delta_c", -4.0, 4.0, GRID_1D)
     spec = sweeps.SweepSpec(axis, overrides={"J": j, "theta": theta})
     res = sweeps.run_sweep(spec, _BASE)
-    files = _line_figure(res, out, name, "g2", _G2_LABEL)
+    files = _line_figure(res, out, name)
     files.append(_write(out / f"{name}_point.txt", report.as_text()))
     return files
 

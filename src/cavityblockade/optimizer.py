@@ -389,7 +389,7 @@ def nonreciprocal_point(
         key=lambda item: item[0][0],
     )
     g2_f, violated = _direction_g2(at_target, Direction.FORWARD, j_best, theta_best)
-    _warn_regime(violated + violated_b, 2)
+    _warn_regime(violated + violated_b)
     contrast = (
         math.log10(g2_b / g2_f)
         if g2_f > 0.0 and g2_b > 0.0 and math.isfinite(g2_f) and math.isfinite(g2_b)

@@ -350,16 +350,16 @@ def _derive(
     return consts, violated
 
 
-def _warn_regime(violated, stacklevel: int, *, grid: bool = False) -> None:
+def _warn_regime(violated, *, grid: bool = False) -> None:
     """One RegimeWarning per condition of ``violated``, in order of first
     appearance, worded with its first value or, with ``grid``, its grid
-    message.  ``stacklevel`` counts from the caller."""
+    message, and attributed to the caller's caller."""
     first = {}
     for condition, value in violated:
         first.setdefault(condition, value)
     for condition, value in first.items():
         message = condition.grid if grid else condition.point.format(value)
-        warnings.warn(message, RegimeWarning, stacklevel=stacklevel + 1)
+        warnings.warn(message, RegimeWarning, stacklevel=3)
 
 
 def derive_effective(
@@ -386,7 +386,7 @@ def derive_effective(
         overrides["theta"] = float(theta)
     _check_overrides(overrides)
     c, violated = _derive(params, overrides)
-    _warn_regime(violated, 2)
+    _warn_regime(violated)
     return EffectiveParams(
         delta_e=c["delta_e"],
         G=c["g_shift"],
@@ -411,7 +411,7 @@ def effective_arrays(
     overrides = {k: np.asarray(v, dtype=float) for k, v in overrides.items()}
     _check_overrides(overrides)
     consts, violated = _derive(params, overrides)
-    _warn_regime(violated, 2, grid=True)
+    _warn_regime(violated, grid=True)
     return {k: np.asarray(v) for k, v in consts.items()}
 
 
@@ -528,7 +528,7 @@ def params_from_mapping(
     kappa1, kappa2 = _slide_mirrors(vars(base) | mapping, mapping)
     try:
         return replace(base, **{**mapping, "kappa1": kappa1, "kappa2": kappa2})
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -52,7 +52,8 @@ class AmplitudeState:
 
     The components are ordered (c0g, c1g, c0e, c2g, c1e): |0,g>, |1,g>,
     |0,e>, |2,g> and |1,e>.  The closed form below builds one with t = inf;
-    the RK4 integrator in ``dynamics`` records one per step.
+    ``dynamics.Trajectory`` stores its steps as arrays and gives one per
+    step on indexing.
     """
 
     c0g: complex

@@ -313,7 +313,7 @@ def run_sweep(
     stats, valid, j_used, theta_used, dc_opt, violated = (
         dict(zip(spec.directions, column)) for column in zip(*results)
     )
-    _warn_regime([v for found in violated.values() for v in found], 2, grid=True)
+    _warn_regime([v for found in violated.values() for v in found], grid=True)
     return SweepResult(
         spec=spec,
         base=base,

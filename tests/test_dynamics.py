@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1328,6 +1329,79 @@ class TestScreen:
         assert not traj.steady and rows["tested"] == len(traj) - 1000
         assert rows["exact"] <= rows["tested"] / 32
         assert 0 < counting.moduli <= 2 * math.ceil(rows["tested"] / 32) + 10 * rows["exact"]
+
+
+def delayed_correlation():
+    """The exact post-detection evolution at the joint root, by the
+    weak-drive pure-state method (Carmichael, Brecha and Rice, Opt. Commun.
+    82, 73 (1991)).
+
+    A detection maps the analytic steady amplitudes to x0 = (c1g, sqrt2
+    c2g, c1e, 0, 0).  The held generator is linear with constant
+    coefficients, so x(tau) = x* + V e^{Lambda tau} V^-1 (x0 - x*), with V
+    and Lambda from its eigendecomposition and x* its fixed point at c0g =
+    c1g.  ``states(taus)`` gives x at each delay, shape (len(taus), 5).
+    """
+    base, point, working = blockade_point()
+    eff = P.derive_effective(working, j=point.J, theta=point.theta)
+    c = steady_state.analytic_amplitudes(eff, base.e_eg).as_vector()
+    x0 = np.array([c[1], SQRT2 * c[3], c[4], 0.0, 0.0])
+    a = dynamics.generator_from_effective(eff, base.e_eg)
+    lam, v = np.linalg.eig(a)
+    fixed = x0.copy()
+    fixed[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0] * x0[0])
+    coef = np.linalg.solve(v, x0 - fixed)
+
+    def states(taus):
+        return fixed + (np.exp(np.outer(taus, lam)) * coef) @ v.T
+
+    return SimpleNamespace(
+        eff=eff, e_eg=base.e_eg, x0=x0, c1g=c[1], fixed=fixed, v=v, lam=lam,
+        states=states,
+    )
+
+
+class TestDelayedCorrelation:
+    """g2(tau) = |c1g(tau)|^2/|c1g_ss|^4 after a detection at the joint root,
+    normalised by the analytic c1g_ss (``delayed_correlation``)."""
+
+    def test_modal_state_matches_rk4(self):
+        # Measured: 1.53e-14 of the largest amplitude over 40 001 steps, with
+        # cond(V) = 1.776.
+        d = delayed_correlation()
+        assert np.linalg.cond(d.v) == pytest.approx(1.776, abs=1e-3)
+        cfg = dynamics.IntegratorConfig(dt=1e-3, t_max=40.0, ss_tol=NEVER_STEADY)
+        start = dynamics.AmplitudeState.from_vector(d.x0)
+        traj = dynamics.evolve(start, d.eff, d.e_eg, cfg)
+        assert len(traj) == 40_001
+        scale = np.max(np.abs(traj.amplitudes))
+        assert np.max(np.abs(d.states(traj.times) - traj.amplitudes)) <= 1e-13 * scale
+
+    def test_antibunching_window_first_peak_and_slowest_rate(self):
+        d = delayed_correlation()
+        taus = np.linspace(0.0, 40.0, 40_001)
+        g2 = np.abs(d.states(taus)[:, 1]) ** 2 / abs(d.c1g) ** 4
+        assert g2[0] < 1e-20
+        assert taus[np.argmax(g2 >= 0.5)] == pytest.approx(3.196, abs=1e-9)
+        rise = np.diff(g2)
+        peak = np.argmax((rise[:-1] > 0.0) & (rise[1:] <= 0.0)) + 1
+        assert g2[peak] == pytest.approx(1.813471, rel=1e-6)
+        assert taus[peak] == pytest.approx(6.981, abs=1e-9)
+        rate = -max(d.lam.real[np.abs(d.lam) > 1e-12])
+        assert rate == pytest.approx(0.08501095, rel=1e-7)
+        cfg = dynamics.IntegratorConfig(dt=1e-2, t_max=1.0)
+        start = dynamics.AmplitudeState.from_vector(d.x0)
+        traj = dynamics.evolve(start, d.eff, d.e_eg, cfg)
+        assert rate == pytest.approx(traj.slowest_decay, rel=1e-12)
+
+    def test_normalisation_is_the_analytic_amplitude(self):
+        # At tau = 40 the last transient still holds e^{-0.085 * 40} = 3.3%.
+        # Normalised by the held fixed point's c1g instead, g2 would tend to
+        # 1 exactly and read 1.04078 here.
+        d = delayed_correlation()
+        at_40 = abs(d.states([40.0])[0, 1]) ** 2
+        assert at_40 / abs(d.c1g) ** 4 == pytest.approx(1.04025, rel=1e-5)
+        assert at_40 / abs(d.fixed[1]) ** 2 == pytest.approx(1.04078, rel=1e-5)
 
 
 class TestTrajectory:

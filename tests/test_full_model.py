@@ -681,6 +681,18 @@ def one_way_params(target: float, direction: P.Direction) -> P.SystemParams:
     return dataclasses.replace(P.with_coupling(at_target, j, theta), direction=direction)
 
 
+def branch_point(target: float, large: bool) -> tuple[P.SystemParams, float, float]:
+    """The reference point at delta_c = ``target`` and the (J, theta) of its
+    small- or ``large``-|J| forward root from the fixed-detuning solve."""
+    at_target = dataclasses.replace(P.reference_params(), delta_c=target)
+    forward = dataclasses.replace(at_target, direction=P.Direction.FORWARD)
+    roots = sorted(
+        optimizer.find_roots(forward, fix_delta_c=True), key=lambda r: abs(r.J)
+    )
+    root = roots[-1] if large else roots[0]
+    return at_target, root.J, root.theta
+
+
 class TestWeakDriveLimit:
     """The three-level model's weak-drive limit, two block solves of H'."""
 
@@ -723,16 +735,59 @@ class TestWeakDriveLimit:
         assert weak / eig - 1.0 == pytest.approx(rel, rel=1e-3)
 
     def test_difference_to_eig_falls_as_the_drive_squared(self):
-        # Scaling b_in and e_eg by 0.1 at fig6c forward cuts the difference
-        # to eig by a factor of 99.84.
-        p = one_way_params(0.0, P.Direction.FORWARD)
-        weaker = dataclasses.replace(p, b_in=0.1 * p.b_in, e_eg=0.1 * p.e_eg)
-        gaps = [
-            g2_of(weak_drive_amplitudes(q)[None], 3)
-            - fm.validate_effective(q, n_max=3).g2_full
-            for q in (p, weaker)
+        # Scaling b_in and e_eg by 0.1 cuts the difference to eig by a factor
+        # of 99.84 at fig6c forward, and of 99.88 backward and 99.75 forward
+        # on the large-|J| root at delta_c = 1.57 (J = -4.029436, theta =
+        # 1.420694).
+        at_target, j, theta = branch_point(1.57, large=True)
+        points = [one_way_params(0.0, P.Direction.FORWARD)] + [
+            dataclasses.replace(P.with_coupling(at_target, j, theta), direction=d)
+            for d in (P.Direction.BACKWARD, P.Direction.FORWARD)
         ]
-        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.05)
+        for p in points:
+            weaker = dataclasses.replace(p, b_in=0.1 * p.b_in, e_eg=0.1 * p.e_eg)
+            gaps = [
+                g2_of(weak_drive_amplitudes(q)[None], 3)
+                - fm.validate_effective(q, n_max=3).g2_full
+                for q in (p, weaker)
+            ]
+            assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.05)
+
+    # (delta_c, branch, effective backward g2, weak-drive g2 relative to it
+    # minus 1 at delta_p = 1e2, 1e3, 1e4 and 1e5).  The small-|J| root at
+    # delta_c = 1.57 is in regime; the large-|J| root at 0 is fig6c's.
+    DELTA_P_LIMIT = [
+        (1.57, False, 1.324025486,
+         (-1.473579e-2, -1.525574e-3, -1.530968e-4, -1.531509e-5)),
+        (0.0, True, 47.48818467,
+         (0.5465609, 4.940264e-2, 4.887446e-3, 4.882161e-4)),
+    ]
+
+    @pytest.mark.parametrize(
+        "target, large, g2_effective, rels",
+        DELTA_P_LIMIT,
+        ids=["delta_c-1.57-small", "fig6c"],
+    )
+    def test_tends_to_the_effective_model_as_delta_p_grows(
+        self, target, large, g2_effective, rels
+    ):
+        # J, theta and G = g^2/delta_p = 1 held, with g = sqrt(delta_p) and
+        # e_he = |J| sqrt(delta_p) (with_coupling); driven backward.  The
+        # effective model does not move, and the elimination's error falls
+        # as 1/delta_p: by 9.66, 9.96, 10.00 a decade in regime and by
+        # 11.06, 10.11, 10.01 at fig6c.
+        at_target, j, theta = branch_point(target, large)
+        got = []
+        for delta_p in (1e2, 1e3, 1e4, 1e5):
+            q = dataclasses.replace(at_target, g=math.sqrt(delta_p), delta_p=delta_p)
+            q = dataclasses.replace(
+                P.with_coupling(q, j, theta), direction=P.Direction.BACKWARD
+            )
+            g2 = steady_state.steady_stats(q).g2
+            assert g2 == pytest.approx(g2_effective, rel=1e-9)
+            got.append(g2_of(weak_drive_amplitudes(q)[None], 3) / g2 - 1.0)
+        assert got == pytest.approx(list(rels), rel=1e-5)
+        assert got[-2] / got[-1] == pytest.approx(10.0, rel=2e-3)
 
 
 class TestCli:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import CHILD_WARNINGS
 
+from cavityblockade import optimizer, sweeps
 from cavityblockade import params as P
 from cavityblockade import steady_state
 
@@ -108,6 +109,30 @@ class TestDeriveEffective:
         p = P.SystemParams(g=10.0, delta_p=101.0, e_he=30.0)
         with pytest.warns(P.RegimeWarning, match="far detuned"):
             P.derive_effective(p)
+
+
+class TestWarningAttribution:
+    """A RegimeWarning names the line that called the public function, not
+    a line inside the package.  reference_params() sits on |delta_p/g| = 10,
+    so every call below warns."""
+
+    CALLS = {
+        "derive_effective": lambda p: P.derive_effective(p),
+        "effective_arrays": lambda p: P.effective_arrays(p, {"delta_c": np.zeros(3)}),
+        "run_sweep": lambda p: sweeps.run_sweep(
+            sweeps.SweepSpec(sweeps.SweepAxis("delta_c", -1.0, 1.0, 3)), p
+        ),
+        "nonreciprocal_point": lambda p: optimizer.nonreciprocal_point(p, 0.0),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_warning_names_the_calling_file(self, name):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            self.CALLS[name](P.reference_params())
+        regime = [w for w in record if issubclass(w.category, P.RegimeWarning)]
+        assert any("delta_p/g|" in str(w.message) for w in regime)
+        assert {w.filename for w in regime} == {__file__}
 
 
 class TestSystemParams:

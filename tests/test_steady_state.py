@@ -131,6 +131,52 @@ class TestBlockadePoint:
             bound = 5.0 * (eff.omega / p.kappa) ** 2 + 5.0 * (p.e_eg / p.kappa) ** 2
             assert abs(1.0 - norm2) <= bound
 
+    # (parameter, coefficient of sigma^2 in the law, quadrature / law - 1 at
+    # sigma = 1e-3).  Measured 6.45360 and 6.51390; -4.2715e-6 and
+    # -9.3176e-6, and 100.12 and 100.07 times less at sigma = 1e-4.
+    NOISE_LAW = [("theta", 6.45360, -4.2715e-6), ("delta_c", 6.51390, -9.3176e-6)]
+
+    @pytest.mark.parametrize("name, coefficient, diff", NOISE_LAW)
+    def test_small_noise_law_matches_the_quadrature(self, name, coefficient, diff):
+        # A Gaussian spread sigma of one parameter fills the cancelled c2g:
+        # g2 = 2 sigma^2 |dc2g/dx|^2 N/(|c1g|^2 + |c1e|^2)^2 + O(sigma^4),
+        # with N the state norm, against 2<P2>/<P1 + 2 P2>^2 over 31
+        # Gauss-Hermite nodes.
+        _, point, working = blockade_point()
+
+        def at(x):
+            if name == "theta":
+                return working, point.theta + x
+            return dataclasses.replace(working, delta_c=point.delta_c_opt + x), point.theta
+
+        def amplitudes(x):
+            p, theta = at(x)
+            eff = P.derive_effective(p, j=point.J, theta=theta)
+            return steady_state.analytic_amplitudes(eff, p.e_eg)
+
+        h = 1e-6
+        slope = abs(amplitudes(h).c2g - amplitudes(-h).c2g) / (2.0 * h)
+        s = amplitudes(0.0)
+        law = 2.0 * slope**2 * s.norm_squared() / (abs(s.c1g) ** 2 + abs(s.c1e) ** 2) ** 2
+        assert law == pytest.approx(coefficient, rel=1e-5)
+        # The |c1g|^4 normalisation drops P1's |c1e|^2 and N: 1.48e-3 off.
+        assert abs(2.0 * slope**2 / abs(s.c1g) ** 4 / law - 1.0) > 1e-3
+
+        nodes, weights = np.polynomial.hermite_e.hermegauss(31)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        diffs = []
+        for sigma in (1e-3, 1e-4):
+            p1 = p2 = 0.0
+            for x, w in zip(nodes, weights):
+                p, theta = at(sigma * x)
+                stats = steady_state.steady_stats(p, j=point.J, theta=theta)
+                p1, p2 = p1 + w * stats.p1, p2 + w * stats.p2
+            g2 = 2.0 * p2 / (p1 + 2.0 * p2) ** 2
+            diffs.append(g2 / (law * sigma**2) - 1.0)
+        assert abs(diffs[0]) < 1e-3
+        assert diffs[0] == pytest.approx(diff, rel=1e-3)
+        assert diffs[0] / diffs[1] == pytest.approx(100.0, rel=1e-2)
+
     def test_fixed_point_residual_scales_as_drive_cubed(self):
         base = P.reference_params()
         rng = np.random.default_rng(2024)
