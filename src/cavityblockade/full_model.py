@@ -94,10 +94,10 @@ class FullModel:
     NumericalFailure where an entry of H0 is not finite; A's one entry,
     at most e_he in size, always is.
 
-    ``hamiltonian`` forms H'(t), or the lab-frame H(t) derived from it, and
-    ``steady_mode`` solves for the long-time state.  ``beat`` is omega, and
-    ``raman_resonant`` records whether it vanishes, |omega| <= RAMAN_TOL *
-    max(1, |delta_p|, |delta_he|, |delta_eg|); then H' is static.
+    ``hamiltonian`` forms H'(t), and ``steady_mode`` solves for the
+    long-time state.  ``beat`` is omega, and ``raman_resonant`` records
+    whether it vanishes, |omega| <= RAMAN_TOL * max(1, |delta_p|,
+    |delta_he|, |delta_eg|); then H' is static.
     """
 
     def __init__(self, params: SystemParams, n_max: int = 2) -> None:
@@ -132,18 +132,11 @@ class FullModel:
         scale = max(1.0, abs(params.delta_p), abs(delta_he), abs(delta_eg))
         self.raman_resonant = abs(self.beat) <= RAMAN_TOL * scale
 
-    def hamiltonian(self, t: float, frame: bool = False) -> np.ndarray:
-        """Non-Hermitian lab-frame H(t) including the -i kappa/2 photon
-        decay; with ``frame``, H'(t) of the |h>-rephased frame."""
+    def hamiltonian(self, t: float) -> np.ndarray:
+        """Non-Hermitian H'(t) of the |h>-rephased frame, including the
+        -i kappa/2 photon decay."""
         phase = np.exp(1j * self.beat * t)
-        out = self._h0 + phase * self._drive + np.conj(phase) * self._drive.conj().T
-        if frame:
-            return out
-        # H(t) = U (H'(t) - delta_p P_h) U^dagger, U = e^{i delta_p t} on |h>.
-        delta_p = self.params.delta_p
-        _, _, _, s_hh, *_ = _operators(self.n_max)
-        u = np.exp(1j * delta_p * (t * s_hh.diagonal()))
-        return u[:, None] * (out - delta_p * s_hh) * u.conj()
+        return self._h0 + phase * self._drive + np.conj(phase) * self._drive.conj().T
 
     def run(self, *args, **kwargs):
         """Kept only as the name the benchmark's tracer wraps: the model has
@@ -173,7 +166,7 @@ class FullModel:
         """
         h0, omega, harmonics = self._h0, 0.0, 0
         if self.raman_resonant:
-            h0 = self.hamiltonian(0.0, frame=True)
+            h0 = self.hamiltonian(0.0)
         else:
             omega = self.beat
             period = TAU / abs(omega)

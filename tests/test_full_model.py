@@ -80,6 +80,18 @@ def assemble_hamiltonian(p: P.SystemParams, n_max: int, t: float) -> np.ndarray:
     return h
 
 
+def assemble_rephased(p: P.SystemParams, n_max: int, t: float) -> np.ndarray:
+    """H'(t) = U^dagger H(t) U + delta_p P_h from ``assemble_hamiltonian``'s
+    H(t), with U = e^{i delta_p t} on every |h> state: only the drive
+    rotates, at delta_he + delta_eg - delta_p."""
+    in_h = np.tile(np.array(fm.LEVELS) == "h", n_max + 1)
+    u = np.exp(1j * p.delta_p * t * in_h)
+    return (
+        u.conj()[:, None] * assemble_hamiltonian(p, n_max, t) * u[None, :]
+        + np.diag(np.where(in_h, p.delta_p, 0.0))
+    )
+
+
 def reference_run(p, n_max, t_end, dt, initial=None, collect_from=None):
     """Per-step RK4 on the independently assembled H(t) from ``initial``
     (|0, g> when None): (final state, times, states), the states collected
@@ -136,8 +148,10 @@ class TestModelStructure:
         for n in range(model.n_max + 1):
             for level in fm.LEVELS:
                 k = fm.state_index(n, level)
+                # H' shifts every |h> state by delta_p (assemble_rephased).
+                shift = p.delta_p if level == "h" else 0.0
                 assert deriv[k] == pytest.approx(
-                    -0.5 * p.kappa * n * state[k], rel=1e-14, abs=1e-15
+                    (-0.5 * p.kappa * n - 1j * shift) * state[k], rel=1e-14, abs=1e-15
                 )
 
     def test_static_when_nothing_rotates(self):
@@ -160,9 +174,9 @@ class TestModelStructure:
         assert (p.delta_p - delta_eg) + delta_eg == p.delta_p
         model = fm.FullModel(p)
         assert model.raman_resonant
-        h0 = model.hamiltonian(0.0, frame=True)
+        h0 = model.hamiltonian(0.0)
         for t in (0.37, 2.9, 117.0):
-            assert np.array_equal(model.hamiltonian(t, frame=True), h0)
+            assert np.array_equal(model.hamiltonian(t), h0)
 
     def test_hamiltonian_matches_independent_assembly(self):
         rng = np.random.default_rng(7)
@@ -180,7 +194,7 @@ class TestModelStructure:
             model = fm.FullModel(base, n_max=2)
             t = float(rng.uniform(0, 10))
             got = model.hamiltonian(t)
-            want = assemble_hamiltonian(base, 2, t)
+            want = assemble_rephased(base, 2, t)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             state = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
             assert np.allclose(
@@ -188,22 +202,17 @@ class TestModelStructure:
             )
 
     def test_rephased_frame(self):
-        # H'(t) = U^dagger H(t) U + delta_p P_h with U = e^{i delta_p t} on
-        # every |h> state: only the drive rotates, at delta_he + delta_eg - delta_p.
+        # Off Raman resonance H'(t) rotates at delta_he + delta_eg - delta_p,
+        # here -0.5, so it repeats after 2 pi/0.5.
         p = bare_params(g=3.0, e_he=1.5, e_eg=0.2, b_in=0.3, phi_he=0.7)
         model = fm.FullModel(p)
-        in_h = np.tile(np.array(fm.LEVELS) == "h", model.n_max + 1)
         for t in (0.0, 0.37, 2.9):
-            u = np.exp(1j * p.delta_p * t * in_h)
-            want = (
-                u.conj()[:, None] * assemble_hamiltonian(p, 2, t) * u[None, :]
-                + np.diag(np.where(in_h, p.delta_p, 0.0))
-            )
-            assert np.allclose(model.hamiltonian(t, frame=True), want, rtol=1e-12, atol=1e-12)
+            want = assemble_rephased(p, 2, t)
+            assert np.allclose(model.hamiltonian(t), want, rtol=1e-12, atol=1e-12)
         period = 2.0 * math.pi / 0.5
         assert np.allclose(
-            model.hamiltonian(period, frame=True),
-            model.hamiltonian(0.0, frame=True),
+            model.hamiltonian(period),
+            model.hamiltonian(0.0),
             rtol=1e-12,
             atol=1e-12,
         )
@@ -222,7 +231,7 @@ class TestModelStructure:
         # e_he * e_he here; the full model reads _derive's product.
         p = dataclasses.replace(P.reference_params(), e_he=20.059112069609753)
         k = fm.state_index(0, "e")
-        delta_eg = fm.FullModel(p).hamiltonian(0.0, frame=True)[k, k].real
+        delta_eg = fm.FullModel(p).hamiltonian(0.0)[k, k].real
         assert delta_eg == p.delta_e + p.e_he * p.e_he / p.delta_p
         assert delta_eg == P.effective_arrays(p, {})["delta_eg"]
 
@@ -340,7 +349,7 @@ print(json.dumps(digests))
         assert child.returncode == 0, child.stderr
         got = []
         for (p, n_max, t), steady in zip(self.points(), json.loads(child.stdout)):
-            h = fm.FullModel(p, n_max).hamiltonian(t, frame=True)
+            h = fm.FullModel(p, n_max).hamiltonian(t)
             got.append((hashlib.sha256(h.tobytes()).hexdigest(), steady))
         assert got == self.PINS
 
@@ -349,9 +358,9 @@ class TestLossOnly:
     @pytest.mark.parametrize("n_max", [2, 3, 4])
     @pytest.mark.parametrize("detuned", [False, True], ids=["joint-root", "detuned"])
     def test_cavity_loss_is_the_only_loss(self, n_max, detuned):
-        # The anti-Hermitian part of H'(t) and of the lab-frame H(t) is
-        # -(kappa/2) a^dag a, which is negative semidefinite: cavity loss is
-        # the only loss, and no state's norm can grow.
+        # The anti-Hermitian part of H'(t) is -(kappa/2) a^dag a, which is
+        # negative semidefinite: cavity loss is the only loss, and no
+        # state's norm can grow.
         p = joint_root_params()
         if detuned:
             p = raman_offset(p, 3.0)
@@ -360,10 +369,9 @@ class TestLossOnly:
         _, number, *_ = fm._operators(n_max)
         loss = -0.5 * p.kappa * number
         for t in (0.0, 0.37, 2.9, 117.0):
-            for frame in (True, False):
-                h = model.hamiltonian(t, frame=frame)
-                bound = 1e-12 * np.linalg.norm(h, 2)
-                assert np.max(np.abs((h - h.conj().T) / 2j - loss)) <= bound
+            h = model.hamiltonian(t)
+            bound = 1e-12 * np.linalg.norm(h, 2)
+            assert np.max(np.abs((h - h.conj().T) / 2j - loss)) <= bound
 
 
 def test_photon_occupations_normalized():
@@ -498,7 +506,7 @@ class TestValidation:
             assert model.raman_resonant
             seen.clear()
             states, _ = model.steady_mode()
-            want = model.hamiltonian(0.0, frame=True)
+            want = model.hamiltonian(0.0)
             assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
             assert states.shape == (1, model.dim)
 
@@ -660,7 +668,7 @@ def weak_drive_amplitudes(p: P.SystemParams, n_max: int = 3) -> np.ndarray:
     """
     model = fm.FullModel(p, n_max)
     assert model.raman_resonant
-    h = model.hamiltonian(0.0, frame=True)
+    h = model.hamiltonian(0.0)
     number = np.array(
         [n + (level != "g") for n in range(n_max + 1) for level in fm.LEVELS]
     )
