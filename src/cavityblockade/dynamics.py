@@ -401,7 +401,8 @@ def evolve(
     last = n_steps if stop is None else stop
     times = np.arange(last + 1, dtype=float)
     times *= cfg.dt
-    times += initial.t
+    if initial.t:  # adding a zero start leaves every time as it is
+        times += initial.t
     return Trajectory(times, states[: last + 1], stop is not None, slowest)
 
 

@@ -42,14 +42,17 @@ def _table_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
     return sweeps._write_lines(path, [",".join(header)], rows)
 
 
+def _delta_c_svg(out: Path, name: str, observable: str, curves: list) -> str:
+    """``name``.svg: the ``curves`` of ``observable`` over delta_c, log in y."""
+    plot = svgplot.LinePlot(_DC_LABEL, _LABELS[observable], curves, title=name, log_y=True)
+    return _write(out / f"{name}.svg", plot.render())
+
+
 def _line_figure(result: sweeps.SweepResult, out: Path, name: str) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
-    ylabel = _LABELS[result.spec.observable]
-    plot = svgplot.LinePlot(xlabel=_DC_LABEL, ylabel=ylabel, log_y=True, title=name)
-    for direction in result.spec.directions:
-        y = result.observable_grid(direction)
-        plot.add_line(result.values1, y, direction.value)
-    files.append(_write(out / f"{name}.svg", plot.render()))
+    directions = result.spec.directions
+    curves = [(result.values1, result.observable_grid(d), d.value, False) for d in directions]
+    files.append(_delta_c_svg(out, name, result.spec.observable, curves))
     return files
 
 
@@ -60,21 +63,14 @@ def _heatmap_figure(
     xlabel: str,
     *,
     ylabel: str = _DC_LABEL,
-    overlay: tuple[np.ndarray, np.ndarray] | None = None,
+    overlays: tuple[tuple[np.ndarray, np.ndarray], ...] = (),
 ) -> list[str]:
     files = sweeps.write_sweep_csv(result, out / f"{name}.csv")
     (direction,) = result.spec.directions
     heat = svgplot.Heatmap(
-        x=result.values1,
-        y=result.values2,
-        z=result.observable_grid(direction),
-        xlabel=xlabel,
-        ylabel=ylabel,
-        title=name,
-        color_label=f"log10 {result.spec.observable}",
+        result.values1, result.values2, result.observable_grid(direction), xlabel, ylabel,
+        title=name, color_label=f"log10 {result.spec.observable}", overlays=overlays,
     )
-    if overlay is not None:
-        heat.add_line(*overlay)
     files.append(_write(out / f"{name}.svg", heat.render()))
     return files
 
@@ -108,7 +104,7 @@ def _optimum_figure(
     res = sweeps.run_sweep(spec, _BASE)
     dc_opt = res.delta_c_opt[d][:, 0]
     files = _heatmap_figure(
-        res, out, name, xlabel, overlay=(res.values1, dc_opt) if overlay else None
+        res, out, name, xlabel, overlays=((res.values1, dc_opt),) if overlay else ()
     )
     files.append(
         _table_csv(
@@ -138,10 +134,8 @@ def fig3b(out: Path) -> list[str]:
             [res.values1, e_he, res.j_used[d], res.theta_used[d], res.delta_c_opt[d]],
         )
     ]
-    plot = svgplot.LinePlot(
-        xlabel="delta_e / kappa", ylabel="optimal e_he / kappa", title="fig3b"
-    )
-    plot.add_line(res.values1, e_he, "")
+    curve = (res.values1, e_he, "", False)
+    plot = svgplot.LinePlot("delta_e / kappa", "optimal e_he / kappa", [curve], title="fig3b")
     files.append(_write(out / "fig3b.svg", plot.render()))
     return files
 
@@ -174,12 +168,8 @@ def _microwave_figure(out: Path, name: str, observable: str) -> list[str]:
             [grid, on, off],
         )
     ]
-    plot = svgplot.LinePlot(
-        xlabel=_DC_LABEL, ylabel=_LABELS[observable], log_y=True, title=name
-    )
-    plot.add_line(grid, on, "e_eg = %g" % _BASE.e_eg)
-    plot.add_line(grid, off, "e_eg = 0", dashed=True)
-    files.append(_write(out / f"{name}.svg", plot.render()))
+    curves = [(grid, on, "e_eg = %g" % _BASE.e_eg, False), (grid, off, "e_eg = 0", True)]
+    files.append(_delta_c_svg(out, name, observable, curves))
     return files
 
 

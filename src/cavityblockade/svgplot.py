@@ -11,7 +11,8 @@ import base64
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ def _fmt(x: float) -> str:
 def _nice_step(span: float) -> float:
     raw = span / 5.0  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * mag >= raw:
             return mult * mag
     return 10.0 * mag
@@ -207,55 +208,58 @@ def _line_elements(
     return parts
 
 
-@dataclass
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened by 5% of its span on each side; a range with no
+    span by 5% of its magnitude, at least 0.05."""
+    pad = 0.05 * (hi - lo) or max(abs(hi), 1.0) * 0.05
+    return lo - pad, hi + pad
+
+
+@dataclass(frozen=True)
 class LinePlot:
     """Curves y(x) on shared axes, linear or (``log_y``) logarithmic in y.
 
-    :meth:`add_line` adds a curve, colored in turn from ``LINE_COLORS``;
-    :meth:`render` returns the SVG, its axes spanning every curve's finite
-    (and, on a log axis, positive) values, with a legend of the labeled ones.
+    ``curves`` holds ``(x, y, label, dashed)`` tuples, colored in turn from
+    ``LINE_COLORS``; :meth:`render` returns the SVG, its axes spanning every
+    curve's finite (and, on a log axis, positive) values, with a legend of
+    the labeled ones.
     """
 
     xlabel: str
     ylabel: str
+    curves: Sequence[tuple[np.ndarray, np.ndarray, str, bool]]
     title: str = ""
     log_y: bool = False
-    lines: list[tuple[np.ndarray, np.ndarray, str, str, bool]] = field(
-        default_factory=list, init=False
-    )
-
-    def add_line(
-        self, x: np.ndarray, y: np.ndarray, label: str, *, dashed: bool = False
-    ) -> None:
-        color = LINE_COLORS[len(self.lines) % len(LINE_COLORS)]
-        self.lines.append((np.asarray(x, float), np.asarray(y, float), label, color, dashed))
 
     def _ranges(self) -> Axes:
-        xs = np.concatenate([ln[0] for ln in self.lines])
-        ys = np.concatenate([ln[1] for ln in self.lines])
+        xs = np.concatenate([np.asarray(c[0], float) for c in self.curves])
+        ys = np.concatenate([np.asarray(c[1], float) for c in self.curves])
         finite = np.isfinite(ys)
         if self.log_y:
             finite &= ys > 0.0
         ys = ys[finite]
         if ys.size == 0:
             ys = np.array([0.1, 1.0])
-        x_lo, x_hi = float(np.nanmin(xs)), float(np.nanmax(xs))
+        x_range = float(np.nanmin(xs)), float(np.nanmax(xs))
+        if x_range[1] == x_range[0]:
+            x_range = _padded(*x_range)
         y_lo, y_hi = float(ys.min()), float(ys.max())
         if self.log_y:
-            y_lo, y_hi = y_lo / 1.5, y_hi * 1.5
+            y_range = y_lo / 1.5, y_hi * 1.5
         else:
-            pad = 0.05 * (y_hi - y_lo) or max(abs(y_hi), 1.0) * 0.05
-            y_lo, y_hi = y_lo - pad, y_hi + pad
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
-        return Axes((x_lo, x_hi), (y_lo, y_hi), log_y=self.log_y)
+            y_range = _padded(y_lo, y_hi)
+        return Axes(x_range, y_range, log_y=self.log_y)
 
     def render(self) -> str:
         ax = self._ranges()
         parts = _axis_svg(ax, self.xlabel, self.ylabel, self.title)
-        for x, y, _, color, dashed in self.lines:
+        lines = [
+            (x, y, label, LINE_COLORS[i % len(LINE_COLORS)], dashed)
+            for i, (x, y, label, dashed) in enumerate(self.curves)
+        ]
+        for x, y, _, color, dashed in lines:
             parts += _line_elements(ax, x, y, color, dashed)
-        labeled = [ln for ln in self.lines if ln[2]]
+        labeled = [ln for ln in lines if ln[2]]
         for row, (_, _, label, color, dashed) in enumerate(labeled):
             yp = MARGIN_TOP + 14 + 18 * row
             xp = WIDTH - MARGIN_RIGHT - 150
@@ -300,14 +304,20 @@ def _ramp_rgb(frac: np.ndarray) -> np.ndarray:
     return np.round(rgb).astype(np.uint8)
 
 
-@dataclass
+def _cell(v: np.ndarray) -> float:
+    """The spacing of an evenly spaced axis; one unit if it has no span."""
+    return (v[-1] - v[0]) / (len(v) - 1) if v[-1] != v[0] else 1.0
+
+
+@dataclass(frozen=True)
 class Heatmap:
     """2-D field rendered as an embedded pixel raster with drawn axes.
 
     ``z`` is indexed [i, j] with i along the x axis (axis1) and j along the
     y axis (axis2), matching sweep grids; rendering transposes so axis1 is
     horizontal.  The color shows log10(z); cells where it is not finite
-    are drawn as missing.
+    are drawn as missing.  Each ``(x, y)`` of ``overlays`` is drawn over
+    the field as a white dashed line.
     """
 
     x: np.ndarray
@@ -317,13 +327,7 @@ class Heatmap:
     ylabel: str
     title: str = ""
     color_label: str = "log10 value"
-    overlays: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, init=False
-    )
-
-    def add_line(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Overlay a white dashed line."""
-        self.overlays.append((np.asarray(x, float), np.asarray(y, float)))
+    overlays: Sequence[tuple[np.ndarray, np.ndarray]] = ()
 
     def render(self) -> str:
         z = np.asarray(self.z, dtype=float)
@@ -355,8 +359,7 @@ class Heatmap:
         x = np.asarray(self.x, float)
         y = np.asarray(self.y, float)
         # Pixel centers sit on the sample points; pad half a cell outward.
-        dx = (x[-1] - x[0]) / max(len(x) - 1, 1)
-        dy = (y[-1] - y[0]) / max(len(y) - 1, 1)
+        dx, dy = _cell(x), _cell(y)
         ax = Axes(
             (x[0] - 0.5 * dx, x[-1] + 0.5 * dx),
             (y[0] - 0.5 * dy, y[-1] + 0.5 * dy),
@@ -381,4 +384,4 @@ class Heatmap:
         return _document(parts)
 
 
-__all__ = ["Axes", "Heatmap", "LinePlot", "linear_ticks", "log_ticks"]
+__all__ = ["Heatmap", "LinePlot", "linear_ticks", "log_ticks"]

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -880,6 +881,12 @@ def decode_embedded_png(svg_text: str) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(height, width, 3)
 
 
+def assert_drawable(svg: str) -> None:
+    """Every number of ``svg`` outside its embedded raster is finite."""
+    text = re.sub(r"base64,[A-Za-z0-9+/=]*", "base64,", svg)
+    assert "nan" not in text and "inf" not in text
+
+
 class TestSvgPlot:
     def test_linear_ticks(self):
         assert svgplot.linear_ticks(0.0, 10.0) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
@@ -893,23 +900,16 @@ class TestSvgPlot:
         assert len(svgplot.log_ticks(1e-30, 1.0)) <= 12
 
     def test_nan_breaks_line_into_runs(self):
-        plot = svgplot.LinePlot(xlabel="x", ylabel="y")
-        plot.add_line(
-            np.array([0.0, 1.0, 2.0, 3.0]),
-            np.array([1.0, math.nan, 2.0, 3.0]),
-            "",
-        )
-        svg = plot.render()
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([1.0, math.nan, 2.0, 3.0])
+        svg = svgplot.LinePlot("x", "y", [(x, y, "", False)]).render()
         # Isolated first point becomes a marker; the trailing run is one line.
         assert svg.count("<circle") == 1
         assert svg.count("<polyline") == 1
 
     def test_log_scale_drops_nonpositive(self):
-        plot = svgplot.LinePlot(xlabel="x", ylabel="y", log_y=True)
-        plot.add_line(
-            np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]), ""
-        )
-        svg = plot.render()
+        x = y = np.array([0.0, 1.0, 2.0])
+        svg = svgplot.LinePlot("x", "y", [(x, y, "", False)], log_y=True).render()
         assert svg.count("<polyline") == 1
         assert svg.count("<circle") == 0
 
@@ -944,6 +944,65 @@ class TestSvgPlot:
         svg = heat.render()
         assert "log10 g2: 0 to 3" in svg
         assert "<image" in svg
+
+    def test_curves_are_colored_and_labeled_in_order(self):
+        x = np.array([0.0, 1.0])
+        curves = [(x, x + k, f"c{k}", k == 1) for k in range(6)]
+        svg = svgplot.LinePlot("x", "y", curves).render()
+        strokes = re.findall(r'<polyline [^>]*stroke="(#[0-9a-f]{6})"', svg)
+        colors = list(svgplot.LINE_COLORS)
+        assert strokes == colors + colors[:1]
+        assert svg.count('stroke-dasharray="6 4"') == 2  # curve c1 and its legend key
+        assert re.findall(r">(c\d)</text>", svg) == [f"c{k}" for k in range(6)]
+
+    def test_heatmap_overlays_are_white_dashed_lines(self):
+        x = np.array([0.0, 1.0, 2.0])
+        heat = svgplot.Heatmap(
+            x, x, np.ones((3, 3)), "x", "y", overlays=[(x, x), (x, 2.0 - x)]
+        )
+        lines = re.findall(r"<polyline [^>]*/>", heat.render())
+        assert len(lines) == 2
+        assert all('stroke="#ffffff"' in ln and "stroke-dasharray" in ln for ln in lines)
+
+    @pytest.mark.parametrize("x", [[2.0], [2.0, 2.0, 2.0], [0.0]])
+    def test_line_plot_x_without_span(self, x):
+        x = np.array(x)
+        svg = svgplot.LinePlot("x", "y", [(x, x + 1.0, "", False)]).render()
+        assert_drawable(svg)
+        # Padded on both sides alike, the x range centres the point(s) in the frame.
+        centre = (svgplot.MARGIN_LEFT + svgplot.WIDTH - svgplot.MARGIN_RIGHT) / 2
+        points = " ".join(re.findall(r'points="([^"]+)"', svg)).split()
+        xs = re.findall(r'cx="([^"]+)"', svg) + [pt.split(",")[0] for pt in points]
+        assert xs and all(float(v) == centre for v in xs)
+
+    def test_line_plot_without_finite_y(self):
+        x = np.array([0.0, 1.0, 2.0])
+        y = np.array([math.nan, math.inf, -math.inf])
+        svg = svgplot.LinePlot("x", "y", [(x, y, "y", False)], log_y=True).render()
+        assert_drawable(svg)
+        assert "<polyline" not in svg and "<circle" not in svg
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1)])
+    def test_heatmap_axis_with_one_value(self, shape):
+        z = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape)
+        x = np.linspace(0.0, 1.0, shape[0])
+        y = np.linspace(-1.0, 1.0, shape[1])
+        svg = svgplot.Heatmap(x, y, z, "x", "y").render()
+        assert_drawable(svg)
+        assert decode_embedded_png(svg).shape == (shape[1], shape[0], 3)
+
+    @pytest.mark.parametrize(
+        "z, colors",
+        [
+            (np.array([[math.nan, -1.0], [math.inf, 0.0]]), "log10 value: 0 to 1"),
+            (np.full((2, 2), 100.0), "log10 value: 2 to 3"),
+        ],
+    )
+    def test_heatmap_without_a_color_range(self, z, colors):
+        x = np.array([0.0, 1.0])
+        svg = svgplot.Heatmap(x, x, z, "x", "y").render()
+        assert_drawable(svg)
+        assert colors in svg
 
 
 def regime_conditions(messages) -> set[str]:
